@@ -49,8 +49,9 @@ std::atomic<unsigned> g_pool_threads{1};        // NOLINT
 std::atomic<std::uint64_t> g_shards{1};            // NOLINT
 std::atomic<std::uint64_t> g_epoch_ns{0};          // NOLINT
 std::atomic<unsigned> g_resolved_threads{1};       // NOLINT
-// Per-shard executed-event counts of the last sharded run (any thread);
-// written under a mutex because run_points() workers race to finish.
+// Per-shard executed-event counts of the last multi-shard run (any
+// thread); written under a mutex because run_points() workers race to
+// finish.
 std::mutex g_eps_mu;                                  // NOLINT
 std::vector<std::uint64_t> g_events_per_shard;        // NOLINT
 
@@ -62,21 +63,28 @@ void arm_run(Engine& eng) {
   g_run_t0 = std::chrono::steady_clock::now();
 }
 
+/// Fill this run's HostPerf from the wall clock since g_run_t0 and fold it
+/// into the process totals; returns the run's wall ns.
+std::uint64_t record_host_perf(std::uint64_t events) {
+  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
+  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
+  g_last_host_perf.events = events;
+  g_last_host_perf.events_per_sec =
+      wall_ns > 0
+          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
+          : 0.0;
+  g_total_events.fetch_add(events, std::memory_order_relaxed);
+  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
+  return wall_ns;
+}
+
 /// Call after eng.run(): snapshots the registry and host perf, and flushes
 /// the armed trace export (first armed run only — later runs are
 /// untraced).
 void finish_run(Engine& eng) {
-  auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = eng.events_executed();
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0 ? static_cast<double>(eng.events_executed()) * 1e9 /
-                        static_cast<double>(wall_ns)
-                  : 0.0;
-  g_total_events.fetch_add(eng.events_executed(), std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
+  record_host_perf(eng.events_executed());
   g_last_metrics = eng.metrics().snapshot();
   if (!g_trace_path.empty()) {
     if (!eng.tracer().export_chrome_json(g_trace_path)) {
@@ -121,18 +129,35 @@ std::map<std::string, std::int64_t> merged_shard_metrics(
   // registry with a disjoint namespace; fold them in verbatim so bench
   // snapshots expose the epoch-size distribution per point.
   for (const auto& [key, v] : group.metrics().snapshot()) out[key] = v;
-  // Epochs that met the dispatch rule: the share of barrier rounds worker
-  // threads could take at all.
-  out["shard/wide_epochs"] = static_cast<std::int64_t>(group.wide_epochs());
   return out;
 }
 
-/// Remember the per-shard load split of a sharded run for the host_perf
-/// JSON block (last multi-shard run wins).
-void record_events_per_shard(ulsocks::sim::ShardGroup& group) {
-  if (group.size() <= 1) return;
-  std::lock_guard<std::mutex> lk(g_eps_mu);
-  g_events_per_shard = group.events_executed_per_shard();
+/// Run a sharded workload (ScaleWeb or ScaleC10k) over `stack`'s stack
+/// kind and record it: host perf, the merged metrics snapshot, the
+/// per-shard load split, and the shard count and epoch window of the
+/// host_perf block.  Returns the run's wall ns.
+template <class Scale>
+std::uint64_t run_sharded(Scale& scale, const StackChoice& stack) {
+  // No arm_run(): the tracer is per-engine and a sharded run has several,
+  // so trace exports stay a serial-run feature.
+  g_run_t0 = std::chrono::steady_clock::now();
+  scale.run(stack.kind() == StackChoice::Kind::kTcp
+                ? Cluster::StackKind::kTcp
+                : Cluster::StackKind::kSubstrate);
+  sim::ShardGroup& group = scale.group();
+  const std::uint64_t wall_ns = record_host_perf(group.events_executed());
+  g_last_metrics = merged_shard_metrics(group);
+  const std::uint64_t shards = group.size();
+  if (shards > 1) {
+    std::lock_guard<std::mutex> lk(g_eps_mu);
+    g_events_per_shard = group.events_executed_per_shard();
+  }
+  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
+  while (prev < shards && !g_shards.compare_exchange_weak(
+                              prev, shards, std::memory_order_relaxed)) {
+  }
+  g_epoch_ns.store(group.lookahead(), std::memory_order_relaxed);
+  return wall_ns;
 }
 
 /// Peak resident set size of this process, in kilobytes.
@@ -775,60 +800,19 @@ double measure_web_response_us(const StackChoice& stack,
 }
 
 double measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
-                              std::size_t shards, unsigned threads,
-                              std::size_t requests_per_client,
-                              bool scalar_lookahead) {
+                              std::size_t shards,
+                              std::size_t requests_per_client) {
   ScaleWebOptions opt;
   opt.hosts = hosts;
   opt.shards = shards;
-  opt.scalar_lookahead = scalar_lookahead;
-  // Never oversubscribe a perf measurement: more workers than cores turns
-  // the epoch spin-barrier into scheduler thrash.  The simulated result is
-  // thread-count invariant, so clamping only changes wall clock.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  opt.threads = std::min({static_cast<unsigned>(threads), hw,
-                          static_cast<unsigned>(shards)});
   opt.requests_per_client = requests_per_client;
   ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  // No arm_run(): the tracer is per-engine and a sharded run has several,
-  // so trace exports stay a serial-run feature.
-  g_run_t0 = std::chrono::steady_clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  const std::uint64_t events = scale.group().events_executed();
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = events;
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0
-          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
-          : 0.0;
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  g_last_metrics = merged_shard_metrics(scale.group());
-  record_events_per_shard(scale.group());
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
-  }
-  g_epoch_ns.store(scale.group().lookahead(), std::memory_order_relaxed);
-  // Record what the sharded run actually used (post-clamp), so the JSON
-  // says whether this host could demonstrate parallel speedup at all;
-  // check_hostperf.py keys its speedup assertion off this.
-  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
-  while (prev_t < opt.threads &&
-         !g_resolved_threads.compare_exchange_weak(prev_t, opt.threads,
-                                                   std::memory_order_relaxed)) {
-  }
+  run_sharded(scale, stack);
   return g_last_host_perf.events_per_sec;
 }
 
 double measure_scale_web_hotspot_evps(const StackChoice& stack,
-                                       std::size_t shards, unsigned threads,
-                                       bool rebalance,
+                                       std::size_t shards, bool rebalance,
                                        std::size_t hot_requests,
                                        std::size_t cold_requests) {
   ScaleWebOptions opt;
@@ -841,86 +825,26 @@ double measure_scale_web_hotspot_evps(const StackChoice& stack,
   opt.per_client_requests[0] = hot_requests;
   opt.per_client_requests[4] = hot_requests;
   opt.rebalance = rebalance;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  opt.threads = std::min({static_cast<unsigned>(threads), hw,
-                          static_cast<unsigned>(shards)});
   ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  g_run_t0 = std::chrono::steady_clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  const std::uint64_t events = scale.group().events_executed();
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = events;
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0
-          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
-          : 0.0;
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  g_last_metrics = merged_shard_metrics(scale.group());
+  run_sharded(scale, stack);
   // The migration oracle: identical across shard counts and rebalance
   // on/off when migration is sound (check_hostperf.py gates on it).  The
   // int64 cast keeps the uint64 bit pattern, so equality is preserved.
   g_last_metrics["shard/causal_digest"] =
       static_cast<std::int64_t>(scale.group().causal_digest());
-  record_events_per_shard(scale.group());
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
-  }
-  g_epoch_ns.store(scale.group().lookahead(), std::memory_order_relaxed);
-  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
-  while (prev_t < opt.threads &&
-         !g_resolved_threads.compare_exchange_weak(prev_t, opt.threads,
-                                                   std::memory_order_relaxed)) {
-  }
   return g_last_host_perf.events_per_sec;
 }
 
 double measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
                                 std::size_t connections_per_host,
-                                std::size_t shards, unsigned threads,
-                                std::size_t reap_batch) {
+                                std::size_t shards, std::size_t reap_batch) {
   ScaleC10kOptions opt;
   opt.ring_server = ring;
   opt.connections_per_host = connections_per_host;
   opt.shards = shards;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  opt.threads = std::min({static_cast<unsigned>(threads), hw,
-                          static_cast<unsigned>(shards)});
   opt.reap_batch = reap_batch;
   ScaleC10k scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  g_run_t0 = std::chrono::steady_clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  const std::uint64_t events = scale.group().events_executed();
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = events;
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0
-          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
-          : 0.0;
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  g_last_metrics = merged_shard_metrics(scale.group());
-  record_events_per_shard(scale.group());
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
-  }
-  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
-  while (prev_t < opt.threads &&
-         !g_resolved_threads.compare_exchange_weak(prev_t, opt.threads,
-                                                   std::memory_order_relaxed)) {
-  }
+  const std::uint64_t wall_ns = run_sharded(scale, stack);
   // The measured quantity: application requests served per wall second.
   return wall_ns > 0 ? static_cast<double>(scale.requests_served()) * 1e9 /
                            static_cast<double>(wall_ns)

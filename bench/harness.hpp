@@ -242,18 +242,14 @@ class BenchResults {
 
 /// Host events/sec of the many-host sharded web workload (bench/scale.hpp):
 /// 1 server + (hosts-1) clients on a star, partitioned over `shards`
-/// engines run by `threads` workers.  The simulated result is shard-count
-/// invariant; the returned wall-clock throughput is what scales.
+/// engines.  The simulated result is shard-count invariant; the returned
+/// wall-clock throughput is what the partition costs or buys.
 /// last_run_metrics() afterwards holds the merged cross-shard snapshot and
 /// last_run_host_perf() the aggregate event count.
-/// `scalar_lookahead` pins the group to the PR5-era scalar epoch bound —
-/// the A/B baseline for the lookahead-matrix epoch-count comparison.
 [[nodiscard]] double measure_scale_web_evps(const StackChoice& stack,
                                             std::size_t hosts,
                                             std::size_t shards,
-                                            unsigned threads,
-                                            std::size_t requests_per_client,
-                                            bool scalar_lookahead = false);
+                                            std::size_t requests_per_client);
 
 /// Host events/sec of the skewed ("hotspot") 16-host web workload: two
 /// hosts carry ~80% of the request traffic, so the static (i + 1) % shards
@@ -264,8 +260,8 @@ class BenchResults {
 /// counts and rebalance on/off when migration is sound — next to the
 /// group's shard/epochs, shard/imbalance and shard/migrations gauges.
 [[nodiscard]] double measure_scale_web_hotspot_evps(
-    const StackChoice& stack, std::size_t shards, unsigned threads,
-    bool rebalance, std::size_t hot_requests, std::size_t cold_requests);
+    const StackChoice& stack, std::size_t shards, bool rebalance,
+    std::size_t hot_requests, std::size_t cold_requests);
 
 /// Served requests per wall-clock second of the C10K concurrency workload
 /// (bench/scale.hpp ScaleC10k): 3 client hosts x `connections_per_host`
@@ -280,7 +276,6 @@ class BenchResults {
                                               bool ring,
                                               std::size_t connections_per_host,
                                               std::size_t shards = 1,
-                                              unsigned threads = 1,
                                               std::size_t reap_batch = 64);
 
 /// Pretty size label ("4", "1K", "64K").

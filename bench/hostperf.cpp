@@ -13,16 +13,12 @@
 // hosts; medians still drift when the whole host is loaded).  The
 // simulated results of every rep are identical — the engine is
 // deterministic — so best-of changes only the wall-clock estimate.
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -66,109 +62,6 @@ HostPerf engine_churn(std::uint64_t total_events,
       wall_ns > 0 ? static_cast<double>(p.events) * 1e9 / wall_ns : 0.0;
   metrics = eng.metrics().snapshot();
   return p;
-}
-
-}  // namespace
-
-namespace {
-
-/// Host wall ns per epoch of four engines stepped window by window, where
-/// every window [T, T + 1024) holds exactly `width` events per engine:
-/// engine_churn-style chains of empty events (1024 ns step, staggered
-/// across the window) with no cross-engine traffic.  `threads` == 1 runs
-/// the four windows one after another on this thread, as ShardGroup does
-/// with an epoch below kDispatchMinEvents.  More threads hand engine i to
-/// worker i % threads with the handshake ShardGroup uses for a dispatched
-/// epoch: a padded go counter per worker out, a shared pending count back,
-/// each polled and then parked on (std::atomic::wait).  The loop is the
-/// sweep's own copy, so dispatch is timed below the rule's threshold
-/// without a switch inside ShardGroup; the group's epoch planning costs
-/// the same either way and is left out.
-double epoch_width_ns(std::size_t width, std::uint64_t epochs,
-                      unsigned threads) {
-  using ulsocks::sim::Engine;
-  constexpr std::size_t kShards = 4;
-  constexpr ulsocks::sim::Duration kWindow = 1024;
-  constexpr std::uint32_t kSpinsBeforePark = 1u << 14;  // as in ShardGroup
-  std::array<Engine, kShards> engines;
-  struct Chain {
-    Engine* eng;
-    std::uint64_t left;
-    void operator()() {
-      if (--left == 0) return;
-      eng->schedule_after(kWindow, Chain{*this});
-    }
-  };
-  for (Engine& eng : engines) {
-    for (std::size_t k = 0; k < width; ++k) {
-      eng.schedule_at(k * (kWindow / width), Chain{&eng, epochs});
-    }
-  }
-
-  const auto workers = std::clamp<unsigned>(threads, 1, kShards);
-  struct alignas(64) WorkerSignal {
-    std::atomic<std::uint32_t> go{0};
-  };
-  std::array<WorkerSignal, kShards> sig;
-  std::atomic<std::uint32_t> pending{0};
-  // Written only while every worker waits on go; the go release/acquire
-  // edge publishes them.
-  ulsocks::sim::Time bound = 0;
-  bool quit = false;
-  auto await_change = [](const std::atomic<std::uint32_t>& a,
-                         std::uint32_t old) {
-    for (std::uint32_t spins = 0; spins < kSpinsBeforePark; ++spins) {
-      const std::uint32_t v = a.load(std::memory_order_acquire);
-      if (v != old) return v;
-    }
-    a.wait(old, std::memory_order_acquire);
-    return a.load(std::memory_order_acquire);
-  };
-  auto run_owned = [&](unsigned w) {
-    for (std::size_t i = w; i < kShards; i += workers) {
-      engines[i].run_before(bound);
-    }
-  };
-  auto wake_workers = [&] {
-    for (unsigned w = 1; w < workers; ++w) {
-      sig[w].go.fetch_add(1, std::memory_order_release);
-      sig[w].go.notify_one();
-    }
-  };
-  std::vector<std::thread> pool;
-  for (unsigned w = 1; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      std::uint32_t seen = 0;
-      for (;;) {
-        seen = await_change(sig[w].go, seen);
-        if (quit) return;
-        run_owned(w);
-        if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          pending.notify_one();
-        }
-      }
-    });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t e = 0; e < epochs; ++e) {
-    bound += kWindow;
-    pending.store(workers - 1, std::memory_order_relaxed);
-    wake_workers();
-    run_owned(0);
-    for (std::uint32_t left = pending.load(std::memory_order_acquire);
-         left != 0;) {
-      left = await_change(pending, left);
-    }
-  }
-  const auto wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  quit = true;
-  wake_workers();
-  for (std::thread& th : pool) th.join();
-  return wall_ns / static_cast<double>(epochs);
 }
 
 }  // namespace
@@ -226,27 +119,15 @@ int main(int argc, char** argv) {
       {"emp_bw_64K", &emp, "64K",
        [&] { return measure_bandwidth_mbps(emp, 65536, bw_total); }},
       // Sharded scaling: the same 16-host web workload serial and at 4
-      // shards with a budget of 4 threads.  The simulated result is
-      // identical.  Its epochs are too narrow to dispatch, so the 4-shard
-      // run steps nearly every window on one thread; check_hostperf.py
-      // gates its events/sec at >= 0.7x the 1-shard point.
+      // shards.  The simulated result is identical; the 4-shard run pays
+      // the epoch barriers on one thread, and check_hostperf.py gates its
+      // events/sec at >= 0.7x the 1-shard point.
       {"scale_web_16hosts", &ds, "1shard",
-       [&] {
-         return measure_scale_web_evps(ds, 16, 1, 1, scale_requests);
-       }},
+       [&] { return measure_scale_web_evps(ds, 16, 1, scale_requests); }},
       {"scale_web_16hosts", &ds, "4shards",
        [&] {
-         return measure_scale_web_evps(ds, 16, opt.shards_or(4), 4,
+         return measure_scale_web_evps(ds, 16, opt.shards_or(4),
                                        scale_requests);
-       }},
-      // Same run pinned to the PR5-era scalar epoch bound: the A/B
-      // baseline for the lookahead matrix.  check_hostperf.py asserts the
-      // matrix point above needs no more epochs ("shard/epochs" in each
-      // point's metrics) than this one.
-      {"scale_web_16hosts", &ds, "4shards_scalar",
-       [&] {
-         return measure_scale_web_evps(ds, 16, opt.shards_or(4), 4,
-                                       scale_requests, /*scalar=*/true);
        }},
       // Skewed ("hotspot") web workload: hosts 1 and 5 carry ~80% of the
       // traffic, and at 4 shards the static (i + 1) % shards placement
@@ -254,30 +135,28 @@ int main(int argc, char** argv) {
       // causal-digest parity gate, then 4 shards static vs greedy live
       // rebalancing.  check_hostperf.py asserts the digests of all four
       // match, that greedy cuts the per-shard executed-event imbalance at
-      // least 2x vs static, that it runs no more barrier epochs, and (on
-      // multi-core recordings) that its wall-clock cost stays within
-      // check_hostperf.py's MIN_HOTSPOT_RATIO of static.
+      // least 2x vs static, that it runs no more barrier epochs, and that
+      // its wall-clock cost stays within check_hostperf.py's
+      // MIN_HOTSPOT_RATIO of static.
       {"scale_web_hotspot", &ds, "1shard",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, 1, 1, false,
-                                               hot_requests, cold_requests);
+         return measure_scale_web_hotspot_evps(ds, 1, false, hot_requests,
+                                               cold_requests);
        }},
       {"scale_web_hotspot", &ds, "2shards",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, 2, 2, false,
-                                               hot_requests, cold_requests);
+         return measure_scale_web_hotspot_evps(ds, 2, false, hot_requests,
+                                               cold_requests);
        }},
       {"scale_web_hotspot", &ds, "4shards_static",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), 4,
-                                               false, hot_requests,
-                                               cold_requests);
+         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), false,
+                                               hot_requests, cold_requests);
        }},
       {"scale_web_hotspot", &ds, "4shards_greedy",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), 4,
-                                               true, hot_requests,
-                                               cold_requests);
+         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), true,
+                                               hot_requests, cold_requests);
        }},
       // C10K ring-vs-blocking: identical traffic (~1000 simultaneous
       // connections), two servers.  The gated quantity is requests served
@@ -296,7 +175,7 @@ int main(int argc, char** argv) {
       {"scale_c10k", &c10k, "ring_4shards",
        [&] {
          return measure_scale_c10k_reqps(c10k, true, c10k_conns,
-                                         opt.shards_or(4), 4);
+                                         opt.shards_or(4));
        },
        "reqps"},
   };
@@ -354,38 +233,7 @@ int main(int argc, char** argv) {
                    sim::ResultTable::num(best.wall_ms, 1)});
   }
 
-  // Epoch-width sweep: the break-even events per window behind
-  // ShardGroup::kDispatchMinEvents (EXPERIMENTS.md "Epoch dispatch
-  // break-even").  Best-of-reps wall ns per epoch, lower is better.
-  sim::ResultTable sweep(
-      {"events/window", "inline ns/epoch", "dispatched ns/epoch"});
-  {
-    const std::uint64_t epochs = smoke ? 256 : 4096;
-    const unsigned threads =
-        std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
-    const std::pair<unsigned, const char*> modes[] = {{1, "inline"},
-                                                      {threads, "dispatched"}};
-    for (std::size_t width = 1; width <= 512; width *= 2) {
-      std::vector<std::string> row{std::to_string(width)};
-      for (const auto& [mode_threads, label] : modes) {
-        double best = -1.0;
-        for (int r = 0; r < reps; ++r) {
-          const double ns = epoch_width_ns(width, epochs, mode_threads);
-          if (best < 0 || ns < best) best = ns;
-        }
-        // No protocol stack runs, so nothing is copied; every point
-        // carries the counter anyway (as in engine_churn).
-        results.add("epoch_width_4shards", "sim", label,
-                    std::to_string(width), best, "ns_per_epoch",
-                    {{"host/bytes_copied", 0}});
-        row.push_back(sim::ResultTable::num(best, 0));
-      }
-      sweep.add_row(std::move(row));
-    }
-  }
-
   table.print();
-  sweep.print();
   results.write(opt.out_dir);
   return 0;
 }

@@ -23,7 +23,6 @@ namespace ulsocks::bench {
 struct ScaleWebOptions {
   std::size_t hosts = 16;   // host 0 serves, the rest request
   std::size_t shards = 1;   // ShardGroup size (1 = serial reference)
-  unsigned threads = 1;     // worker threads for ShardGroup::run
   std::uint32_t response_bytes = 8192;
   std::uint32_t requests_per_connection = 8;  // HTTP/1.1 style
   std::size_t requests_per_client = 64;
@@ -39,10 +38,6 @@ struct ScaleWebOptions {
   bool rebalance = false;
   std::uint64_t rebalance_interval_epochs = 64;
   double rebalance_hysteresis = 1.5;
-  // A/B switch: pin the group to the PR5-era scalar bound (global_min + W)
-  // instead of the per-edge lookahead matrix.  Same topology, same traffic
-  // — only the epoch schedule differs, so epoch counts are comparable.
-  bool scalar_lookahead = false;
   // Per-host cable lengths (ns of propagation, cycled over hosts); empty
   // keeps the model's uniform wire.  See apps::Cluster.
   std::vector<sim::Duration> per_host_propagation = {};
@@ -59,9 +54,6 @@ class ScaleWeb {
         cluster_(group_, model, opt.hosts, cfg, {}, true,
                  opt.per_host_propagation),
         per_client_(opt.hosts > 1 ? opt.hosts - 1 : 0) {
-    if (opt.scalar_lookahead) {
-      group_.set_lookahead_mode(sim::ShardGroup::LookaheadMode::kScalar);
-    }
     if (opt.rebalance) {
       sim::ShardGroup::GreedyRebalanceOptions gopt;
       gopt.hysteresis = opt.rebalance_hysteresis;
@@ -115,11 +107,11 @@ class ScaleWeb {
     for (std::size_t i = 0; i + 1 < opt_.hosts; ++i) {
       cluster_.spawn_on(i + 1, client(i));
     }
-    group_.run(opt_.threads);
+    group_.run();
   }
 
  private:
-  // The group's default (and scalar-mode) lookahead must lower-bound every
+  // The group's default lookahead must lower-bound every
   // link in the topology, so with heterogeneous cables it is the minimum
   // per-host link latency; the registered edge matrix carries the true
   // per-link values on top.
@@ -152,7 +144,6 @@ struct ScaleC10kOptions {
   std::size_t client_hosts = 3;          // hosts 1..N each run many conns
   std::size_t connections_per_host = 334;  // 3 * 334 ~ 1000 concurrent
   std::size_t shards = 1;
-  unsigned threads = 1;
   std::uint32_t response_bytes = 256;
   std::uint32_t requests_per_connection = 2;
   bool ring_server = true;               // false: blocking web_server
@@ -237,7 +228,7 @@ class ScaleC10k {
         cluster_.spawn_on(h, conn(h, c));
       }
     }
-    group_.run(opt_.threads);
+    group_.run();
   }
 
  private:

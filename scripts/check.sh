@@ -9,8 +9,10 @@
 #      stale baseline (DESIGN.md §12).
 #   4. Bench smoke: a short fig11_latency run must emit a BENCH_*.json
 #      that passes scripts/validate_bench_json.py.
-#   5. ThreadSanitizer build running the sharded determinism tests with
-#      4 shards on 4 worker threads (the parallel engine's race surface).
+#   5. ThreadSanitizer build: fig13_microbench on a 4-thread run_points()
+#      pool (the repo's cross-thread code: the job pool, thread_local run
+#      state and atomic host-perf totals), plus the sharded determinism
+#      tests.
 #   6. Host-perf gate: a Release build runs bench/hostperf and
 #      scripts/check_hostperf.py fails the gate if events/sec dropped
 #      more than 25% below bench/baselines/BENCH_hostperf.json.
@@ -78,16 +80,25 @@ mkdir -p "$SMOKE_DIR"
 "$BUILD_DIR/bench/fig11_latency" --iters 3 --out "$SMOKE_DIR" >/dev/null
 python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
 
-echo "==> [5/$TOTAL] ThreadSanitizer: sharded determinism tests with real threads"
-# The sharded engine's only cross-thread surface is the epoch barrier and
-# the mailboxes; the Sharding.* tests run 4-shard groups on 4 worker
-# threads, which is exactly the surface TSan needs to see.  TSan excludes
+echo "==> [5/$TOTAL] ThreadSanitizer: bench job pool and sharded determinism tests"
+# bench::run_points() is the repo's one thread pool: fig13_microbench fans
+# its (size, stack) cells out over 4 workers, each building its own
+# engines, with thread_local run snapshots and atomic host-perf totals
+# shared across them.  That is the surface TSan needs to see.  ShardGroup
+# steps every shard on the calling thread; the Sharding.* run stays so any
+# thread that comes back into it is raced from the start.  TSan excludes
 # the other sanitizers, so this is its own build tree.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DULSOCKS_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$JOBS" --target determinism_test
+cmake --build "$TSAN_DIR" -j "$JOBS" --target fig13_microbench determinism_test
+TSAN_SMOKE_DIR="$TSAN_DIR/bench-smoke"
+mkdir -p "$TSAN_SMOKE_DIR"
+TSAN_OPTIONS=halt_on_error=1 \
+  "$TSAN_DIR/bench/fig13_microbench" --iters 2 --threads 4 \
+  --out "$TSAN_SMOKE_DIR" >/dev/null
+python3 scripts/validate_bench_json.py "$TSAN_SMOKE_DIR/BENCH_fig13_microbench.json"
 TSAN_OPTIONS=halt_on_error=1 \
   "$TSAN_DIR/tests/determinism_test" --gtest_filter='Sharding.*'
 

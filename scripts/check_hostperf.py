@@ -23,14 +23,9 @@ copy crept back into the zero-copy data path.
 
 The sharded engine has its own gate: the scale_web_16hosts scenario is
 recorded at 1 shard and 4 shards, and the 4-shard point must reach at
-least 0.7x the 1-shard events/sec.  Its epochs hold ~4 events on average,
-below the dispatch rule's break-even, so the 4-shard run executes almost
-every window inline on one thread; what the gate guards is that sharding
-no longer costs more than it buys.  The check applies only when
-host_perf.resolved_threads in the CURRENT run is > 1 (the bench clamps its
-workers to the hardware, so resolved_threads == 1 means a single-core host
-where the 4-shard point measures epoch overhead alone, and the plain 25%
-regression gate is the only meaningful bound).
+least 0.7x the 1-shard events/sec.  ShardGroup runs every window on one
+thread, so the 4-shard point measures what the epoch barriers cost (its
+epochs hold ~4 events on average); the gate bounds that cost.
 
 The C10K scenario has a structural gate of its own: scale_c10k records the
 same ~1000-connection traffic served by the ring server (one parked reap
@@ -39,32 +34,24 @@ the ring point must serve at least as many requests per wall second as the
 blocking point — the batched submit/reap API exists to beat the thundering
 herd, so losing to it is a regression in the ring path, not noise.
 
-Epoch counts are checked on every host, single-core included: each evps
-point carries its "shard/epochs" metric, reported per scenario, and a
-point with a "_scalar" twin (same series, x + "_scalar" — the run pinned
-to the scalar group-wide lookahead) must not need MORE epochs than the
-twin.  Epoch counts are deterministic, so this is an exact structural
-gate on the per-edge lookahead matrix, not a wall-clock one.
+Epoch counts are reported per scenario: each evps point carries its
+"shard/epochs" metric.
 
 The scale_web_hotspot series gates live shard rebalancing: the causal
 digest must be identical on every point (migration may move work between
 shards, never change the simulation), the greedy rebalance point must cut
 the per-shard executed-event imbalance at least 2x vs static placement
-while running no more barrier epochs, and — multi-core hosts only — must
-keep at least 0.7x the static point's events/sec: balancing load across
-threads buys wall clock only in epochs that dispatch, and this workload's
-never do, so the gate bounds what rebalancing costs rather than asking
-for a speedup.
+while running no more barrier epochs, and must keep at least 0.7x the
+static point's events/sec: with every window on one thread, balancing
+load across shards buys no wall clock, so the gate bounds what
+rebalancing costs rather than asking for a speedup.
 
 Both ratio bounds were set below the spread of full runs on a 4-vCPU
 host, with reps taken round-robin across scenarios (bench/hostperf).
 Taking each scenario's reps back to back instead read greedy/static as
 low as 0.62 in the same code, because host drift landed on one side.
-
-Every wall-clock gate that needs real parallelism (the 4-shard vs serial
-ratio, the C10K reqps comparison, the hotspot greedy vs static ratio) arms
-through the one shared multi_core_gate_armed() guard instead of per-gate
-copies.
+None of the three ratio gates needs more than one core, so all of them
+apply on every host.
 
 Usage: check_hostperf.py CURRENT [BASELINE] [--min-ratio R] [--allow-missing]
   CURRENT    BENCH_hostperf.json from the build under test
@@ -84,9 +71,9 @@ DEFAULT_MIN_RATIO = 0.75
 # bytes_copied is deterministic per workload; allow slack only for
 # smoke-vs-full sizing mistakes to surface loudly, not for drift.
 BYTES_COPIED_MAX_RATIO = 1.10
-# Minimum 4-shard/1-shard events/sec ratio on multi-core hosts: sharding
-# may cost at most 30% against serial.  Three full runs on a 4-vCPU host
-# measured 0.76-0.94; the bound sits below that spread.
+# Minimum 4-shard/1-shard events/sec ratio: sharding may cost at most 30%
+# against serial.  Three full runs on a 4-vCPU host measured 0.76-0.94;
+# the bound sits below that spread.
 SHARD_SERIES = "scale_web_16hosts"
 MIN_SHARD_RATIO = 0.7
 # The completion-ring server must at least match the blocking server on
@@ -94,10 +81,10 @@ MIN_SHARD_RATIO = 0.7
 C10K_SERIES = "scale_c10k"
 # Skewed workload measured with rebalancing off and on: greedy migration
 # must cut the per-shard executed-event imbalance at least this factor,
-# run no more barrier epochs, leave the causal digest untouched, and (on
-# multi-core hosts) cost no more than 30% wall-clock.  Three full runs on
-# a 4-vCPU host measured greedy/static at 0.85-0.98 (each point ~50 ms,
-# best of 3); the bound sits below that spread.
+# run no more barrier epochs, leave the causal digest untouched, and cost
+# no more than 30% wall-clock.  Three full runs on a 4-vCPU host measured
+# greedy/static at 0.85-0.98 (each point ~50 ms, best of 3); the bound
+# sits below that spread.
 HOTSPOT_SERIES = "scale_web_hotspot"
 MIN_HOTSPOT_RATIO = 0.7
 MIN_IMBALANCE_CUT = 2.0
@@ -123,59 +110,28 @@ def evps_points(path):
     return points
 
 
-def resolved_threads(path):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc.get("host_perf", {}).get("resolved_threads", 1)
-
-
-def multi_core_gate_armed(current_path, gate, observed):
-    """The single guard for every wall-clock gate that needs parallelism.
-
-    A wall-clock ratio only means "the parallel machinery works" when the
-    run had real cores: the bench clamps its workers to the hardware, so
-    host_perf.resolved_threads == 1 is a single-core host where multi-shard
-    points measure epoch overhead, not speedup, and only the plain 25%
-    regression gate applies.  Prints the observed ratio either way so
-    single-core CI logs still show the number.
-    """
-    threads = resolved_threads(current_path)
-    if threads > 1:
-        return True
-    print(f"NOTE {gate}: observed {observed} on a single-core host "
-          f"(resolved_threads={threads}); wall-clock gate skipped")
-    return False
-
-
-def check_shard_ratio(current, current_path):
+def check_shard_ratio(current):
     """Returns a list of failure tuples (possibly empty)."""
     one = current.get((SHARD_SERIES, "1shard"))
     four = current.get((SHARD_SERIES, "4shards"))
     if one is None or four is None:
         return []
     ratio = four[0] / one[0] if one[0] > 0 else float("inf")
-    if not multi_core_gate_armed(current_path, SHARD_SERIES,
-                                 f"4-shard/1-shard ratio {ratio:.2f}"):
-        return []
     status = "OK " if ratio >= MIN_SHARD_RATIO else "FAIL"
     print(f"{status} {SHARD_SERIES:<16} 4-shard/1-shard evps {ratio:5.2f}x "
-          f"(required >= {MIN_SHARD_RATIO:.2f}x on "
-          f"resolved_threads={resolved_threads(current_path)})")
+          f"(required >= {MIN_SHARD_RATIO:.2f}x)")
     if ratio < MIN_SHARD_RATIO:
         return [(SHARD_SERIES, "4shards-vs-serial", ratio)]
     return []
 
 
-def check_c10k_ring(current, current_path):
+def check_c10k_ring(current):
     """Ring server must serve >= the blocking server's reqps."""
     ring = current.get((C10K_SERIES, "ring"))
     blocking = current.get((C10K_SERIES, "blocking"))
     if ring is None or blocking is None:
         return []
     ratio = ring[0] / blocking[0] if blocking[0] > 0 else float("inf")
-    if not multi_core_gate_armed(current_path, C10K_SERIES,
-                                 f"ring/blocking reqps ratio {ratio:.2f}"):
-        return []
     status = "OK " if ratio >= 1.0 else "FAIL"
     print(f"{status} {C10K_SERIES:<16} ring/blocking reqps ratio {ratio:5.2f} "
           f"(required >= 1.00)")
@@ -184,7 +140,7 @@ def check_c10k_ring(current, current_path):
     return []
 
 
-def check_hotspot_rebalance(current, current_path):
+def check_hotspot_rebalance(current):
     """Structural + wall-clock gates on the skewed-workload rebalance pair.
 
     Determinism first: the causal digest must be identical on every
@@ -192,9 +148,8 @@ def check_hotspot_rebalance(current, current_path):
     live migration may move work, never change it.  Then the greedy point
     must cut the per-shard executed-event imbalance at least
     MIN_IMBALANCE_CUT vs static placement without running more barrier
-    epochs.  Digest, imbalance and epoch counts are deterministic, so those
-    gates apply on any host; the >= MIN_HOTSPOT_RATIO events/sec ratio is
-    wall-clock and arms only behind the shared multi-core guard.
+    epochs.  Digest, imbalance and epoch counts are deterministic; the
+    >= MIN_HOTSPOT_RATIO events/sec ratio is the one wall-clock gate.
     """
     failures = []
     hotspot = {x: v for (series, x), v in current.items()
@@ -244,42 +199,19 @@ def check_hotspot_rebalance(current, current_path):
             failures.append((HOTSPOT_SERIES, "rebalance-epochs",
                              greedy[2] / static[2]))
     ratio = greedy[0] / static[0] if static[0] > 0 else float("inf")
-    if multi_core_gate_armed(current_path, HOTSPOT_SERIES,
-                             f"greedy/static evps ratio {ratio:.2f}"):
-        status = "OK " if ratio >= MIN_HOTSPOT_RATIO else "FAIL"
-        print(f"{status} {HOTSPOT_SERIES:<16} greedy/static evps "
-              f"{ratio:5.2f}x (required >= {MIN_HOTSPOT_RATIO:.2f}x on "
-              f"resolved_threads={resolved_threads(current_path)})")
-        if ratio < MIN_HOTSPOT_RATIO:
-            failures.append((HOTSPOT_SERIES, "rebalance-vs-static", ratio))
+    status = "OK " if ratio >= MIN_HOTSPOT_RATIO else "FAIL"
+    print(f"{status} {HOTSPOT_SERIES:<16} greedy/static evps "
+          f"{ratio:5.2f}x (required >= {MIN_HOTSPOT_RATIO:.2f}x)")
+    if ratio < MIN_HOTSPOT_RATIO:
+        failures.append((HOTSPOT_SERIES, "rebalance-vs-static", ratio))
     return failures
 
 
-def check_epochs(current):
-    """Report epoch counts and gate matrix points against scalar twins.
-
-    Every evps point that recorded "shard/epochs" is printed; a point whose
-    series has an "<x>_scalar" sibling is the matrix-lookahead run of the
-    same workload and shard count, and must not need more epochs than the
-    scalar baseline (fewer is the whole point; equal can happen when a
-    workload never gives the wider bounds room).
-    """
-    failures = []
+def report_epochs(current):
+    """Print the epoch count of every evps point that recorded one."""
     for (series, x), (_, _, epochs, _) in sorted(current.items()):
         if epochs is not None:
             print(f"     {series:<16} x={x:<14} shard/epochs {epochs}")
-    for (series, x), (_, _, epochs, _) in sorted(current.items()):
-        if epochs is None or x.endswith("_scalar"):
-            continue
-        scalar = current.get((series, x + "_scalar"))
-        if scalar is None or scalar[2] is None:
-            continue
-        status = "OK " if epochs <= scalar[2] else "FAIL"
-        print(f"{status} {series:<16} x={x:<14} matrix epochs {epochs} "
-              f"vs scalar {scalar[2]}")
-        if epochs > scalar[2]:
-            failures.append((series, x + "-epochs", epochs / scalar[2]))
-    return failures
 
 
 def main(argv):
@@ -337,10 +269,10 @@ def main(argv):
     for key in sorted(set(current) - set(baseline)):
         print(f"NOTE: new scenario {key[0]}/{key[1]} has no baseline; "
               f"refresh with: cp {current_path} {baseline_path}")
-    failures.extend(check_shard_ratio(current, current_path))
-    failures.extend(check_c10k_ring(current, current_path))
-    failures.extend(check_hotspot_rebalance(current, current_path))
-    failures.extend(check_epochs(current))
+    failures.extend(check_shard_ratio(current))
+    failures.extend(check_c10k_ring(current))
+    failures.extend(check_hotspot_rebalance(current))
+    report_epochs(current)
 
     if failures:
         print(f"\nERROR: {len(failures)} host-perf gate failure(s)",

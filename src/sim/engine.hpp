@@ -219,24 +219,6 @@ class Engine {
     return next_time();
   }
 
-  /// Queued events with t < `bound`, counted up to `cap`: the shard
-  /// scheduler's measure of how much work a window holds.  Exact except
-  /// when a far-heap event is also below `bound`; the far heap is not
-  /// searched, and the answer is then `cap`.  A DFS over the near heap
-  /// that prunes each subtree at `bound` (a heap's descendants are never
-  /// earlier than their root), so it visits O(cap) nodes.
-  [[nodiscard]] std::size_t due_before(Time bound, std::size_t cap) const {
-    if (!far_.empty() && far_[0].t < bound) return cap;
-    std::size_t n = 0;
-    auto visit = [&](auto& self, std::size_t i) -> void {
-      if (i >= heap_.size() || n >= cap || heap_[i].t >= bound) return;
-      ++n;
-      for (std::size_t c = 4 * i + 1; c <= 4 * i + 4; ++c) self(self, c);
-    };
-    visit(visit, 0);
-    return n;
-  }
-
   // ---- Domains and live migration ----------------------------------------
   //
   // Every queued event and every spawned root carries a DomainId.  Events
@@ -579,8 +561,8 @@ class Engine {
   std::exception_ptr root_error_;
   DomainId current_domain_ = kAmbientDomain;
   std::vector<std::uint64_t> domain_events_;  // executed, indexed by domain
-  // The engine currently inside step() on this thread (workers each step
-  // their own shard, so thread-local is exact).
+  // The engine currently inside step() on this thread (run_points()
+  // workers each step their own engines, so thread-local is exact).
   inline static thread_local Engine* current_engine_ = nullptr;
   Rng rng_;
 };

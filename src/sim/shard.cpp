@@ -1,7 +1,6 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "check/invariant.hpp"
@@ -25,7 +24,6 @@ ShardGroup::ShardGroup(std::size_t shards, Duration lookahead,
   bounds_.assign(shards, kNoBound);
   tnext_.assign(shards, kNoBound);
   runnable_.assign(shards, 0);
-  errors_.assign(shards, nullptr);
   // Register the scheduler instruments up front so quiesced snapshots carry
   // them (as zeros) even for runs that never cross a barrier.
   epoch_ns_hist_ = &metrics_.histogram("shard/epoch_ns");
@@ -192,19 +190,13 @@ bool ShardGroup::begin_epoch() {
     runnable_[0] = 1;
     return true;
   }
-  if (mode_ == LookaheadMode::kScalar) {
-    // A/B baseline: the PR5-era shared window global_min + W.
-    const Time bound = sat_add(gmin, lookahead_);
-    for (std::size_t i = 0; i < n; ++i) bounds_[i] = bound;
-  } else {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      Time b = kNoBound;
-      for (std::size_t src = 0; src < n; ++src) {
-        const Time via = sat_add(tnext_[src], dist_[src * n + dst]);
-        if (via < b) b = via;
-      }
-      bounds_[dst] = b;
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    Time b = kNoBound;
+    for (std::size_t src = 0; src < n; ++src) {
+      const Time via = sat_add(tnext_[src], dist_[src * n + dst]);
+      if (via < b) b = via;
     }
+    bounds_[dst] = b;
   }
   for (std::size_t i = 0; i < n; ++i) {
     runnable_[i] = tnext_[i] < bounds_[i] ? 1 : 0;
@@ -267,19 +259,17 @@ std::size_t ShardGroup::coalesce_single(std::size_t i) {
   // are frozen, and only i's own reflection term T_i' + D[i][i] moves.
   // Each micro-window here is exactly the window a full barrier replan
   // would have produced, so epochs() stays a pure function of the
-  // workload; what the streak skips is the O(n^2) replan and (in parallel
-  // runs) the worker wake — not any window the schedule owes.  The streak
-  // breaks as soon as i posts cross-shard mail (delivery needs the
-  // barrier), fails, drains, stops being the constraint, or exhausts the
-  // stride cap that keeps checker cadence and mailbox latency bounded.
+  // workload; what the streak skips is the O(n^2) replan and the barrier
+  // bookkeeping — not any window the schedule owes.  The streak breaks as
+  // soon as i posts cross-shard mail (delivery needs the barrier), drains,
+  // stops being the constraint, or exhausts the stride cap that keeps
+  // checker cadence and mailbox latency bounded.
   const std::size_t n = engines_.size();
-  const bool scalar = mode_ == LookaheadMode::kScalar;
-  const Duration self =
-      n == 1 ? kUnreachable : (scalar ? lookahead_ : dist(i, i));
+  const Duration self = n == 1 ? kUnreachable : dist(i, i);
   Time other_min = kNoBound;
   for (std::size_t j = 0; j < n; ++j) {
     if (j == i) continue;
-    const Time via = sat_add(tnext_[j], scalar ? lookahead_ : dist(j, i));
+    const Time via = sat_add(tnext_[j], dist(j, i));
     if (via < other_min) other_min = via;
   }
   std::size_t strides = 0;
@@ -287,9 +277,7 @@ std::size_t ShardGroup::coalesce_single(std::size_t i) {
     run_shard(i);
     ++strides;
     ++epochs_;
-    if (errors_[i] || !outbox_empty(i) || strides >= kMaxCoalesceStride) {
-      break;
-    }
+    if (!outbox_empty(i) || strides >= kMaxCoalesceStride) break;
     const std::optional<Time> t = engines_[i]->next_event_time();
     if (!t) break;  // drained
     const Time nb = std::min(other_min, sat_add(*t, self));
@@ -299,36 +287,24 @@ std::size_t ShardGroup::coalesce_single(std::size_t i) {
   return strides;
 }
 
-void ShardGroup::run_shard(std::size_t i) noexcept {
-  try {
-    if (bounds_[i] == kNoBound) {
-      // One-shard groups and shards no reachable peer can affect: run to
-      // drain (their posts, if any, still wait for the barrier).
-      engines_[i]->run();
-    } else {
-      engines_[i]->run_before(bounds_[i]);
-    }
-  } catch (...) {
-    errors_[i] = std::current_exception();
+void ShardGroup::run_shard(std::size_t i) {
+  if (bounds_[i] == kNoBound) {
+    // One-shard groups and shards no reachable peer can affect: run to
+    // drain (their posts, if any, still wait for the barrier).
+    engines_[i]->run();
+  } else {
+    engines_[i]->run_before(bounds_[i]);
   }
 }
 
 void ShardGroup::finish_epoch() {
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    if (errors_[i]) {
-      std::exception_ptr e = errors_[i];
-      errors_[i] = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
   deliver_mailboxes();
   // Apply after the drain: a mailbox entry delivered to the source this
   // barrier honours bound_src (the per-delivery debug check above), so it
   // also satisfies the migration condition and moves with the domain.
   apply_migrations();
   // Policy cadence in epochs, not wall clock: the proposal schedule is a
-  // pure function of the workload, so migration-on runs are deterministic
-  // at any thread count.
+  // pure function of the workload, so migration-on runs are deterministic.
   if (policy_ && epochs_ - last_policy_epoch_ >= policy_epoch_interval_) {
     last_policy_epoch_ = epochs_;
     policy_(*this);
@@ -396,7 +372,7 @@ void ShardGroup::deliver_mailboxes() {
     if (scratch_.empty()) continue;
     // (t, seq, src) is a strict total order — seq is unique per (src, dst)
     // box — so the destination engine numbers these events identically no
-    // matter how the window's execution interleaved across threads.
+    // matter in which order the sources' windows ran.
     std::sort(scratch_.begin(), scratch_.end(),
               [](const MailEntry& a, const MailEntry& b) {
                 if (a.t != b.t) return a.t < b.t;
@@ -422,138 +398,25 @@ void ShardGroup::deliver_mailboxes() {
   }
 }
 
-bool ShardGroup::wide_epoch() const {
-  std::size_t wide = 0;
-  for (std::size_t i = 0; i < engines_.size() && wide < 2; ++i) {
-    if (runnable_[i] &&
-        engines_[i]->due_before(bounds_[i], kDispatchMinEvents) >=
-            kDispatchMinEvents) {
-      ++wide;
-    }
-  }
-  return wide >= 2;
-}
-
-void ShardGroup::run_parallel(unsigned resolved) {
-  // Persistent workers, handed only the epochs that pay for the hand-off.
-  // Epochs are on the order of the lookahead (~1 us simulated) and most
-  // hold a handful of events, far less host time than waking a thread and
-  // joining it again; those run inline here, in shard order.  Main acts as
-  // worker 0; shard i belongs to worker i % resolved, so a dispatched
-  // shard is stepped by the same thread every time.
-  //
-  // Each worker has its own padded go counter and wakes only when an epoch
-  // is dispatched and it owns a runnable shard.  Between dispatches it
-  // polls go for kSpinsBeforePark rounds, then parks on it
-  // (std::atomic::wait, a futex), so the long inline stretches cost it no
-  // CPU; notify_one is free while nobody is parked.  Happens-before is the
-  // per-worker go release/acquire edge out and the shared `pending`
-  // acq_rel edge back.  quit is stored before the final go bump, so a
-  // parked worker wakes, sees it and exits.
-  const std::size_t n = engines_.size();
-  struct alignas(64) WorkerSignal {
-    std::atomic<std::uint32_t> go{0};
-  };
-  std::vector<WorkerSignal> sig(resolved);
-  std::atomic<std::uint32_t> pending{0};
-  std::atomic<bool> quit{false};
-  // Polls `a` while it still reads `old`, then parks on it; returns the
-  // new value.
-  auto await_change = [](const std::atomic<std::uint32_t>& a,
-                         std::uint32_t old) {
-    for (std::uint32_t spins = 0; spins < kSpinsBeforePark; ++spins) {
-      const std::uint32_t v = a.load(std::memory_order_acquire);
-      if (v != old) return v;
-    }
-    a.wait(old, std::memory_order_acquire);
-    return a.load(std::memory_order_acquire);
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(resolved - 1);
-  for (unsigned w = 1; w < resolved; ++w) {
-    pool.emplace_back([this, w, resolved, n, &sig, &pending, &quit,
-                       await_change] {
-      std::uint32_t seen = 0;
-      for (;;) {
-        seen = await_change(sig[w].go, seen);
-        if (quit.load(std::memory_order_acquire)) return;
-        for (std::size_t i = w; i < n; i += resolved) {
-          if (runnable_[i]) run_shard(i);
-        }
-        if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          pending.notify_one();
-        }
-      }
-    });
-  }
-  std::exception_ptr failure;
-  try {
-    while (begin_epoch()) {
-      // A coalesced streak skips barriers, but pending migrations need the
-      // per-epoch clamp + apply check a barrier provides — suspend
-      // coalescing until the pending set drains.  Each micro-window equals
-      // the window a full barrier replan would produce, so suspending
-      // changes no schedule, only the bookkeeping pace.  Every decision
-      // here reads group state only, never the thread budget, so epochs(),
-      // barrier_skips() and wide_epochs() are the same at any budget.
-      const std::size_t lone =
-          pending_migrations_.empty() ? single_runnable() : kNone;
-      if (lone != kNone) {
-        barrier_skips_ += coalesce_single(lone);
-        finish_epoch();
-        continue;
-      }
-      const bool wide = wide_epoch();
-      if (wide) ++wide_epochs_;
-      if (resolved > 1 && wide) {
-        for (unsigned w = 1; w < resolved; ++w) {
-          bool any = false;
-          for (std::size_t i = w; i < n && !any; i += resolved) {
-            any = runnable_[i] != 0;
-          }
-          if (!any) continue;
-          // Counted before the bump, so the worker's decrement (ordered
-          // after it through go) can never find pending short.
-          pending.fetch_add(1, std::memory_order_relaxed);
-          sig[w].go.fetch_add(1, std::memory_order_release);
-          sig[w].go.notify_one();
-        }
-        for (std::size_t i = 0; i < n; i += resolved) {
-          if (runnable_[i]) run_shard(i);
-        }
-        for (std::uint32_t left = pending.load(std::memory_order_acquire);
-             left != 0;) {
-          left = await_change(pending, left);
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (runnable_[i]) run_shard(i);
-        }
+void ShardGroup::run(unsigned /*threads*/) {
+  while (begin_epoch()) {
+    // A coalesced streak skips barriers, but pending migrations need the
+    // per-epoch clamp + apply check a barrier provides — suspend coalescing
+    // until the pending set drains.  Each micro-window equals the window a
+    // full barrier replan would produce, so suspending changes no schedule,
+    // only the bookkeeping pace.
+    const std::size_t lone =
+        pending_migrations_.empty() ? single_runnable() : kNone;
+    if (lone != kNone) {
+      barrier_skips_ += coalesce_single(lone);
+    } else {
+      for (std::size_t i = 0; i < engines_.size(); ++i) {
+        if (runnable_[i]) run_shard(i);
       }
       ++epochs_;
-      finish_epoch();
     }
-  } catch (...) {
-    failure = std::current_exception();
+    finish_epoch();
   }
-  // Every worker is idle here: nothing on this thread throws while a
-  // dispatched window is still running.
-  quit.store(true, std::memory_order_release);
-  for (unsigned w = 1; w < resolved; ++w) {
-    sig[w].go.fetch_add(1, std::memory_order_release);
-    sig[w].go.notify_one();
-  }
-  for (std::thread& th : pool) th.join();
-  if (failure) std::rethrow_exception(failure);
-}
-
-void ShardGroup::run(unsigned threads) {
-  unsigned resolved =
-      threads == 0 ? std::thread::hardware_concurrency() : threads;
-  if (resolved == 0) resolved = 1;
-  resolved = static_cast<unsigned>(
-      std::min<std::size_t>(resolved, engines_.size()));
-  run_parallel(resolved);
   // Quiesced: every queue drained, every mailbox delivered.
   checks_.run_all();
   flush_metrics();

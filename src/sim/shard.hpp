@@ -1,5 +1,5 @@
-// Conservative-parallel sharded simulation (CMB-style, per-edge lookahead
-// distance matrix).
+// Conservative sharded simulation (CMB-style, per-edge lookahead distance
+// matrix).
 //
 // A ShardGroup owns N independent Engines and runs them in bounded epochs.
 // Cross-shard interactions are described by a per-(src, dst) lookahead
@@ -14,7 +14,7 @@
 //
 //   bound_i = min over all shards j of (T_j + D[j][i])
 //
-// (T_j = shard j's next event time), instead of the PR5-era scalar
+// (T_j = shard j's next event time), instead of one group-wide window
 // `global_min(T_j) + W`: a shard whose only incoming edges are long-haul
 // advances in strides of the long latency while tightly-coupled pairs
 // stay tight, and an idle shard (T_j = infinity) constrains nobody.  The
@@ -24,17 +24,19 @@
 // against echoes of its own future output).
 //
 // Cross-shard events travel through per-(src, dst) mailboxes written only
-// by the source shard's thread during a window and drained only at the
-// single-threaded epoch barrier, sorted by (t, seq, src_shard).  The seq
-// is a per-mailbox push ordinal, so the drain order — and therefore the
-// destination engine's sequence numbering — is a pure function of each
-// source shard's own deterministic execution, never of thread timing:
-// a parallel run is byte-identical to stepping the shards serially.
+// by the source shard during its window and drained only at the epoch
+// barrier, sorted by (t, seq, src_shard).  The seq is a per-mailbox push
+// ordinal, so the drain order — and therefore the destination engine's
+// sequence numbering — is a pure function of each source shard's own
+// deterministic execution, never of the order the windows ran in.
+//
+// Every window runs on the calling thread, in shard order.  At the ~1 us
+// gigabit lookahead an epoch holds a handful of events, far less host time
+// than handing windows to other threads and joining them again
+// (DESIGN.md §11 "Scheduling and cost").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -54,12 +56,6 @@ class ShardGroup {
   /// it contributes no epoch constraint.
   static constexpr Duration kUnreachable = ~Duration{0};
   static constexpr std::size_t kNone = ~std::size_t{0};
-
-  /// How epoch bounds are computed.  kMatrix (the default) uses the
-  /// per-edge closure described above; kScalar reproduces the PR5-era
-  /// single group-wide window `global_min + lookahead` — kept as the A/B
-  /// baseline the epoch-count benches compare against.
-  enum class LookaheadMode : std::uint8_t { kMatrix, kScalar };
 
   /// `lookahead` is the default lower bound on the simulated latency of
   /// every cross-shard interaction; post_remote() enforces it per post.
@@ -105,43 +101,25 @@ class ShardGroup {
   /// shard — the reflection bound.
   [[nodiscard]] Duration path_lookahead(std::uint32_t src, std::uint32_t dst);
 
-  void set_lookahead_mode(LookaheadMode m) noexcept { mode_ = m; }
-  [[nodiscard]] LookaheadMode lookahead_mode() const noexcept {
-    return mode_;
-  }
-
   /// Post `fn` to run at absolute time `t` on shard `dst`.  Must be called
-  /// from shard `src`'s thread during its window (or from the barrier
-  /// thread); `t` must honour edge_lookahead(src, dst) relative to src's
-  /// clock.  Entries are delivered at the next epoch barrier in
-  /// (t, seq, src) order.  `domain` tags the delivered event with its
-  /// owning simulation domain (the receiving host), so a later migration
-  /// carries it along.
+  /// by shard `src` during its window (or at the barrier); `t` must honour
+  /// edge_lookahead(src, dst) relative to src's clock.  Entries are
+  /// delivered at the next epoch barrier in (t, seq, src) order.  `domain`
+  /// tags the delivered event with its owning simulation domain (the
+  /// receiving host), so a later migration carries it along.
   void post_remote(std::uint32_t src, std::uint32_t dst, Time t, EventFn fn,
                    DomainId domain = kAmbientDomain);
 
-  /// Run all shards to completion.  `threads` is a budget, not a promise:
-  /// `threads == 0` resolves to the hardware concurrency, and at most one
-  /// thread per shard is used.  Only epochs wide enough to pay for the
-  /// hand-off (see kDispatchMinEvents) are handed to worker threads; every
-  /// other epoch runs inline on the calling thread in shard order, which
-  /// with a budget <= 1 is every epoch.  Which thread runs a window never
-  /// changes its events or their order, so the outcome, epochs(),
-  /// barrier_skips(), wide_epochs() and the migration log are identical at
-  /// any budget.  Rethrows the first (by shard index) failure.
-  void run(unsigned threads = 0);
-
-  /// An epoch is dispatched to the workers only when at least two runnable
-  /// shards each hold this many events below their bounds.  The crossover
-  /// of bench/hostperf's epoch-width sweep on a 4-core host (EXPERIMENTS.md
-  /// "Epoch dispatch break-even"): below it, waking and joining parked
-  /// workers costs more wall time than running the windows one after
-  /// another on the barrier thread.
-  static constexpr std::size_t kDispatchMinEvents = 32;
+  /// Run all shards to completion on the calling thread: each epoch steps
+  /// every runnable shard's window in shard order, then drains the
+  /// mailboxes at the barrier.  The unnamed thread budget is ignored; it
+  /// stays so callers that still pass one keep compiling.  An event that
+  /// throws propagates straight out of run(); since windows run in shard
+  /// order, it is the failure of the lowest-indexed failing shard.
+  void run(unsigned /*threads*/ = 0);
 
   /// Per-shard ordered digests folded in fixed shard order.  For a
-  /// one-shard group this is exactly shard 0's digest.  Identical between
-  /// parallel and serial-stepped runs at the same shard count.
+  /// one-shard group this is exactly shard 0's digest.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Wrapping sum of the shards' order-insensitive digests — invariant
@@ -176,7 +154,7 @@ class ShardGroup {
   // suspends sole-runnable coalescing), so dst stops advancing and the
   // strictly-increasing global minimum eventually satisfies the condition.
   // The schedule is driven entirely by epoch/event counts, never wall
-  // clock, so runs are bit-deterministic at any thread count.
+  // clock, so runs are bit-deterministic.
 
   /// Declare a domain and its initial placement.  `migratable` marks
   /// domains the policy may move; apps::Cluster only marks hosts that
@@ -195,9 +173,8 @@ class ShardGroup {
   }
 
   /// One applied migration: which domain moved where, at which barrier
-  /// epoch.  The log is the auditable migration schedule — tests assert
-  /// byte-equal logs between serial and parallel runs and across
-  /// repetitions.
+  /// epoch.  The log is the auditable migration schedule — the
+  /// schedule-pin test fixes its length.
   struct MigrationRecord {
     std::uint64_t epoch;
     DomainId domain;
@@ -232,8 +209,8 @@ class ShardGroup {
     edge_refresher_ = std::move(fn);
   }
 
-  /// Pluggable load-balancing policy, evaluated on the barrier thread
-  /// every `every_n_epochs` epochs.  The policy reads the group's load
+  /// Pluggable load-balancing policy, evaluated at the barrier every
+  /// `every_n_epochs` epochs.  The policy reads the group's load
   /// telemetry and calls request_domain_migration(); pass nullptr to turn
   /// rebalancing off (the default — placement then stays static).
   using RebalancePolicy = std::function<void(ShardGroup&)>;
@@ -273,20 +250,11 @@ class ShardGroup {
   /// individually; this is the number the epoch-count bench gate tracks).
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
 
-  /// Epochs whose runnable set was a single shard: the adaptive scheduler
-  /// runs these on the barrier thread without waking any worker, and
-  /// consecutive quiet ones coalesce without re-deriving the full bound
-  /// vector.  A pure function of the workload and partition — identical
-  /// between serial and parallel runs.
+  /// Epochs whose runnable set was a single shard: consecutive quiet ones
+  /// coalesce without re-deriving the full bound vector.  A pure function
+  /// of the workload and partition.
   [[nodiscard]] std::uint64_t barrier_skips() const noexcept {
     return barrier_skips_;
-  }
-
-  /// Epochs that met the dispatch rule (kDispatchMinEvents), judged from
-  /// the queues at each barrier whatever the thread budget — so, like
-  /// epochs(), a pure function of the workload and partition.
-  [[nodiscard]] std::uint64_t wide_epochs() const noexcept {
-    return wide_epochs_;
   }
 
   /// Cross-shard events delivered so far (equals total posted when
@@ -301,8 +269,8 @@ class ShardGroup {
   /// Flushed at the end of every run(); safe to snapshot when quiesced.
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
 
-  /// Group-level checkers, swept on the barrier thread while all shards
-  /// are quiesced — the only safe place to read state across shards.
+  /// Group-level checkers, swept at the barrier while all shards are
+  /// quiesced — the only safe place to read state across shards.
   /// Cross-shard conservation laws register here; per-shard protocol
   /// checkers stay on their own engine's registry.
   [[nodiscard]] check::Registry& checks() noexcept { return checks_; }
@@ -334,10 +302,8 @@ class ShardGroup {
     DomainId domain;  // owning domain of the delivered event
     EventFn fn;
   };
-  // One mailbox per (src, dst) pair, cache-line aligned: during a window
-  // each is written by exactly one thread (src's), and adjacent mailboxes
-  // belong to different writers.
-  struct alignas(64) Mailbox {
+  // One mailbox per (src, dst) pair, written only during src's window.
+  struct Mailbox {
     std::vector<MailEntry> entries;
     std::uint64_t next_seq = 0;  // total ever posted through this box
   };
@@ -370,21 +336,16 @@ class ShardGroup {
   bool begin_epoch();
   /// Index of the only runnable shard, or kNone if zero or several.
   [[nodiscard]] std::size_t single_runnable() const;
-  /// The dispatch rule, from the queues before the window runs: at least
-  /// two runnable shards hold kDispatchMinEvents events below their bounds.
-  [[nodiscard]] bool wide_epoch() const;
   /// True when shard `src` has posted nothing into any mailbox.
   [[nodiscard]] bool outbox_empty(std::size_t src) const;
-  /// Run shard `i` through consecutive windows on the calling (barrier)
-  /// thread while it stays the sole runnable shard and posts no mail,
-  /// bounded by kMaxCoalesceStride.  Returns windows executed (>= 1);
-  /// epochs_ advances per window.
+  /// Run shard `i` through consecutive windows while it stays the sole
+  /// runnable shard and posts no mail, bounded by kMaxCoalesceStride.
+  /// Returns windows executed (>= 1); epochs_ advances per window.
   std::size_t coalesce_single(std::size_t i);
-  /// Execute shard i's window up to bounds_[i]; failures land in
-  /// errors_[i] (never thrown across a worker thread boundary).
-  void run_shard(std::size_t i) noexcept;
-  /// Rethrow window failures, drain mailboxes, apply any barrier-ready
-  /// migrations, evaluate the rebalance policy, sweep group checkers.
+  /// Execute shard i's window up to bounds_[i] (to drain under kNoBound).
+  void run_shard(std::size_t i);
+  /// Drain mailboxes, apply any barrier-ready migrations, evaluate the
+  /// rebalance policy, sweep group checkers.
   void finish_epoch();
   void deliver_mailboxes();
   /// Clamp pending-migration destinations' bounds (bound_dst <= bound_src)
@@ -392,22 +353,13 @@ class ShardGroup {
   void clamp_for_pending_migrations();
   /// Apply every pending migration whose soundness condition holds.
   void apply_migrations();
-  /// The epoch loop, with `resolved - 1` worker threads for the epochs
-  /// wide_epoch() dispatches (none when resolved == 1).
-  void run_parallel(unsigned resolved);
   void flush_metrics();
 
   /// Windows a quiet single-shard streak may run before forcing a full
   /// barrier round-trip (bookkeeping, checker cadence, fresh bounds).
   static constexpr std::size_t kMaxCoalesceStride = 64;
-  /// Polls of a barrier counter before a waiting thread parks on it: a few
-  /// microseconds, long enough to catch back-to-back wide epochs without
-  /// a futex round trip, short enough that idle workers cost no CPU across
-  /// the inline stretches between them.
-  static constexpr std::uint32_t kSpinsBeforePark = 1u << 14;
 
   Duration lookahead_;
-  LookaheadMode mode_ = LookaheadMode::kMatrix;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Mailbox> mail_;      // mail_[src * size() + dst]
   std::vector<Duration> edges_;    // direct-edge lookahead matrix W
@@ -417,7 +369,6 @@ class ShardGroup {
   std::vector<Time> bounds_;       // per-shard epoch bound (kNoBound = drain)
   std::vector<Time> tnext_;        // per-shard next event time this epoch
   std::vector<std::uint8_t> runnable_;
-  std::vector<std::exception_ptr> errors_;
   std::vector<MailEntry> scratch_;  // barrier-only delivery sort buffer
   check::Registry checks_;
   obs::Registry metrics_;
@@ -426,7 +377,6 @@ class ShardGroup {
   bool have_gmin_ = false;
   std::uint64_t epochs_ = 0;
   std::uint64_t barrier_skips_ = 0;
-  std::uint64_t wide_epochs_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t epochs_flushed_ = 0;
   std::uint64_t skips_flushed_ = 0;
@@ -435,7 +385,7 @@ class ShardGroup {
   std::uint64_t check_epoch_interval_ = 256;
 
   // Versioned placement map (domain -> shard), pending requests, and the
-  // rebalance machinery.  All mutated on the barrier thread only.
+  // rebalance machinery.  All mutated at the barrier only.
   struct Placement {
     std::uint32_t shard = 0;
     bool defined = false;

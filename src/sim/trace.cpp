@@ -1,36 +1,42 @@
 #include "sim/trace.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace ulsocks::sim::trace {
 
 namespace {
-Level g_level = Level::kOff;
-bool g_env_checked = false;
+/// The current level, seeded from ULSOCKS_TRACE on first use.  bench's
+/// run_points() workers log from several threads: the function-local
+/// static makes the one-time seeding thread-safe, and the atomic lets a
+/// set_level() race with readers.
+std::atomic<Level>& level_slot() noexcept {
+  static std::atomic<Level> slot{[] {
+    // Host-side log verbosity only: the level gates diagnostic printing
+    // and never feeds events, digests or wire bytes.
+    if (const char* env = std::getenv("ULSOCKS_TRACE")) {  // NOLINT(ulsan-determinism)
+      const int v = std::atoi(env);
+      if (v >= 0 && v <= 3) return static_cast<Level>(v);
+    }
+    return Level::kOff;
+  }()};
+  return slot;
+}
 }  // namespace
 
 void set_level(Level level) noexcept {
-  g_level = level;
-  g_env_checked = true;
+  level_slot().store(level, std::memory_order_relaxed);
 }
 
-Level level() noexcept { return g_level; }
-
-void init_from_env() noexcept {
-  if (g_env_checked) return;
-  g_env_checked = true;
-  // Host-side log verbosity only: the level gates diagnostic printing and
-  // never feeds events, digests or wire bytes.
-  if (const char* env = std::getenv("ULSOCKS_TRACE")) {  // NOLINT(ulsan-determinism)
-    int v = std::atoi(env);
-    if (v >= 0 && v <= 3) g_level = static_cast<Level>(v);
-  }
+Level level() noexcept {
+  return level_slot().load(std::memory_order_relaxed);
 }
+
+void init_from_env() noexcept { (void)level_slot(); }
 
 bool enabled(Level level) noexcept {
-  if (!g_env_checked) init_from_env();
-  return static_cast<int>(level) <= static_cast<int>(g_level);
+  return static_cast<int>(level) <= static_cast<int>(trace::level());
 }
 
 void logf(Level level, Time now, const char* component, const char* fmt, ...) {

@@ -415,55 +415,6 @@ TEST(Engine, RunsAreReproducible) {
   EXPECT_NE(run_once(123), run_once(456));
 }
 
-// due_before() against a naive count of the queued times, across heap
-// shapes before and after pops: strict `t < bound`, same-timestamp ties,
-// the cap cut-off, an empty queue, and the far-heap over-estimate.
-TEST(Engine, DueBeforeMatchesNaiveCount) {
-  Engine eng;
-  EXPECT_EQ(eng.due_before(~Time{0}, 8), 0u);
-
-  std::vector<Time> pending;
-  std::uint64_t s = 12345;
-  for (int i = 0; i < 300; ++i) {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    const Time t = (s >> 33) % 64 * 500;  // 64 stamps, ~5 events each
-    pending.push_back(t);
-    eng.schedule_at(t, [] {});
-  }
-  // The first peek pulls every event (all inside the 64 us near window)
-  // into the near heap.
-  ASSERT_EQ(eng.next_event_time(),
-            *std::min_element(pending.begin(), pending.end()));
-  auto naive = [&](Time bound, std::size_t cap) {
-    const auto n = static_cast<std::size_t>(std::count_if(
-        pending.begin(), pending.end(), [&](Time t) { return t < bound; }));
-    return std::min(n, cap);
-  };
-  auto check_bounds = [&] {
-    // Bounds exactly on a stamp exercise the strict `<`.
-    for (Time bound : {Time{0}, Time{1}, Time{500}, Time{501}, Time{12'000},
-                       Time{12'250}, Time{31'500}, Time{40'000}}) {
-      for (std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000}}) {
-        EXPECT_EQ(eng.due_before(bound, cap), naive(bound, cap))
-            << "bound " << bound << " cap " << cap;
-      }
-    }
-  };
-  check_bounds();
-  ASSERT_FALSE(eng.run_before(12'000));
-  std::erase_if(pending, [](Time t) { return t < 12'000; });
-  check_bounds();
-
-  // Past the near horizon with far-heap events pending: the far heap is
-  // not searched, so any bound above its minimum reads as `cap`.
-  eng.schedule_at(200'000, [] {});
-  pending.push_back(200'000);
-  EXPECT_EQ(eng.due_before(200'000, 1000), naive(200'000, 1000));
-  EXPECT_EQ(eng.due_before(200'001, 1000), 1000u);
-  EXPECT_EQ(eng.due_before(200'001, 3), 3u);
-}
-
 // ---------------------------------------------------------------------------
 // InlineFunction (the engine's event callable)
 // ---------------------------------------------------------------------------
