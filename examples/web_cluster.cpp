@@ -19,7 +19,7 @@ double run(apps::Cluster::StackKind kind, std::uint32_t per_connection,
   sim::Engine engine;
   // Web-server runs use 4 credits: with a request per connection, bigger
   // credit counts waste time posting and reclaiming descriptors (§7.4).
-  sockets::SubstrateConfig cfg = sockets::preset_ds_da_uq();
+  sockets::SubstrateConfig cfg = sockets::preset("ds_da_uq").cfg;
   cfg.credits = 4;
   apps::Cluster cluster(engine, sim::calibrated_cost_model(), 4, cfg);
 

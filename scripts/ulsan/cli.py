@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-baseline", action="store_true",
                    help="rewrite the baseline from current findings "
                         "(carries forward matching justifications)")
-    p.add_argument("--allow-legacy-coro-alias", action="store_true",
-                   help=argparse.SUPPRESS)  # used by the deprecated shim
     p.add_argument("--quiet", action="store_true",
                    help="print findings only, no summary line")
     return p
@@ -77,8 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         baseline = Baseline.load(args.baseline)
 
     try:
-        result = run(paths, rule_names=rule_names, baseline=baseline,
-                     allow_legacy=args.allow_legacy_coro_alias)
+        result = run(paths, rule_names=rule_names, baseline=baseline)
     except FileNotFoundError as e:
         print(f"ulsan: error: {e}", file=sys.stderr)
         return 2

@@ -37,9 +37,9 @@ from .source import SourceFile
 # both the runner and the self-tests can assert the policy.
 NO_BASELINE_RULES = ("layering", "wire-hygiene")
 
-# Legacy spelling from lint_coro_captures.py; accepted by the shim only.
-LEGACY_CORO_TOKEN = "coro-capture"
-# Umbrella alias: suppresses both absorbed coroutine-capture rules.
+# Umbrella alias: suppresses both coroutine-capture rules.  Only the
+# namespaced NOLINT(ulsan-coro-capture) spelling counts; a bare
+# NOLINT(coro-capture) is rejected as malformed.
 CORO_ALIAS = "coro-capture"
 CORO_ALIAS_TARGETS = ("coro-schedule-capture", "coro-iife-capture")
 
@@ -164,8 +164,8 @@ class FileSuppressions:
         return None
 
 
-def scan_suppressions(sf: SourceFile, known_rules: Iterable[str],
-                      allow_legacy: bool = False) -> FileSuppressions:
+def scan_suppressions(sf: SourceFile,
+                      known_rules: Iterable[str]) -> FileSuppressions:
     known = set(known_rules)
     out = FileSuppressions(path=sf.display)
     for lineno, line in enumerate(sf.original.splitlines(), start=1):
@@ -184,18 +184,14 @@ def scan_suppressions(sf: SourceFile, known_rules: Iterable[str],
                 tok = raw.strip()
                 if not tok:
                     continue
-                if tok == LEGACY_CORO_TOKEN and not tok.startswith("ulsan-"):
-                    if allow_legacy:
-                        out.entries.append(Suppression(
-                            token=CORO_ALIAS, line=lineno, target=target))
-                    else:
-                        out.malformed.append(Finding(
-                            rule="suppression-syntax", path=sf.display,
-                            line=lineno,
-                            message="legacy NOLINT(coro-capture) syntax; "
-                                    "migrate to NOLINT(ulsan-coro-capture) "
-                                    "or a specific ulsan-coro-* rule",
-                            excerpt=sf.line_text(lineno)))
+                if tok == CORO_ALIAS:
+                    out.malformed.append(Finding(
+                        rule="suppression-syntax", path=sf.display,
+                        line=lineno,
+                        message="legacy NOLINT(coro-capture) syntax; "
+                                "migrate to NOLINT(ulsan-coro-capture) "
+                                "or a specific ulsan-coro-* rule",
+                        excerpt=sf.line_text(lineno)))
                     continue
                 if not tok.startswith("ulsan-"):
                     continue  # clang-tidy's namespace
@@ -361,8 +357,7 @@ class RunResult:
 
 
 def run(paths: list[Path], rule_names: list[str] | None = None,
-        baseline: Baseline | None = None,
-        allow_legacy: bool = False) -> RunResult:
+        baseline: Baseline | None = None) -> RunResult:
     registry = all_rules()
     if rule_names is None:
         active = list(registry.values())
@@ -381,8 +376,7 @@ def run(paths: list[Path], rule_names: list[str] | None = None,
         sf = ctx.load(path)
         # Report with the path as given on the command line, not resolved.
         sf = SourceFile(path=path, original=sf.original, text=sf.text)
-        sup = scan_suppressions(sf, registry.keys(),
-                                allow_legacy=allow_legacy)
+        sup = scan_suppressions(sf, registry.keys())
         result.errors.extend(sup.malformed)
         for r in active:
             for f in r.check(sf, ctx):

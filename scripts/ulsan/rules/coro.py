@@ -1,4 +1,4 @@
-"""Coroutine-lifetime rules (the absorbed lint_coro_captures.py + one new).
+"""Coroutine-lifetime rules.
 
 All resumptions in this codebase are routed through the event queue, so a
 callback or coroutine body almost always runs after the frame that created

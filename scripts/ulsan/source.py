@@ -1,12 +1,11 @@
 """Lexical utilities shared by every ulsan rule.
 
-ulsan deliberately works on *stripped token text*, not an AST: the proven
-approach of the original ``lint_coro_captures.py``.  Comments, string and
-char literals are blanked in place (newlines and byte offsets preserved),
-so regex matches report accurate line numbers and never fire inside a
-comment.  Brace/paren/angle matchers give rules just enough structure to
-reason about lambda bodies, call argument lists and template parameter
-lists without a real parser.
+ulsan deliberately works on *stripped token text*, not an AST.  Comments,
+string and char literals are blanked in place (newlines and byte offsets
+preserved), so regex matches report accurate line numbers and never fire
+inside a comment.  Brace/paren/angle matchers give rules just enough
+structure to reason about lambda bodies, call argument lists and template
+parameter lists without a real parser.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "check/invariant.hpp"
-#include "sim/trace.hpp"
 
 namespace ulsocks::emp {
 
@@ -14,6 +13,27 @@ namespace {
 constexpr std::uint32_t kMaxFramesPerMessage = 65'535;
 
 std::string host_label(NodeId self) { return "h" + std::to_string(self); }
+
+/// Whether a data frame describes a fragment of its own message: an index
+/// inside the message, the frame count its size implies, and exactly the
+/// bytes the sender cuts at that index.  deliver_fragment writes the
+/// fragment at index x fragment size, so any other shape would land
+/// outside the message's buffer.
+bool fragment_geometry_ok(const EmpHeader& h, std::size_t frag_len,
+                          std::uint32_t mtu) {
+  if (h.frame_index >= h.total_frames ||
+      h.total_frames != frames_for(h.msg_bytes, mtu)) {
+    return false;
+  }
+  const std::uint32_t frag = max_fragment_bytes(mtu);
+  return frag_len == std::min(frag, h.msg_bytes - h.frame_index * frag);
+}
+
+/// Trace args of an unexpected-queue instant.
+std::string uq_args(NodeId from, Tag tag, std::uint32_t bytes) {
+  return "\"from\":" + std::to_string(from) + ",\"tag\":" +
+         std::to_string(tag) + ",\"bytes\":" + std::to_string(bytes);
+}
 
 }  // namespace
 
@@ -82,31 +102,6 @@ void EmpEndpoint::rebind(sim::Engine& eng) {
     st->acked_evt.rebind(eng);
   }
   inv_check_.move_to(eng.checks());
-}
-
-EmpStats EmpEndpoint::stats() const noexcept {
-  EmpStats s;
-  s.sends_posted = ctr_.sends_posted.value();
-  s.recvs_posted = ctr_.recvs_posted.value();
-  s.data_frames_tx = ctr_.data_frames_tx.value();
-  s.data_frames_rx = ctr_.data_frames_rx.value();
-  s.acks_tx = ctr_.acks_tx.value();
-  s.acks_rx = ctr_.acks_rx.value();
-  s.nacks_tx = ctr_.nacks_tx.value();
-  s.retransmitted_frames = ctr_.retransmitted_frames.value();
-  s.unmatched_drops = ctr_.unmatched_drops.value();
-  s.too_small_drops = ctr_.too_small_drops.value();
-  s.duplicate_frames = ctr_.duplicate_frames.value();
-  s.stale_frames = ctr_.stale_frames.value();
-  s.reacks = ctr_.reacks.value();
-  s.malformed_frames = ctr_.malformed_frames.value();
-  s.misrouted_frames = ctr_.misrouted_frames.value();
-  s.unexpected_claims = ctr_.unexpected_claims.value();
-  s.unexpected_evictions = ctr_.unexpected_evictions.value();
-  s.descriptors_walked = ctr_.descriptors_walked.value();
-  s.pin_hits = ctr_.pin_hits.value();
-  s.pin_misses = ctr_.pin_misses.value();
-  return s;
 }
 
 void EmpEndpoint::check_invariants() const {
@@ -218,20 +213,9 @@ sim::Task<SendHandle> EmpEndpoint::post_send_impl(
   // Capture the payload before yielding the CPU: the caller's spans only
   // have to outlive the synchronous prefix of this call, so callers may
   // recycle one staging buffer across back-to-back sends.  This is the
-  // message's one host copy: with slicing on it lands in a pooled
-  // refcounted slice that every frame references; legacy mode
-  // deep-snapshots into a per-send vector instead.  Both variants charge
-  // the same simulated time — only wall-clock and the copy tally differ.
-  net::PayloadSlice pinned;
-  std::vector<std::uint8_t> payload;
-  const bool sliced = net::SlicePool::slicing_enabled();
-  if (sliced) {
-    pinned = nic_.slice_pool().gather(head, body);
-  } else {
-    payload.reserve(total_bytes);
-    payload.insert(payload.end(), head.begin(), head.end());
-    payload.insert(payload.end(), body.begin(), body.end());
-  }
+  // message's one host copy: it lands in a pooled refcounted slice that
+  // every frame references.
+  net::PayloadSlice pinned = nic_.slice_pool().gather(head, body);
   *bytes_copied_ += total_bytes;
   co_await host_cpu_.use(cost);
 
@@ -239,9 +223,7 @@ sim::Task<SendHandle> EmpEndpoint::post_send_impl(
   st->dst = dst;
   st->tag = tag;
   st->msg_id = next_msg_id_++;
-  st->data = std::move(payload);
   st->pinned = std::move(pinned);
-  st->sliced = sliced;
   st->total_frames = frames_for(total_bytes, model_.wire.mtu);
   ULSOCKS_INVARIANT(
       st->total_frames <= kMaxFramesPerMessage,
@@ -274,10 +256,8 @@ sim::Task<RecvHandle> EmpEndpoint::post_recv(std::optional<NodeId> src,
   r->tag = tag;
   r->buffer = buffer.data();
   r->capacity = static_cast<std::uint32_t>(buffer.size());
-  r->want_slices = want_slices && net::SlicePool::slicing_enabled();
+  r->want_slices = want_slices;
   ++ctr_.recvs_posted;
-  ULS_TRACE(*eng_, "emp", "node%u post_recv src=%d tag=%u h=%p", self_,
-            src ? (int)*src : -1, tag, (void*)r.get());
 
   // File the descriptor with the NIC; it joins the tag-matching walk list
   // in post order.  Unexpected-queue messages are delivered exclusively by
@@ -354,8 +334,10 @@ sim::Task<std::optional<RecvResult>> EmpEndpoint::try_claim_unexpected(
     bool src_ok = !src.has_value() || *src == u->from;
     if (!src_ok || tag != u->tag || u->msg_bytes > buffer.size()) continue;
     std::uint32_t bytes = u->msg_bytes;
-    ULS_TRACE(*eng_, "emp", "node%u uq-claim from=%u tag=%u", self_, u->from,
-              u->tag);
+    if (tracer_.enabled()) {
+      tracer_.instant(trk_lib_, eng_->now(), "uq-claim",
+                      uq_args(u->from, u->tag, bytes));
+    }
     RecvResult result{u->from, u->tag, bytes};
     if (bytes > 0) {
       std::memcpy(buffer.data(), u->buffer.data(), bytes);
@@ -395,14 +377,13 @@ net::MacAddress EmpEndpoint::resolve_mac(NodeId dst) {
   return mac;
 }
 
-net::FramePtr EmpEndpoint::make_frame(
-    NodeId dst, const EmpHeader& h,
-    std::span<const std::uint8_t> fragment) {
+net::FramePtr EmpEndpoint::make_control_frame(NodeId dst,
+                                              const EmpHeader& h) {
   net::FramePtr f = nic_.frame_pool().acquire();
   f->dst = resolve_mac(dst);
   f->src = nic_.mac();
   f->type = net::EtherType::kEmp;
-  encode_frame_into(h, fragment, f->payload);
+  encode_frame_into(h, {}, f->payload);
   return f;
 }
 
@@ -414,17 +395,10 @@ net::FramePtr EmpEndpoint::make_data_frame(const SendHandle& st,
   f->dst = resolve_mac(st->dst);
   f->src = nic_.mac();
   f->type = net::EtherType::kEmp;
-  if (st->sliced) {
-    // Zero-copy: the frame carries the 20 header bytes inline and
-    // references the pinned payload through a subslice.
-    encode_header_into(h, f->payload);
-    if (len > 0) f->slices.push_back(st->pinned.subslice(offset, len));
-  } else {
-    encode_frame_into(
-        h, std::span<const std::uint8_t>(st->data).subspan(offset, len),
-        f->payload);
-    *bytes_copied_ += len;
-  }
+  // Zero-copy: the frame carries the 20 header bytes inline and references
+  // the pinned payload through a subslice.
+  encode_header_into(h, f->payload);
+  if (len > 0) f->slices.push_back(st->pinned.subslice(offset, len));
   return f;
 }
 
@@ -512,11 +486,14 @@ void EmpEndpoint::on_frame(net::FramePtr frame) {
     case FrameKind::kData: {
       // The frame itself rides through the firmware pipeline; its payload
       // backs the fragment until DMA, so no per-frame fragment copy.
-      // Fragment length comes from payload_bytes(): sliced frames carry
-      // the fragment in the scatter-gather list, so the inline-payload
-      // span decode_frame returns would undercount and skew firmware
-      // costs between the A/B modes.
-      std::size_t frag_len = frame->payload_bytes() - kHeaderBytes;
+      // Fragment length comes from payload_bytes(): data frames carry the
+      // fragment in the scatter-gather list, so the inline span
+      // decode_frame returns holds only the header.
+      const std::size_t frag_len = frame->payload_bytes() - kHeaderBytes;
+      if (!fragment_geometry_ok(h, frag_len, model_.wire.mtu)) {
+        ++ctr_.malformed_frames;
+        return;
+      }
       nic_.fw_rx(model_.fw_rx_frame_cost(frag_len),
                  [this, h, f = std::move(frame)]() mutable {
                    handle_data(h, std::move(f));
@@ -557,6 +534,18 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
     // with many posted descriptors would pay the full walk on every frame
     // of a bulk message and fall behind the wire.)
     binding = it->second;
+    // The frame's geometry was checked against its own header on arrival;
+    // it must also describe the message its first frame bound, or its
+    // index and length would not fit that buffer.
+    const bool same_message =
+        binding.recv ? h.total_frames == binding.recv->total_frames &&
+                           h.msg_bytes == binding.recv->msg_bytes
+                     : h.total_frames == binding.unexpected->total_frames &&
+                           h.msg_bytes == binding.unexpected->msg_bytes;
+    if (!same_message) {
+      ++ctr_.malformed_frames;
+      return;
+    }
     walked = 1;
   } else {
     // First frame of a message: walk pre-posted descriptors in post order.
@@ -644,11 +633,12 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
       } else {
         // No descriptor: drop.  The sender's timeout retransmits, exactly
         // the behaviour the substrate's flow control exists to avoid.
-        ULS_TRACE(*eng_, "emp", "node%u drop src=%u tag=%u msg=%u", self_,
-                  h.src_node, h.tag, h.msg_id);
         ++ctr_.unmatched_drops;
         if (tracer_.enabled()) {
-          tracer_.instant(trk_fw_, eng_->now(), "drop_unmatched");
+          tracer_.instant(trk_fw_, eng_->now(), "drop_unmatched",
+                          "\"src\":" + std::to_string(h.src_node) +
+                              ",\"tag\":" + std::to_string(h.tag) +
+                              ",\"msg\":" + std::to_string(h.msg_id));
         }
       }
       return;
@@ -740,9 +730,8 @@ void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
   // "landed" is the DMA completion.  The frame dies here — back to its
   // pool.  A slice-hungry descriptor instead takes a reference on the
   // frame's payload slice: the bytes never move, only the refcount does
-  // (the slice outlives the frame's return to its pool).  Both paths
-  // charge the identical DMA transfer — the A/B modes differ only in
-  // host copies, never in simulated time.
+  // (the slice outlives the frame's return to its pool).  Both homes
+  // charge the identical DMA transfer; they differ only in host copies.
   bool took_slice = false;
   if (binding.recv && binding.recv->want_slices && !frame->slices.empty() &&
       h.frame_index < binding.recv->parts.size()) {
@@ -821,8 +810,10 @@ void EmpEndpoint::complete_recv(const RecvHandle& r) {
 }
 
 void EmpEndpoint::unexpected_ready(UnexpectedEntry* u) {
-  ULS_TRACE(*eng_, "emp", "node%u uq-ready from=%u tag=%u bytes=%u", self_,
-            u->from, u->tag, u->msg_bytes);
+  if (tracer_.enabled()) {
+    tracer_.instant(trk_fw_, eng_->now(), "uq-ready",
+                    uq_args(u->from, u->tag, u->msg_bytes));
+  }
   u->ready = true;
   unexpected_ready_.push_back(u);
   // A descriptor may have been filed while this message was in flight to
@@ -855,8 +846,10 @@ void EmpEndpoint::reconcile_unexpected() {
 }
 
 void EmpEndpoint::deliver_unexpected(RecvHandle r, UnexpectedEntry* u) {
-  ULS_TRACE(*eng_, "emp", "node%u uq-deliver from=%u tag=%u", self_, u->from,
-            u->tag);
+  if (tracer_.enabled()) {
+    tracer_.instant(trk_lib_, eng_->now(), "uq-deliver",
+                    uq_args(u->from, u->tag, u->msg_bytes));
+  }
   // The descriptor is consumed by the library, never matched at the NIC.
   r->bound = true;
   r->from = u->from;
@@ -913,7 +906,7 @@ void EmpEndpoint::send_ack(NodeId to, std::uint32_t msg_id,
     h.msg_id = msg_id;
     h.ack_value = count;
     ++ctr_.acks_tx;
-    nic_.mac_send(make_frame(to, h, {}));
+    nic_.mac_send(make_control_frame(to, h));
   });
 }
 
@@ -927,7 +920,7 @@ void EmpEndpoint::send_nack(NodeId to, std::uint32_t msg_id,
     h.msg_id = msg_id;
     h.ack_value = missing;
     ++ctr_.nacks_tx;
-    nic_.mac_send(make_frame(to, h, {}));
+    nic_.mac_send(make_control_frame(to, h));
   });
 }
 

@@ -87,9 +87,7 @@ struct SendState {
   NodeId dst = 0;
   Tag tag = 0;
   std::uint32_t msg_id = 0;
-  std::vector<std::uint8_t> data;  // legacy mode: deep snapshot of the pages
-  net::PayloadSlice pinned;        // sliced mode: refcounted pinned payload
-  bool sliced = false;
+  net::PayloadSlice pinned;  // refcounted pinned payload every frame slices
   std::uint16_t total_frames = 0;
   std::uint32_t acked_frames = 0;
   std::uint32_t retries = 0;
@@ -99,10 +97,9 @@ struct SendState {
   sim::ManualEvent local_evt;
   sim::ManualEvent acked_evt;
 
-  /// Total message payload size, whichever mode holds it.
+  /// Total message payload size.
   [[nodiscard]] std::uint32_t size_bytes() const noexcept {
-    return sliced ? static_cast<std::uint32_t>(pinned.size())
-                  : static_cast<std::uint32_t>(data.size());
+    return static_cast<std::uint32_t>(pinned.size());
   }
 };
 using SendHandle = std::shared_ptr<SendState>;
@@ -130,11 +127,11 @@ struct RecvState {
   // Index of this descriptor in the endpoint's walk list while filed;
   // makes removal a single O(1) tombstone write (see walk_remove).
   std::size_t walk_slot = ~std::size_t{0};
-  // Sliced mode: the caller asked to receive fragments as refcounted
-  // slices (one per frame index) instead of a contiguous copy into
-  // `buffer`.  `parts` is sized at bind time; messages that arrive via
-  // the unexpected queue are still materialized into `buffer` and leave
-  // `parts` holding only empty slices.
+  // The caller asked to receive fragments as refcounted slices (one per
+  // frame index) instead of a contiguous copy into `buffer`.  `parts` is
+  // sized at bind time; messages that arrive via the unexpected queue are
+  // still materialized into `buffer` and leave `parts` holding only empty
+  // slices.
   bool want_slices = false;
   std::vector<net::PayloadSlice> parts;
   RecvResult result;
@@ -177,32 +174,6 @@ struct RecvState {
 };
 using RecvHandle = std::shared_ptr<RecvState>;
 
-/// Thin read-out view over the registry counters under "h<N>/emp/" (the
-/// registry, reachable via Engine::metrics(), is the canonical store; this
-/// struct exists for ergonomic field access in tests and reports).
-struct EmpStats {
-  std::uint64_t sends_posted = 0;
-  std::uint64_t recvs_posted = 0;
-  std::uint64_t data_frames_tx = 0;
-  std::uint64_t data_frames_rx = 0;
-  std::uint64_t acks_tx = 0;
-  std::uint64_t acks_rx = 0;
-  std::uint64_t nacks_tx = 0;
-  std::uint64_t retransmitted_frames = 0;
-  std::uint64_t unmatched_drops = 0;
-  std::uint64_t too_small_drops = 0;
-  std::uint64_t duplicate_frames = 0;
-  std::uint64_t stale_frames = 0;
-  std::uint64_t reacks = 0;
-  std::uint64_t malformed_frames = 0;
-  std::uint64_t misrouted_frames = 0;
-  std::uint64_t unexpected_claims = 0;
-  std::uint64_t unexpected_evictions = 0;
-  std::uint64_t descriptors_walked = 0;
-  std::uint64_t pin_hits = 0;
-  std::uint64_t pin_misses = 0;
-};
-
 class EmpEndpoint {
  public:
   /// `resolve` maps EMP node ids to MAC addresses (the cluster's routing
@@ -225,25 +196,21 @@ class EmpEndpoint {
   /// NIC and host CPU are rebound by their owners.  Barrier-only.
   void rebind(sim::Engine& eng);
   [[nodiscard]] const EmpConfig& config() const noexcept { return config_; }
-  /// Materialize the typed stats view from the registry counters.
-  [[nodiscard]] EmpStats stats() const noexcept;
 
   // ---- Host-side operations (coroutines charging host CPU time) ----
 
   /// Post a transmit descriptor.  The data is read from the (pinned) user
   /// pages by NIC DMA; the one host copy taken here models exactly that.
-  /// With slicing on the copy lands in a pooled refcounted slice every
-  /// frame references; legacy mode deep-snapshots into a per-send vector.
+  /// The copy lands in a pooled refcounted slice every frame references.
   [[nodiscard]] sim::Task<SendHandle> post_send(
       NodeId dst, Tag tag, std::span<const std::uint8_t> data);
 
   /// Scatter-gather post: `head` + `body` form one message, gathered into
-  /// a single pinned slice (or one legacy snapshot) without the caller
-  /// first concatenating them in a staging buffer.  `pin_base` is the
-  /// address charged to the translation cache — callers that present a
-  /// stable staging region (the substrate's credit ring) pass its slot
-  /// address so pin timing matches the legacy copy-through-staging path
-  /// exactly.
+  /// a single pinned slice without the caller first concatenating them in
+  /// a staging buffer.  `pin_base` is the address charged to the
+  /// translation cache — callers that own a stable registered region (the
+  /// substrate's per-credit staging ring) pass its slot address, so the
+  /// cache sees one region per slot rather than every user buffer.
   [[nodiscard]] sim::Task<SendHandle> post_send_sg(
       NodeId dst, Tag tag, std::span<const std::uint8_t> head,
       std::span<const std::uint8_t> body, const void* pin_base);
@@ -331,8 +298,8 @@ class EmpEndpoint {
   void check_invariants() const;
 
  private:
-  /// Registry-backed counters/histograms (EmpStats mirrors the counters).
-  /// References are stable: the registry owns the instruments.
+  /// Registry-backed counters/histograms under "h<N>/emp/".  References
+  /// are stable: the registry owns the instruments.
   struct Instruments {
     obs::Counter& sends_posted;
     obs::Counter& recvs_posted;
@@ -427,13 +394,12 @@ class EmpEndpoint {
                                        std::span<const std::uint8_t> body,
                                        const void* pin_base);
 
-  /// Control frames (and legacy callers with an explicit fragment span).
-  net::FramePtr make_frame(NodeId dst, const EmpHeader& h,
-                           std::span<const std::uint8_t> fragment);
+  /// Control frame (ACK/NACK): the header is the whole payload.
+  net::FramePtr make_control_frame(NodeId dst, const EmpHeader& h);
 
-  /// Data frame for `[offset, offset+len)` of the send's payload: sliced
-  /// sends reference the pinned slice (header-only encode), legacy sends
-  /// copy the fragment into the frame payload.
+  /// Data frame for `[offset, offset+len)` of the send's payload: the
+  /// header is encoded inline and the fragment references the pinned
+  /// slice.
   net::FramePtr make_data_frame(const SendHandle& st, const EmpHeader& h,
                                 std::uint32_t offset, std::uint32_t len);
 

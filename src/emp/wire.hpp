@@ -92,8 +92,10 @@ void encode_frame_into(const EmpHeader& h,
 /// list instead of being copied in.
 void encode_header_into(const EmpHeader& h, std::vector<std::uint8_t>& out);
 
-/// Parse a frame payload.  Returns nullopt for malformed payloads (too
-/// short, bad kind, or length mismatch).
+/// Parse a frame payload.  Returns nullopt for malformed payloads: shorter
+/// than the header, an unknown kind, or a data frame claiming zero frames.
+/// The fragment's length and index are not checked here; the receiving
+/// endpoint checks them against the message they belong to.
 struct DecodedFrame {
   EmpHeader header;
   std::span<const std::uint8_t> fragment;  // view into the input payload

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -51,8 +50,8 @@ struct Frame {
   MacAddress dst{};
   MacAddress src{};
   EtherType type = EtherType::kEmp;
-  /// Inline region: with slicing enabled this holds only the protocol
-  /// header (~16-40 bytes); legacy mode keeps the whole wire payload here.
+  /// Inline region: the protocol header (20-40 bytes) of a data frame, or
+  /// the whole wire payload of a control frame.
   std::vector<std::uint8_t> payload;
   /// Scatter-gather extension: payload bytes following the inline region,
   /// shared by refcount with the sender's pinned buffer (and with flood
@@ -103,9 +102,8 @@ struct Frame {
   ~Frame() = default;
 
   /// Total logical payload length: inline region plus sliced extension.
-  /// Identical sliced-vs-legacy for the same wire message — every
-  /// size-driven cost (serialization, DMA, firmware per-byte work) goes
-  /// through this, which is what keeps the A/B digests bit-equal.
+  /// Every size-driven cost (serialization, DMA, firmware per-byte work)
+  /// goes through this, never through `payload.size()` alone.
   [[nodiscard]] std::size_t payload_bytes() const {
     std::size_t n = payload.size();
     for (const PayloadSlice& s : slices) n += s.size();
@@ -192,7 +190,6 @@ class FramePool {
   /// A blank frame: cleared header fields, empty payload with whatever
   /// capacity its previous life left behind.
   [[nodiscard]] FramePtr acquire() {
-    if (!pooling_enabled()) return make_frame_ptr();
     detail::FramePoolCore& c = *core_;
     Frame* f;
     if (!c.free.empty()) {
@@ -221,7 +218,7 @@ class FramePool {
   }
 
   /// A pooled copy of `src` (switch flooding).  Only the inline region is
-  /// duplicated — with slicing on that is just the protocol header; the
+  /// duplicated — for a data frame that is just the protocol header; the
   /// payload slices are shared by refcount bump across pools.
   [[nodiscard]] FramePtr acquire_copy(const Frame& src) {
     FramePtr f = acquire();
@@ -250,18 +247,7 @@ class FramePool {
     return core_->high_water;
   }
 
-  /// Global A/B switch for determinism tests: with pooling disabled,
-  /// acquire() heap-allocates and the deleter frees — the seed behaviour.
-  /// Event order must be identical either way (tests prove it by digest).
-  static void set_pooling_enabled(bool on) noexcept {
-    pooling_enabled_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] static bool pooling_enabled() noexcept {
-    return pooling_enabled_.load(std::memory_order_relaxed);
-  }
-
  private:
-  inline static std::atomic<bool> pooling_enabled_{true};
   std::shared_ptr<detail::FramePoolCore> core_;
 };
 
@@ -269,7 +255,7 @@ inline void FrameDeleter::operator()(Frame* f) const noexcept {
   const std::shared_ptr<detail::FramePoolCore>& core = f->pool_core_;
   if (core != nullptr) {
     --core->outstanding;
-    if (core->alive && FramePool::pooling_enabled()) {
+    if (core->alive) {
       core->free.push_back(f);
       return;
     }

@@ -13,14 +13,8 @@
 // pool core is shared_ptr-owned and stragglers free themselves when they
 // see the dead mark.  Refcounts are plain integers — slices, like frames,
 // never cross engine threads.
-//
-// A/B switch: `SlicePool::set_slicing_enabled(false)` restores the legacy
-// deep-copy data path end-to-end (every layer branches on it before
-// building slices).  Event order must be bit-identical either way; the
-// determinism suite proves it by digest across every preset.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -199,17 +193,6 @@ class SlicePool {
     return core_->high_water;
   }
 
-  /// Global A/B switch: with slicing disabled every protocol layer takes
-  /// its legacy deep-copy path (the seed behaviour).  Event order must be
-  /// identical either way — only host wall-clock and the
-  /// `host/bytes_copied` counter may differ (tests prove it by digest).
-  static void set_slicing_enabled(bool on) noexcept {
-    slicing_enabled_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] static bool slicing_enabled() noexcept {
-    return slicing_enabled_.load(std::memory_order_relaxed);
-  }
-
  private:
   [[nodiscard]] PayloadSlice fill(std::span<const std::uint8_t> a,
                                   std::span<const std::uint8_t> b) {
@@ -241,7 +224,6 @@ class SlicePool {
     return out;
   }
 
-  inline static std::atomic<bool> slicing_enabled_{true};
   std::shared_ptr<detail::SlicePoolCore> core_;
 };
 

@@ -8,10 +8,8 @@
 // `snapshot()` flattens everything into an ordered path→value map, which is
 // what benches embed in their BENCH_*.json records and what tests diff
 // across runs for determinism (paths are sorted, values are integers — two
-// identical seeded runs must produce byte-identical snapshots).
-//
-// The legacy typed stats structs (SubstrateStats, EmpStats, TcpStats) are
-// thin views materialized from these counters; the registry is canonical.
+// identical seeded runs must produce byte-identical snapshots).  Tests read
+// counters through `snapshot().at(path)`, so a misspelled path throws.
 #pragma once
 
 #include <cstdint>

@@ -8,8 +8,9 @@
 // each component a thread row.
 //
 // Off by default: when disabled, begin()/end()/instant() are a single
-// branch, so the hot paths pay nothing.  This is a *timeline* facility,
-// complementary to the printf-style sim/trace.hpp debug log.
+// branch, so the hot paths pay nothing.  It is the simulator's one tracer:
+// protocol decisions (drops, retransmits, unexpected-queue claims) are
+// recorded as instants beside the spans.
 #pragma once
 
 #include <cstdint>

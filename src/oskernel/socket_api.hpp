@@ -62,7 +62,7 @@ enum class SockOpt : std::uint8_t {
 /// order) stay valid until the next read/read_view call on the same socket
 /// or until the view is reset; `keepalive` pins any refcounted payload
 /// slices backing the spans, and `scratch` backs the spans for stacks (or
-/// A/B modes) that cannot lend their internal buffers.
+/// paths) that cannot lend their internal buffers.
 struct RecvView {
   std::vector<std::span<const std::uint8_t>> parts;
   std::vector<net::PayloadSlice> keepalive;

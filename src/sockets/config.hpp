@@ -126,14 +126,4 @@ inline constexpr Preset kPresets[] = {
   return detail::kPresets;
 }
 
-/// Legacy accessors, now thin wrappers over the registry.
-[[nodiscard]] inline SubstrateConfig preset_ds() { return preset("ds").cfg; }
-[[nodiscard]] inline SubstrateConfig preset_ds_da() {
-  return preset("ds_da").cfg;
-}
-[[nodiscard]] inline SubstrateConfig preset_ds_da_uq() {
-  return preset("ds_da_uq").cfg;
-}
-[[nodiscard]] inline SubstrateConfig preset_dg() { return preset("dg").cfg; }
-
 }  // namespace ulsocks::sockets

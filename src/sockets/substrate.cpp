@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "check/invariant.hpp"
-#include "sim/trace.hpp"
 
 namespace ulsocks::sockets {
 
@@ -69,19 +68,6 @@ EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
                  [this] { check_invariants(); }) {
   // Every EMP completion wakes whatever substrate call is blocked.
   ep_.set_completion_hook([this] { activity_.notify_all(); });
-}
-
-SubstrateStats EmpSocketStack::stats() const noexcept {
-  SubstrateStats s;
-  s.connections_accepted = ctr_.connections_accepted.value();
-  s.connections_initiated = ctr_.connections_initiated.value();
-  s.eager_messages_tx = ctr_.eager_messages_tx.value();
-  s.rendezvous_messages_tx = ctr_.rendezvous_messages_tx.value();
-  s.credit_acks_tx = ctr_.credit_acks_tx.value();
-  s.credits_piggybacked = ctr_.credits_piggybacked.value();
-  s.truncated_datagrams = ctr_.truncated_datagrams.value();
-  s.closes_tx = ctr_.closes_tx.value();
-  return s;
 }
 
 void EmpSocketStack::check_invariants() const {
@@ -297,9 +283,9 @@ sim::Task<void> EmpSocketStack::post_connection_resources(const SockPtr& s) {
   for (std::uint32_t i = 0; i < ndata; ++i) {
     auto slot = std::make_unique<Slot>();
     slot->buffer = std::span(s->arena).subspan(i * slot_bytes, slot_bytes);
-    // Data slots ask for slice delivery: with slicing on the message stays
-    // in refcounted NIC slices and the arena slot is only the pinned
-    // fallback home (unexpected-queue arrivals).
+    // Data slots ask for slice delivery: the message stays in refcounted
+    // NIC slices and the arena slot is only the pinned fallback home
+    // (unexpected-queue arrivals).
     slot->handle = co_await ep_.post_recv(s->peer_node, s->my_data,
                                           slot->buffer, /*want_slices=*/true);
     s->data_slots.push_back(std::move(slot));
@@ -782,8 +768,9 @@ sim::Task<std::size_t> EmpSocketStack::read_view(int sd, os::RecvView& view,
   const sim::Time t0 = eng_->now();
   view.reset();
   // The scratch span doubles as the destination for every path that cannot
-  // lend its buffers (legacy mode, datagrams, rendezvous); the sliced
-  // streaming path fills `view.parts` instead and never touches it.
+  // lend its buffers (datagrams, rendezvous, unexpected-queue arrivals);
+  // the sliced streaming path fills `view.parts` instead and never touches
+  // it.
   note_recv_scratch(os::ensure_recv_scratch(view, max_bytes));
   std::size_t n = co_await read_impl(
       sd, std::span<std::uint8_t>(view.scratch.data(), max_bytes), &view);
@@ -827,10 +814,10 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
       std::size_t n = std::min<std::size_t>(out.size(), payload - slot.offset);
       if (n > 0) {
         // The data-streaming copy (§6.2): temporary buffer -> user buffer.
-        // Both A/B modes charge the same simulated copy cost; what differs
-        // is the host work.  In view mode with slice delivery the bytes are
-        // lent to the caller and no copy happens at all; otherwise
-        // copy_out gathers from wherever the message landed.
+        // The simulated copy cost is charged either way.  In view mode
+        // with slice delivery the bytes are lent to the caller and no host
+        // copy happens at all; otherwise copy_out gathers from wherever
+        // the message landed.
         co_await host_.copy(n);
         const emp::RecvHandle& rh = slot.handle;
         if (view != nullptr && rh->sliced_delivery()) {
@@ -934,9 +921,8 @@ sim::Task<std::size_t> EmpSocketStack::eager_write(
 
   std::size_t n = std::min<std::size_t>(in.size(), s->peer_buffer_bytes);
   const std::size_t slot_bytes = s->cfg.buffer_bytes + kDataHeaderBytes;
-  std::span<std::uint8_t> msg =
-      std::span(s->send_staging)
-          .subspan(s->staging_next * slot_bytes, kDataHeaderBytes + n);
+  const std::uint8_t* slot =
+      s->send_staging.data() + s->staging_next * slot_bytes;
   s->staging_next = (s->staging_next + 1) % s->cfg.credits;
   DataHeader h;
   if (s->cfg.piggyback_acks && s->consumed_unacked > 0) {
@@ -949,32 +935,20 @@ sim::Task<std::size_t> EmpSocketStack::eager_write(
 
   ++ctr_.eager_messages_tx;
   ++s->data_msgs_sent;
-  if (net::SlicePool::slicing_enabled()) {
-    // Zero-copy send: header and user payload are gathered straight into
-    // one pinned slice by post_send_sg — the staging ring is bypassed, but
-    // its slot address is still what the translation cache is charged for,
-    // so pin timing is identical to the legacy copy-through-staging path.
-    std::uint8_t hdr[kDataHeaderBytes];
-    encode_data_header(h, hdr);
-    co_await host_.copy(n);
-    auto handle = co_await ep_.post_send_sg(
-        s->peer_node, s->peer_data,
-        std::span<const std::uint8_t>(hdr, kDataHeaderBytes), in.first(n),
-        msg.data());
-    (void)handle;
-    co_return n;
-  }
-  encode_data_header(h, msg.data());
-  std::memcpy(msg.data() + kDataHeaderBytes, in.data(), n);
-  *bytes_copied_ += n;
-  // Building the message in the (pre-registered) send staging area is a
-  // user-space copy.
+  // Zero-copy send: header and user payload are gathered straight into one
+  // pinned slice by post_send_sg, and write() returns once the send is
+  // posted.  The staging slot is never written; its address is what the
+  // translation cache is charged for, so each credit's slot is pinned once
+  // and hits the cache from then on.  The simulated time still charges
+  // building the message in the registered staging area (a user-space
+  // copy).
+  std::uint8_t hdr[kDataHeaderBytes];
+  encode_data_header(h, hdr);
   co_await host_.copy(n);
-
-  // write() returns once the send is posted: the data already lives in a
-  // registered staging slot that stays untouched until the credit that
-  // paid for it comes back.
-  auto handle = co_await ep_.post_send(s->peer_node, s->peer_data, msg);
+  auto handle = co_await ep_.post_send_sg(
+      s->peer_node, s->peer_data,
+      std::span<const std::uint8_t>(hdr, kDataHeaderBytes), in.first(n),
+      slot);
   (void)handle;
   co_return n;
 }

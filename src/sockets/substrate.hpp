@@ -37,20 +37,6 @@
 
 namespace ulsocks::sockets {
 
-/// Typed view over the "h<N>/sockets/*" registry counters (obs/metrics.hpp).
-/// The registry is the canonical store; stats() materializes this struct so
-/// existing call sites keep compiling unchanged.
-struct SubstrateStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_initiated = 0;
-  std::uint64_t eager_messages_tx = 0;
-  std::uint64_t rendezvous_messages_tx = 0;
-  std::uint64_t credit_acks_tx = 0;
-  std::uint64_t credits_piggybacked = 0;
-  std::uint64_t truncated_datagrams = 0;
-  std::uint64_t closes_tx = 0;
-};
-
 class EmpSocketStack final : public os::SocketApi {
  public:
   EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
@@ -78,9 +64,10 @@ class EmpSocketStack final : public os::SocketApi {
   sim::Task<std::size_t> read(int sd, std::span<std::uint8_t> out) override;
   sim::Task<std::size_t> write(int sd,
                                std::span<const std::uint8_t> in) override;
-  /// Zero-copy receive: in sliced mode the view lends the NIC-delivered
-  /// payload slices to the caller (no host copy at all); otherwise it
-  /// degrades to one copy through `view.scratch`, exactly like read().
+  /// Zero-copy receive: a slice-delivered stream message is lent to the
+  /// caller as its NIC payload slices (no host copy at all); datagrams,
+  /// rendezvous transfers and unexpected-queue arrivals degrade to one
+  /// copy through `view.scratch`, exactly like read().
   sim::Task<std::size_t> read_view(int sd, os::RecvView& view,
                                    std::size_t max_bytes) override;
   sim::Task<void> close(int sd) override;
@@ -96,8 +83,6 @@ class EmpSocketStack final : public os::SocketApi {
       int sd, std::size_t max, std::vector<int>& out,
       std::vector<os::SockAddr>* peers = nullptr) override;
 
-  /// Materialize the typed stats view from the registry counters.
-  [[nodiscard]] SubstrateStats stats() const noexcept;
   /// Active-socket-table size (§5.3); sockets leave the table only when
   /// both sides have closed and every descriptor has been reclaimed.
   [[nodiscard]] std::size_t active_socket_count() const {
@@ -202,7 +187,7 @@ class EmpSocketStack final : public os::SocketApi {
   // read()/write() bodies; the public entry points wrap them in a timeline
   // span without touching every co_return site.  `view` is non-null on the
   // read_view() path, where `out` is the caller's scratch span: the two
-  // entry points share every await so the A/B digest cannot diverge.
+  // entry points share every await so their event streams are identical.
   [[nodiscard]] sim::Task<std::size_t> read_impl(int sd,
                                                  std::span<std::uint8_t> out,
                                                  os::RecvView* view);

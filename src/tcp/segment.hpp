@@ -68,9 +68,8 @@ void encode_segment_header_into(const Segment& s,
 [[nodiscard]] std::optional<Segment> decode_segment(
     std::span<const std::uint8_t> payload);
 /// Decode from a wire frame, gathering the payload across the inline
-/// region and any scatter-gather slices.  Works identically for legacy
-/// (all-inline) and sliced frames, so the receive path has one code path
-/// and the A/B digest cannot diverge.
+/// region and any scatter-gather slices: data segments arrive sliced,
+/// control segments (and hand-built test frames) all-inline.
 [[nodiscard]] std::optional<Segment> decode_segment_frame(
     const net::Frame& f);
 

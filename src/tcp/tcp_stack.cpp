@@ -46,19 +46,6 @@ TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
 }
 
-TcpStats TcpStack::stats() const noexcept {
-  TcpStats s;
-  s.segments_tx = ctr_.segments_tx.value();
-  s.segments_rx = ctr_.segments_rx.value();
-  s.bytes_tx = ctr_.bytes_tx.value();
-  s.retransmits = ctr_.retransmits.value();
-  s.pure_acks_tx = ctr_.pure_acks_tx.value();
-  s.interrupts = ctr_.interrupts.value();
-  s.rst_tx = ctr_.rst_tx.value();
-  s.window_probes = ctr_.window_probes.value();
-  return s;
-}
-
 TcpStack::ConnPtr& TcpStack::conn(int sd) {
   auto it = conns_by_sd_.find(sd);
   if (it == conns_by_sd_.end()) {
@@ -338,13 +325,12 @@ void TcpStack::emit(const ConnPtr& c, Flags flags, std::uint64_t seq,
   frame->dst = resolve_(seg.dst_node);
   frame->src = nic_.mac();
   frame->type = net::EtherType::kIpv4;
-  if (net::SlicePool::slicing_enabled() && !seg.payload.empty()) {
+  if (seg.payload.empty()) {
+    encode_segment_into(seg, frame->payload);
+  } else {
     // Zero-copy: 40 header bytes inline, payload handed off as a slice.
     encode_segment_header_into(seg, frame->payload);
     frame->slices.push_back(net::PayloadSlice::adopt(std::move(seg.payload)));
-  } else {
-    encode_segment_into(seg, frame->payload);
-    *bytes_copied_ += seg.payload.size();
   }
   host_.cpu().run(
       model_.tcp.tx_segment_ns + model_.tcp.driver_tx_ns,
@@ -547,7 +533,7 @@ void TcpStack::maybe_schedule_gc(const ConnPtr& c) {
 
 void TcpStack::on_frame(net::FramePtr frame) {
   // Gather-decode handles inline and sliced payloads through one code
-  // path (the DMA into the kernel ring exists in both A/B modes).
+  // path; the gather is the modeled DMA into the kernel ring.
   auto seg = decode_segment_frame(*frame);
   if (!seg) return;
   *bytes_copied_ += seg->payload.size();

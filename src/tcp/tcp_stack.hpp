@@ -46,20 +46,6 @@ struct TcpTunables {
   std::uint16_t ephemeral_base = 32'768;
 };
 
-/// Typed view over the "h<N>/tcp/*" registry counters (obs/metrics.hpp).
-/// The registry is the canonical store; stats() materializes this struct so
-/// existing call sites keep compiling unchanged.
-struct TcpStats {
-  std::uint64_t segments_tx = 0;
-  std::uint64_t segments_rx = 0;
-  std::uint64_t bytes_tx = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t pure_acks_tx = 0;
-  std::uint64_t interrupts = 0;
-  std::uint64_t rst_tx = 0;
-  std::uint64_t window_probes = 0;
-};
-
 class TcpStack final : public os::SocketApi {
  public:
   TcpStack(sim::Engine& eng, const sim::CostModel& model, os::Host& host,
@@ -83,8 +69,6 @@ class TcpStack final : public os::SocketApi {
   [[nodiscard]] bool writable(int sd) const override;
   [[nodiscard]] sim::CondVar& activity() override { return activity_; }
 
-  /// Materialize the typed stats view from the registry counters.
-  [[nodiscard]] TcpStats stats() const noexcept;
   [[nodiscard]] std::size_t live_socket_count() const {
     return conns_by_sd_.size();
   }

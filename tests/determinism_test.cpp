@@ -11,13 +11,13 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/cluster.hpp"
 #include "check/invariant.hpp"
-#include "net/frame.hpp"
 #include "net/link.hpp"
-#include "net/payload_slice.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/shard.hpp"
@@ -66,9 +66,11 @@ TEST(Digest, DifferentTimingsDiverge) {
 
 struct RunSignature {
   std::uint64_t digest;
+  std::uint64_t causal_digest;
   std::uint64_t events;
   sim::Time end_time;
   std::uint64_t bytes_echoed;
+  std::uint64_t bytes_copied;  // host/bytes_copied: the data path's copies
   friend bool operator==(const RunSignature&, const RunSignature&) = default;
 };
 
@@ -79,7 +81,6 @@ struct EchoOptions {
   bool use_tcp = false;    // kernel TCP instead of the substrate
   bool use_view = false;   // server drains with read_view() (zero-copy)
   double loss = 0.0;       // random frame loss on both host links
-  std::uint64_t* bytes_copied = nullptr;  // out: host/bytes_copied total
 };
 
 // A full-stack workload: substrate connection setup, eager + credit flow,
@@ -154,11 +155,9 @@ RunSignature run_echo_workload(std::uint64_t seed,
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  if (opt.bytes_copied != nullptr) {
-    *opt.bytes_copied = static_cast<std::uint64_t>(
-        eng.metrics().counter("host/bytes_copied").value());
-  }
-  return RunSignature{eng.digest(), eng.events_executed(), eng.now(), echoed};
+  return RunSignature{eng.digest(), eng.causal_digest(), eng.events_executed(),
+                      eng.now(), echoed,
+                      eng.metrics().counter("host/bytes_copied").value()};
 }
 
 TEST(Determinism, SameSeedSameDigestTwice) {
@@ -177,58 +176,103 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(run_echo_workload(1).digest, run_echo_workload(2).digest);
 }
 
-TEST(Determinism, FramePoolingDoesNotChangeEventOrder) {
-  // Pooling recycles frame storage; it must never leak into simulated
-  // behaviour.  The full echo workload (connection setup, eager + credit
-  // flow, teardown) must produce a bit-identical run signature with the
-  // pool switched off (seed behaviour: heap-allocate every frame).
-  net::FramePool::set_pooling_enabled(false);
-  RunSignature unpooled = run_echo_workload(42);
-  net::FramePool::set_pooling_enabled(true);
-  RunSignature pooled = run_echo_workload(42);
-  EXPECT_EQ(pooled, unpooled)
-      << "pooled digest " << pooled.digest << " vs unpooled "
-      << unpooled.digest << ", events " << pooled.events << " vs "
-      << unpooled.events;
-}
-
-// RAII guard: every slicing A/B test must leave the global switch in its
-// default (enabled) state even when an assertion fails midway.
-struct SlicingGuard {
-  ~SlicingGuard() { net::SlicePool::set_slicing_enabled(true); }
+// Golden signatures of the echo workload on every paper preset, through
+// read_view(), under lossy stress and over kernel TCP.  They were recorded
+// while the deep-copy and heap-per-frame data paths still existed and ran
+// bit-identical to the sliced, pooled one, so matching them is the A/B
+// check those paths once gave.  Payload slices and frame pools are
+// host-side optimizations: these literals hold the event stream, the
+// simulated timing and the host copy count fixed, so a change to event
+// order or timing, or a copy creeping back onto the data path, fails here.
+// The values are identical in Debug, sanitizer and Release builds.
+struct EchoPin {
+  std::string_view name;
+  EchoOptions opt;
+  RunSignature sig;
 };
 
+const EchoPin& echo_pin(std::string_view name) {
+  static const std::vector<EchoPin> pins = [] {
+    auto with = [](const char* preset) {
+      EchoOptions opt;
+      opt.cfg = sockets::preset(preset).cfg;
+      return opt;
+    };
+    EchoOptions read_view = with("ds_da_uq");
+    read_view.use_view = true;
+    EchoOptions lossy_stress = with("ds_da_uq");
+    lossy_stress.cfg.credits = 2;
+    lossy_stress.cfg.buffer_bytes = 2048;
+    lossy_stress.loss = 0.01;
+    EchoOptions tcp_lossy;
+    tcp_lossy.use_tcp = true;
+    tcp_lossy.loss = 0.005;
+    return std::vector<EchoPin>{
+        {"ds", with("ds"),
+         {0x50346997f67ff833ull, 0x160c81a46fea3266ull, 4721, 16970635, 101293,
+          407104}},
+        {"ds_da", with("ds_da"),
+         {0x491f6dc361c58092ull, 0x4bfd42bc5d8a1822ull, 3118, 16275023, 101293,
+          405600}},
+        {"ds_da_uq", with("ds_da_uq"),
+         {0x240163b2c3f314c4ull, 0x539a4ded567fe7cdull, 3207, 16269356, 101293,
+          405584}},
+        {"dg", with("dg"),
+         {0x2bffebffb7745794ull, 0x6ef645b5f5529f1full, 4975, 16483246, 101293,
+          428142}},
+        // Same event stream as ds_da_uq; the lent slices skip the copy-out
+        // of all 101,293 echoed bytes.
+        {"ds_da_uq read_view", read_view,
+         {0x240163b2c3f314c4ull, 0x539a4ded567fe7cdull, 3207, 16269356, 101293,
+          304291}},
+        {"lossy stress", lossy_stress,
+         {0xfabca3155e3ce235ull, 0x216a397bf3c3a2c4ull, 8541, 46780657, 95484,
+          388444}},
+        {"tcp loss 0.005", tcp_lossy,
+         {0x44d8761277cebc36ull, 0xd1ba1a7eff6be7b5ull, 4051, 85277404, 100230,
+          1040910}},
+    };
+  }();
+  for (const EchoPin& pin : pins) {
+    if (pin.name == name) return pin;
+  }
+  throw std::invalid_argument("no echo pin named " + std::string(name));
+}
+
+// Runs the echo workload with `opt` and checks every field against `pin`.
+void expect_pinned(const EchoPin& pin, const EchoOptions& opt) {
+  const RunSignature sig = run_echo_workload(42, opt);
+  EXPECT_EQ(sig.digest, pin.sig.digest) << pin.name;
+  EXPECT_EQ(sig.causal_digest, pin.sig.causal_digest) << pin.name;
+  EXPECT_EQ(sig.events, pin.sig.events) << pin.name;
+  EXPECT_EQ(sig.end_time, pin.sig.end_time) << pin.name;
+  EXPECT_EQ(sig.bytes_echoed, pin.sig.bytes_echoed) << pin.name;
+  EXPECT_EQ(sig.bytes_copied, pin.sig.bytes_copied) << pin.name;
+}
+
+void expect_pinned(const EchoPin& pin) { expect_pinned(pin, pin.opt); }
+
+// Pooling recycles frame storage; it must never leak into simulated
+// behaviour.  The full echo workload (connection setup, eager + credit
+// flow, teardown) with default options — the ds_da_uq configuration —
+// keeps the signature the heap-per-frame path produced.
+TEST(Determinism, FramePoolingDoesNotChangeEventOrder) {
+  expect_pinned(echo_pin("ds_da_uq"), EchoOptions{});
+}
+
 // The zero-copy slice data path must be a pure host-side optimization:
-// the simulated event stream (digest, count, end time) is bit-identical
-// with slicing on and off, on every paper preset.
+// the simulated event stream (digests, count, end time) matches the
+// deep-copy path's on every paper preset.
 TEST(Determinism, SlicingDoesNotChangeEventOrderOnAnyPreset) {
-  SlicingGuard guard;
   for (const sockets::Preset& p : sockets::presets()) {
-    EchoOptions opt;
-    opt.cfg = p.cfg;
-    net::SlicePool::set_slicing_enabled(false);
-    RunSignature legacy = run_echo_workload(42, opt);
-    net::SlicePool::set_slicing_enabled(true);
-    RunSignature sliced = run_echo_workload(42, opt);
-    EXPECT_EQ(sliced, legacy)
-        << "preset " << p.name << ": sliced digest " << sliced.digest
-        << " vs legacy " << legacy.digest << ", events " << sliced.events
-        << " vs " << legacy.events;
+    expect_pinned(echo_pin(p.name));
   }
 }
 
 // Same invariant through the zero-copy read_view() receive API, where the
-// sliced mode lends NIC buffers instead of copying into user memory.
+// NIC buffers are lent instead of copied into user memory.
 TEST(Determinism, SlicingDoesNotChangeEventOrderWithReadView) {
-  SlicingGuard guard;
-  EchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
-  opt.use_view = true;
-  net::SlicePool::set_slicing_enabled(false);
-  RunSignature legacy = run_echo_workload(42, opt);
-  net::SlicePool::set_slicing_enabled(true);
-  RunSignature sliced = run_echo_workload(42, opt);
-  EXPECT_EQ(sliced, legacy);
+  expect_pinned(echo_pin("ds_da_uq read_view"));
 }
 
 // Stress variant: tiny credits and staging buffers force fragmentation,
@@ -236,55 +280,28 @@ TEST(Determinism, SlicingDoesNotChangeEventOrderWithReadView) {
 // the NACK-repair retransmit path — all of which rebuild frames from the
 // pinned slice and must stay digest-identical.
 TEST(Determinism, SlicingDoesNotChangeEventOrderUnderLossyStress) {
-  SlicingGuard guard;
-  EchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
-  opt.cfg.credits = 2;
-  opt.cfg.buffer_bytes = 2048;
-  opt.loss = 0.01;
-  net::SlicePool::set_slicing_enabled(false);
-  RunSignature legacy = run_echo_workload(42, opt);
-  net::SlicePool::set_slicing_enabled(true);
-  RunSignature sliced = run_echo_workload(42, opt);
-  EXPECT_EQ(sliced, legacy);
+  expect_pinned(echo_pin("lossy stress"));
 }
 
-// Kernel TCP grew its own sliced segment path (header inline, payload
-// adopted as a slice); it must be behaviour-neutral too, including under
-// loss (retransmits re-slice from the ByteRing).
+// Kernel TCP's segment path (header inline, payload adopted as a slice)
+// must be behaviour-neutral too, including under loss (retransmits
+// re-slice from the ByteRing).
 TEST(Determinism, SlicingDoesNotChangeEventOrderOverTcp) {
-  SlicingGuard guard;
-  EchoOptions opt;
-  opt.use_tcp = true;
-  opt.loss = 0.005;
-  net::SlicePool::set_slicing_enabled(false);
-  RunSignature legacy = run_echo_workload(42, opt);
-  net::SlicePool::set_slicing_enabled(true);
-  RunSignature sliced = run_echo_workload(42, opt);
-  EXPECT_EQ(sliced, legacy);
+  expect_pinned(echo_pin("tcp loss 0.005"));
 }
 
-// The point of the slices: with read_view the legacy path copies every
+// The point of the slices: with read_view the deep-copy path copied every
 // payload byte ~5 times on the host (staging, send capture, wire encode,
-// delivery, read-out) while the sliced path pins it once.  Require the
-// ISSUE's >= 3x reduction with headroom.
+// delivery, read-out), 1,013,838 bytes for this run, while the sliced path
+// pins it once.  Require the >= 3x reduction with headroom.
 TEST(HostCopies, SlicingCutsBytesCopiedAtLeast3x) {
-  SlicingGuard guard;
-  std::uint64_t legacy_bytes = 0;
-  std::uint64_t sliced_bytes = 0;
-  EchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
-  opt.use_view = true;
-  net::SlicePool::set_slicing_enabled(false);
-  opt.bytes_copied = &legacy_bytes;
-  (void)run_echo_workload(42, opt);
-  net::SlicePool::set_slicing_enabled(true);
-  opt.bytes_copied = &sliced_bytes;
-  (void)run_echo_workload(42, opt);
+  constexpr std::uint64_t kDeepCopyBytes = 1'013'838;
+  const std::uint64_t sliced_bytes =
+      run_echo_workload(42, echo_pin("ds_da_uq read_view").opt).bytes_copied;
   ASSERT_GT(sliced_bytes, 0u);  // control traffic still copies
-  EXPECT_GE(legacy_bytes, 3 * sliced_bytes)
-      << "legacy copied " << legacy_bytes << " bytes, sliced copied "
-      << sliced_bytes;
+  EXPECT_GE(kDeepCopyBytes, 3 * sliced_bytes)
+      << "deep-copy path copied " << kDeepCopyBytes
+      << " bytes, sliced copied " << sliced_bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -441,7 +458,7 @@ struct ShardEchoOptions {
 /// and unexpected-queue traffic across the shard boundary.
 ShardEchoOptions lossy_stress_options() {
   ShardEchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
+  opt.cfg = sockets::preset("ds_da_uq").cfg;
   opt.cfg.credits = 2;
   opt.cfg.buffer_bytes = 2048;
   opt.loss = 0.01;

@@ -3,6 +3,7 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -92,6 +93,12 @@ class EmpPair : public ::testing::Test {
     }
   }
 
+  /// Registry counter "h<node>/emp/<name>"; a misspelled name throws.
+  std::int64_t emp_counter(int node, const std::string& name) {
+    return eng_.metrics().snapshot().at("h" + std::to_string(node) +
+                                        "/emp/" + name);
+  }
+
   static std::vector<std::uint8_t> pattern(std::size_t n,
                                            std::uint8_t seed = 1) {
     std::vector<std::uint8_t> v(n);
@@ -155,7 +162,7 @@ TEST_F(EmpPair, MultiFrameMessageReassembled) {
   eng_.run();
   EXPECT_EQ(rxbuf, data);
   // 10000 bytes / 1480 per frame = 7 frames.
-  EXPECT_EQ(ep_[0]->stats().data_frames_tx, 7u);
+  EXPECT_EQ(emp_counter(0, "data_frames_tx"), 7);
 }
 
 TEST_F(EmpPair, ZeroByteMessage) {
@@ -247,8 +254,8 @@ TEST_F(EmpPair, UnmatchedMessageIsDroppedThenRetransmitted) {
 
   EXPECT_TRUE(received);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
-  EXPECT_GE(ep_[1]->stats().unmatched_drops, 1u);
-  EXPECT_GE(ep_[0]->stats().retransmitted_frames, 1u);
+  EXPECT_GE(emp_counter(1, "unmatched_drops"), 1);
+  EXPECT_GE(emp_counter(0, "retransmitted_frames"), 1);
 }
 
 TEST_F(EmpPair, SendFailsAfterMaxRetries) {
@@ -359,10 +366,10 @@ TEST_F(EmpPair, UnexpectedQueueCatchesEarlyMessage) {
   eng_.run();
 
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
-  EXPECT_GE(ep_[1]->stats().unexpected_claims, 1u);
-  EXPECT_EQ(ep_[1]->stats().unmatched_drops, 0u);
+  EXPECT_GE(emp_counter(1, "unexpected_claims"), 1);
+  EXPECT_EQ(emp_counter(1, "unmatched_drops"), 0);
   // No retransmissions needed: the unexpected queue absorbed the message.
-  EXPECT_EQ(ep_[0]->stats().retransmitted_frames, 0u);
+  EXPECT_EQ(emp_counter(0, "retransmitted_frames"), 0);
   // The entry returned to the pool after delivery.
   EXPECT_EQ(ep_[1]->unexpected_free_count(), 4u);
 }
@@ -396,6 +403,86 @@ TEST_F(EmpPair, UnexpectedReconciledWithDescriptorPostedWhileInFlight) {
   eng_.run();
   EXPECT_TRUE(got);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
+}
+
+// deliver_fragment writes a fragment at frame_index x fragment size into
+// the bound buffer, so a data frame whose geometry disagrees with its
+// message must be dropped before it reaches host memory.  Three forged
+// frames arrive at the receiving NIC: a fragment longer than its index
+// allows, an index past the frame count its message size implies, and a
+// self-consistent frame that disagrees with the message its first frame
+// already bound (the genuine frame 1 is lost once, so the genuine message
+// stays bound until the retransmit).  None may touch memory outside the
+// posted span, each counts as malformed, and the genuine message still
+// completes the receive with the right bytes.
+TEST_F(EmpPair, ForgedFrameGeometryIsDroppedNotWritten) {
+  constexpr std::size_t kGuard = 1024;
+  constexpr std::uint32_t kMsg = 2000;  // two frames: 1480 + 520 bytes
+  constexpr Tag kTag = 7;
+  std::vector<std::uint8_t> mem(kGuard + kMsg + kGuard, 0xaa);
+  const std::span<std::uint8_t> posted(mem.data() + kGuard, kMsg);
+  const auto data = pattern(kMsg, 5);
+
+  auto inject = [&](std::uint32_t msg_id, std::uint32_t msg_bytes,
+                    std::uint16_t total_frames, std::uint16_t frame_index,
+                    std::size_t fragment_bytes) {
+    EmpHeader h;
+    h.src_node = 0;
+    h.dst_node = 1;
+    h.tag = kTag;
+    h.msg_id = msg_id;
+    h.frame_index = frame_index;
+    h.total_frames = total_frames;
+    h.msg_bytes = msg_bytes;
+    nic_[1]->frame_arrived(net::make_frame_ptr(
+        net::MacAddress::for_host(1), net::MacAddress::for_host(0),
+        net::EtherType::kEmp, encode_frame(h, pattern(fragment_bytes, 9))));
+  };
+  bool lost = false;
+  net_.host_link(0).set_drop_policy(
+      net::StarNetwork::kHostSide, [&lost](const net::Frame& f) {
+        auto d = decode_frame(f.payload);
+        if (lost || !d || d->header.kind != FrameKind::kData ||
+            d->header.frame_index != 1) {
+          return false;
+        }
+        lost = true;
+        return true;
+      });
+
+  RecvResult result{};
+  auto receiver = [&]() -> Task<void> {
+    auto h = co_await ep_[1]->post_recv(NodeId{0}, kTag, posted);
+    result = co_await ep_[1]->wait_recv(h);
+  };
+  auto forger = [&]() -> Task<void> {
+    co_await eng_.delay(100'000);  // the descriptor is filed by now
+    inject(900, kMsg, 2, 1, 1400);  // frame 1 of 2000 bytes holds 520
+    inject(901, 64, 3, 2, 64);      // 64 bytes is one frame, not three
+    co_await eng_.delay(1'000'000);  // genuine msg 1 bound, frame 1 lost
+    inject(1, 4000, 3, 1, 1480);     // fits 4000 bytes, not the bound 2000
+  };
+  SendHandle sent;
+  auto sender = [&]() -> Task<void> {
+    co_await eng_.delay(200'000);
+    sent = co_await ep_[0]->post_send(1, kTag, data);
+  };
+  eng_.spawn(receiver());
+  eng_.spawn(forger());
+  eng_.spawn(sender());
+  eng_.run();
+
+  auto untouched = [](auto first, auto last) {
+    return std::all_of(first, last, [](std::uint8_t b) { return b == 0xaa; });
+  };
+  EXPECT_TRUE(untouched(mem.begin(), mem.begin() + kGuard));
+  EXPECT_TRUE(untouched(mem.end() - kGuard, mem.end()));
+  EXPECT_EQ(emp_counter(1, "malformed_frames"), 3);
+  EXPECT_TRUE(lost);
+  ASSERT_NE(sent, nullptr);
+  EXPECT_TRUE(sent->acked_done);
+  EXPECT_EQ(result.bytes, kMsg);
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), posted.begin()));
 }
 
 TEST_F(EmpPair, UnpostRemovesDescriptor) {
@@ -442,8 +529,8 @@ TEST_F(EmpPair, TranslationCacheAvoidsRepinning) {
   };
   eng_.spawn(proc());
   eng_.run();
-  EXPECT_EQ(ep_[1]->stats().pin_misses, 1u);
-  EXPECT_EQ(ep_[1]->stats().pin_hits, 9u);
+  EXPECT_EQ(emp_counter(1, "pin_misses"), 1);
+  EXPECT_EQ(emp_counter(1, "pin_hits"), 9);
 }
 
 TEST_F(EmpPair, AcksFollowWindow) {
@@ -462,8 +549,8 @@ TEST_F(EmpPair, AcksFollowWindow) {
   eng_.spawn(receiver());
   eng_.spawn(sender());
   eng_.run();
-  EXPECT_EQ(ep_[1]->stats().acks_tx, 3u);
-  EXPECT_EQ(ep_[0]->stats().acks_rx, 3u);
+  EXPECT_EQ(emp_counter(1, "acks_tx"), 3);
+  EXPECT_EQ(emp_counter(0, "acks_rx"), 3);
 }
 
 TEST_F(EmpPair, LatencyIsCloseToPaperEmpBaseline) {

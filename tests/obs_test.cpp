@@ -169,6 +169,8 @@ TEST(Snapshot, CoversEveryLayerOnBothHosts) {
   EXPECT_GT(snap.at("h1/emp/desc_queue_depth/count"), 0);
 }
 
+// The registry is the one read-out path for per-layer counters: a
+// substrate ping-pong leaves them populated under their scoped paths.
 TEST(StatsViews, AgreeWithRegistryAfterPingPong) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2,
@@ -203,29 +205,10 @@ TEST(StatsViews, AgreeWithRegistryAfterPingPong) {
   eng.spawn(client());
   eng.run();
 
-  auto snap = eng.metrics().snapshot();
-  const auto as_u64 = [&](const char* path) {
-    return static_cast<std::uint64_t>(snap.at(path));
-  };
-
-  sockets::SubstrateStats ss = cl.node(0).socks.stats();
-  EXPECT_EQ(ss.connections_initiated,
-            as_u64("h0/sockets/connections_initiated"));
-  EXPECT_EQ(ss.eager_messages_tx, as_u64("h0/sockets/eager_messages_tx"));
-  EXPECT_EQ(ss.closes_tx, as_u64("h0/sockets/closes_tx"));
-  EXPECT_GT(ss.eager_messages_tx, 0u);
-
-  sockets::SubstrateStats srv = cl.node(1).socks.stats();
-  EXPECT_EQ(srv.connections_accepted,
-            as_u64("h1/sockets/connections_accepted"));
-  EXPECT_EQ(srv.connections_accepted, 1u);
-
-  emp::EmpStats es = cl.node(0).emp.stats();
-  EXPECT_EQ(es.sends_posted, as_u64("h0/emp/sends_posted"));
-  EXPECT_EQ(es.data_frames_tx, as_u64("h0/emp/data_frames_tx"));
-  EXPECT_EQ(es.acks_rx, as_u64("h0/emp/acks_rx"));
-  EXPECT_EQ(es.descriptors_walked, as_u64("h0/emp/descriptors_walked"));
-  EXPECT_GT(es.data_frames_tx, 0u);
+  const auto snap = eng.metrics().snapshot();
+  EXPECT_GT(snap.at("h0/sockets/eager_messages_tx"), 0);
+  EXPECT_EQ(snap.at("h1/sockets/connections_accepted"), 1);
+  EXPECT_GT(snap.at("h0/emp/data_frames_tx"), 0);
 }
 
 TEST(StatsViews, TcpAgreesWithRegistryAfterPingPong) {
@@ -261,17 +244,9 @@ TEST(StatsViews, TcpAgreesWithRegistryAfterPingPong) {
   eng.spawn(client());
   eng.run();
 
-  auto snap = eng.metrics().snapshot();
-  const auto as_u64 = [&](const char* path) {
-    return static_cast<std::uint64_t>(snap.at(path));
-  };
-  tcp::TcpStats ts = cl.node(0).tcp.stats();
-  EXPECT_EQ(ts.segments_tx, as_u64("h0/tcp/segments_tx"));
-  EXPECT_EQ(ts.bytes_tx, as_u64("h0/tcp/bytes_tx"));
-  EXPECT_EQ(ts.segments_rx, as_u64("h0/tcp/segments_rx"));
-  EXPECT_EQ(ts.interrupts, as_u64("h0/tcp/interrupts"));
-  EXPECT_GT(ts.segments_tx, 0u);
-  EXPECT_GT(ts.interrupts, 0u);
+  const auto snap = eng.metrics().snapshot();
+  EXPECT_GT(snap.at("h0/tcp/segments_tx"), 0);
+  EXPECT_GT(snap.at("h0/tcp/interrupts"), 0);
 }
 
 TEST(Timeline, PingPongSpansCrossLayersWithMonotoneTimestamps) {
@@ -314,6 +289,23 @@ TEST(Timeline, PingPongSpansCrossLayersWithMonotoneTimestamps) {
   EXPECT_LE(t_send, t_mac);
   EXPECT_LE(t_mac, t_fwd);
   EXPECT_LT(t_fwd, eng.now());
+
+  // Protocol decisions are instants with their identifiers in the args:
+  // the peer's close message rides h0's unexpected queue (§6.4), so it
+  // becomes ready on the firmware track and is claimed by the library.
+  const std::uint32_t trk_emp_fw = eng.tracer().track("h0", "emp-fw");
+  auto instant_from_peer = [&](std::uint32_t trk, std::string_view name) {
+    for (const TraceEvent& e : events) {
+      if (e.phase == TraceEvent::Phase::kInstant && e.track == trk &&
+          e.name == name && e.args.starts_with("\"from\":1,\"tag\":") &&
+          e.args.find(",\"bytes\":") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(instant_from_peer(trk_emp_fw, "uq-ready"));
+  EXPECT_TRUE(instant_from_peer(trk_emp, "uq-claim"));
 
   // Per-track begin/end style sanity for complete spans: durations are
   // non-negative and the event stream is in recording order.

@@ -73,17 +73,17 @@ TEST(ControlWire, DataHeaderRoundTrip) {
 }
 
 TEST(Config, PresetsMatchPaperLabels) {
-  auto ds = preset_ds();
+  auto ds = preset("ds").cfg;
   EXPECT_FALSE(ds.delayed_acks);
   EXPECT_FALSE(ds.unexpected_queue_acks);
   EXPECT_EQ(ds.ctrl_descriptors(), ds.credits);  // the "2N" layout
-  auto da = preset_ds_da();
+  auto da = preset("ds_da").cfg;
   EXPECT_TRUE(da.delayed_acks);
   EXPECT_EQ(da.ctrl_descriptors(), 2u);
   EXPECT_EQ(da.ack_every(), 16u);  // half of 32 credits
-  auto uq = preset_ds_da_uq();
+  auto uq = preset("ds_da_uq").cfg;
   EXPECT_EQ(uq.ctrl_descriptors(), 0u);
-  auto dg = preset_dg();
+  auto dg = preset("dg").cfg;
   EXPECT_FALSE(dg.data_streaming);
 }
 
@@ -147,13 +147,13 @@ TEST_P(SubstratePair, ConnectTransferClose) {
 }
 
 SubstrateConfig rendezvous_cfg() {
-  SubstrateConfig c = preset_ds_da_uq();
+  SubstrateConfig c = preset("ds_da_uq").cfg;
   c.flow = FlowControl::kRendezvous;
   return c;
 }
 
 SubstrateConfig small_credit_cfg() {
-  SubstrateConfig c = preset_ds_da_uq();
+  SubstrateConfig c = preset("ds_da_uq").cfg;
   c.credits = 2;
   c.buffer_bytes = 1024;
   return c;
@@ -161,8 +161,9 @@ SubstrateConfig small_credit_cfg() {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperConfigs, SubstratePair,
-    ::testing::Values(preset_ds(), preset_ds_da(), preset_ds_da_uq(),
-                      preset_dg(), rendezvous_cfg(), small_credit_cfg()));
+    ::testing::Values(preset("ds").cfg, preset("ds_da").cfg,
+                      preset("ds_da_uq").cfg, preset("dg").cfg,
+                      rendezvous_cfg(), small_credit_cfg()));
 
 class SubstrateTest : public ::testing::Test {
  protected:
@@ -270,7 +271,8 @@ TEST_F(SubstrateTest, DatagramLargeMessageUsesZeroCopyRendezvous) {
   eng_.spawn(client());
   eng_.run();
   EXPECT_TRUE(ok);
-  EXPECT_GE(stack(0).stats().rendezvous_messages_tx, 1u);
+  EXPECT_GE(eng_.metrics().snapshot().at("h0/sockets/rendezvous_messages_tx"),
+            1);
 }
 
 TEST_F(SubstrateTest, ConnectRefusedWithoutListener) {
@@ -295,7 +297,7 @@ TEST_F(SubstrateTest, ConnectionTimeIsOneMessageExchange) {
   // credits for the web server); with 4 credits it lands far below TCP's
   // 200-250 us kernel-mediated handshake.
   auto measure = [&](std::uint32_t credits) {
-    SubstrateConfig cfg = preset_ds_da_uq();
+    SubstrateConfig cfg = preset("ds_da_uq").cfg;
     cfg.credits = credits;
     Engine eng;
     Cluster cl(eng, sim::calibrated_cost_model(), 2, cfg);
@@ -339,7 +341,7 @@ TEST_F(SubstrateTest, ConnectionTimeIsOneMessageExchange) {
 TEST_F(SubstrateTest, CreditExhaustionBlocksWriterUntilReaderDrains) {
   // With N credits, at most N eager messages can be outstanding; the
   // writer must block on the (N+1)th until the reader consumes one.
-  SubstrateConfig cfg = preset_ds_da_uq();
+  SubstrateConfig cfg = preset("ds_da_uq").cfg;
   cfg.credits = 4;
   cfg.buffer_bytes = 1024;
   Engine eng;
@@ -384,7 +386,7 @@ TEST_F(SubstrateTest, RendezvousMutualWriteDeadlocks) {
   // Figure 7: with the rendezvous scheme, write()-then-read() on both
   // sides deadlocks.  The substrate faithfully reproduces this hazard —
   // avoiding it is the application's responsibility.
-  SubstrateConfig cfg = preset_ds_da_uq();
+  SubstrateConfig cfg = preset("ds_da_uq").cfg;
   cfg.flow = FlowControl::kRendezvous;
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, cfg);
@@ -479,8 +481,9 @@ TEST_F(SubstrateTest, BacklogLimitsSimultaneousConnections) {
   EXPECT_LT(connected[0], 30'000'000u);
   EXPECT_LT(connected[1], 30'000'000u);
   EXPECT_GT(connected[2], 30'000'000u);
-  EXPECT_GT(cluster_.node(1).emp.stats().unmatched_drops, 0u);
-  EXPECT_GT(cluster_.node(0).emp.stats().retransmitted_frames, 0u);
+  const auto snap = eng_.metrics().snapshot();
+  EXPECT_GT(snap.at("h1/emp/unmatched_drops"), 0);
+  EXPECT_GT(snap.at("h0/emp/retransmitted_frames"), 0);
 }
 
 TEST_F(SubstrateTest, SelectWakesOnReadable) {
@@ -593,7 +596,7 @@ TEST_F(SubstrateTest, WriteAfterPeerCloseThrows) {
 
 TEST_F(SubstrateTest, DelayedAcksReduceExplicitAckTraffic) {
   auto run_with = [&](bool delayed) {
-    SubstrateConfig cfg = preset_ds();
+    SubstrateConfig cfg = preset("ds").cfg;
     cfg.delayed_acks = delayed;
     cfg.piggyback_acks = false;
     cfg.credits = 8;
@@ -623,7 +626,7 @@ TEST_F(SubstrateTest, DelayedAcksReduceExplicitAckTraffic) {
     eng.spawn(server());
     eng.spawn(client());
     eng.run();
-    return cl.node(1).socks.stats().credit_acks_tx;
+    return eng.metrics().snapshot().at("h1/sockets/credit_acks_tx");
   };
   auto acks_immediate = run_with(false);
   auto acks_delayed = run_with(true);
@@ -633,7 +636,7 @@ TEST_F(SubstrateTest, DelayedAcksReduceExplicitAckTraffic) {
 TEST_F(SubstrateTest, PiggybackReturnsCreditsOnReverseTraffic) {
   // Request-response traffic: with piggybacking on, credits ride the
   // responses and explicit acks (mostly) disappear.
-  SubstrateConfig cfg = preset_ds_da_uq();
+  SubstrateConfig cfg = preset("ds_da_uq").cfg;
   cfg.credits = 8;
   cfg.buffer_bytes = 1024;
   Engine eng;
@@ -667,7 +670,7 @@ TEST_F(SubstrateTest, PiggybackReturnsCreditsOnReverseTraffic) {
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  EXPECT_GT(cl.node(1).socks.stats().credits_piggybacked, 30u);
+  EXPECT_GT(eng.metrics().snapshot().at("h1/sockets/credits_piggybacked"), 30);
 }
 
 TEST_F(SubstrateTest, LatencyBeatsKernelTcpByPaperFactor) {

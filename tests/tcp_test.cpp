@@ -389,7 +389,7 @@ TEST_F(TcpPair, RecoversFromFrameLoss) {
   eng_.spawn(client());
   eng_.run();
   EXPECT_EQ(received, data);
-  EXPECT_GT(stack_[0]->stats().retransmits, 0u);
+  EXPECT_GT(eng_.metrics().snapshot().at("h0/tcp/retransmits"), 0);
 }
 
 TEST_F(TcpPair, BacklogOverflowRefusesConnection) {

@@ -127,11 +127,11 @@ class FixtureCorpusTest(unittest.TestCase):
 
 
 class SuppressionSyntaxTest(unittest.TestCase):
-    def _run_snippet(self, code, rule_names=None, allow_legacy=False):
+    def _run_snippet(self, code, rule_names=None):
         with tempfile.TemporaryDirectory() as td:
             p = Path(td) / "snippet.cpp"
             p.write_text(code)
-            return run([p], rule_names=rule_names, allow_legacy=allow_legacy)
+            return run([p], rule_names=rule_names)
 
     def test_blanket_nolint_rejected(self):
         res = self._run_snippet("int x = 0;  // NOLINT\n")
@@ -174,14 +174,6 @@ class SuppressionSyntaxTest(unittest.TestCase):
                             and "migrate" in f.message
                             for f in res.errors))
         self.assertEqual(len(res.new), 1)  # the finding is NOT suppressed
-
-    def test_legacy_coro_token_accepted_by_shim_mode(self):
-        res = self._run_snippet(self.LEGACY,
-                                rule_names=["coro-schedule-capture"],
-                                allow_legacy=True)
-        self.assertEqual(res.new, [])
-        self.assertEqual(len(res.suppressed), 1)
-        self.assertEqual(res.errors, [])
 
     def test_umbrella_alias_covers_both_coro_rules(self):
         code = ("template <typename T> struct Task {};\n"
@@ -313,15 +305,6 @@ class CliTest(unittest.TestCase):
     def test_unknown_rule_is_usage_error(self):
         proc = self._ulsan("src", "--rules", "no-such-rule")
         self.assertEqual(proc.returncode, 2)
-
-    def test_deprecated_shim_delegates(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "lint_coro_captures.py"),
-             "src"],
-            cwd=REPO, capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 0,
-                         f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}")
-        self.assertIn("deprecated", proc.stderr.lower())
 
 
 if __name__ == "__main__":
