@@ -11,9 +11,13 @@
 #      that passes scripts/validate_bench_json.py.
 #   5. ThreadSanitizer build: fig13_microbench on a 4-thread run_points()
 #      pool (the repo's cross-thread code: the job pool, thread_local run
-#      state and atomic host-perf totals), plus the sharded determinism
-#      tests.
-#   6. Host-perf gate: a Release build runs bench/hostperf and
+#      state and block pools, atomic host-perf totals), plus the sharded
+#      determinism tests.
+#   6. Benchmark smoke: python3 benchmark/run.py --smoke builds the Release
+#      benchmark drivers, runs all five workloads at 1% size (every payload
+#      byte is verified) and checks the result schema against
+#      BENCHMARK.json.
+#   7. Host-perf gate: a Release build runs bench/hostperf and
 #      scripts/check_hostperf.py fails the gate if events/sec dropped
 #      more than 25% below bench/baselines/BENCH_hostperf.json.
 #
@@ -22,7 +26,7 @@
 #   --require-tools  a missing optional tool (clang-tidy) is a hard
 #                    failure instead of a skip-with-warning.  Defaults ON
 #                    when $CI is set, so CI never silently loses a stage.
-#   --no-hostperf    skip stage 6 (host-perf is meaningless on shared or
+#   --no-hostperf    skip stage 7 (host-perf is meaningless on shared or
 #                    throttled runners; CI uses this).
 set -euo pipefail
 
@@ -41,7 +45,7 @@ for arg in "$@"; do
   esac
 done
 JOBS="$(nproc 2>/dev/null || echo 4)"
-TOTAL=6
+TOTAL=7
 
 echo "==> [1/$TOTAL] Debug + ASan/UBSan build and test"
 cmake -B "$BUILD_DIR" -S . \
@@ -83,11 +87,11 @@ python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
 echo "==> [5/$TOTAL] ThreadSanitizer: bench job pool and sharded determinism tests"
 # bench::run_points() is the repo's one thread pool: fig13_microbench fans
 # its (size, stack) cells out over 4 workers, each building its own
-# engines, with thread_local run snapshots and atomic host-perf totals
-# shared across them.  That is the surface TSan needs to see.  ShardGroup
-# steps every shard on the calling thread; the Sharding.* run stays so any
-# thread that comes back into it is raced from the start.  TSan excludes
-# the other sanitizers, so this is its own build tree.
+# engines, with thread_local run snapshots and block pools and atomic
+# host-perf totals shared across them.  That is the surface TSan needs to
+# see.  ShardGroup steps every shard on the calling thread; the Sharding.*
+# run stays so any thread that comes back into it is raced from the start.
+# TSan excludes the other sanitizers, so this is its own build tree.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -102,8 +106,16 @@ python3 scripts/validate_bench_json.py "$TSAN_SMOKE_DIR/BENCH_fig13_microbench.j
 TSAN_OPTIONS=halt_on_error=1 \
   "$TSAN_DIR/tests/determinism_test" --gtest_filter='Sharding.*'
 
+echo "==> [6/$TOTAL] benchmark smoke (Release drivers, payload checks, result schema)"
+# Exits non-zero on a build failure, a failed payload check or a result
+# that does not match BENCHMARK.json.  Release-only defects surface here.
+# The per-workload report is long, so it is shown only on failure.
+SMOKE_LOG="$BUILD_DIR/benchmark-smoke.log"
+python3 benchmark/run.py --smoke >"$SMOKE_LOG" || { cat "$SMOKE_LOG"; exit 1; }
+grep '^smoke:' "$SMOKE_LOG"
+
 if [ -n "$RUN_HOSTPERF" ]; then
-  echo "==> [6/$TOTAL] host-perf gate (Release build, full hostperf bench)"
+  echo "==> [7/$TOTAL] host-perf gate (Release build, full hostperf bench)"
   # Sanitizer builds measure the sanitizer, not the simulator: the host-perf
   # numbers only mean something at -O2/-O3 without instrumentation.
   PERF_DIR="$BUILD_DIR-release"
@@ -115,7 +127,7 @@ if [ -n "$RUN_HOSTPERF" ]; then
   python3 scripts/validate_bench_json.py "$HOSTPERF_DIR/BENCH_hostperf.json"
   python3 scripts/check_hostperf.py "$HOSTPERF_DIR/BENCH_hostperf.json"
 else
-  echo "==> [6/$TOTAL] host-perf gate skipped (--no-hostperf)"
+  echo "==> [7/$TOTAL] host-perf gate skipped (--no-hostperf)"
 fi
 
 echo "==> all checks passed"

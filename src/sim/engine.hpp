@@ -3,7 +3,9 @@
 // The engine owns a single time-ordered event queue.  Events at equal
 // timestamps fire in the order they were scheduled (a monotonically
 // increasing sequence number breaks ties), which makes every run
-// bit-deterministic for a fixed seed.
+// bit-deterministic for a fixed seed.  Internally the queue is a near heap,
+// a far heap and a FIFO lane for events scheduled at now(); together they
+// pop in exactly that single (time, seq) order (see pop_next()).
 //
 // Coroutine integration: `spawn()` adopts a detached `Task<void>` (a
 // simulated process) and starts it through the queue; `delay()`, and the
@@ -16,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -31,13 +32,6 @@
 #include "sim/time.hpp"
 
 namespace ulsocks::sim {
-
-/// Thrown by Engine::run() when a spawned process terminated with an
-/// uncaught exception.  Carries the original message.
-class ProcessError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Identifies the simulation "domain" an event belongs to — the unit of
 /// live migration between shards (apps::Cluster uses one domain per host).
@@ -92,16 +86,19 @@ class Engine {
       }
     }
     slot_ref(slot) = std::move(fn);
-    // Two-level queue: events inside the near horizon go to the small hot
-    // heap, far-future ones (retransmit timers, mostly) to the far heap.
-    // The strict `t < horizon_` split keeps min(near) < horizon_ <=
-    // min(far), so the near heap's top is always the global minimum and
-    // the pop order — and therefore the digest — is identical to a single
-    // queue's.
-    if (t < horizon_) {
-      heap_push(heap_, HeapItem{t, next_seq_++, slot, domain});
+    const HeapItem item{t, next_seq_++, slot, domain};
+    // Same-instant events (wake-ups, yields) skip the heaps: a FIFO keeps
+    // their seq order for free.  pop_next() explains why this stays exact.
+    // The rest use a two-level queue: events inside the near horizon go to
+    // the small hot heap, far-future ones (retransmit timers, mostly) to
+    // the far heap.  The strict `t < horizon_` split keeps min(near) <
+    // horizon_ <= min(far), so the near heap's top is always the heaps'
+    // minimum and the pop order — and therefore the digest — is identical
+    // to a single queue's.
+    if (t == now_) {
+      lane_.push_back(item);
     } else {
-      heap_push(far_, HeapItem{t, next_seq_++, slot, domain});
+      heap_push(t < horizon_ ? heap_ : far_, item);
     }
   }
 
@@ -140,7 +137,7 @@ class Engine {
   [[nodiscard]] auto yield() { return delay(0); }
 
   /// Run until the queue drains, `request_stop()` is called, or a spawned
-  /// process fails (rethrown as ProcessError).
+  /// process fails (its own exception is rethrown).
   void run() {
     while (!stop_ && pending()) {
       step();
@@ -291,6 +288,12 @@ class Engine {
     };
     strip(heap_);
     strip(far_);
+    std::vector<HeapItem> lane_keep;
+    for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+      (lane_[i].domain == d ? taken : lane_keep).push_back(lane_[i]);
+    }
+    lane_ = std::move(lane_keep);
+    lane_head_ = 0;
     std::sort(taken.begin(), taken.end(), [](const HeapItem& a,
                                              const HeapItem& b) {
       return before(a, b);
@@ -429,8 +432,12 @@ class Engine {
     return top;
   }
 
+  // pop_next() clears the lane when it drains, so a non-empty lane always
+  // holds an unpopped entry.
+  [[nodiscard]] bool lane_pending() const noexcept { return !lane_.empty(); }
+
   [[nodiscard]] bool pending() const noexcept {
-    return !heap_.empty() || !far_.empty();
+    return lane_pending() || !heap_.empty() || !far_.empty();
   }
 
   /// Refill the near heap from the far heap if it drained.  Advancing the
@@ -447,15 +454,35 @@ class Engine {
 
   /// Timestamp of the next event to fire.  Pre: pending().
   [[nodiscard]] Time next_time() {
+    if (lane_pending()) return now_;
     refill_near();
     return heap_[0].t;
   }
 
-  void step() {
+  /// Remove and return the next event in (t, seq) order.  Pre: pending().
+  HeapItem pop_next() {
+    // Every lane entry has t == now_, and a heap entry at now_ was scheduled
+    // before now_ was reached, so its seq is below every lane entry's.  Heap
+    // entries at now_ therefore pop first, then the lane, which is exactly
+    // (t, seq) order.  Only the near heap needs checking: far_ holds nothing
+    // at now_, because now_ only ever reaches a time that was below the
+    // horizon (or that nothing was queued at).
+    if (lane_pending() && (heap_.empty() || heap_[0].t != now_)) {
+      const HeapItem ev = lane_[lane_head_++];
+      if (lane_head_ == lane_.size()) {
+        lane_.clear();
+        lane_head_ = 0;
+      }
+      return ev;
+    }
     // Owning the heap directly (vs. std::priority_queue) lets the next
     // event be moved out of storage legitimately — no const_cast.
     refill_near();
-    const HeapItem ev = heap_pop(heap_);
+    return heap_pop(heap_);
+  }
+
+  void step() {
+    const HeapItem ev = pop_next();
     ULSOCKS_INVARIANT(
         ev.t >= now_,
         check::msgf("event time went backwards: t=%llu < now=%llu",
@@ -549,6 +576,8 @@ class Engine {
   std::vector<HeapItem> heap_;  // near 4-ary min-heap keyed on (t, seq)
   std::vector<HeapItem> far_;   // far 4-ary min-heap (t >= horizon_)
   Time horizon_ = 0;            // strict upper bound on near-heap times
+  std::vector<HeapItem> lane_;  // FIFO of events scheduled at t == now_
+  std::size_t lane_head_ = 0;   // next lane entry; lane_ clears on drain
   std::vector<std::unique_ptr<EventFn[]>> slot_pages_;
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   std::uint32_t slot_count_ = 0;           // slots ever created

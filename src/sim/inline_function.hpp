@@ -6,18 +6,15 @@
 // codebase ([this, st, idx, total, offset, len] is already 40 bytes).  At
 // millions of events per second that allocation *is* the simulator's
 // profile.  InlineFunction stores captures up to `Capacity` bytes inline
-// in the event object itself; bigger ("spilled") captures are carved from
-// a per-thread freelist of fixed-size blocks, so even the overflow path is
-// allocation-free at steady state.
+// in the event object itself; bigger ("spilled") captures come from the
+// thread's size-class block pool (sim/block_pool.hpp), the same pool that
+// serves coroutine frames, so even the overflow path is allocation-free at
+// steady state.
 //
 // Unlike std::function, InlineFunction is move-only and accepts move-only
 // captures.  That is a feature: frames and payload vectors can be moved
 // through an event chain (NIC -> link -> switch -> NIC) instead of being
 // wrapped in shared_ptr or copied per hop just to satisfy copyability.
-//
-// Thread model: the freelist is thread_local, matching the engine's "one
-// engine per thread" discipline (bench/harness.cpp run_points).  Blocks
-// never migrate between threads because events never leave their engine.
 #pragma once
 
 #include <cstddef>
@@ -25,63 +22,9 @@
 #include <type_traits>
 #include <utility>
 
+#include "sim/block_pool.hpp"
+
 namespace ulsocks::sim {
-
-namespace detail_ifn {
-
-/// Spill blocks are one fixed size so freed blocks can serve any later
-/// spilled capture without bookkeeping; captures beyond kSpillBlockBytes
-/// (rare: a whole struct by value) fall through to plain operator new.
-inline constexpr std::size_t kSpillBlockBytes = 256;
-inline constexpr std::size_t kSpillFreeMax = 4096;  // blocks kept per thread
-
-struct SpillBlock {
-  SpillBlock* next;
-};
-
-struct SpillFreeList {
-  SpillBlock* head = nullptr;
-  std::size_t count = 0;
-  ~SpillFreeList() {
-    while (head != nullptr) {
-      SpillBlock* b = head;
-      head = b->next;
-      ::operator delete(static_cast<void*>(b));
-    }
-  }
-};
-
-inline thread_local SpillFreeList spill_free_list;
-
-inline void* spill_alloc(std::size_t bytes) {
-  if (bytes <= kSpillBlockBytes) {
-    SpillFreeList& fl = spill_free_list;
-    if (fl.head != nullptr) {
-      SpillBlock* b = fl.head;
-      fl.head = b->next;
-      --fl.count;
-      return b;
-    }
-    return ::operator new(kSpillBlockBytes);
-  }
-  return ::operator new(bytes);
-}
-
-inline void spill_free(void* p, std::size_t bytes) noexcept {
-  if (bytes <= kSpillBlockBytes) {
-    SpillFreeList& fl = spill_free_list;
-    if (fl.count < kSpillFreeMax) {
-      auto* b = static_cast<SpillBlock*>(p);
-      b->next = fl.head;
-      fl.head = b;
-      ++fl.count;
-      return;
-    }
-  }
-  ::operator delete(p);
-}
-
-}  // namespace detail_ifn
 
 template <std::size_t Capacity = 88, std::size_t Align = 16>
 class InlineFunction {
@@ -162,14 +105,14 @@ class InlineFunction {
           nullptr,
           [](void* o) {
             static_cast<Fn*>(o)->~Fn();
-            detail_ifn::spill_free(o, sizeof(Fn));
+            detail::block_pool.deallocate(o, sizeof(Fn));
           },
       };
-      void* p = detail_ifn::spill_alloc(sizeof(Fn));
+      void* p = detail::block_pool.allocate(sizeof(Fn));
       try {
         obj_ = ::new (p) Fn(std::forward<F>(f));
       } catch (...) {
-        detail_ifn::spill_free(p, sizeof(Fn));
+        detail::block_pool.deallocate(p, sizeof(Fn));
         throw;
       }
       ops_ = &ops;

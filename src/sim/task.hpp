@@ -10,10 +10,13 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <type_traits>
 #include <utility>
+
+#include "sim/block_pool.hpp"
 
 namespace ulsocks::sim {
 
@@ -63,6 +66,16 @@ inline void post_next(std::coroutine_handle<> h) {
 struct PromiseBase {
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
+
+  // Every coroutine frame comes from the thread's block pool
+  // (sim/block_pool.hpp).  The sized delete receives the frame size the
+  // matching new was asked for, which selects the same size class.
+  static void* operator new(std::size_t bytes) {
+    return block_pool.allocate(bytes);
+  }
+  static void operator delete(void* p, std::size_t bytes) noexcept {
+    block_pool.deallocate(p, bytes);
+  }
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

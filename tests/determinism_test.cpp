@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/cluster.hpp"
@@ -387,19 +388,49 @@ struct NaiveScheduler {
 };
 
 // Self-spawning event for the real engine, mirroring NaiveScheduler's
-// execution body draw-for-draw.
+// execution body draw-for-draw.  With `stops` set it also fires
+// request_stop() from inside some events, drawing from its own generator so
+// the mirrored draws stay aligned.
 struct Spawner {
   Engine* eng;
   Lcg* rng;
   int depth;
+  Lcg* stops = nullptr;
   void operator()() const {
+    if (stops != nullptr && stops->next() % 8 == 0) eng->request_stop();
     if (depth <= 0) return;
     const std::uint64_t kids = rng->next() % 3;
     for (std::uint64_t k = 0; k < kids; ++k) {
-      eng->schedule_after(random_delta(*rng), Spawner{eng, rng, depth - 1});
+      eng->schedule_after(random_delta(*rng),
+                          Spawner{eng, rng, depth - 1, stops});
     }
   }
 };
+
+// How the queue-order test steps the engine: one run(), or random
+// run_until/run_before bounds with request_stop() fired from inside events.
+// A stop returns from run() with same-instant lane entries still queued.
+enum class Drive { kRun, kBoundedWithStops };
+
+// Steps `eng` to completion through random bounds.  Returns how many times
+// a bounded call returned with events still due at now().
+int drive_bounded(Engine& eng, Lcg& drive_rng) {
+  int mid_instant_returns = 0;
+  while (eng.has_pending()) {
+    eng.clear_stop();
+    const std::uint64_t r = drive_rng.next();
+    const sim::Time bound = eng.now() + random_delta(drive_rng);
+    switch (r % 3) {
+      case 0: eng.run(); break;
+      case 1: eng.run_until(bound); break;
+      default: eng.run_before(bound); break;
+    }
+    if (eng.has_pending() && eng.next_event_time() == eng.now()) {
+      ++mid_instant_returns;
+    }
+  }
+  return mid_instant_returns;
+}
 
 // ---------------------------------------------------------------------------
 // Sharded engine (sim/shard.hpp): a ShardGroup partitions the hosts across
@@ -956,27 +987,98 @@ TEST(Sharding, HeterogeneousLinksOutcomeInvariantAcrossShardCounts) {
 }
 
 TEST(QueueOrder, RandomInterleavingsMatchNaiveReference) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Engine eng;
-    Lcg eng_rng{seed};
-    NaiveScheduler ref;
-    Lcg ref_rng{seed};
+  for (const Drive drive : {Drive::kRun, Drive::kBoundedWithStops}) {
+    const char* mode = drive == Drive::kRun ? "run" : "bounded+stops";
+    int mid_instant_returns = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Engine eng;
+      Lcg eng_rng{seed};
+      Lcg stop_rng{seed * 31};
+      Lcg drive_rng{seed * 131};
+      NaiveScheduler ref;
+      Lcg ref_rng{seed};
+      Lcg* stops = drive == Drive::kRun ? nullptr : &stop_rng;
 
-    Lcg root_rng{seed * 977};
-    for (int i = 0; i < 64; ++i) {
-      // Coarse root times force same-timestamp collisions.
-      const sim::Time t = static_cast<sim::Time>((root_rng.next() % 32) * 512);
-      eng.schedule_at(t, Spawner{&eng, &eng_rng, 4});
-      ref.schedule(t, 4);
+      Lcg root_rng{seed * 977};
+      for (int i = 0; i < 64; ++i) {
+        // Coarse root times force same-timestamp collisions.
+        const sim::Time t =
+            static_cast<sim::Time>((root_rng.next() % 32) * 512);
+        eng.schedule_at(t, Spawner{&eng, &eng_rng, 4, stops});
+        ref.schedule(t, 4);
+      }
+      if (drive == Drive::kRun) {
+        eng.run();
+      } else {
+        mid_instant_returns += drive_bounded(eng, drive_rng);
+      }
+      ref.run(ref_rng);
+
+      EXPECT_EQ(eng.events_executed(), ref.executed)
+          << mode << " seed " << seed;
+      EXPECT_EQ(eng.now(), ref.now) << mode << " seed " << seed;
+      EXPECT_EQ(eng.digest(), ref.digest) << mode << " seed " << seed;
+      EXPECT_GT(ref.executed, 64u) << mode << " seed " << seed;  // spawned
     }
-    eng.run();
-    ref.run(ref_rng);
-
-    EXPECT_EQ(eng.events_executed(), ref.executed) << "seed " << seed;
-    EXPECT_EQ(eng.now(), ref.now) << "seed " << seed;
-    EXPECT_EQ(eng.digest(), ref.digest) << "seed " << seed;
-    EXPECT_GT(ref.executed, 64u) << "seed " << seed;  // spawning happened
+    if (drive == Drive::kBoundedWithStops) {
+      EXPECT_GT(mid_instant_returns, 0) << "no return left events at now()";
+    }
   }
+}
+
+// A run() stopped mid-instant leaves two kinds of events due at now(): heap
+// entries scheduled before now() was reached, and lane entries scheduled at
+// now().  extract_domain must take both, in seq order; the source engine
+// must keep running what stays in seq order; and adopt_domain must replay
+// the extracted events in that order behind the target's own earlier
+// entries at the same instant.
+TEST(QueueOrder, ExtractDomainTakesSameInstantLaneEvents) {
+  constexpr sim::DomainId kMoved = 7;
+  constexpr sim::Time kT = 1000;
+  std::vector<int> log;
+  auto note = [&log](int id) {
+    return [out = &log, id] { out->push_back(id); };
+  };
+
+  Engine src;
+  src.schedule_at(kT, [&src, note] {
+    src.schedule_in_domain(src.now(), kMoved, note(11));
+    src.schedule_in_domain(src.now(), sim::kAmbientDomain, note(12));
+    src.schedule_in_domain(src.now(), kMoved, note(13));
+    src.schedule_in_domain(kT + 5, kMoved, note(21));
+    src.schedule_in_domain(kT + 5, sim::kAmbientDomain, note(22));
+    src.request_stop();
+  });
+  src.schedule_in_domain(kT, kMoved, note(1));
+  src.schedule_in_domain(kT, sim::kAmbientDomain, note(2));
+  src.schedule_in_domain(kT, kMoved, note(3));
+  src.run();
+  ASSERT_EQ(src.now(), kT);
+  ASSERT_TRUE(log.empty());
+
+  Engine::MigratedDomain dom = src.extract_domain(kMoved);
+  std::vector<sim::Time> times;
+  for (const Engine::MigratedEvent& ev : dom.events) times.push_back(ev.t);
+  EXPECT_EQ(times, (std::vector<sim::Time>{kT, kT, kT, kT, kT + 5}));
+
+  src.clear_stop();
+  src.run();
+  EXPECT_EQ(log, (std::vector<int>{2, 12, 22}));
+  EXPECT_EQ(src.domain_events_executed(kMoved), 0u);
+
+  // The target is stopped at the same instant with an entry of its own
+  // still queued there; the adopted events land in its lane behind it.
+  log.clear();
+  Engine dst;
+  dst.schedule_at(kT, [&dst] { dst.request_stop(); });
+  dst.schedule_at(kT, note(101));
+  dst.run();
+  ASSERT_EQ(dst.now(), kT);
+  dst.adopt_domain(std::move(dom));
+  dst.clear_stop();
+  dst.run();
+  EXPECT_EQ(log, (std::vector<int>{101, 1, 3, 11, 13, 21}));
+  EXPECT_EQ(dst.domain_events_executed(kMoved), 5u);
 }
 
 }  // namespace
