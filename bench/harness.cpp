@@ -811,30 +811,6 @@ double measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
   return g_last_host_perf.events_per_sec;
 }
 
-double measure_scale_web_hotspot_evps(const StackChoice& stack,
-                                       std::size_t shards, bool rebalance,
-                                       std::size_t hot_requests,
-                                       std::size_t cold_requests) {
-  ScaleWebOptions opt;
-  opt.hosts = 16;
-  opt.shards = shards;
-  // Clients 0 and 4 (hosts 1 and 5) carry the hot load — under the
-  // (i + 1) % shards placement both land on one shard at 4 shards, which
-  // is exactly the skew live rebalancing exists to fix.
-  opt.per_client_requests.assign(opt.hosts - 1, cold_requests);
-  opt.per_client_requests[0] = hot_requests;
-  opt.per_client_requests[4] = hot_requests;
-  opt.rebalance = rebalance;
-  ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  run_sharded(scale, stack);
-  // The migration oracle: identical across shard counts and rebalance
-  // on/off when migration is sound (check_hostperf.py gates on it).  The
-  // int64 cast keeps the uint64 bit pattern, so equality is preserved.
-  g_last_metrics["shard/causal_digest"] =
-      static_cast<std::int64_t>(scale.group().causal_digest());
-  return g_last_host_perf.events_per_sec;
-}
-
 double measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
                                 std::size_t connections_per_host,
                                 std::size_t shards, std::size_t reap_batch) {

@@ -251,18 +251,6 @@ class BenchResults {
                                             std::size_t shards,
                                             std::size_t requests_per_client);
 
-/// Host events/sec of the skewed ("hotspot") 16-host web workload: two
-/// hosts carry ~80% of the request traffic, so the static (i + 1) % shards
-/// placement leaves one shard much hotter than the rest.  `rebalance`
-/// turns the greedy live-rebalancing policy on; off is the static A/B
-/// baseline.  After the call last_run_metrics() additionally carries
-/// "shard/causal_digest" (bit-cast to int64) — identical across shard
-/// counts and rebalance on/off when migration is sound — next to the
-/// group's shard/epochs, shard/imbalance and shard/migrations gauges.
-[[nodiscard]] double measure_scale_web_hotspot_evps(
-    const StackChoice& stack, std::size_t shards, bool rebalance,
-    std::size_t hot_requests, std::size_t cold_requests);
-
 /// Served requests per wall-clock second of the C10K concurrency workload
 /// (bench/scale.hpp ScaleC10k): 3 client hosts x `connections_per_host`
 /// simultaneous connections against one server, ring (`ring = true`) or

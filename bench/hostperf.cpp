@@ -90,10 +90,6 @@ int main(int argc, char** argv) {
   // memory of a thousand live connections bounded (credits=4 is the
   // paper's web-server setting).
   const std::size_t c10k_conns = smoke ? 8 : 334;
-  // Hotspot skew: two hosts carry ~80% of the request traffic
-  // (2 x hot vs 13 x cold).
-  const std::size_t hot_requests = smoke ? 16 : 240;
-  const std::size_t cold_requests = smoke ? 2 : 9;
   sockets::SubstrateConfig c10k_cfg = sockets::preset("ds_da_uq").cfg;
   c10k_cfg.credits = 4;
   c10k_cfg.buffer_bytes = 2048;
@@ -128,35 +124,6 @@ int main(int argc, char** argv) {
        [&] {
          return measure_scale_web_evps(ds, 16, opt.shards_or(4),
                                        scale_requests);
-       }},
-      // Skewed ("hotspot") web workload: hosts 1 and 5 carry ~80% of the
-      // traffic, and at 4 shards the static (i + 1) % shards placement
-      // parks both on one shard.  Four points: 1 and 2 shards for the
-      // causal-digest parity gate, then 4 shards static vs greedy live
-      // rebalancing.  check_hostperf.py asserts the digests of all four
-      // match, that greedy cuts the per-shard executed-event imbalance at
-      // least 2x vs static, that it runs no more barrier epochs, and that
-      // its wall-clock cost stays within check_hostperf.py's
-      // MIN_HOTSPOT_RATIO of static.
-      {"scale_web_hotspot", &ds, "1shard",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, 1, false, hot_requests,
-                                               cold_requests);
-       }},
-      {"scale_web_hotspot", &ds, "2shards",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, 2, false, hot_requests,
-                                               cold_requests);
-       }},
-      {"scale_web_hotspot", &ds, "4shards_static",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), false,
-                                               hot_requests, cold_requests);
-       }},
-      {"scale_web_hotspot", &ds, "4shards_greedy",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), true,
-                                               hot_requests, cold_requests);
        }},
       // C10K ring-vs-blocking: identical traffic (~1000 simultaneous
       // connections), two servers.  The gated quantity is requests served

@@ -27,17 +27,6 @@ struct ScaleWebOptions {
   std::uint32_t requests_per_connection = 8;  // HTTP/1.1 style
   std::size_t requests_per_client = 64;
   std::uint64_t seed = 1;
-  // Skewed workloads: when non-empty, client idx (serving host idx+1) runs
-  // per_client_requests[idx % size()] requests instead of the uniform
-  // requests_per_client.  The hotspot bench concentrates ~80% of traffic
-  // on two hosts this way.
-  std::vector<std::size_t> per_client_requests = {};
-  // Live rebalancing: install the greedy-by-event-rate policy (sampled
-  // every rebalance_interval_epochs barrier epochs).  Off = placement
-  // stays static, the A/B baseline the rebalance gates compare against.
-  bool rebalance = false;
-  std::uint64_t rebalance_interval_epochs = 64;
-  double rebalance_hysteresis = 1.5;
   // Per-host cable lengths (ns of propagation, cycled over hosts); empty
   // keeps the model's uniform wire.  See apps::Cluster.
   std::vector<sim::Duration> per_host_propagation = {};
@@ -53,21 +42,7 @@ class ScaleWeb {
         group_(opt.shards, default_lookahead(model, opt), opt.seed),
         cluster_(group_, model, opt.hosts, cfg, {}, true,
                  opt.per_host_propagation),
-        per_client_(opt.hosts > 1 ? opt.hosts - 1 : 0) {
-    if (opt.rebalance) {
-      sim::ShardGroup::GreedyRebalanceOptions gopt;
-      gopt.hysteresis = opt.rebalance_hysteresis;
-      group_.set_rebalance_policy(
-          sim::ShardGroup::greedy_rebalance_policy(gopt),
-          opt.rebalance_interval_epochs);
-    }
-  }
-
-  /// Requests client `idx` (host idx + 1) issues this run.
-  [[nodiscard]] std::size_t requests_of_client(std::size_t idx) const {
-    if (opt_.per_client_requests.empty()) return opt_.requests_per_client;
-    return opt_.per_client_requests[idx % opt_.per_client_requests.size()];
-  }
+        per_client_(opt.hosts > 1 ? opt.hosts - 1 : 0) {}
 
   [[nodiscard]] sim::ShardGroup& group() { return group_; }
   [[nodiscard]] apps::Cluster& cluster() { return cluster_; }
@@ -80,12 +55,10 @@ class ScaleWeb {
       os::Process proc(cluster_.node(0).host);
       apps::WebServerOptions so;
       so.requests_per_connection = opt_.requests_per_connection;
-      so.max_connections = 0;
-      for (std::size_t i = 0; i + 1 < opt_.hosts; ++i) {
-        so.max_connections += static_cast<std::size_t>(
-            (requests_of_client(i) + opt_.requests_per_connection - 1) /
-            opt_.requests_per_connection);
-      }
+      so.max_connections =
+          (opt_.hosts - 1) *
+          ((opt_.requests_per_client + opt_.requests_per_connection - 1) /
+           opt_.requests_per_connection);
       co_await apps::web_server(proc, cluster_.stack(0, kind), so);
     };
     auto client = [&](std::size_t idx) -> sim::Task<void> {
@@ -97,12 +70,10 @@ class ScaleWeb {
       co.server_node = 0;
       co.response_bytes = opt_.response_bytes;
       co.requests_per_connection = opt_.requests_per_connection;
-      co.total_requests = requests_of_client(idx);
+      co.total_requests = opt_.requests_per_client;
       co_await apps::web_client(proc, cluster_.stack(idx + 1, kind), co,
                                 per_client_[idx]);
     };
-    // spawn_on tags each workload with its host's domain — the handle live
-    // rebalancing migrates by.  A bare engine.spawn would pin it for good.
     cluster_.spawn_on(0, server());
     for (std::size_t i = 0; i + 1 < opt_.hosts; ++i) {
       cluster_.spawn_on(i + 1, client(i));

@@ -37,21 +37,10 @@ herd, so losing to it is a regression in the ring path, not noise.
 Epoch counts are reported per scenario: each evps point carries its
 "shard/epochs" metric.
 
-The scale_web_hotspot series gates live shard rebalancing: the causal
-digest must be identical on every point (migration may move work between
-shards, never change the simulation), the greedy rebalance point must cut
-the per-shard executed-event imbalance at least 2x vs static placement
-while running no more barrier epochs, and must keep at least 0.7x the
-static point's events/sec: with every window on one thread, balancing
-load across shards buys no wall clock, so the gate bounds what
-rebalancing costs rather than asking for a speedup.
-
-Both ratio bounds were set below the spread of full runs on a 4-vCPU
+The shard ratio bound was set below the spread of full runs on a 4-vCPU
 host, with reps taken round-robin across scenarios (bench/hostperf).
-Taking each scenario's reps back to back instead read greedy/static as
-low as 0.62 in the same code, because host drift landed on one side.
-None of the three ratio gates needs more than one core, so all of them
-apply on every host.
+Neither of the two ratio gates needs more than one core, so both apply on
+every host.
 
 Usage: check_hostperf.py CURRENT [BASELINE] [--min-ratio R] [--allow-missing]
   CURRENT    BENCH_hostperf.json from the build under test
@@ -79,19 +68,10 @@ MIN_SHARD_RATIO = 0.7
 # The completion-ring server must at least match the blocking server on
 # identical C10K traffic (requests per wall second).
 C10K_SERIES = "scale_c10k"
-# Skewed workload measured with rebalancing off and on: greedy migration
-# must cut the per-shard executed-event imbalance at least this factor,
-# run no more barrier epochs, leave the causal digest untouched, and cost
-# no more than 30% wall-clock.  Three full runs on a 4-vCPU host measured
-# greedy/static at 0.85-0.98 (each point ~50 ms, best of 3); the bound
-# sits below that spread.
-HOTSPOT_SERIES = "scale_web_hotspot"
-MIN_HOTSPOT_RATIO = 0.7
-MIN_IMBALANCE_CUT = 2.0
 
 
 def evps_points(path):
-    """(series, x) -> (value, bytes_copied or None, epochs or None, metrics).
+    """(series, x) -> (value, bytes_copied or None, epochs or None).
 
     Covers every wall-clock throughput unit: simulator events/sec ("evps")
     and the C10K scenarios' application requests/sec ("reqps") — both gate
@@ -105,8 +85,7 @@ def evps_points(path):
             metrics = p.get("metrics", {})
             copied = metrics.get("host/bytes_copied")
             epochs = metrics.get("shard/epochs")
-            points[(p["series"], p["x"])] = (
-                float(p["value"]), copied, epochs, metrics)
+            points[(p["series"], p["x"])] = (float(p["value"]), copied, epochs)
     return points
 
 
@@ -140,76 +119,9 @@ def check_c10k_ring(current):
     return []
 
 
-def check_hotspot_rebalance(current):
-    """Structural + wall-clock gates on the skewed-workload rebalance pair.
-
-    Determinism first: the causal digest must be identical on every
-    scale_web_hotspot point present (1/2/4 shards, rebalance off and on) —
-    live migration may move work, never change it.  Then the greedy point
-    must cut the per-shard executed-event imbalance at least
-    MIN_IMBALANCE_CUT vs static placement without running more barrier
-    epochs.  Digest, imbalance and epoch counts are deterministic; the
-    >= MIN_HOTSPOT_RATIO events/sec ratio is the one wall-clock gate.
-    """
-    failures = []
-    hotspot = {x: v for (series, x), v in current.items()
-               if series == HOTSPOT_SERIES}
-    if not hotspot:
-        return []
-    digests = {x: m.get("shard/causal_digest")
-               for x, (_, _, _, m) in hotspot.items()}
-    known = {x: d for x, d in digests.items() if d is not None}
-    if len(set(known.values())) > 1:
-        print(f"FAIL {HOTSPOT_SERIES:<16} causal digests diverge across "
-              f"points: {known}")
-        failures.append((HOTSPOT_SERIES, "digest-parity", 0.0))
-    elif known:
-        print(f"OK   {HOTSPOT_SERIES:<16} causal digest identical on "
-              f"{len(known)} point(s)")
-    for x, d in digests.items():
-        if d is None:
-            print(f"FAIL {HOTSPOT_SERIES:<16} x={x:<14} missing "
-                  "shard/causal_digest metric")
-            failures.append((HOTSPOT_SERIES, x + "-digest-missing", 0.0))
-    static = hotspot.get("4shards_static")
-    greedy = hotspot.get("4shards_greedy")
-    if static is None or greedy is None:
-        return failures
-    s_imb = static[3].get("shard/imbalance")
-    g_imb = greedy[3].get("shard/imbalance")
-    if s_imb and g_imb:
-        cut = s_imb / g_imb
-        status = "OK " if cut >= MIN_IMBALANCE_CUT else "FAIL"
-        print(f"{status} {HOTSPOT_SERIES:<16} imbalance static {s_imb} / "
-              f"greedy {g_imb} = {cut:.2f}x cut "
-              f"(required >= {MIN_IMBALANCE_CUT:.0f}x)")
-        if cut < MIN_IMBALANCE_CUT:
-            failures.append((HOTSPOT_SERIES, "imbalance-cut", cut))
-    migrations = greedy[3].get("shard/migrations")
-    if not migrations:
-        print(f"FAIL {HOTSPOT_SERIES:<16} greedy point applied no "
-              "migrations — the policy never fired")
-        failures.append((HOTSPOT_SERIES, "no-migrations", 0.0))
-    if static[2] is not None and greedy[2] is not None:
-        status = "OK " if greedy[2] <= static[2] else "FAIL"
-        print(f"{status} {HOTSPOT_SERIES:<16} epochs greedy {greedy[2]} vs "
-              "static "
-              f"{static[2]} (rebalancing may not add barrier rounds)")
-        if greedy[2] > static[2]:
-            failures.append((HOTSPOT_SERIES, "rebalance-epochs",
-                             greedy[2] / static[2]))
-    ratio = greedy[0] / static[0] if static[0] > 0 else float("inf")
-    status = "OK " if ratio >= MIN_HOTSPOT_RATIO else "FAIL"
-    print(f"{status} {HOTSPOT_SERIES:<16} greedy/static evps "
-          f"{ratio:5.2f}x (required >= {MIN_HOTSPOT_RATIO:.2f}x)")
-    if ratio < MIN_HOTSPOT_RATIO:
-        failures.append((HOTSPOT_SERIES, "rebalance-vs-static", ratio))
-    return failures
-
-
 def report_epochs(current):
     """Print the epoch count of every evps point that recorded one."""
-    for (series, x), (_, _, epochs, _) in sorted(current.items()):
+    for (series, x), (_, _, epochs) in sorted(current.items()):
         if epochs is not None:
             print(f"     {series:<16} x={x:<14} shard/epochs {epochs}")
 
@@ -242,7 +154,7 @@ def main(argv):
         return 0
 
     failures = []
-    for key, (base, base_copied, _, _) in sorted(baseline.items()):
+    for key, (base, base_copied, _) in sorted(baseline.items()):
         series, x = key
         if key not in current:
             msg = f"scenario {series}/{x} missing from current run"
@@ -252,7 +164,7 @@ def main(argv):
                 print(f"FAIL {msg}")
                 failures.append((series, x, 0.0))
             continue
-        cur, cur_copied, _, _ = current[key]
+        cur, cur_copied, _ = current[key]
         ratio = cur / base if base > 0 else float("inf")
         status = "OK " if ratio >= min_ratio else "FAIL"
         print(f"{status} {series:<16} x={x:<12} "
@@ -271,7 +183,6 @@ def main(argv):
               f"refresh with: cp {current_path} {baseline_path}")
     failures.extend(check_shard_ratio(current))
     failures.extend(check_c10k_ring(current))
-    failures.extend(check_hotspot_rebalance(current))
     report_epochs(current)
 
     if failures:

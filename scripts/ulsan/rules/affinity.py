@@ -3,15 +3,15 @@
 Frame pools, slice pools, slice refcounts and engines are single-threaded
 by contract (DESIGN.md §11): every shard owns its own, and the hot path is
 lock-free *because* nothing is shared.  The one sanctioned crossing is
-``net::Link``'s rehoming transmit path, which deep-copies the frame out of
+``net::Link``'s cross-shard transmit path, which deep-copies the frame out of
 its source shard's allocator world (``clone_for_shard_transfer``) before
 handing it to ``ShardGroup::post_remote``.
 
 Three shapes are flagged:
 
 1. The cross-shard primitives — ``post_remote(`` and
-   ``clone_for_shard_transfer(`` — anywhere outside the rehoming path
-   (``src/net/link.cpp``) and the shard runtime itself
+   ``clone_for_shard_transfer(`` — anywhere outside the cross-shard
+   transmit path (``src/net/link.cpp``) and the shard runtime itself
    (``src/sim/shard.hpp``/``.cpp``).  New cross-shard edges must be
    designed, not sprinkled.
 
@@ -25,19 +25,8 @@ Three shapes are flagged:
    any by-reference or ``this`` capture (the callback runs on another
    shard's thread), or a capture whose name looks like a pool or engine
    handle.  This check applies *inside* the sanctioned files too — the
-   rehoming path must stay clean (value captures of the destination sink
-   and the already-cloned frame only).
-
-4. The live-migration entry points — ``request_domain_migration(``,
-   ``extract_domain(``, ``adopt_domain(`` and ``rehome(`` — outside the
-   sanctioned rebalance path (the shard runtime, ``sim::Engine``'s domain
-   machinery, ``net::Link``'s endpoint rehoming and ``apps::Cluster``'s
-   DomainMigrator).  Migration is barrier-phase surgery on two engines'
-   heaps: a call from anywhere else (an application, a bench, a protocol
-   layer) would move events mid-window and unsound the epoch induction.
-   Policies belong behind ``ShardGroup::set_rebalance_policy``, which runs
-   them on the barrier thread — they never need these primitives outside
-   the group's own call.
+   cross-shard transmit path must stay clean (value captures of the
+   destination sink and the already-cloned frame only).
 """
 
 from __future__ import annotations
@@ -50,16 +39,9 @@ from ..source import (SourceFile, capture_items, has_ref_capture,
 
 ALLOWED_SUFFIXES = ("src/net/link.cpp", "src/sim/shard.hpp",
                     "src/sim/shard.cpp")
-# Live migration additionally touches the engine's domain machinery, the
-# link endpoint rehoming helper, and the cluster's DomainMigrator — the
-# full sanctioned rebalance path.
-MIGRATION_ALLOWED_SUFFIXES = ALLOWED_SUFFIXES + (
-    "src/sim/engine.hpp", "src/net/link.hpp", "src/apps/cluster.hpp")
 POST_REMOTE = re.compile(r"\bpost_remote\s*\(")
 CLONE = re.compile(r"\bclone_for_shard_transfer\s*\(")
 REGISTER = re.compile(r"\bregister_edge_lookahead\s*\(")
-MIGRATION = re.compile(
-    r"\b(request_domain_migration|extract_domain|adopt_domain|rehome)\s*\(")
 HANDLE_NAME = re.compile(r"(?:^|_)(?:pool|eng|engine)s?_?$|pool_?$",
                          re.IGNORECASE)
 
@@ -85,7 +67,7 @@ def _smuggled(capture_list: str) -> str | None:
 @rule(
     "shard-affinity",
     "pool/engine handles or cross-shard primitives outside the sanctioned "
-    "rehoming path",
+    "cross-shard transmit path",
     __doc__,
 )
 def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
@@ -97,13 +79,14 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
         for m in POST_REMOTE.finditer(text):
             findings.append(_finding(
                 sf, m.start(),
-                "post_remote() outside net::Link's rehoming transmit path "
+                "post_remote() outside net::Link's cross-shard transmit path "
                 "— cross-shard edges are designed in src/net/link.cpp, "
                 "nowhere else"))
         for m in CLONE.finditer(text):
             findings.append(_finding(
                 sf, m.start(),
-                "clone_for_shard_transfer() outside the rehoming path — "
+                "clone_for_shard_transfer() outside the cross-shard "
+                "transmit path — "
                 "shard-crossing frames are cloned exactly once, in "
                 "net::Link::transmit"))
         for m in REGISTER.finditer(text):
@@ -113,16 +96,6 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                 "lookaheads are derived from a link's own wire costs when "
                 "a cross-shard edge forms; a hand-written entry that "
                 "overstates a latency silently unsounds every epoch bound"))
-
-    if not any(sf.display.endswith(s) for s in MIGRATION_ALLOWED_SUFFIXES):
-        for m in MIGRATION.finditer(text):
-            findings.append(_finding(
-                sf, m.start(),
-                f"{m.group(1)}() outside the sanctioned rebalance path — "
-                "live migration is barrier-phase surgery on two engines' "
-                "heaps; install a policy via "
-                "ShardGroup::set_rebalance_policy instead of calling the "
-                "migration primitives directly"))
 
     # Capture hygiene on every post_remote callback, sanctioned or not.
     for call in POST_REMOTE.finditer(text):

@@ -64,8 +64,6 @@ class Cluster {
       nodes_.push_back(std::make_unique<Node>(
           eng, model, static_cast<std::uint16_t>(i), net_.host_link(i), cfg,
           tcp_tun, dual_cpu_nic));
-      net_.host_link(i).set_domain(net::StarNetwork::kHostSide,
-                                   domain_of_node(i));
     }
   }
 
@@ -82,37 +80,11 @@ class Cluster {
         net_(group, model.wire, node_count, std::move(per_host_propagation)) {
     nodes_.reserve(node_count);
     for (std::size_t i = 0; i < node_count; ++i) {
-      const std::size_t shard = shard_of_node(i, group.size());
       nodes_.push_back(std::make_unique<Node>(
-          group.shard(shard), model, static_cast<std::uint16_t>(i),
-          net_.host_link(i), cfg, tcp_tun, dual_cpu_nic));
-      net_.host_link(i).set_domain(net::StarNetwork::kHostSide,
-                                   domain_of_node(i));
-      // A host sharing shard 0 with the switch receives local frames by
-      // reference out of the fabric's pools; moving it to another thread
-      // afterwards would race those pools.  Such hosts stay put.
-      group.define_domain(domain_of_node(i),
-                          static_cast<std::uint32_t>(shard), shard != 0);
+          group.shard(shard_of_node(i, group.size())), model,
+          static_cast<std::uint16_t>(i), net_.host_link(i), cfg, tcp_tun,
+          dual_cpu_nic));
     }
-    // Rehome a host's bundle when the group applies a migration.  Captures
-    // `this`: the cluster must outlive every group.run(), the same
-    // lifetime contract the conservation checker below already imposes.
-    group.set_domain_migrator(
-        [this, &group](sim::DomainId d, std::uint32_t, std::uint32_t to) {
-          Node& n = node(d - 1);
-          sim::Engine& dst = group.shard(to);
-          net_.host_link(d - 1).rehome(net::StarNetwork::kHostSide, dst);
-          n.host.rebind(dst);
-          n.nic.rebind(dst);
-          n.emp.rebind(dst);
-          n.tcp.rebind(dst);
-          n.socks.rebind(dst);
-        });
-    group.set_edge_refresher([this] {
-      for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        net_.host_link(i).reregister_lookahead();
-      }
-    });
     // Frames the switch pushed toward host i either arrived at its NIC
     // (counted received or filtered) or are still in flight — never more
     // arrivals than the link carried.  The two sides of the inequality
@@ -143,29 +115,14 @@ class Cluster {
     return shards <= 1 ? 0 : (node + 1) % shards;
   }
 
-  /// Simulation domain of node i (sim::kAmbientDomain = 0 is the fabric,
-  /// so hosts are numbered from 1).
-  [[nodiscard]] static sim::DomainId domain_of_node(std::size_t node) {
-    return static_cast<sim::DomainId>(node + 1);
-  }
-
   /// The engine node i's host stack runs on (eng_ in the serial case).
-  /// Reads through the NIC, so after a live migration it names the node's
-  /// *current* engine — but do not cache it across group.run() calls, and
-  /// use spawn_on() (not node_engine(i).spawn) to start workloads.
   [[nodiscard]] sim::Engine& node_engine(std::size_t i) {
     return node(i).nic.engine();
   }
 
-  /// Spawn `task` on node i's engine, inside node i's domain: every event
-  /// the workload schedules inherits the domain tag, which is what makes
-  /// the whole workload migrate with its host.  A bare
-  /// `node_engine(i).spawn(...)` would tag the root ambient and anchor it
-  /// forever to its birth shard.
+  /// Spawn `task` on node i's engine.
   void spawn_on(std::size_t i, sim::Task<void> task) {
-    sim::Engine& eng = node_engine(i);
-    sim::Engine::DomainScope scope(eng, domain_of_node(i));
-    eng.spawn(std::move(task));
+    node_engine(i).spawn(std::move(task));
   }
 
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }

@@ -76,10 +76,7 @@ sim::Task<void> web_server(os::Process& proc, os::SocketApi& stack,
     int cs = co_await proc.accept(ls);
     ++accepted;
     // Concurrent handling: the accept loop keeps running while earlier
-    // connections are still being served.  The engine is re-read per
-    // accept, never cached across a co_await: live shard rebalancing can
-    // rehome this host between suspensions, and a root spawned on the old
-    // engine would execute on another shard without crossing a barrier.
+    // connections are still being served.
     proc.host().engine().spawn(handle_connection(
         proc, cs, options.requests_per_connection, completed));
   }
@@ -109,10 +106,6 @@ sim::Task<void> web_server_ring(os::Process& proc, os::SocketApi& stack,
   int ls = co_await stack.socket();
   co_await stack.bind(ls, SockAddr{0, options.port});
   co_await stack.listen(ls, options.backlog);
-  // The ring (and therefore this server) is pinned to its birth engine:
-  // os::OpRing holds an Engine& for its completion condvar and has no
-  // rebind.  Ring workloads run with rebalancing off; a migratable ring
-  // host would need OpRing::rebind first.
   auto& eng = proc.host().engine();
 
   os::OpRing ring(eng, stack);
@@ -218,9 +211,6 @@ sim::Task<void> web_client(os::Process& proc, os::SocketApi& stack,
     std::uint32_t batch = static_cast<std::uint32_t>(
         std::min<std::size_t>(options.requests_per_connection,
                               options.total_requests - issued));
-    // Clock reads go through the host's *current* engine (re-read after
-    // every co_await) — a cached reference goes stale when rebalancing
-    // migrates this host.
     sim::Time t0 = proc.host().engine().now();
     int fd = co_await proc.socket(stack);
     co_await proc.connect(fd, SockAddr{options.server_node, options.port});

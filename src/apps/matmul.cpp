@@ -110,8 +110,6 @@ sim::Task<MatmulResult> matmul_master(os::Process& proc, os::SocketApi& stack,
                                       std::size_t n,
                                       std::vector<std::uint16_t> workers,
                                       std::uint16_t port) {
-  // Re-read the host's engine at each clock read instead of caching it:
-  // live shard rebalancing can rehome the host mid-run.
   sim::Time t0 = proc.host().engine().now();
 
   // Connect to every worker and ship its job.

@@ -42,20 +42,6 @@ class Registry {
     std::erase_if(entries_, [id](const Entry& e) { return e.id == id; });
   }
 
-  /// Move one checker into another registry (live shard migration rehomes
-  /// a host's checkers along with its events).  Returns the new id in
-  /// `to`, or 0 if `id` is not registered here.
-  Id transfer(Id id, Registry& to) {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->id == id) {
-        Id nid = to.add(std::move(it->name), std::move(it->fn));
-        entries_.erase(it);
-        return nid;
-      }
-    }
-    return 0;
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
   /// Run every checker.  A violation is rethrown with the checker's name
@@ -111,13 +97,6 @@ class ScopedChecker {
       registry_->remove(id_);
       registry_ = nullptr;
     }
-  }
-
-  /// Re-register with `to`, preserving the checker (migration rehoming).
-  void move_to(Registry& to) {
-    if (registry_ == nullptr || registry_ == &to) return;
-    id_ = registry_->transfer(id_, to);
-    registry_ = id_ != 0 ? &to : nullptr;
   }
 
  private:

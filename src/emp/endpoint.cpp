@@ -84,26 +84,6 @@ EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
 }
 
-void EmpEndpoint::rebind(sim::Engine& eng) {
-  eng_ = &eng;
-  bytes_copied_ = &eng.metrics().counter("host/bytes_copied");
-  // Parked coroutines move with their domain; the events that wake them
-  // must schedule the resume on the engine that now steps them.
-  for (const RecvHandle& r : walk_) {
-    if (r) r->done_evt.rebind(eng);
-  }
-  // Visit order is irrelevant below: each handle is retargeted
-  // independently and nothing is scheduled or allocated.
-  for (auto& [key, b] : bound_) {  // NOLINT(ulsan-determinism)
-    if (b.recv) b.recv->done_evt.rebind(eng);
-  }
-  for (auto& [id, st] : pending_sends_) {  // NOLINT(ulsan-determinism)
-    st->local_evt.rebind(eng);
-    st->acked_evt.rebind(eng);
-  }
-  inv_check_.move_to(eng.checks());
-}
-
 void EmpEndpoint::check_invariants() const {
   // Reliability: a send still pending has neither finished nor failed, its
   // cumulative-ACK progress never exceeds the frames that exist, and the

@@ -188,13 +188,6 @@ class EmpEndpoint {
 
   [[nodiscard]] NodeId node_id() const noexcept { return self_; }
 
-  /// Live shard migration: retarget the endpoint at its host's new engine.
-  /// Rebinds every parked completion event (posted receives, in-flight
-  /// sends), moves the invariant checker, and points the engine-wide
-  /// bytes_copied tally at the new engine's registry (per-engine counters
-  /// are summed across shards in reports, so totals are preserved).  The
-  /// NIC and host CPU are rebound by their owners.  Barrier-only.
-  void rebind(sim::Engine& eng);
   [[nodiscard]] const EmpConfig& config() const noexcept { return config_; }
 
   // ---- Host-side operations (coroutines charging host CPU time) ----

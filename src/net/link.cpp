@@ -98,12 +98,10 @@ sim::Time Link::transmit(Side side, FramePtr frame) {
   sim::Time arrival = from.busy_until + propagation_ns_;
   if (to.eng == from.eng) {
     // EventFn is move-only, so the frame travels in the event itself.
-    // Delivery runs in the receiving side's domain so a later migration of
-    // that domain carries any still-queued arrivals with it.
-    from.eng->schedule_in_domain(
-        arrival, to.domain, [sink = to.sink, f = std::move(frame)]() mutable {
-          if (sink) sink->frame_arrived(std::move(f));
-        });
+    from.eng->schedule_at(arrival,
+                          [sink = to.sink, f = std::move(frame)]() mutable {
+                            if (sink) sink->frame_arrived(std::move(f));
+                          });
   } else {
     // Cross-shard: arrival >= now + serialization(min frame) + propagation
     // = now + min_latency(), which is exactly the edge lookahead this link
@@ -114,8 +112,7 @@ sim::Time Link::transmit(Side side, FramePtr frame) {
         from.shard, to.shard, arrival,
         [sink = to.sink, f = std::move(crossed)]() mutable {
           if (sink) sink->frame_arrived(std::move(f));
-        },
-        to.domain);
+        });
   }
   return from.busy_until;
 }

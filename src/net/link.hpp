@@ -98,33 +98,6 @@ class Link {
     end_[static_cast<int>(side)].drop = std::move(policy);
   }
 
-  /// Tag the simulation domain owning `side`'s component.  Every frame
-  /// delivery to that side is scheduled *in that domain*, so a live
-  /// migration of the domain carries in-flight arrivals along with it.
-  void set_domain(Side side, sim::DomainId domain) {
-    end_[static_cast<int>(side)].domain = domain;
-  }
-
-  /// Move `side` onto another engine (live shard migration).  Barrier-only:
-  /// the ShardGroup's DomainMigrator is the sanctioned caller.  Does not
-  /// re-register lookahead — the group resets its edge matrix after a
-  /// migration wave and then asks every link to reregister_lookahead().
-  void rehome(Side side, sim::Engine& eng) {
-    Endpoint& e = end_[static_cast<int>(side)];
-    e.eng = &eng;
-    resolve_shard(e);
-  }
-
-  /// Re-announce this link's cross-shard edge (if any) to the group.
-  /// Called by the ShardGroup's EdgeRefresher after migrations reset the
-  /// lookahead matrix.
-  void reregister_lookahead() { maybe_register_lookahead(); }
-
-  /// Engine currently driving `side` (post-migration it is the new home).
-  [[nodiscard]] sim::Engine& engine(Side side) const {
-    return *end_[static_cast<int>(side)].eng;
-  }
-
   /// Time to serialize `frame` onto the wire at line rate.
   [[nodiscard]] sim::Duration serialization_time(const Frame& frame) const {
     return sim::serialization_ns(frame.wire_bytes(), bps_);
@@ -153,7 +126,6 @@ class Link {
   struct Endpoint {
     FrameSink* sink = nullptr;   // receiver of frames sent *to* this side
     sim::Engine* eng = nullptr;  // engine this side's component runs on
-    sim::DomainId domain = sim::kAmbientDomain;  // owning simulation domain
     std::uint32_t shard = 0;     // shard index of `eng` (when grouped)
     bool resolved = false;       // shard index is known (group + engine set)
     DropPolicy drop;             // applied to frames sent *from* this side

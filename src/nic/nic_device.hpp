@@ -135,19 +135,6 @@ class NicDevice final : public net::FrameSink {
   }
   [[nodiscard]] sim::SerialResource& dma() noexcept { return dma_; }
 
-  /// Live shard migration: move the firmware processors and DMA engine to
-  /// the new engine.  The link endpoint is rehomed separately by the
-  /// topology owner (apps::Cluster), which also re-registers lookahead.
-  /// Metrics/tracer scopes stay on the birth engine's registries: distinct
-  /// per-host names, written only by whichever thread owns the domain and
-  /// read only at quiesce.  Barrier-only.
-  void rebind(sim::Engine& eng) noexcept {
-    eng_ = &eng;
-    tx_cpu_.rebind(eng);
-    rx_cpu_.rebind(eng);
-    dma_.rebind(eng);
-  }
-
  private:
   void drain_tx() {
     if (tx_queue_.empty()) {

@@ -40,10 +40,6 @@ class RamDiskFs {
             sim::SerialResource& cpu)
       : eng_(&eng), model_(model), cpu_(cpu) {}
 
-  /// Live shard migration: retarget the engine reference (the CPU resource
-  /// is rebound by its owner, os::Host).  Barrier-only.
-  void rebind(sim::Engine& eng) noexcept { eng_ = &eng; }
-
   /// Instantly create a file (test/bench fixture setup; charges no time).
   void install(const std::string& path, std::vector<std::uint8_t> data) {
     files_[path] = std::move(data);

@@ -32,14 +32,6 @@ class Host {
   [[nodiscard]] sim::SerialResource& cpu() noexcept { return cpu_; }
   [[nodiscard]] RamDiskFs& fs() noexcept { return fs_; }
 
-  /// Live shard migration: point the host (CPU, filesystem) at its new
-  /// engine.  Barrier-only; apps::Cluster's DomainMigrator is the caller.
-  void rebind(sim::Engine& eng) noexcept {
-    eng_ = &eng;
-    cpu_.rebind(eng);
-    fs_.rebind(eng);
-  }
-
   /// Charge one system-call round trip.
   [[nodiscard]] sim::Task<void> syscall() {
     co_await cpu_.use(model_.host.syscall_ns);

@@ -33,13 +33,6 @@
 
 namespace ulsocks::sim {
 
-/// Identifies the simulation "domain" an event belongs to — the unit of
-/// live migration between shards (apps::Cluster uses one domain per host).
-/// Domain 0 is the ambient fabric (switch, links, harness glue): never
-/// migrated, and the default for everything that never opts in.
-using DomainId = std::uint32_t;
-inline constexpr DomainId kAmbientDomain = 0;
-
 class Engine {
  public:
   explicit Engine(std::uint64_t seed = 1) : rng_(seed) {}
@@ -61,15 +54,6 @@ class Engine {
   /// `fn` is an EventFn (sim/inline_function.hpp): move-only, and captures
   /// up to its inline capacity cost no heap allocation.
   void schedule_at(Time t, EventFn fn) {
-    schedule_in_domain(t, current_domain_, std::move(fn));
-  }
-
-  /// schedule_at with an explicit domain tag, for the boundary crossings
-  /// where the scheduling context is not the owning domain: link delivery
-  /// (the transmit runs in the sender's domain, the arrival belongs to the
-  /// receiver's) and cross-shard mailbox drains.  Everything scheduled from
-  /// inside an event inherits that event's domain automatically.
-  void schedule_in_domain(Time t, DomainId domain, EventFn fn) {
     ULSOCKS_INVARIANT(
         t >= now_,
         check::msgf("schedule_at in the past: t=%llu < now=%llu",
@@ -86,7 +70,7 @@ class Engine {
       }
     }
     slot_ref(slot) = std::move(fn);
-    const HeapItem item{t, next_seq_++, slot, domain};
+    const HeapItem item{t, next_seq_++, slot};
     // Same-instant events (wake-ups, yields) skip the heaps: a FIFO keeps
     // their seq order for free.  pop_next() explains why this stays exact.
     // The rest use a two-level queue: events inside the near horizon go to
@@ -111,9 +95,8 @@ class Engine {
   /// the event queue at the current time; uncaught exceptions stop the run
   /// and are rethrown from run().
   void spawn(Task<void> process) {
-    roots_.push_back(RootEntry{wrap_root(std::move(process)),
-                               current_domain_});
-    auto h = roots_.back().task.handle();
+    roots_.push_back(wrap_root(std::move(process)));
+    auto h = roots_.back().handle();
     schedule_at(now_, [h] { detail::resume_chain(h); });
     maybe_reap();
   }
@@ -216,117 +199,6 @@ class Engine {
     return next_time();
   }
 
-  // ---- Domains and live migration ----------------------------------------
-  //
-  // Every queued event and every spawned root carries a DomainId.  Events
-  // inherit the domain of the event that scheduled them (step() keeps the
-  // executing event's tag current), so once a host's construction and
-  // spawns run under a DomainScope the whole causal cone of that host stays
-  // tagged — which is what lets ShardGroup lift a host out of one engine
-  // and drop it into another at an epoch barrier (see sim/shard.hpp and
-  // DESIGN.md §14).
-
-  /// The domain tag new events are born with right now.
-  [[nodiscard]] DomainId current_domain() const noexcept {
-    return current_domain_;
-  }
-  void set_current_domain(DomainId d) noexcept { current_domain_ = d; }
-
-  /// RAII domain tag: construction (and coroutine spawns) inside the scope
-  /// are attributed to `d`.
-  class DomainScope {
-   public:
-    DomainScope(Engine& eng, DomainId d) noexcept
-        : eng_(&eng), prev_(eng.current_domain()) {
-      eng.set_current_domain(d);
-    }
-    ~DomainScope() { eng_->set_current_domain(prev_); }
-    DomainScope(const DomainScope&) = delete;
-    DomainScope& operator=(const DomainScope&) = delete;
-
-   private:
-    Engine* eng_;
-    DomainId prev_;
-  };
-
-  /// Events executed so far on behalf of domain `d` — the load signal the
-  /// rebalance policy samples.
-  [[nodiscard]] std::uint64_t domain_events_executed(DomainId d) const
-      noexcept {
-    return d < domain_events_.size() ? domain_events_[d] : 0;
-  }
-
-  /// A domain lifted out of an engine: its pending events in (t, seq)
-  /// order plus the root coroutines spawned under it.  Only ShardGroup's
-  /// barrier-phase migration may call extract/adopt — moving live events
-  /// anywhere else is unsound (ulsan-shard-affinity enforces this).
-  struct MigratedEvent {
-    Time t;
-    EventFn fn;
-  };
-  struct MigratedDomain {
-    DomainId domain = kAmbientDomain;
-    std::vector<MigratedEvent> events;  // sorted by source (t, seq)
-    std::vector<Task<void>> roots;
-  };
-
-  /// Remove every queued event and root tagged `d` from this engine.
-  /// Events come back in their (t, seq) pop order, so adopt_domain can
-  /// re-sequence them without reordering the domain's own causality.
-  [[nodiscard]] MigratedDomain extract_domain(DomainId d) {
-    MigratedDomain out;
-    out.domain = d;
-    std::vector<HeapItem> taken;
-    auto strip = [&](std::vector<HeapItem>& heap) {
-      std::vector<HeapItem> keep;
-      keep.reserve(heap.size());
-      for (const HeapItem& it : heap) {
-        (it.domain == d ? taken : keep).push_back(it);
-      }
-      heap.clear();
-      for (const HeapItem& it : keep) heap_push(heap, it);
-    };
-    strip(heap_);
-    strip(far_);
-    std::vector<HeapItem> lane_keep;
-    for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
-      (lane_[i].domain == d ? taken : lane_keep).push_back(lane_[i]);
-    }
-    lane_ = std::move(lane_keep);
-    lane_head_ = 0;
-    std::sort(taken.begin(), taken.end(), [](const HeapItem& a,
-                                             const HeapItem& b) {
-      return before(a, b);
-    });
-    out.events.reserve(taken.size());
-    for (const HeapItem& it : taken) {
-      EventFn& fn = slot_ref(it.slot);
-      out.events.push_back(MigratedEvent{it.t, std::move(fn)});
-      fn.reset();
-      free_slots_.push_back(it.slot);
-    }
-    for (RootEntry& r : roots_) {
-      if (r.domain == d) out.roots.push_back(std::move(r.task));
-    }
-    std::erase_if(roots_, [](const RootEntry& r) { return !r.task.handle(); });
-    return out;
-  }
-
-  /// Adopt a domain extracted from another engine.  Pre: every event time
-  /// is >= now() (the shard barrier protocol guarantees this before it
-  /// applies a migration).  Events are re-sequenced in their original
-  /// order, so the domain's same-timestamp causality is preserved.
-  void adopt_domain(MigratedDomain&& m) {
-    for (MigratedEvent& ev : m.events) {
-      schedule_in_domain(ev.t, m.domain, std::move(ev.fn));
-    }
-    for (Task<void>& t : m.roots) {
-      roots_.push_back(RootEntry{std::move(t), m.domain});
-    }
-    m.events.clear();
-    m.roots.clear();
-  }
-
   /// True while any event is queued.
   [[nodiscard]] bool has_pending() const noexcept { return pending(); }
 
@@ -378,7 +250,6 @@ class Engine {
     Time t;
     std::uint64_t seq;
     std::uint32_t slot;
-    DomainId domain;  // fills what used to be padding: still 24 bytes
   };
   static_assert(std::is_trivially_copyable_v<HeapItem>);
   static_assert(sizeof(HeapItem) == 24);
@@ -493,18 +364,6 @@ class Engine {
     digest_ = mix64(digest_ ^ ev.t);
     digest_ = mix64(digest_ ^ ev.seq);
     causal_digest_ += mix64(ev.t);
-    // The executing event's domain becomes the ambient tag: everything it
-    // schedules or spawns inherits it.  current_engine_ routes root-frame
-    // error reporting to the engine actually stepping the coroutine, which
-    // after a migration is not the engine that spawned it.
-    current_domain_ = ev.domain;
-    current_engine_ = this;
-    if (ev.domain != kAmbientDomain) {
-      if (ev.domain >= domain_events_.size()) {
-        domain_events_.resize(ev.domain + 1, 0);
-      }
-      ++domain_events_[ev.domain];
-    }
     // Execute in place: slot pages are address-stable (the page directory
     // may grow during fn(), the pages never move), so no relocating move of
     // the inline capture is needed per event.  The slot is recycled only
@@ -522,24 +381,18 @@ class Engine {
     }
   }
 
-  // Static on purpose: a member coroutine would capture the engine that
-  // SPAWNED the root, but a migrated root finishes on the engine that now
-  // steps it.  current_engine_ (set by step()) is always the stepping
-  // engine — roots only ever resume inside events.
-  static Task<void> wrap_root(Task<void> process) {
+  Task<void> wrap_root(Task<void> process) {
     try {
       co_await process;
     } catch (...) {
-      if (current_engine_ != nullptr) {
-        current_engine_->root_error_ = std::current_exception();
-        current_engine_->stop_ = true;
-      }
+      root_error_ = std::current_exception();
+      stop_ = true;
     }
   }
 
   void maybe_reap() {
     if (roots_.size() < reap_watermark_) return;
-    std::erase_if(roots_, [](const RootEntry& r) { return r.task.done(); });
+    std::erase_if(roots_, [](const Task<void>& t) { return t.done(); });
     // Back off geometrically: the next full scan happens only once the
     // surviving set has doubled, so N spawns cost O(N) amortized scanning
     // instead of the O(N^2) of sweeping every spawn past a fixed floor.
@@ -581,18 +434,9 @@ class Engine {
   std::vector<std::unique_ptr<EventFn[]>> slot_pages_;
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   std::uint32_t slot_count_ = 0;           // slots ever created
-  struct RootEntry {
-    Task<void> task;
-    DomainId domain;
-  };
-  std::vector<RootEntry> roots_;
+  std::vector<Task<void>> roots_;
   std::size_t reap_watermark_ = 64;
   std::exception_ptr root_error_;
-  DomainId current_domain_ = kAmbientDomain;
-  std::vector<std::uint64_t> domain_events_;  // executed, indexed by domain
-  // The engine currently inside step() on this thread (run_points()
-  // workers each step their own engines, so thread-local is exact).
-  inline static thread_local Engine* current_engine_ = nullptr;
   Rng rng_;
 };
 

@@ -21,11 +21,6 @@ class SerialResource {
   SerialResource(const SerialResource&) = delete;
   SerialResource& operator=(const SerialResource&) = delete;
 
-  /// Schedule future completions on another engine (live shard migration).
-  /// Only legal between epochs, with no job completion event in flight on
-  /// the old engine that the migration protocol has not already moved.
-  void rebind(Engine& eng) noexcept { eng_ = &eng; }
-
   /// Enqueue a job costing `cost`; `done` (optional) runs at completion.
   /// Returns the completion time.
   Time run(Duration cost, EventFn done = {}) {

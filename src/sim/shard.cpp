@@ -30,7 +30,6 @@ ShardGroup::ShardGroup(std::size_t shards, Duration lookahead,
   (void)metrics_.counter("shard/epochs");
   (void)metrics_.counter("shard/barrier_skips");
   (void)metrics_.counter("shard/remote_events");
-  (void)metrics_.counter("shard/migrations");
   (void)metrics_.gauge("shard/imbalance");
   checks_.add("sim.shard.mailbox_conservation", [this] {
     std::uint64_t posted = 0;
@@ -122,7 +121,7 @@ void ShardGroup::refresh_dist() {
 }
 
 void ShardGroup::post_remote(std::uint32_t src, std::uint32_t dst, Time t,
-                             EventFn fn, DomainId domain) {
+                             EventFn fn) {
   const std::size_t n = engines_.size();
   ULSOCKS_INVARIANT(src < n && dst < n && src != dst,
                     "post_remote: bad shard pair");
@@ -143,7 +142,7 @@ void ShardGroup::post_remote(std::uint32_t src, std::uint32_t dst, Time t,
                   static_cast<unsigned long long>(engines_[src]->now()), src,
                   dst, static_cast<unsigned long long>(w)));
   Mailbox& b = box(src, dst);
-  b.entries.push_back(MailEntry{t, b.next_seq++, src, domain, std::move(fn)});
+  b.entries.push_back(MailEntry{t, b.next_seq++, src, std::move(fn)});
 }
 
 bool ShardGroup::begin_epoch() {
@@ -201,29 +200,7 @@ bool ShardGroup::begin_epoch() {
   for (std::size_t i = 0; i < n; ++i) {
     runnable_[i] = tnext_[i] < bounds_[i] ? 1 : 0;
   }
-  clamp_for_pending_migrations();
   return true;
-}
-
-void ShardGroup::clamp_for_pending_migrations() {
-  // While a migration (domain d: from -> to) waits for its barrier, cap
-  // the destination's window at the source's: dst then never executes an
-  // event at or past bound_src, so once src has run a window to bound_src
-  // every event the domain still owns (all t >= bound_src) is strictly in
-  // dst's future and apply_migrations() can adopt them.  Lowering a bound
-  // is always conservative, so soundness is untouched; progress holds
-  // because the global minimum — and with it bound_src — strictly
-  // increases every epoch while a clamped dst's clock is frozen at or
-  // below it.
-  if (pending_migrations_.empty()) return;
-  for (const PendingMigration& m : pending_migrations_) {
-    const std::uint32_t from = placement_[m.domain].shard;
-    if (from == m.to) continue;
-    if (bounds_[from] < bounds_[m.to]) bounds_[m.to] = bounds_[from];
-  }
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    runnable_[i] = tnext_[i] < bounds_[i] ? 1 : 0;
-  }
 }
 
 std::vector<Time> ShardGroup::plan_bounds() {
@@ -299,62 +276,12 @@ void ShardGroup::run_shard(std::size_t i) {
 
 void ShardGroup::finish_epoch() {
   deliver_mailboxes();
-  // Apply after the drain: a mailbox entry delivered to the source this
-  // barrier honours bound_src (the per-delivery debug check above), so it
-  // also satisfies the migration condition and moves with the domain.
-  apply_migrations();
-  // Policy cadence in epochs, not wall clock: the proposal schedule is a
-  // pure function of the workload, so migration-on runs are deterministic.
-  if (policy_ && epochs_ - last_policy_epoch_ >= policy_epoch_interval_) {
-    last_policy_epoch_ = epochs_;
-    policy_(*this);
-  }
   // Coalesced streaks advance epochs_ by more than one between barriers;
   // compare against the last sweep instead of a modulus.
   if (check_epoch_interval_ != 0 &&
       epochs_ - last_check_epoch_ >= check_epoch_interval_) {
     last_check_epoch_ = epochs_;
     checks_.run_all();
-  }
-}
-
-void ShardGroup::apply_migrations() {
-  if (pending_migrations_.empty()) return;
-  std::vector<PendingMigration> defer;
-  bool moved_any = false;
-  for (const PendingMigration& m : pending_migrations_) {
-    const std::uint32_t from = placement_[m.domain].shard;
-    if (from == m.to) continue;  // raced with a manual move; nothing to do
-    // Soundness condition: everything the domain still owns has
-    // t >= bound_src (the source just ran a window to that bound, or was
-    // not runnable with T_src >= bound_src, or drained with nothing left),
-    // so adopting is legal iff dst's clock is strictly below it.
-    const Time b = bounds_[from];
-    if (!(b == kNoBound || engines_[m.to]->now() < b)) {
-      defer.push_back(m);
-      continue;
-    }
-    Engine::MigratedDomain dom = engines_[from]->extract_domain(m.domain);
-    engines_[m.to]->adopt_domain(std::move(dom));
-    placement_[m.domain].shard = m.to;
-    ++placement_version_;
-    ++migrations_;
-    migration_log_.push_back(MigrationRecord{epochs_, m.domain, from, m.to});
-    // The host bundle (engine pointers, link endpoint, condvars,
-    // checkers) rebinds after its events moved, before anything runs.
-    if (migrator_) migrator_(m.domain, from, m.to);
-    moved_any = true;
-  }
-  pending_migrations_ = std::move(defer);
-  if (moved_any) {
-    // The cross-shard edge set changed with the endpoints: drop every
-    // registered edge and let the links re-declare their true costs, then
-    // reclose before the next epoch plans bounds.
-    if (any_registered_) {
-      std::fill(edges_.begin(), edges_.end(), kUnreachable);
-      if (edge_refresher_) edge_refresher_();
-    }
-    dist_dirty_ = true;
   }
 }
 
@@ -391,7 +318,7 @@ void ShardGroup::deliver_mailboxes() {
                       static_cast<unsigned long long>(dst),
                       static_cast<unsigned long long>(bounds_[dst]), e.src));
 #endif
-      engines_[dst]->schedule_in_domain(e.t, e.domain, std::move(e.fn));
+      engines_[dst]->schedule_at(e.t, std::move(e.fn));
       ++delivered_;
     }
     scratch_.clear();
@@ -400,13 +327,7 @@ void ShardGroup::deliver_mailboxes() {
 
 void ShardGroup::run(unsigned /*threads*/) {
   while (begin_epoch()) {
-    // A coalesced streak skips barriers, but pending migrations need the
-    // per-epoch clamp + apply check a barrier provides — suspend coalescing
-    // until the pending set drains.  Each micro-window equals the window a
-    // full barrier replan would produce, so suspending changes no schedule,
-    // only the bookkeeping pace.
-    const std::size_t lone =
-        pending_migrations_.empty() ? single_runnable() : kNone;
+    const std::size_t lone = single_runnable();
     if (lone != kNone) {
       barrier_skips_ += coalesce_single(lone);
     } else {
@@ -430,11 +351,8 @@ void ShardGroup::flush_metrics() {
   metrics_.counter("shard/remote_events")
       .inc(delivered_ - delivered_flushed_);
   delivered_flushed_ = delivered_;
-  metrics_.counter("shard/migrations").inc(migrations_ - migrations_flushed_);
-  migrations_flushed_ = migrations_;
-  // Final-placement load skew: max/min per-shard executed events, in
-  // permille (1000 = perfectly balanced).  The quantity the hostperf
-  // imbalance gate compares between rebalance-on and rebalance-off runs.
+  // Load skew of the static placement: max/min per-shard executed events,
+  // in permille (1000 = perfectly balanced).
   std::uint64_t lo = ~std::uint64_t{0};
   std::uint64_t hi = 0;
   for (const auto& e : engines_) {
@@ -471,130 +389,6 @@ std::vector<std::uint64_t> ShardGroup::events_executed_per_shard() const {
   out.reserve(engines_.size());
   for (const auto& e : engines_) out.push_back(e->events_executed());
   return out;
-}
-
-std::uint64_t ShardGroup::domain_events_executed(DomainId d) const {
-  std::uint64_t n = 0;
-  for (const auto& e : engines_) n += e->domain_events_executed(d);
-  return n;
-}
-
-void ShardGroup::define_domain(DomainId d, std::uint32_t shard,
-                               bool migratable) {
-  ULSOCKS_INVARIANT(shard < engines_.size(), "define_domain: bad shard");
-  ULSOCKS_INVARIANT(d != kAmbientDomain,
-                    "the ambient domain is the fabric; it has no single "
-                    "placement and never migrates");
-  if (d >= placement_.size()) placement_.resize(d + 1);
-  ULSOCKS_INVARIANT(!placement_[d].defined,
-                    "define_domain: domain already defined");
-  placement_[d] = Placement{shard, true, migratable};
-}
-
-std::uint32_t ShardGroup::shard_of_domain(DomainId d) const {
-  ULSOCKS_INVARIANT(d < placement_.size() && placement_[d].defined,
-                    "shard_of_domain: undefined domain");
-  return placement_[d].shard;
-}
-
-bool ShardGroup::domain_migratable(DomainId d) const {
-  return d < placement_.size() && placement_[d].defined &&
-         placement_[d].migratable;
-}
-
-void ShardGroup::request_domain_migration(DomainId d, std::uint32_t to) {
-  ULSOCKS_INVARIANT(to < engines_.size(),
-                    "request_domain_migration: bad target shard");
-  ULSOCKS_INVARIANT(d < placement_.size() && placement_[d].defined,
-                    "request_domain_migration: undefined domain");
-  ULSOCKS_INVARIANT(placement_[d].migratable,
-                    "request_domain_migration: domain is not migratable");
-  if (placement_[d].shard == to) return;
-  for (const PendingMigration& m : pending_migrations_) {
-    if (m.domain == d) return;  // first request wins until it applies
-  }
-  pending_migrations_.push_back(PendingMigration{d, to});
-}
-
-ShardGroup::RebalancePolicy ShardGroup::greedy_rebalance_policy(
-    GreedyRebalanceOptions opt) {
-  struct State {
-    std::vector<std::uint64_t> last_shard;
-    std::vector<std::uint64_t> last_domain;
-    std::uint64_t cooldown_left = 0;
-  };
-  auto st = std::make_shared<State>();
-  return [opt, st](ShardGroup& g) {
-    const std::size_t n = g.size();
-    std::vector<std::uint64_t> totals = g.events_executed_per_shard();
-    if (st->last_shard.size() != n) st->last_shard.assign(n, 0);
-    std::vector<std::uint64_t> load(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      load[i] = totals[i] - st->last_shard[i];
-    }
-    st->last_shard = std::move(totals);
-    // Per-domain interval deltas: the weight of a domain must be windowed
-    // like the shard loads are, or a long-resident domain's cumulative
-    // count dwarfs every interval load and no move ever looks improving.
-    const std::size_t nd = g.placement_.size();
-    if (st->last_domain.size() < nd) st->last_domain.resize(nd, 0);
-    std::vector<std::uint64_t> dload(nd, 0);
-    for (DomainId d = 1; d < nd; ++d) {
-      const std::uint64_t tot = g.domain_events_executed(d);
-      dload[d] = tot - st->last_domain[d];
-      st->last_domain[d] = tot;
-    }
-    if (st->cooldown_left > 0) {
-      --st->cooldown_left;
-      return;
-    }
-    std::vector<std::uint32_t> targets = opt.targets;
-    if (targets.empty()) {
-      for (std::uint32_t i = 1; i < n; ++i) targets.push_back(i);
-    }
-    if (targets.empty()) return;
-    // Hottest shard overall vs coldest shard allowed to receive (ties to
-    // the lowest index keep the choice deterministic).
-    std::size_t hot = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (load[i] > load[hot]) hot = i;
-    }
-    std::uint32_t cold = targets[0];
-    for (std::uint32_t t : targets) {
-      if (load[t] < load[cold]) cold = t;
-    }
-    if (cold == hot) return;
-    // Hysteresis: integer compare (load_hot * den >= load_cold * num for
-    // num/den = hysteresis) would demand a rational; doubles are exact
-    // enough for a threshold and identical on every run of the same
-    // counters.
-    const double floor_load = static_cast<double>(
-        load[cold] == 0 ? 1 : load[cold]);
-    if (static_cast<double>(load[hot]) < opt.hysteresis * floor_load) {
-      return;
-    }
-    // Largest migratable domain on the hot shard that still improves the
-    // balance: moving weight w helps iff load_cold + w < load_hot (both
-    // resulting sides then sit below the old maximum).  This naturally
-    // refuses to move a domain heavier than the gap — the hot server
-    // itself never thrashes between shards.
-    DomainId best = kAmbientDomain;
-    std::uint64_t best_w = 0;
-    for (DomainId d = 1; d < nd; ++d) {
-      if (!g.placement_[d].defined || !g.placement_[d].migratable) continue;
-      if (g.placement_[d].shard != hot) continue;
-      const std::uint64_t w = dload[d];
-      if (w == 0) continue;
-      if (load[cold] + w >= load[hot]) continue;
-      if (w > best_w) {
-        best_w = w;
-        best = d;
-      }
-    }
-    if (best == kAmbientDomain) return;
-    g.request_domain_migration(best, cold);
-    st->cooldown_left = opt.cooldown_epochs;
-  };
 }
 
 Time ShardGroup::now() const {

@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -104,11 +103,8 @@ class ShardGroup {
   /// Post `fn` to run at absolute time `t` on shard `dst`.  Must be called
   /// by shard `src` during its window (or at the barrier); `t` must honour
   /// edge_lookahead(src, dst) relative to src's clock.  Entries are
-  /// delivered at the next epoch barrier in (t, seq, src) order.  `domain`
-  /// tags the delivered event with its owning simulation domain (the
-  /// receiving host), so a later migration carries it along.
-  void post_remote(std::uint32_t src, std::uint32_t dst, Time t, EventFn fn,
-                   DomainId domain = kAmbientDomain);
+  /// delivered at the next epoch barrier in (t, seq, src) order.
+  void post_remote(std::uint32_t src, std::uint32_t dst, Time t, EventFn fn);
 
   /// Run all shards to completion on the calling thread: each epoch steps
   /// every runnable shard's window in shard order, then drains the
@@ -129,119 +125,9 @@ class ShardGroup {
   /// Total events executed across all shards.
   [[nodiscard]] std::uint64_t events_executed() const;
 
-  /// Per-shard executed-event counts in shard order — the load signal the
-  /// rebalance policy samples and the imbalance number the hostperf JSON
-  /// block reports.
+  /// Per-shard executed-event counts in shard order (the hostperf JSON
+  /// block reports them as `events_per_shard`).
   [[nodiscard]] std::vector<std::uint64_t> events_executed_per_shard() const;
-
-  /// Events executed on behalf of domain `d`, summed across shards (a
-  /// migrated domain's history spans engines).
-  [[nodiscard]] std::uint64_t domain_events_executed(DomainId d) const;
-
-  // ---- Live rebalancing (DESIGN.md §14) -----------------------------------
-  //
-  // A "domain" (apps::Cluster: one host) can be rehomed from one shard's
-  // engine to another at an epoch barrier.  The placement map is versioned
-  // in the DAOS pool_map style: every applied migration bumps the version,
-  // so any cached domain -> shard resolution can be validated with one
-  // integer compare instead of re-reading the map.
-  //
-  // Soundness (the §11 induction survives): a requested migration is only
-  // APPLIED at a barrier where dst.now() < the bound src just ran to —
-  // then every event the domain still owns has t >= bound_src > dst.now(),
-  // so adoption cannot schedule into dst's past.  While a request is
-  // pending the scheduler clamps bound_dst <= bound_src each epoch (and
-  // suspends sole-runnable coalescing), so dst stops advancing and the
-  // strictly-increasing global minimum eventually satisfies the condition.
-  // The schedule is driven entirely by epoch/event counts, never wall
-  // clock, so runs are bit-deterministic.
-
-  /// Declare a domain and its initial placement.  `migratable` marks
-  /// domains the policy may move; apps::Cluster only marks hosts that
-  /// never share a shard (and therefore never share pool-backed frames by
-  /// reference) with the fabric shard 0.
-  void define_domain(DomainId d, std::uint32_t shard, bool migratable);
-
-  [[nodiscard]] std::uint32_t shard_of_domain(DomainId d) const;
-  [[nodiscard]] bool domain_migratable(DomainId d) const;
-  /// Placement-map version: 1 at construction, +1 per applied migration.
-  [[nodiscard]] std::uint64_t placement_version() const noexcept {
-    return placement_version_;
-  }
-  [[nodiscard]] std::uint64_t migrations_applied() const noexcept {
-    return migrations_;
-  }
-
-  /// One applied migration: which domain moved where, at which barrier
-  /// epoch.  The log is the auditable migration schedule — the
-  /// schedule-pin test fixes its length.
-  struct MigrationRecord {
-    std::uint64_t epoch;
-    DomainId domain;
-    std::uint32_t from;
-    std::uint32_t to;
-    friend bool operator==(const MigrationRecord&,
-                           const MigrationRecord&) = default;
-  };
-  [[nodiscard]] const std::vector<MigrationRecord>& migration_log()
-      const noexcept {
-    return migration_log_;
-  }
-
-  /// Ask for `d` to be rehomed onto shard `to`.  Never applied mid-window:
-  /// the request is queued and executed at the next epoch barrier that
-  /// satisfies the soundness condition above.  Requests for a domain with
-  /// one already pending, or a no-op target, are ignored.
-  void request_domain_migration(DomainId d, std::uint32_t to);
-
-  /// Hook invoked at the barrier, after a domain's events moved engines:
-  /// the topology owner rebinds the host bundle (engine pointers, link
-  /// endpoint, condvars, checkers) from shard `from` to `to`.
-  using DomainMigrator =
-      std::function<void(DomainId, std::uint32_t from, std::uint32_t to)>;
-  void set_domain_migrator(DomainMigrator fn) { migrator_ = std::move(fn); }
-
-  /// Hook invoked after migrations reset the edge matrix: the topology
-  /// owner re-registers every cross-shard link's lookahead (the closure is
-  /// then recomputed before the next epoch plans its bounds).
-  using EdgeRefresher = std::function<void()>;
-  void set_edge_refresher(EdgeRefresher fn) {
-    edge_refresher_ = std::move(fn);
-  }
-
-  /// Pluggable load-balancing policy, evaluated at the barrier every
-  /// `every_n_epochs` epochs.  The policy reads the group's load
-  /// telemetry and calls request_domain_migration(); pass nullptr to turn
-  /// rebalancing off (the default — placement then stays static).
-  using RebalancePolicy = std::function<void(ShardGroup&)>;
-  void set_rebalance_policy(RebalancePolicy fn,
-                            std::uint64_t every_n_epochs = 64) {
-    policy_ = std::move(fn);
-    policy_epoch_interval_ = every_n_epochs == 0 ? 1 : every_n_epochs;
-  }
-
-  struct GreedyRebalanceOptions {
-    /// Move only when the hottest shard carries at least this multiple of
-    /// the coldest allowed shard's load (per-interval event deltas).
-    double hysteresis = 1.5;
-    /// Epochs to wait after an applied or requested move before proposing
-    /// another (0 = none beyond the sampling interval itself).
-    std::uint64_t cooldown_epochs = 0;
-    /// Shards eligible to RECEIVE domains.  Empty = every shard except 0
-    /// (the fabric shard: parking a host there would co-locate it with the
-    /// switch and strip its migratability, see define_domain).
-    std::vector<std::uint32_t> targets;
-  };
-  /// Greedy-by-event-rate policy: at each evaluation, if the hottest
-  /// shard's load delta exceeds hysteresis x the coldest target's, move
-  /// the largest migratable domain that still improves the balance
-  /// (load_cold + w < load_hot) onto the coldest target.  One move per
-  /// evaluation; all decisions are functions of deterministic counters.
-  [[nodiscard]] static RebalancePolicy greedy_rebalance_policy(
-      GreedyRebalanceOptions opt);
-  [[nodiscard]] static RebalancePolicy greedy_rebalance_policy() {
-    return greedy_rebalance_policy(GreedyRebalanceOptions{});
-  }
 
   /// Latest shard clock (the simulated end time of the run).
   [[nodiscard]] Time now() const;
@@ -265,7 +151,8 @@ class ShardGroup {
 
   /// Group-level scheduler metrics, distinct from any shard's registry:
   /// `shard/epoch_ns` (histogram of simulated global-clock advance per
-  /// epoch), `shard/epochs`, `shard/barrier_skips`, `shard/remote_events`.
+  /// epoch), `shard/epochs`, `shard/barrier_skips`, `shard/remote_events`,
+  /// `shard/imbalance` (final max/min per-shard executed events, permille).
   /// Flushed at the end of every run(); safe to snapshot when quiesced.
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
 
@@ -299,7 +186,6 @@ class ShardGroup {
     Time t;
     std::uint64_t seq;  // push ordinal within the (src, dst) mailbox
     std::uint32_t src;
-    DomainId domain;  // owning domain of the delivered event
     EventFn fn;
   };
   // One mailbox per (src, dst) pair, written only during src's window.
@@ -344,15 +230,9 @@ class ShardGroup {
   std::size_t coalesce_single(std::size_t i);
   /// Execute shard i's window up to bounds_[i] (to drain under kNoBound).
   void run_shard(std::size_t i);
-  /// Drain mailboxes, apply any barrier-ready migrations, evaluate the
-  /// rebalance policy, sweep group checkers.
+  /// Drain mailboxes, sweep group checkers.
   void finish_epoch();
   void deliver_mailboxes();
-  /// Clamp pending-migration destinations' bounds (bound_dst <= bound_src)
-  /// so the apply condition eventually holds; refreshes runnable_.
-  void clamp_for_pending_migrations();
-  /// Apply every pending migration whose soundness condition holds.
-  void apply_migrations();
   void flush_metrics();
 
   /// Windows a quiet single-shard streak may run before forcing a full
@@ -383,29 +263,6 @@ class ShardGroup {
   std::uint64_t delivered_flushed_ = 0;
   std::uint64_t last_check_epoch_ = 0;
   std::uint64_t check_epoch_interval_ = 256;
-
-  // Versioned placement map (domain -> shard), pending requests, and the
-  // rebalance machinery.  All mutated at the barrier only.
-  struct Placement {
-    std::uint32_t shard = 0;
-    bool defined = false;
-    bool migratable = false;
-  };
-  struct PendingMigration {
-    DomainId domain;
-    std::uint32_t to;
-  };
-  std::vector<Placement> placement_;  // indexed by DomainId
-  std::vector<PendingMigration> pending_migrations_;
-  std::vector<MigrationRecord> migration_log_;
-  std::uint64_t placement_version_ = 1;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t migrations_flushed_ = 0;
-  DomainMigrator migrator_;
-  EdgeRefresher edge_refresher_;
-  RebalancePolicy policy_;
-  std::uint64_t policy_epoch_interval_ = 64;
-  std::uint64_t last_policy_epoch_ = 0;
 };
 
 }  // namespace ulsocks::sim

@@ -68,11 +68,6 @@ class CondVar {
     return waiters_.size();
   }
 
-  /// Point future notifies at another engine (live shard migration: the
-  /// parked waiters move with their host, so wake events must land on the
-  /// engine that now steps them).  Only legal between epochs.
-  void rebind(Engine& eng) noexcept { eng_ = &eng; }
-
  private:
   Engine* eng_;
   std::vector<std::coroutine_handle<>> waiters_;
@@ -95,7 +90,6 @@ class ManualEvent {
 
   void reset() noexcept { set_ = false; }
   [[nodiscard]] bool is_set() const noexcept { return set_; }
-  void rebind(Engine& eng) noexcept { cv_.rebind(eng); }
 
  private:
   bool set_ = false;

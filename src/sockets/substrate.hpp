@@ -43,18 +43,6 @@ class EmpSocketStack final : public os::SocketApi {
                  os::Host& host, emp::EmpEndpoint& ep,
                  SubstrateConfig default_config = {});
 
-  /// Live shard migration: retarget wakeups and spawns at the new engine,
-  /// move the invariant checker, and point the engine-wide copy tallies at
-  /// the new engine's registry (summed across shards in reports).  The
-  /// host and EMP endpoint are rebound by their owners.  Barrier-only.
-  void rebind(sim::Engine& eng) {
-    eng_ = &eng;
-    activity_.rebind(eng);
-    bytes_copied_ = &eng.metrics().counter("host/bytes_copied");
-    recv_scratch_hwm_ = &eng.metrics().gauge("host/recv_scratch_hwm");
-    inv_check_.move_to(eng.checks());
-  }
-
   // SocketApi.
   sim::Task<int> socket() override;
   sim::Task<void> bind(int sd, os::SockAddr local) override;

@@ -74,17 +74,6 @@ class TcpStack final : public os::SocketApi {
   }
   [[nodiscard]] std::uint16_t node() const noexcept { return node_; }
 
-  /// Live shard migration: retarget timers and wakeups at the new engine
-  /// and move the engine-wide copy tallies to its registry (summed across
-  /// shards in reports, so totals survive the move).  Host and NIC are
-  /// rebound by their owners.  Barrier-only.
-  void rebind(sim::Engine& eng) noexcept {
-    eng_ = &eng;
-    activity_.rebind(eng);
-    bytes_copied_ = &eng.metrics().counter("host/bytes_copied");
-    recv_scratch_hwm_ = &eng.metrics().gauge("host/recv_scratch_hwm");
-  }
-
  private:
   enum class State : std::uint8_t {
     kClosed,

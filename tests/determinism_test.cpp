@@ -611,43 +611,6 @@ ShardSignature run_sharded_echo(std::size_t shards,
           group.now(), echoed};
 }
 
-/// run_sharded_echo plus a deterministic round-robin migration schedule:
-/// every `every_n_epochs` barrier epochs the policy bounces one of the two
-/// host domains onto the next non-fabric shard, cycling forever.  Roots go
-/// through Cluster::spawn_on so the whole workload carries its host's
-/// domain tag and migrates with it; the schedule is a pure function of the
-/// epoch count, never wall clock.
-ShardSignature run_migrating_echo(
-    std::size_t shards, std::uint64_t every_n_epochs,
-    const ShardEchoOptions& opt = {},
-    std::vector<sim::ShardGroup::MigrationRecord>* log = nullptr,
-    GroupStats* stats = nullptr) {
-  const sim::CostModel model = sim::calibrated_cost_model();
-  sim::ShardGroup group(shards, echo_lookahead(model, opt), opt.seed);
-  Cluster cl(group, model, 2, opt.cfg, {}, true, opt.per_host_propagation);
-  shard_echo_losses(cl, opt);
-  auto tick = std::make_shared<std::uint64_t>(0);
-  group.set_rebalance_policy(
-      [tick](sim::ShardGroup& g) {
-        const std::uint64_t t = (*tick)++;
-        const auto d = static_cast<sim::DomainId>(1 + t % 2);
-        if (!g.domain_migratable(d)) return;
-        g.request_domain_migration(
-            d, static_cast<std::uint32_t>(1 + t % (g.size() - 1)));
-      },
-      every_n_epochs);
-  std::uint64_t echoed = 0;
-  cl.spawn_on(1, shard_echo_server(shard_echo_api(cl, 1, opt.use_tcp)));
-  cl.spawn_on(0, shard_echo_client(shard_echo_api(cl, 0, opt.use_tcp),
-                                   opt.seed ^ 0xabcdefull, opt.rounds,
-                                   &echoed));
-  group.run();
-  if (log != nullptr) *log = group.migration_log();
-  if (stats != nullptr) *stats = group_stats(group);
-  return {group.digest(), group.causal_digest(), group.events_executed(),
-          group.now(), echoed};
-}
-
 // A one-shard group must be indistinguishable from not sharding at all:
 // same engine seed, same event stream, same seq-folded digest — on every
 // named paper preset.
@@ -691,92 +654,43 @@ TEST(Sharding, LossyStressOutcomeInvariantAcrossShardCounts) {
   EXPECT_EQ(four, one) << "lossy stress diverged at 4 shards";
 }
 
-// Live migration must be invisible to the simulation.  Bouncing the two
-// host domains across shards on three very different cadences — every
-// barrier, every 8th, every 64th — leaves the causal digest, event count,
-// end time and echoed bytes of every paper preset exactly as the
-// never-migrating partition produced them.  (The seq-folded digest is
-// excluded on purpose: event numbering is per-engine, so it legitimately
-// differs when a domain changes engines.)
-TEST(Sharding, MigrationScheduleInvariantOnEveryPreset) {
-  for (const sockets::Preset& p : sockets::presets()) {
-    ShardEchoOptions opt;
-    opt.cfg = p.cfg;
-    const CausalSignature still = causal_part(run_sharded_echo(4, opt));
-    for (std::uint64_t k : {std::uint64_t{1}, std::uint64_t{8},
-                            std::uint64_t{64}}) {
-      std::vector<sim::ShardGroup::MigrationRecord> log;
-      const CausalSignature moved =
-          causal_part(run_migrating_echo(4, k, opt, &log));
-      EXPECT_EQ(moved, still)
-          << "preset " << p.name << " diverged migrating every " << k
-          << " epochs";
-      EXPECT_GT(log.size(), 0u)
-          << "preset " << p.name << " K=" << k << ": nothing ever migrated";
-    }
-  }
-}
-
-// The same invariance under loss, tiny credits and tiny staging buffers:
-// retransmits, credit stalls and unexpected-queue traffic must all survive
-// having their host yanked onto another engine mid-flow.
-TEST(Sharding, MigrationLossyStressInvariant) {
-  const ShardEchoOptions opt = lossy_stress_options();
-  const CausalSignature still = causal_part(run_sharded_echo(4, opt));
-  for (std::uint64_t k : {std::uint64_t{1}, std::uint64_t{8},
-                          std::uint64_t{64}}) {
-    EXPECT_EQ(causal_part(run_migrating_echo(4, k, opt)), still)
-        << "lossy stress diverged migrating every " << k << " epochs";
-  }
-}
-
 // The schedule itself, pinned to literal values: the 4-shard echo on the
-// default, lossy-stress and heterogeneous-link configs, and the migrating
-// echo bouncing a host every 8th epoch.  The seq-folded digest pins every
-// event's position in its engine; epochs and coalesced windows pin where
-// the barriers fall; the log length pins the migration schedule.  A change
-// to which windows run, in what order, or where a streak breaks moves one
-// of these numbers, so any edit to the epoch loop must leave them intact.
+// default, lossy-stress and heterogeneous-link configs.  The seq-folded
+// digest pins every event's position in its engine; epochs and coalesced
+// windows pin where the barriers fall.  A change to which windows run, in
+// what order, or where a streak breaks moves one of these numbers, so any
+// edit to the epoch loop must leave them intact.
 TEST(Sharding, ScheduleMatchesPinnedValues) {
   struct Pin {
     const char* name;
     ShardEchoOptions opt;
-    std::uint64_t migrate_every;  // 0: static placement
     std::uint64_t digest;
     std::uint64_t causal_digest;
     std::uint64_t epochs;
     std::uint64_t barrier_skips;
-    std::size_t migrations;
   };
   const Pin pins[] = {
-      {"default", {}, 0, 0x3bbf43cc90b68071ull, 0xa7b71b2f21421617ull, 1271,
-       1024, 0},
-      {"lossy stress", lossy_stress_options(), 0, 0xb6a9690e59e0e152ull,
-       0x0d43f20568ae5cc4ull, 2557, 1898, 0},
-      {"heterogeneous links", heterogeneous_links_options(), 0,
-       0xa3a6019539b130d5ull, 0x5610033c8c00a3bbull, 1033, 735, 0},
-      {"migrating K=8", {}, 8, 0x777372ac0c42a7f7ull, 0xa7b71b2f21421617ull,
-       1238, 885, 131},
+      {"default", {}, 0x3bbf43cc90b68071ull, 0xa7b71b2f21421617ull, 1271,
+       1024},
+      {"lossy stress", lossy_stress_options(), 0xb6a9690e59e0e152ull,
+       0x0d43f20568ae5cc4ull, 2557, 1898},
+      {"heterogeneous links", heterogeneous_links_options(),
+       0xa3a6019539b130d5ull, 0x5610033c8c00a3bbull, 1033, 735},
   };
   for (const Pin& pin : pins) {
     GroupStats stats;
-    std::vector<sim::ShardGroup::MigrationRecord> log;
-    const ShardSignature sig =
-        pin.migrate_every == 0
-            ? run_sharded_echo(4, pin.opt, &stats)
-            : run_migrating_echo(4, pin.migrate_every, pin.opt, &log, &stats);
+    const ShardSignature sig = run_sharded_echo(4, pin.opt, &stats);
     EXPECT_EQ(sig.group_digest, pin.digest) << pin.name;
     EXPECT_EQ(sig.causal_digest, pin.causal_digest) << pin.name;
     EXPECT_EQ(stats.epochs, pin.epochs) << pin.name;
     EXPECT_EQ(stats.barrier_skips, pin.barrier_skips) << pin.name;
-    EXPECT_EQ(log.size(), pin.migrations) << pin.name;
   }
 }
 
 // An event that throws surfaces from run(), whether its window runs in an
 // epoch with several runnable shards or inside a coalesced sole-runnable
-// streak.  When two windows of one epoch fail, the lower shard's failure
-// is the one run() reports.
+// streak, and so does a failing root coroutine.  When two windows of one
+// epoch fail, the lower shard's failure is the one run() reports.
 TEST(Sharding, FailureInDispatchedWindowRethrowsAndJoinsWorkers) {
   {
     // Every shard fills one epoch; shards 2 and 3 both throw midway.
@@ -812,34 +726,27 @@ TEST(Sharding, FailureInDispatchedWindowRethrowsAndJoinsWorkers) {
     EXPECT_THROW(group.run(), std::runtime_error);
     EXPECT_GE(group.epochs(), 4u) << "the streak never reached the failure";
   }
-}
-
-// A migration proposed mid-epoch (from inside an executing event) must not
-// take effect until the barrier: the placement map keeps answering with
-// the old shard and the version stays put for the rest of the window.
-TEST(Sharding, MidEpochMigrationRequestDefersToBarrier) {
-  const sim::CostModel model = sim::calibrated_cost_model();
-  sim::ShardGroup group(4, net::shard_lookahead(model.wire));
-  Cluster cl(group, model, 2);
-  ASSERT_EQ(group.shard_of_domain(1), 1u);  // host 0 starts on shard 1
-  const std::uint64_t v0 = group.placement_version();
-  std::uint32_t seen_mid_epoch = ~0u;
-  std::uint64_t version_mid_epoch = 0;
-  group.shard(1).schedule_after(1000, [&] {
-    group.request_domain_migration(1, 3);
-    seen_mid_epoch = group.shard_of_domain(1);
-    version_mid_epoch = group.placement_version();
-  });
-  std::uint64_t echoed = 0;
-  cl.spawn_on(1, shard_echo_server(cl.node(1).socks));
-  cl.spawn_on(0, shard_echo_client(cl.node(0).socks, 7, 4, &echoed));
-  group.run();
-  EXPECT_EQ(seen_mid_epoch, 1u) << "migration applied inside the window";
-  EXPECT_EQ(version_mid_epoch, v0);
-  EXPECT_EQ(group.shard_of_domain(1), 3u) << "migration never applied";
-  EXPECT_GT(group.placement_version(), v0);
-  EXPECT_EQ(group.migrations_applied(), 1u);
-  EXPECT_GT(echoed, 0u);
+  {
+    // A root coroutine on shard 2 fails at t = 5000 while shard 1 still has
+    // events queued: the engine that steps the root records its failure,
+    // and run() rethrows the root's own exception.
+    sim::ShardGroup group(4, /*lookahead=*/1'000);
+    for (sim::Time t = 0; t < 20'000; t += 500) {
+      group.shard(1).schedule_at(t, [] {});
+    }
+    auto thrower = [](Engine& e) -> Task<void> {
+      co_await e.delay(5'000);
+      throw std::logic_error("root on shard 2");
+    };
+    group.shard(2).spawn(thrower(group.shard(2)));
+    try {
+      group.run();
+      ADD_FAILURE() << "run() returned without the root's failure";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "root on shard 2");
+    }
+    EXPECT_EQ(group.shard(2).now(), 5'000u);
+  }
 }
 
 // Kernel TCP's loss recovery (retransmit timers are the long-dated far-heap
@@ -1024,61 +931,6 @@ TEST(QueueOrder, RandomInterleavingsMatchNaiveReference) {
       EXPECT_GT(mid_instant_returns, 0) << "no return left events at now()";
     }
   }
-}
-
-// A run() stopped mid-instant leaves two kinds of events due at now(): heap
-// entries scheduled before now() was reached, and lane entries scheduled at
-// now().  extract_domain must take both, in seq order; the source engine
-// must keep running what stays in seq order; and adopt_domain must replay
-// the extracted events in that order behind the target's own earlier
-// entries at the same instant.
-TEST(QueueOrder, ExtractDomainTakesSameInstantLaneEvents) {
-  constexpr sim::DomainId kMoved = 7;
-  constexpr sim::Time kT = 1000;
-  std::vector<int> log;
-  auto note = [&log](int id) {
-    return [out = &log, id] { out->push_back(id); };
-  };
-
-  Engine src;
-  src.schedule_at(kT, [&src, note] {
-    src.schedule_in_domain(src.now(), kMoved, note(11));
-    src.schedule_in_domain(src.now(), sim::kAmbientDomain, note(12));
-    src.schedule_in_domain(src.now(), kMoved, note(13));
-    src.schedule_in_domain(kT + 5, kMoved, note(21));
-    src.schedule_in_domain(kT + 5, sim::kAmbientDomain, note(22));
-    src.request_stop();
-  });
-  src.schedule_in_domain(kT, kMoved, note(1));
-  src.schedule_in_domain(kT, sim::kAmbientDomain, note(2));
-  src.schedule_in_domain(kT, kMoved, note(3));
-  src.run();
-  ASSERT_EQ(src.now(), kT);
-  ASSERT_TRUE(log.empty());
-
-  Engine::MigratedDomain dom = src.extract_domain(kMoved);
-  std::vector<sim::Time> times;
-  for (const Engine::MigratedEvent& ev : dom.events) times.push_back(ev.t);
-  EXPECT_EQ(times, (std::vector<sim::Time>{kT, kT, kT, kT, kT + 5}));
-
-  src.clear_stop();
-  src.run();
-  EXPECT_EQ(log, (std::vector<int>{2, 12, 22}));
-  EXPECT_EQ(src.domain_events_executed(kMoved), 0u);
-
-  // The target is stopped at the same instant with an entry of its own
-  // still queued there; the adopted events land in its lane behind it.
-  log.clear();
-  Engine dst;
-  dst.schedule_at(kT, [&dst] { dst.request_stop(); });
-  dst.schedule_at(kT, note(101));
-  dst.run();
-  ASSERT_EQ(dst.now(), kT);
-  dst.adopt_domain(std::move(dom));
-  dst.clear_stop();
-  dst.run();
-  EXPECT_EQ(log, (std::vector<int>{101, 1, 3, 11, 13, 21}));
-  EXPECT_EQ(dst.domain_events_executed(kMoved), 5u);
 }
 
 }  // namespace

@@ -13,10 +13,3 @@ void enqueue_local(std::function<void()> fn);
 void good_hop(Event ev) {
   enqueue_local([ev] { (void)ev.payload; });
 }
-
-struct RebalancePolicyHost {
-  // Policies are installed, not hand-rolled: the group evaluates this on
-  // the barrier thread and performs the migration surgery itself.
-  void install(std::function<void()> policy) { policy_ = std::move(policy); }
-  std::function<void()> policy_;
-};

@@ -1,5 +1,5 @@
 // ulsan fixture: shard-affinity violations — post_remote outside the
-// sanctioned link rehoming path, handle-smuggling captures, and a
+// sanctioned cross-shard transmit path, handle-smuggling captures, and a
 // hand-written lookahead-matrix entry outside net::Link.
 struct Frame;
 struct FramePool;
@@ -14,14 +14,4 @@ void bad_edge(ShardGroup& group) {
   // Overstates the link latency "to batch harder" — exactly the unsound
   // write the rule exists to catch.
   group.register_edge_lookahead(0, 1, 1'000'000);
-}
-
-struct Engine;
-
-void bad_migration(ShardGroup& group, Engine& dst) {
-  // An application hand-rolling a migration mid-run: every one of these
-  // belongs to the barrier-phase rebalance path, nowhere else.
-  group.request_domain_migration(3, 1);
-  auto dom = group.extract_domain(3);
-  (void)dst;
 }

@@ -12,12 +12,3 @@ void bad_hop(ShardGroup& group, FramePool& pool, Frame& frame) {
 void bad_edge(ShardGroup& group) {
   group.register_edge_lookahead(0, 1, 7);  // NOLINT(ulsan-shard-affinity)
 }
-
-struct Engine;
-
-void bad_migration(ShardGroup& group, Engine& dst) {
-  group.request_domain_migration(3, 1);  // NOLINT(ulsan-shard-affinity)
-  // NOLINTNEXTLINE(ulsan-shard-affinity)
-  auto dom = group.extract_domain(3);
-  (void)dst;
-}

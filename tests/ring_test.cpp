@@ -263,14 +263,29 @@ TEST(RingSharded, GroupOfOneIsByteIdenticalToPlainEngine) {
   EXPECT_GT(plain.responses, 0u);
 }
 
+// Two inputs: the 3-host ring web workload, and 16 hosts under the
+// blocking server (15 clients, one each).  At 4 shards the 16-host run puts
+// four hosts on every shard, with shard 0 shared with the switch.
 TEST(RingSharded, CausallyInvariantAcrossShardCounts) {
-  WebRunOptions opt;
-  CausalSignature one = causal_part(run_web_sharded(1, opt));
-  CausalSignature two = causal_part(run_web_sharded(2, opt));
-  CausalSignature four = causal_part(run_web_sharded(4, opt));
-  EXPECT_EQ(two, one) << "ring web diverged at 2 shards";
-  EXPECT_EQ(four, one) << "ring web diverged at 4 shards";
-  EXPECT_GT(one.responses, 0u);
+  WebRunOptions web16;
+  web16.ring_server = false;
+  web16.client_nodes = 15;
+  web16.clients_per_node = 1;
+  struct Case {
+    const char* name;
+    WebRunOptions opt;
+    std::size_t responses;
+  };
+  const Case cases[] = {{"ring web", WebRunOptions{}, 2u * 3u * 2u * 2u},
+                        {"16-host web", web16, 15u * 2u * 2u}};
+  for (const Case& c : cases) {
+    CausalSignature one = causal_part(run_web_sharded(1, c.opt));
+    CausalSignature two = causal_part(run_web_sharded(2, c.opt));
+    CausalSignature four = causal_part(run_web_sharded(4, c.opt));
+    EXPECT_EQ(two, one) << c.name << " diverged at 2 shards";
+    EXPECT_EQ(four, one) << c.name << " diverged at 4 shards";
+    EXPECT_EQ(one.responses, c.responses) << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
