@@ -24,25 +24,25 @@ int main(int argc, char** argv) {
   std::printf("Ablation: dual vs single NIC firmware CPU\n\n");
   sim::ResultTable table({"metric", "dual_cpu", "single_cpu"});
 
-  double lat_dual = measure_latency_us_nic(sub, 4, /*dual=*/true);
+  double lat_dual = measure_latency_us(sub, 4, 50, 5, /*dual_cpu=*/true);
   results.add("latency_4B", sub, "dual", lat_dual, "us");
-  double lat_single = measure_latency_us_nic(sub, 4, /*dual=*/false);
+  double lat_single = measure_latency_us(sub, 4, 50, 5, /*dual_cpu=*/false);
   results.add("latency_4B", sub, "single", lat_single, "us");
   table.add_row({"latency_4B_us", sim::ResultTable::num(lat_dual, 1),
                  sim::ResultTable::num(lat_single, 1)});
 
-  double bw_dual = measure_bandwidth_mbps_nic(sub, 65536, total,
-                                              /*dual=*/true);
+  double bw_dual = measure_bandwidth_mbps(sub, 65536, total,
+                                          /*dual_cpu=*/true);
   results.add("stream_bw", sub, "dual", bw_dual, "mbps");
-  double bw_single = measure_bandwidth_mbps_nic(sub, 65536, total,
-                                                /*dual=*/false);
+  double bw_single = measure_bandwidth_mbps(sub, 65536, total,
+                                            /*dual_cpu=*/false);
   results.add("stream_bw", sub, "single", bw_single, "mbps");
   table.add_row({"stream_mbps", sim::ResultTable::num(bw_dual, 0),
                  sim::ResultTable::num(bw_single, 0)});
 
-  double emp_dual = measure_latency_us_nic(emp, 4, true);
+  double emp_dual = measure_latency_us(emp, 4, 50, 5, /*dual_cpu=*/true);
   results.add("raw_emp_latency", emp, "dual", emp_dual, "us");
-  double emp_single = measure_latency_us_nic(emp, 4, false);
+  double emp_single = measure_latency_us(emp, 4, 50, 5, /*dual_cpu=*/false);
   results.add("raw_emp_latency", emp, "single", emp_single, "us");
   table.add_row({"raw_emp_latency_us", sim::ResultTable::num(emp_dual, 1),
                  sim::ResultTable::num(emp_single, 1)});

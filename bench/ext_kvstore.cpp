@@ -3,7 +3,6 @@
 // mix, substrate vs kernel TCP — the workload the paper planned to carry
 // to commercial data centers.
 #include <cstdio>
-#include <map>
 
 #include "apps/cluster.hpp"
 #include "apps/kvstore.hpp"
@@ -18,7 +17,6 @@ namespace {
 struct KvResult {
   double mean_us = 0;
   double kops = 0;
-  std::map<std::string, std::int64_t> metrics;
 };
 
 KvResult run_kv(apps::Cluster::StackKind kind, std::size_t value_bytes,
@@ -61,8 +59,7 @@ KvResult run_kv(apps::Cluster::StackKind kind, std::size_t value_bytes,
   };
   eng.spawn(server());
   eng.spawn(client());
-  eng.run();
-  result.metrics = eng.metrics().snapshot();
+  bench::run_measured(eng);
   return result;
 }
 
@@ -87,11 +84,10 @@ int main(int argc, char** argv) {
   for (std::size_t bytes : {64ul, 1024ul, 8192ul}) {
     auto sub = run_kv(apps::Cluster::StackKind::kSubstrate, bytes, ops);
     results.add("Substrate", "substrate", "DS + Delayed Acks + UQ",
-                bench::size_label(bytes), sub.mean_us, "us",
-                std::move(sub.metrics));
+                bench::size_label(bytes), sub.mean_us, "us");
     auto tcp = run_kv(apps::Cluster::StackKind::kTcp, bytes, ops);
     results.add("TCP", "tcp", "default", bench::size_label(bytes),
-                tcp.mean_us, "us", std::move(tcp.metrics));
+                tcp.mean_us, "us");
     table.add_row({bench::size_label(bytes),
                    sim::ResultTable::num(sub.mean_us, 1),
                    sim::ResultTable::num(sub.kops, 1),

@@ -1,19 +1,15 @@
 #include "harness.hpp"
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
-#include <memory>
 #include <thread>
+#include <type_traits>
 
 #include "apps/ftp.hpp"
 #include "apps/httpd.hpp"
@@ -31,72 +27,13 @@ using sim::Engine;
 
 constexpr std::uint16_t kPort = 5001;
 
-// Observability state of every measure_* routine.  The per-run snapshots
-// are thread_local so run_points() workers each see their own last run;
-// the host-perf totals are process-wide atomics folded into every bench
-// JSON.  The armed trace path stays global: arming a trace forces
-// run_points() serial, so only one thread ever touches it.
+// Observability state of the run scope.  The per-run snapshots are
+// thread_local so run_points() workers each see their own last run.  The
+// armed trace path stays global: arming a trace forces run_points()
+// serial, so only one thread ever touches it.
 thread_local std::map<std::string, std::int64_t> g_last_metrics;  // NOLINT
 thread_local HostPerf g_last_host_perf;                           // NOLINT
-thread_local std::chrono::steady_clock::time_point g_run_t0;      // NOLINT
 std::string g_trace_path;                                         // NOLINT
-std::atomic<std::uint64_t> g_total_events{0};   // NOLINT
-std::atomic<std::uint64_t> g_total_wall_ns{0};  // NOLINT
-std::atomic<unsigned> g_pool_threads{1};        // NOLINT
-// Shard/thread configuration recorded in the host_perf block: the largest
-// shard count any run used, the epoch window (lookahead) of the last
-// sharded run, and what --threads resolved to for this process.
-std::atomic<std::uint64_t> g_shards{1};            // NOLINT
-std::atomic<std::uint64_t> g_epoch_ns{0};          // NOLINT
-std::atomic<unsigned> g_resolved_threads{1};       // NOLINT
-// Per-shard executed-event counts of the last multi-shard run (any
-// thread); written under a mutex because run_points() workers race to
-// finish.
-std::mutex g_eps_mu;                                  // NOLINT
-std::vector<std::uint64_t> g_events_per_shard;        // NOLINT
-
-/// Call before spawning workload coroutines: starts the wall clock and
-/// turns the tracer on when a trace export is armed, so the whole run is
-/// captured.
-void arm_run(Engine& eng) {
-  if (!g_trace_path.empty()) eng.tracer().set_enabled(true);
-  g_run_t0 = std::chrono::steady_clock::now();
-}
-
-/// Fill this run's HostPerf from the wall clock since g_run_t0 and fold it
-/// into the process totals; returns the run's wall ns.
-std::uint64_t record_host_perf(std::uint64_t events) {
-  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = events;
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0
-          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
-          : 0.0;
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  return wall_ns;
-}
-
-/// Call after eng.run(): snapshots the registry and host perf, and flushes
-/// the armed trace export (first armed run only — later runs are
-/// untraced).
-void finish_run(Engine& eng) {
-  record_host_perf(eng.events_executed());
-  g_last_metrics = eng.metrics().snapshot();
-  if (!g_trace_path.empty()) {
-    if (!eng.tracer().export_chrome_json(g_trace_path)) {
-      std::fprintf(stderr, "warning: could not write trace to %s\n",
-                   g_trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace written to %s (load in chrome://tracing)\n",
-                   g_trace_path.c_str());
-    }
-    g_trace_path.clear();
-  }
-}
 
 /// Merge the per-shard registry snapshots of a group into one map.  Host
 /// scopes ("h<N>/...") are disjoint across shards, so most keys appear
@@ -104,7 +41,7 @@ void finish_run(Engine& eng) {
 /// by suffix: /min takes the min, /max and the histogram quantiles take
 /// the max, everything else (counts, sums, gauges) adds.
 std::map<std::string, std::int64_t> merged_shard_metrics(
-    ulsocks::sim::ShardGroup& group) {
+    sim::ShardGroup& group) {
   auto ends_with = [](const std::string& s, std::string_view suf) {
     return s.size() >= suf.size() &&
            s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
@@ -132,39 +69,45 @@ std::map<std::string, std::int64_t> merged_shard_metrics(
   return out;
 }
 
-/// Run a sharded workload (ScaleWeb or ScaleC10k) over `stack`'s stack
-/// kind and record it: host perf, the merged metrics snapshot, the
-/// per-shard load split, and the shard count and epoch window of the
-/// host_perf block.  Returns the run's wall ns.
-template <class Scale>
-std::uint64_t run_sharded(Scale& scale, const StackChoice& stack) {
-  // No arm_run(): the tracer is per-engine and a sharded run has several,
-  // so trace exports stay a serial-run feature.
-  g_run_t0 = std::chrono::steady_clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  sim::ShardGroup& group = scale.group();
-  const std::uint64_t wall_ns = record_host_perf(group.events_executed());
-  g_last_metrics = merged_shard_metrics(group);
-  const std::uint64_t shards = group.size();
-  if (shards > 1) {
-    std::lock_guard<std::mutex> lk(g_eps_mu);
-    g_events_per_shard = group.events_executed_per_shard();
+/// The run scope behind both run_measured() overloads; `Sim` is
+/// sim::Engine or sim::ShardGroup.
+template <class Sim>
+void run_scope(Sim& sim) {
+  // The tracer is per engine and a group has one per shard, so trace
+  // exports stay a serial-run feature; a group run leaves the export
+  // armed for the next serial run.
+  constexpr bool kSerial = std::is_same_v<Sim, Engine>;
+  const bool traced = kSerial && !g_trace_path.empty();
+  if constexpr (kSerial) {
+    if (traced) sim.tracer().set_enabled(true);
   }
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.run();
+  const auto wall_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  g_last_host_perf.wall_ms = wall_ns / 1e6;
+  g_last_host_perf.events = sim.events_executed();
+  g_last_host_perf.events_per_sec =
+      wall_ns > 0 ? static_cast<double>(g_last_host_perf.events) * 1e9 / wall_ns
+                  : 0.0;
+  if constexpr (kSerial) {
+    g_last_metrics = sim.metrics().snapshot();
+    if (traced) {
+      if (!sim.tracer().export_chrome_json(g_trace_path)) {
+        std::fprintf(stderr, "warning: could not write trace to %s\n",
+                     g_trace_path.c_str());
+      } else {
+        std::fprintf(stderr,
+                     "trace written to %s (load in chrome://tracing)\n",
+                     g_trace_path.c_str());
+      }
+      g_trace_path.clear();  // only the first armed run is traced
+    }
+  } else {
+    g_last_metrics = merged_shard_metrics(sim);
   }
-  g_epoch_ns.store(group.lookahead(), std::memory_order_relaxed);
-  return wall_ns;
-}
-
-/// Peak resident set size of this process, in kilobytes.
-std::int64_t peak_rss_kb() {
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::int64_t>(ru.ru_maxrss);  // Linux: kilobytes
 }
 
 std::vector<std::uint8_t> payload(std::size_t n) {
@@ -173,6 +116,16 @@ std::vector<std::uint8_t> payload(std::size_t n) {
     v[i] = static_cast<std::uint8_t>(i * 37 + 11);
   }
   return v;
+}
+
+Cluster::StackKind cluster_kind(const StackChoice& stack) {
+  return stack.kind() == StackChoice::Kind::kTcp
+             ? Cluster::StackKind::kTcp
+             : Cluster::StackKind::kSubstrate;
+}
+
+os::SocketApi& pick(Cluster& cl, std::size_t node, const StackChoice& stack) {
+  return cl.stack(node, cluster_kind(stack));
 }
 
 /// Configure a TCP socket per the StackChoice.
@@ -187,34 +140,67 @@ Task<void> apply_tcp_options(os::SocketApi& api, int sd,
   }
 }
 
-os::SocketApi& pick(Cluster& cl, std::size_t node, const StackChoice& stack) {
-  return stack.kind() == StackChoice::Kind::kTcp
-             ? static_cast<os::SocketApi&>(cl.node(node).tcp)
-             : static_cast<os::SocketApi&>(cl.node(node).socks);
+/// The listening and the accepted descriptor of accept_one().
+struct Accepted {
+  int listener;
+  int conn;
+};
+
+/// Server preamble of the two-host socket routines: listen on node 1's
+/// kPort, accept one connection and apply the stack's options to it.
+Task<Accepted> accept_one(os::SocketApi& api, const StackChoice& stack) {
+  const int ls = co_await api.socket();
+  co_await api.bind(ls, SockAddr{1, kPort});
+  co_await api.listen(ls, 2);
+  const int cs = co_await api.accept(ls, nullptr);
+  co_await apply_tcp_options(api, cs, stack);
+  co_return Accepted{ls, cs};
 }
 
-/// Raw-EMP ping-pong (no sockets layer at all).
+/// Client preamble: connect to node 1's kPort and apply the stack's
+/// options.
+Task<int> connect_one(os::SocketApi& api, const StackChoice& stack) {
+  const int s = co_await api.socket();
+  co_await api.connect(s, SockAddr{1, kPort});
+  co_await apply_tcp_options(api, s, stack);
+  co_return s;
+}
+
+/// Raw-EMP ping-pong (no sockets layer at all).  With `extra_descriptors`
+/// > 0 the server first pre-posts that many unrelated descriptors ahead of
+/// the measurement channel: the NIC walks them (550 ns each) on every
+/// incoming data frame.
 double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
-                          bool dual_cpu) {
+                          bool dual_cpu, std::size_t extra_descriptors) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, {}, dual_cpu);
   auto msg = payload(msg_bytes);
   std::vector<std::uint8_t> b0(msg_bytes ? msg_bytes : 1);
   std::vector<std::uint8_t> b1(msg_bytes ? msg_bytes : 1);
+  std::vector<std::uint8_t> dummy(16);
   double one_way_us = 0;
 
   auto server = [&]() -> Task<void> {
     auto& ep = cl.node(1).emp;
+    std::vector<emp::RecvHandle> fillers;
+    for (std::size_t i = 0; i < extra_descriptors; ++i) {
+      fillers.push_back(co_await ep.post_recv(emp::NodeId{0}, 999, dummy));
+    }
     for (int i = 0; i < warmup + iters; ++i) {
       auto h = co_await ep.post_recv(emp::NodeId{0}, 1, b1);
       co_await ep.wait_recv(h);
       auto s = co_await ep.post_send(0, 2, msg);
       co_await ep.wait_send_local(s);
     }
+    for (auto& f : fillers) {
+      bool ok = co_await ep.unpost_recv(f);
+      (void)ok;
+    }
   };
   auto client = [&]() -> Task<void> {
     auto& ep = cl.node(0).emp;
-    co_await eng.delay(10'000);
+    // With fillers, start late enough that every one is posted first.
+    co_await eng.delay(extra_descriptors > 0 ? 500'000 : 10'000);
     sim::Time t0 = 0;
     for (int i = 0; i < warmup + iters; ++i) {
       if (i == warmup) t0 = eng.now();
@@ -225,11 +211,9 @@ double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
     }
     one_way_us = sim::to_us(eng.now() - t0) / (2.0 * iters);
   };
-  arm_run(eng);
   eng.spawn(server());
   eng.spawn(client());
-  eng.run();
-  finish_run(eng);
+  run_measured(eng);
   return one_way_us;
 }
 
@@ -242,25 +226,19 @@ double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
 
   auto server = [&]() -> Task<void> {
     auto& api = pick(cl, 1, stack);
-    int ls = co_await api.socket();
-    co_await api.bind(ls, SockAddr{1, kPort});
-    co_await api.listen(ls, 2);
-    int cs = co_await api.accept(ls, nullptr);
-    co_await apply_tcp_options(api, cs, stack);
+    const Accepted a = co_await accept_one(api, stack);
     std::vector<std::uint8_t> buf(msg_bytes);
     for (int i = 0; i < warmup + iters; ++i) {
-      co_await api.read_exact(cs, buf);
-      co_await api.write_all(cs, buf);
+      co_await api.read_exact(a.conn, buf);
+      co_await api.write_all(a.conn, buf);
     }
-    co_await api.close(cs);
-    co_await api.close(ls);
+    co_await api.close(a.conn);
+    co_await api.close(a.listener);
   };
   auto client = [&]() -> Task<void> {
     auto& api = pick(cl, 0, stack);
     co_await eng.delay(10'000);
-    int s = co_await api.socket();
-    co_await api.connect(s, SockAddr{1, kPort});
-    co_await apply_tcp_options(api, s, stack);
+    const int s = co_await connect_one(api, stack);
     std::vector<std::uint8_t> buf = msg;
     sim::Time t0 = 0;
     for (int i = 0; i < warmup + iters; ++i) {
@@ -271,18 +249,16 @@ double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
     one_way_us = sim::to_us(eng.now() - t0) / (2.0 * iters);
     co_await api.close(s);
   };
-  arm_run(eng);
   eng.spawn(server());
   eng.spawn(client());
-  eng.run();
-  finish_run(eng);
+  run_measured(eng);
   return one_way_us;
 }
 
-double raw_emp_bandwidth_mbps(std::size_t msg_bytes,
-                              std::size_t total_bytes) {
+double raw_emp_bandwidth_mbps(std::size_t msg_bytes, std::size_t total_bytes,
+                              bool dual_cpu) {
   Engine eng;
-  Cluster cl(eng, sim::calibrated_cost_model(), 2);
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, {}, dual_cpu);
   auto chunk = payload(msg_bytes);
   std::size_t messages = (total_bytes + msg_bytes - 1) / msg_bytes;
   double mbps = 0;
@@ -326,16 +302,17 @@ double raw_emp_bandwidth_mbps(std::size_t msg_bytes,
       inflight.pop_front();
     }
   };
-  arm_run(eng);
   eng.spawn(receiver());
   eng.spawn(sender());
-  eng.run();
-  finish_run(eng);
+  run_measured(eng);
   return mbps;
 }
 
+/// Socket streaming goodput; the receiver drains with read_view() when
+/// `view` is set, read() otherwise.
 double socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
-                             std::size_t total_bytes, bool dual_cpu) {
+                             std::size_t total_bytes, bool dual_cpu,
+                             bool view) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), {}, dual_cpu);
   auto chunk = payload(msg_bytes);
@@ -343,80 +320,31 @@ double socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
 
   auto receiver = [&]() -> Task<void> {
     auto& api = pick(cl, 1, stack);
-    int ls = co_await api.socket();
-    co_await api.bind(ls, SockAddr{1, kPort});
-    co_await api.listen(ls, 2);
-    int cs = co_await api.accept(ls, nullptr);
-    co_await apply_tcp_options(api, cs, stack);
-    std::vector<std::uint8_t> buf(std::max<std::size_t>(msg_bytes, 65'536));
-    std::size_t got = 0;
-    sim::Time t0 = eng.now();
-    while (got < total_bytes) {
-      std::size_t n = co_await api.read(cs, buf);
-      if (n == 0) break;
-      got += n;
-    }
-    mbps = static_cast<double>(got) * 8.0 / sim::to_sec(eng.now() - t0) /
-           1e6;
-    co_await api.close(cs);
-    co_await api.close(ls);
-  };
-  auto sender = [&]() -> Task<void> {
-    auto& api = pick(cl, 0, stack);
-    co_await eng.delay(10'000);
-    int s = co_await api.socket();
-    co_await api.connect(s, SockAddr{1, kPort});
-    co_await apply_tcp_options(api, s, stack);
-    std::size_t sent = 0;
-    while (sent < total_bytes) {
-      co_await api.write_all(s, chunk);
-      sent += chunk.size();
-    }
-    co_await api.close(s);
-  };
-  arm_run(eng);
-  eng.spawn(receiver());
-  eng.spawn(sender());
-  eng.run();
-  finish_run(eng);
-  return mbps;
-}
-
-double socket_bandwidth_view_mbps(const StackChoice& stack,
-                                  std::size_t msg_bytes,
-                                  std::size_t total_bytes) {
-  Engine eng;
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg());
-  auto chunk = payload(msg_bytes);
-  double mbps = 0;
-
-  auto receiver = [&]() -> Task<void> {
-    auto& api = pick(cl, 1, stack);
-    int ls = co_await api.socket();
-    co_await api.bind(ls, SockAddr{1, kPort});
-    co_await api.listen(ls, 2);
-    int cs = co_await api.accept(ls, nullptr);
-    co_await apply_tcp_options(api, cs, stack);
+    const Accepted a = co_await accept_one(api, stack);
     const std::size_t window = std::max<std::size_t>(msg_bytes, 65'536);
-    os::RecvView view;
+    std::vector<std::uint8_t> buf(view ? 0 : window);
+    os::RecvView rv;
     std::size_t got = 0;
     sim::Time t0 = eng.now();
     while (got < total_bytes) {
-      std::size_t n = co_await api.read_view(cs, view, window);
+      std::size_t n = 0;
+      if (view) {
+        n = co_await api.read_view(a.conn, rv, window);
+      } else {
+        n = co_await api.read(a.conn, buf);
+      }
       if (n == 0) break;
       got += n;
     }
     mbps = static_cast<double>(got) * 8.0 / sim::to_sec(eng.now() - t0) /
            1e6;
-    co_await api.close(cs);
-    co_await api.close(ls);
+    co_await api.close(a.conn);
+    co_await api.close(a.listener);
   };
   auto sender = [&]() -> Task<void> {
     auto& api = pick(cl, 0, stack);
     co_await eng.delay(10'000);
-    int s = co_await api.socket();
-    co_await api.connect(s, SockAddr{1, kPort});
-    co_await apply_tcp_options(api, s, stack);
+    const int s = co_await connect_one(api, stack);
     std::size_t sent = 0;
     while (sent < total_bytes) {
       co_await api.write_all(s, chunk);
@@ -424,11 +352,9 @@ double socket_bandwidth_view_mbps(const StackChoice& stack,
     }
     co_await api.close(s);
   };
-  arm_run(eng);
   eng.spawn(receiver());
   eng.spawn(sender());
-  eng.run();
-  finish_run(eng);
+  run_measured(eng);
   return mbps;
 }
 
@@ -498,11 +424,6 @@ std::vector<MeasuredPoint> run_points(
   }
   const unsigned pool_size =
       static_cast<unsigned>(std::min<std::size_t>(threads, jobs.size()));
-  unsigned prev = g_pool_threads.load(std::memory_order_relaxed);
-  while (prev < pool_size &&
-         !g_pool_threads.compare_exchange_weak(prev, pool_size,
-                                               std::memory_order_relaxed)) {
-  }
   std::atomic<std::size_t> next{0};
   std::vector<std::exception_ptr> errors(jobs.size());
   auto worker = [&] {
@@ -557,13 +478,10 @@ BenchOptions parse_bench_args(int argc, char** argv) {
     } else if (arg == "--threads") {
       int n = std::atoi(value());
       opt.threads = n > 0 ? static_cast<unsigned>(n) : 0;
-    } else if (arg == "--shards") {
-      int n = std::atoi(value());
-      opt.shards = n > 0 ? static_cast<unsigned>(n) : 0;
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: %s [--iters N] [--trace FILE] [--out DIR] "
-                   "[--threads N] [--shards N]\n",
+                   "[--threads N]\n",
                    argv[0]);
       std::exit(0);
     } else {
@@ -573,10 +491,6 @@ BenchOptions parse_bench_args(int argc, char** argv) {
     }
   }
   if (!opt.trace_path.empty()) set_trace_export(opt.trace_path);
-  g_resolved_threads.store(opt.resolved_threads(), std::memory_order_relaxed);
-  if (opt.shards > 0) {
-    g_shards.store(opt.shards, std::memory_order_relaxed);
-  }
   return opt;
 }
 
@@ -622,38 +536,6 @@ std::string BenchResults::write(const std::string& dir) const {
   json += "{\n  \"schema\": \"ulsocks.bench.v1\",\n";
   json += "  \"figure\": \"" + obs::json_escape(figure_) + "\",\n";
   json += "  \"title\": \"" + obs::json_escape(title_) + "\",\n";
-  {
-    const std::uint64_t events =
-        g_total_events.load(std::memory_order_relaxed);
-    const std::uint64_t wall_ns =
-        g_total_wall_ns.load(std::memory_order_relaxed);
-    json += "  \"host_perf\": {\"events\": " + std::to_string(events);
-    json += ", \"wall_ms\": ";
-    append_number(json, static_cast<double>(wall_ns) / 1e6);
-    json += ", \"events_per_sec\": ";
-    append_number(json, wall_ns > 0 ? static_cast<double>(events) * 1e9 /
-                                          static_cast<double>(wall_ns)
-                                    : 0.0);
-    json += ", \"peak_rss_kb\": " + std::to_string(peak_rss_kb());
-    json += ", \"threads\": " +
-            std::to_string(g_pool_threads.load(std::memory_order_relaxed));
-    json += ", \"shards\": " +
-            std::to_string(g_shards.load(std::memory_order_relaxed));
-    json += ", \"epoch_ns\": " +
-            std::to_string(g_epoch_ns.load(std::memory_order_relaxed));
-    json += ", \"resolved_threads\": " +
-            std::to_string(g_resolved_threads.load(std::memory_order_relaxed));
-    {
-      std::lock_guard<std::mutex> lk(g_eps_mu);
-      json += ", \"events_per_shard\": [";
-      for (std::size_t i = 0; i < g_events_per_shard.size(); ++i) {
-        if (i > 0) json += ", ";
-        json += std::to_string(g_events_per_shard[i]);
-      }
-      json += "]";
-    }
-    json += "},\n";
-  }
   json += "  \"points\": [";
   bool first_point = true;
   for (const Point& p : points_) {
@@ -691,42 +573,32 @@ std::string BenchResults::write(const std::string& dir) const {
   return path;
 }
 
+void run_measured(Engine& eng) { run_scope(eng); }
+
+void run_measured(sim::ShardGroup& group) { run_scope(group); }
+
 double measure_latency_us(const StackChoice& stack, std::size_t msg_bytes,
-                          int iters, int warmup) {
+                          int iters, int warmup, bool dual_cpu) {
   if (stack.kind() == StackChoice::Kind::kRawEmp) {
-    return raw_emp_latency_us(msg_bytes, iters, warmup, /*dual_cpu=*/true);
+    return raw_emp_latency_us(msg_bytes, iters, warmup, dual_cpu, 0);
   }
-  return socket_latency_us(stack, msg_bytes, iters, warmup,
-                           /*dual_cpu=*/true);
+  return socket_latency_us(stack, msg_bytes, iters, warmup, dual_cpu);
 }
 
-double measure_latency_us_nic(const StackChoice& stack,
-                              std::size_t msg_bytes, bool dual_cpu) {
+double measure_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
+                              std::size_t total_bytes, bool dual_cpu) {
   if (stack.kind() == StackChoice::Kind::kRawEmp) {
-    return raw_emp_latency_us(msg_bytes, 50, 5, dual_cpu);
+    return raw_emp_bandwidth_mbps(msg_bytes, total_bytes, dual_cpu);
   }
-  return socket_latency_us(stack, msg_bytes, 50, 5, dual_cpu);
-}
-
-double measure_bandwidth_mbps(const StackChoice& stack,
-                              std::size_t msg_bytes,
-                              std::size_t total_bytes) {
-  return measure_bandwidth_mbps_nic(stack, msg_bytes, total_bytes, true);
-}
-
-double measure_bandwidth_mbps_nic(const StackChoice& stack,
-                                  std::size_t msg_bytes,
-                                  std::size_t total_bytes, bool dual_cpu) {
-  if (stack.kind() == StackChoice::Kind::kRawEmp) {
-    return raw_emp_bandwidth_mbps(msg_bytes, total_bytes);
-  }
-  return socket_bandwidth_mbps(stack, msg_bytes, total_bytes, dual_cpu);
+  return socket_bandwidth_mbps(stack, msg_bytes, total_bytes, dual_cpu,
+                               /*view=*/false);
 }
 
 double measure_bandwidth_view_mbps(const StackChoice& stack,
                                    std::size_t msg_bytes,
                                    std::size_t total_bytes) {
-  return socket_bandwidth_view_mbps(stack, msg_bytes, total_bytes);
+  return socket_bandwidth_mbps(stack, msg_bytes, total_bytes,
+                               /*dual_cpu=*/true, /*view=*/true);
 }
 
 double measure_ftp_mbps(const StackChoice& stack, std::size_t file_bytes) {
@@ -750,11 +622,9 @@ double measure_ftp_mbps(const StackChoice& stack, std::size_t file_bytes) {
     mbps = xfer.mbps();
     co_await ftp.quit();
   };
-  arm_run(eng);
   eng.spawn(server());
   eng.spawn(client());
-  eng.run();
-  finish_run(eng);
+  run_measured(eng);
   return mbps;
 }
 
@@ -787,11 +657,9 @@ double measure_web_response_us(const StackChoice& stack,
     co_await apps::web_client(proc, pick(cl, idx + 1, stack), opt,
                               per_client[idx]);
   };
-  arm_run(eng);
   eng.spawn(server());
   for (std::size_t i = 0; i < 3; ++i) eng.spawn(client(i));
-  eng.run();
-  finish_run(eng);
+  run_measured(eng);
   for (const auto& st : per_client) {
     // Merge means weighted by count.
     for (std::size_t i = 0; i < st.count(); ++i) all.add(st.mean());
@@ -807,24 +675,26 @@ double measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
   opt.shards = shards;
   opt.requests_per_client = requests_per_client;
   ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  run_sharded(scale, stack);
+  scale.start(cluster_kind(stack));
+  run_measured(scale.group());
   return g_last_host_perf.events_per_sec;
 }
 
 double measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
                                 std::size_t connections_per_host,
-                                std::size_t shards, std::size_t reap_batch) {
+                                std::size_t shards) {
   ScaleC10kOptions opt;
   opt.ring_server = ring;
   opt.connections_per_host = connections_per_host;
   opt.shards = shards;
-  opt.reap_batch = reap_batch;
   ScaleC10k scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  const std::uint64_t wall_ns = run_sharded(scale, stack);
+  scale.start(cluster_kind(stack));
+  run_measured(scale.group());
   // The measured quantity: application requests served per wall second.
-  return wall_ns > 0 ? static_cast<double>(scale.requests_served()) * 1e9 /
-                           static_cast<double>(wall_ns)
-                     : 0.0;
+  const double wall_ms = g_last_host_perf.wall_ms;
+  return wall_ms > 0
+             ? static_cast<double>(scale.requests_served()) * 1e3 / wall_ms
+             : 0.0;
 }
 
 double measure_matmul_ms(const StackChoice& stack, std::size_t n) {
@@ -846,63 +716,15 @@ double measure_matmul_ms(const StackChoice& stack, std::size_t n) {
     os::Process proc(cl.node(idx).host);
     co_await apps::matmul_worker(proc, pick(cl, idx, stack));
   };
-  arm_run(eng);
   for (std::size_t i = 1; i <= 3; ++i) eng.spawn(worker(i));
   eng.spawn(master());
-  eng.run();
-  finish_run(eng);
+  run_measured(eng);
   return ms;
 }
 
 double measure_latency_with_extra_descriptors_us(
     std::size_t extra_descriptors, std::size_t msg_bytes) {
-  Engine eng;
-  Cluster cl(eng, sim::calibrated_cost_model(), 2);
-  auto msg = payload(msg_bytes);
-  std::vector<std::uint8_t> b0(msg_bytes), b1(msg_bytes);
-  std::vector<std::uint8_t> dummy(16);
-  double one_way_us = 0;
-  constexpr int kIters = 50;
-
-  auto server = [&]() -> Task<void> {
-    auto& ep = cl.node(1).emp;
-    // Pre-post unrelated descriptors ahead of the measurement channel: the
-    // NIC walks them (550 ns each) on every incoming data frame.
-    std::vector<emp::RecvHandle> fillers;
-    for (std::size_t i = 0; i < extra_descriptors; ++i) {
-      fillers.push_back(
-          co_await ep.post_recv(emp::NodeId{0}, 999, dummy));
-    }
-    for (int i = 0; i < kIters + 5; ++i) {
-      auto h = co_await ep.post_recv(emp::NodeId{0}, 1, b1);
-      co_await ep.wait_recv(h);
-      auto s = co_await ep.post_send(0, 2, msg);
-      co_await ep.wait_send_local(s);
-    }
-    for (auto& f : fillers) {
-      bool ok = co_await ep.unpost_recv(f);
-      (void)ok;
-    }
-  };
-  auto client = [&]() -> Task<void> {
-    auto& ep = cl.node(0).emp;
-    co_await eng.delay(500'000);  // let the fillers post first
-    sim::Time t0 = 0;
-    for (int i = 0; i < kIters + 5; ++i) {
-      if (i == 5) t0 = eng.now();
-      auto h = co_await ep.post_recv(emp::NodeId{1}, 2, b0);
-      auto s = co_await ep.post_send(1, 1, msg);
-      co_await ep.wait_recv(h);
-      (void)s;
-    }
-    one_way_us = sim::to_us(eng.now() - t0) / (2.0 * kIters);
-  };
-  arm_run(eng);
-  eng.spawn(server());
-  eng.spawn(client());
-  eng.run();
-  finish_run(eng);
-  return one_way_us;
+  return raw_emp_latency_us(msg_bytes, 50, 5, true, extra_descriptors);
 }
 
 std::string size_label(std::size_t bytes) {

@@ -5,12 +5,13 @@
 // way the paper does: "latency" is half the ping-pong round trip, bandwidth
 // is receiver-side goodput over the transfer window.
 //
-// Observability: each run's engine carries the obs metrics registry and
-// timeline tracer.  After any measure_* call, last_run_metrics() holds that
-// run's full registry snapshot; BenchResults attaches it to every recorded
-// point and writes the schema-versioned BENCH_<figure>.json that
-// scripts/validate_bench_json.py checks.  set_trace_export() arms a Chrome
-// trace_event export of the next run (see DESIGN.md §8).
+// Observability: every run, serial or sharded, goes through one run scope
+// (run_measured()).  Afterwards last_run_metrics() holds that run's full
+// registry snapshot and last_run_host_perf() its wall-clock cost;
+// BenchResults attaches the snapshot to every recorded point and writes the
+// schema-versioned BENCH_<figure>.json that scripts/validate_bench_json.py
+// checks.  set_trace_export() arms a Chrome trace_event export of the next
+// serial run (see DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "apps/cluster.hpp"
+#include "sim/engine.hpp"
+#include "sim/shard.hpp"
 #include "sim/stats.hpp"
 #include "sockets/config.hpp"
 
@@ -69,7 +72,16 @@ class StackChoice {
   std::string label_;
 };
 
-/// Registry snapshot of the most recent measure_* run on this thread
+/// The run scope of every measured run.  Spawn the workload's roots, then
+/// call this: it enables the tracer when a trace export is armed (serial
+/// runs only — a group has one tracer per shard), runs `eng` or every
+/// shard of `group` to completion under a wall clock, records the run's
+/// HostPerf and registry snapshot (merged across shards for a group), and
+/// writes and disarms an armed trace export.
+void run_measured(sim::Engine& eng);
+void run_measured(sim::ShardGroup& group);
+
+/// Registry snapshot of the most recent run_measured() run on this thread
 /// (path -> value; see obs/metrics.hpp for the "h<N>/<layer>/<name>" path
 /// scheme).  Thread-local so run_points() workers don't race.
 [[nodiscard]] const std::map<std::string, std::int64_t>& last_run_metrics();
@@ -82,7 +94,7 @@ struct HostPerf {
   double events_per_sec = 0;
 };
 
-/// HostPerf of the most recent measure_* run on this thread.
+/// HostPerf of the most recent run_measured() run on this thread.
 [[nodiscard]] const HostPerf& last_run_host_perf();
 
 /// One completed measurement job: the measured value plus the metrics and
@@ -104,8 +116,9 @@ struct MeasuredPoint {
 [[nodiscard]] std::vector<MeasuredPoint> run_points(
     std::vector<std::function<double()>> jobs, unsigned threads);
 
-/// Arm a timeline export: the next measure_* run executes with the tracer
-/// enabled and writes Chrome trace_event JSON to `path` when it finishes.
+/// Arm a timeline export: the next serial run_measured() run executes with
+/// the tracer enabled and writes Chrome trace_event JSON to `path` when it
+/// finishes.
 void set_trace_export(std::string path);
 
 /// Options every bench main understands:
@@ -113,21 +126,15 @@ void set_trace_export(std::string path);
 ///   --trace F    export a Chrome trace of the first run to F
 ///   --out DIR    directory for BENCH_<figure>.json (default ".")
 ///   --threads N  run_points() pool size (0 = auto: hardware threads, <= 8)
-///   --shards N   shard count for sharded scenarios (0 = scenario default)
 struct BenchOptions {
   int iters = 0;  // 0: the figure's default
   std::string trace_path;
   std::string out_dir = ".";
   unsigned threads = 0;  // 0: auto
-  unsigned shards = 0;   // 0: each scenario picks its own
 
   [[nodiscard]] int iters_or(int dflt) const { return iters > 0 ? iters : dflt; }
   /// Pool size for run_points(): --threads, or the auto default.
   [[nodiscard]] unsigned resolved_threads() const;
-  /// Shard count for sharded scenarios: --shards, or `dflt`.
-  [[nodiscard]] std::size_t shards_or(std::size_t dflt) const {
-    return shards > 0 ? shards : dflt;
-  }
 };
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
 
@@ -137,17 +144,9 @@ struct BenchOptions {
 ///   {
 ///     "schema": "ulsocks.bench.v1",
 ///     "figure": "<figure>", "title": "<title>",
-///     "host_perf": {"events": 12345, "wall_ms": 67.8,
-///                   "events_per_sec": 1.8e6, "peak_rss_kb": 34567,
-///                   "threads": 4},
 ///     "points": [{"series", "stack", "config", "x", "value", "unit",
 ///                 "metrics": {"h0/emp/data_frames_tx": 123, ...}}, ...]
 ///   }
-///
-/// host_perf aggregates every run of the process so far: total events,
-/// summed per-run wall time (across pool threads when parallel), and peak
-/// RSS — the "how fast is the simulator itself" record that
-/// scripts/check_hostperf.py gates on.
 ///
 /// as BENCH_<figure>.json so plots and regression checks never scrape the
 /// human tables.
@@ -166,8 +165,8 @@ class BenchResults {
   void add(std::string_view series, std::string_view stack_name,
            std::string_view config_label, std::string_view x, double value,
            std::string_view unit);
-  /// Record a point with an explicit metrics snapshot (benches that drive
-  /// their own Engine instead of the measure_* routines).
+  /// Record a point with an explicit metrics snapshot (a run that was not
+  /// the last one, such as a best-of-N pick).
   void add(std::string_view series, std::string_view stack_name,
            std::string_view config_label, std::string_view x, double value,
            std::string_view unit, std::map<std::string, std::int64_t> metrics);
@@ -192,16 +191,19 @@ class BenchResults {
 };
 
 /// One-way latency (us) for `msg_bytes` messages, averaged over `iters`
-/// ping-pong rounds after `warmup` rounds.
+/// ping-pong rounds after `warmup` rounds.  `dual_cpu = false` runs the
+/// NICs with one firmware CPU (ablation of the Tigon2's dual-core design).
 [[nodiscard]] double measure_latency_us(const StackChoice& stack,
                                         std::size_t msg_bytes,
-                                        int iters = 50, int warmup = 5);
+                                        int iters = 50, int warmup = 5,
+                                        bool dual_cpu = true);
 
 /// Unidirectional goodput (Mb/s) sending `total_bytes` in `msg_bytes`
-/// application writes.
+/// application writes; `dual_cpu` as for measure_latency_us().
 [[nodiscard]] double measure_bandwidth_mbps(const StackChoice& stack,
                                             std::size_t msg_bytes,
-                                            std::size_t total_bytes);
+                                            std::size_t total_bytes,
+                                            bool dual_cpu = true);
 
 /// Same workload, but the receiver drains with read_view() instead of
 /// read(): the zero-copy receive API (sliced stacks lend their buffers;
@@ -230,16 +232,6 @@ class BenchResults {
 [[nodiscard]] double measure_latency_with_extra_descriptors_us(
     std::size_t extra_descriptors, std::size_t msg_bytes = 4);
 
-/// Latency / bandwidth with a single-CPU NIC (ablation of the Tigon2's
-/// dual-core design).
-[[nodiscard]] double measure_latency_us_nic(const StackChoice& stack,
-                                            std::size_t msg_bytes,
-                                            bool dual_cpu);
-[[nodiscard]] double measure_bandwidth_mbps_nic(const StackChoice& stack,
-                                                std::size_t msg_bytes,
-                                                std::size_t total_bytes,
-                                                bool dual_cpu);
-
 /// Host events/sec of the many-host sharded web workload (bench/scale.hpp):
 /// 1 server + (hosts-1) clients on a star, partitioned over `shards`
 /// engines.  The simulated result is shard-count invariant; the returned
@@ -263,8 +255,7 @@ class BenchResults {
 [[nodiscard]] double measure_scale_c10k_reqps(const StackChoice& stack,
                                               bool ring,
                                               std::size_t connections_per_host,
-                                              std::size_t shards = 1,
-                                              std::size_t reap_batch = 64);
+                                              std::size_t shards = 1);
 
 /// Pretty size label ("4", "1K", "64K").
 [[nodiscard]] std::string size_label(std::size_t bytes);

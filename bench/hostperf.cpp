@@ -13,7 +13,6 @@
 // hosts; medians still drift when the whole host is loaded).  The
 // simulated results of every rep are identical — the engine is
 // deterministic — so best-of changes only the wall-clock estimate.
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -28,12 +27,9 @@
 
 namespace {
 
-using ulsocks::bench::HostPerf;
-
 /// Pure event-queue churn: four self-rescheduling chains of empty events,
 /// no protocol work at all.  Measures the engine's ceiling.
-HostPerf engine_churn(std::uint64_t total_events,
-                      std::map<std::string, std::int64_t>& metrics) {
+void engine_churn(std::uint64_t total_events) {
   ulsocks::sim::Engine eng;
   // No protocol stack runs here, so no host copies happen; register the
   // counter anyway so every bench point carries host/bytes_copied.
@@ -49,19 +45,7 @@ HostPerf engine_churn(std::uint64_t total_events,
   for (std::uint64_t lane = 0; lane < 4; ++lane) {
     eng.schedule_after(lane, Chain{&eng, total_events / 4});
   }
-  auto t0 = std::chrono::steady_clock::now();
-  eng.run();
-  auto wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  HostPerf p;
-  p.wall_ms = wall_ns / 1e6;
-  p.events = eng.events_executed();
-  p.events_per_sec =
-      wall_ns > 0 ? static_cast<double>(p.events) * 1e9 / wall_ns : 0.0;
-  metrics = eng.metrics().snapshot();
-  return p;
+  ulsocks::bench::run_measured(eng);
 }
 
 }  // namespace
@@ -121,10 +105,7 @@ int main(int argc, char** argv) {
       {"scale_web_16hosts", &ds, "1shard",
        [&] { return measure_scale_web_evps(ds, 16, 1, scale_requests); }},
       {"scale_web_16hosts", &ds, "4shards",
-       [&] {
-         return measure_scale_web_evps(ds, 16, opt.shards_or(4),
-                                       scale_requests);
-       }},
+       [&] { return measure_scale_web_evps(ds, 16, 4, scale_requests); }},
       // C10K ring-vs-blocking: identical traffic (~1000 simultaneous
       // connections), two servers.  The gated quantity is requests served
       // per wall second — the ring's point is doing the same application
@@ -140,10 +121,7 @@ int main(int argc, char** argv) {
       // The ring server composes with the sharded engine: same workload
       // partitioned over 4 shards.
       {"scale_c10k", &c10k, "ring_4shards",
-       [&] {
-         return measure_scale_c10k_reqps(c10k, true, c10k_conns,
-                                         opt.shards_or(4));
-       },
+       [&] { return measure_scale_c10k_reqps(c10k, true, c10k_conns, 4); },
        "reqps"},
   };
 
@@ -186,11 +164,10 @@ int main(int argc, char** argv) {
     HostPerf best{};
     std::map<std::string, std::int64_t> best_metrics;
     for (int r = 0; r < reps; ++r) {
-      std::map<std::string, std::int64_t> metrics;
-      HostPerf p = engine_churn(n, metrics);
-      if (p.events_per_sec > best.events_per_sec) {
-        best = p;
-        best_metrics = std::move(metrics);
+      engine_churn(n);
+      if (last_run_host_perf().events_per_sec > best.events_per_sec) {
+        best = last_run_host_perf();
+        best_metrics = last_run_metrics();
       }
     }
     results.add("engine_churn", "sim", "engine", "empty_events",

@@ -5,9 +5,7 @@
 // any shard count and compare results across counts.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "apps/cluster.hpp"
@@ -27,75 +25,52 @@ struct ScaleWebOptions {
   std::uint32_t requests_per_connection = 8;  // HTTP/1.1 style
   std::size_t requests_per_client = 64;
   std::uint64_t seed = 1;
-  // Per-host cable lengths (ns of propagation, cycled over hosts); empty
-  // keeps the model's uniform wire.  See apps::Cluster.
-  std::vector<sim::Duration> per_host_propagation = {};
 };
 
-/// Builds the sharded cluster; run() spawns the server and every client on
-/// its own shard's engine and drives the group to completion.
+/// Builds the sharded cluster; start() spawns the server and every client
+/// on its own shard's engine, and the caller runs group().
 class ScaleWeb {
  public:
   ScaleWeb(const sim::CostModel& model, const sockets::SubstrateConfig& cfg,
            const ScaleWebOptions& opt)
       : opt_(opt),
-        group_(opt.shards, default_lookahead(model, opt), opt.seed),
-        cluster_(group_, model, opt.hosts, cfg, {}, true,
-                 opt.per_host_propagation),
+        group_(opt.shards, net::shard_lookahead(model.wire), opt.seed),
+        cluster_(group_, model, opt.hosts, cfg),
         per_client_(opt.hosts > 1 ? opt.hosts - 1 : 0) {}
 
   [[nodiscard]] sim::ShardGroup& group() { return group_; }
-  [[nodiscard]] apps::Cluster& cluster() { return cluster_; }
-  [[nodiscard]] const std::vector<sim::OnlineStats>& per_client() const {
-    return per_client_;
-  }
 
-  void run(apps::Cluster::StackKind kind = apps::Cluster::StackKind::kSubstrate) {
-    auto server = [&]() -> sim::Task<void> {
-      os::Process proc(cluster_.node(0).host);
-      apps::WebServerOptions so;
-      so.requests_per_connection = opt_.requests_per_connection;
-      so.max_connections =
-          (opt_.hosts - 1) *
-          ((opt_.requests_per_client + opt_.requests_per_connection - 1) /
-           opt_.requests_per_connection);
-      co_await apps::web_server(proc, cluster_.stack(0, kind), so);
-    };
-    auto client = [&](std::size_t idx) -> sim::Task<void> {
-      // Stagger connects on the client's own engine so the accept queue
-      // sees an orderly arrival pattern at any host count.
-      co_await cluster_.node_engine(idx + 1).delay(10'000 + idx * 700);
-      os::Process proc(cluster_.node(idx + 1).host);
-      apps::WebClientOptions co;
-      co.server_node = 0;
-      co.response_bytes = opt_.response_bytes;
-      co.requests_per_connection = opt_.requests_per_connection;
-      co.total_requests = opt_.requests_per_client;
-      co_await apps::web_client(proc, cluster_.stack(idx + 1, kind), co,
-                                per_client_[idx]);
-    };
-    cluster_.spawn_on(0, server());
+  void start(apps::Cluster::StackKind kind) {
+    cluster_.spawn_on(0, serve(kind));
     for (std::size_t i = 0; i + 1 < opt_.hosts; ++i) {
-      cluster_.spawn_on(i + 1, client(i));
+      cluster_.spawn_on(i + 1, request(i, kind));
     }
-    group_.run();
   }
 
  private:
-  // The group's default lookahead must lower-bound every
-  // link in the topology, so with heterogeneous cables it is the minimum
-  // per-host link latency; the registered edge matrix carries the true
-  // per-link values on top.
-  [[nodiscard]] static sim::Duration default_lookahead(
-      const sim::CostModel& model, const ScaleWebOptions& opt) {
-    sim::WireCosts wire = model.wire;
-    if (opt.per_host_propagation.empty()) return net::shard_lookahead(wire);
-    sim::Duration w = sim::ShardGroup::kUnreachable;
-    for (sim::Duration p : opt.per_host_propagation) {
-      wire.propagation_ns = p;
-      w = std::min(w, net::shard_lookahead(wire));
-    }
-    return w;
+  sim::Task<void> serve(apps::Cluster::StackKind kind) {
+    os::Process proc(cluster_.node(0).host);
+    apps::WebServerOptions so;
+    so.requests_per_connection = opt_.requests_per_connection;
+    so.max_connections =
+        (opt_.hosts - 1) *
+        ((opt_.requests_per_client + opt_.requests_per_connection - 1) /
+         opt_.requests_per_connection);
+    co_await apps::web_server(proc, cluster_.stack(0, kind), so);
+  }
+
+  sim::Task<void> request(std::size_t idx, apps::Cluster::StackKind kind) {
+    // Stagger connects on the client's own engine so the accept queue
+    // sees an orderly arrival pattern at any host count.
+    co_await cluster_.node_engine(idx + 1).delay(10'000 + idx * 700);
+    os::Process proc(cluster_.node(idx + 1).host);
+    apps::WebClientOptions co;
+    co.server_node = 0;
+    co.response_bytes = opt_.response_bytes;
+    co.requests_per_connection = opt_.requests_per_connection;
+    co.total_requests = opt_.requests_per_client;
+    co_await apps::web_client(proc, cluster_.stack(idx + 1, kind), co,
+                              per_client_[idx]);
   }
 
   ScaleWebOptions opt_;
@@ -118,7 +93,6 @@ struct ScaleC10kOptions {
   std::uint32_t response_bytes = 256;
   std::uint32_t requests_per_connection = 2;
   bool ring_server = true;               // false: blocking web_server
-  std::size_t reap_batch = 64;
   // Accept window / listen depth.  A thousand near-simultaneous SYNs
   // against a small backlog turn into a retransmission storm of refused
   // and retried connects; like a tuned C10K listener (somaxconn-style),
@@ -137,7 +111,6 @@ class ScaleC10k {
         per_conn_(opt.client_hosts * opt.connections_per_host) {}
 
   [[nodiscard]] sim::ShardGroup& group() { return group_; }
-  [[nodiscard]] apps::Cluster& cluster() { return cluster_; }
 
   /// Responses received across every connection (the "requests served"
   /// numerator of the reqps metric).
@@ -147,62 +120,61 @@ class ScaleC10k {
     return n;
   }
 
-  void run(apps::Cluster::StackKind kind =
-               apps::Cluster::StackKind::kSubstrate) {
-    const std::size_t total =
-        opt_.client_hosts * opt_.connections_per_host;
-    auto server = [&]() -> sim::Task<void> {
-      os::Process proc(cluster_.node(0).host);
-      apps::WebServerOptions so;
-      so.requests_per_connection = opt_.requests_per_connection;
-      so.max_connections = total;
-      so.backlog = opt_.backlog;
-      so.reap_batch = opt_.reap_batch;
-      if (opt_.ring_server) {
-        co_await apps::web_server_ring(proc, cluster_.stack(0, kind), so);
-      } else {
-        co_await apps::web_server(proc, cluster_.stack(0, kind), so);
-      }
-    };
-    auto conn = [&](std::size_t host, std::size_t c) -> sim::Task<void> {
-      // Near-simultaneous arrivals: 50 ns apart, so the full connection
-      // population overlaps and the server really holds ~`total` live
-      // connections at once (EMP retransmission absorbs backlog overflow).
-      const std::size_t idx = (host - 1) * opt_.connections_per_host + c;
-      co_await cluster_.node_engine(host).delay(10'000 + idx * 50);
-      os::Process proc(cluster_.node(host).host);
-      apps::WebClientOptions co;
-      co.server_node = 0;
-      co.response_bytes = opt_.response_bytes;
-      co.requests_per_connection = opt_.requests_per_connection;
-      co.total_requests = opt_.requests_per_connection;  // one connection
-      // A thousand simultaneous SYNs can outlast EMP's retransmission
-      // give-up against a finite backlog; like any C10K client, back off
-      // and retry a refused connect (deterministic, idx-jittered delays).
-      for (int attempt = 0;; ++attempt) {
-        bool retry = false;
-        try {
-          co_await apps::web_client(proc, cluster_.stack(host, kind), co,
-                                    per_conn_[idx]);
-        } catch (const os::SocketError& e) {
-          if (e.code() != os::SockErr::kRefused || attempt >= 6) throw;
-          retry = true;  // co_await is illegal inside a handler
-        }
-        if (!retry) break;
-        co_await cluster_.node_engine(host).delay(100'000 * (attempt + 1) +
-                                                  idx * 131);
-      }
-    };
-    cluster_.spawn_on(0, server());
+  /// Spawn the server and every connection; the caller runs group().
+  void start(apps::Cluster::StackKind kind) {
+    cluster_.spawn_on(0, serve(kind));
     for (std::size_t h = 1; h <= opt_.client_hosts; ++h) {
       for (std::size_t c = 0; c < opt_.connections_per_host; ++c) {
-        cluster_.spawn_on(h, conn(h, c));
+        cluster_.spawn_on(h, connection(h, c, kind));
       }
     }
-    group_.run();
   }
 
  private:
+  sim::Task<void> serve(apps::Cluster::StackKind kind) {
+    os::Process proc(cluster_.node(0).host);
+    apps::WebServerOptions so;
+    so.requests_per_connection = opt_.requests_per_connection;
+    so.max_connections = opt_.client_hosts * opt_.connections_per_host;
+    so.backlog = opt_.backlog;
+    if (opt_.ring_server) {
+      co_await apps::web_server_ring(proc, cluster_.stack(0, kind), so);
+    } else {
+      co_await apps::web_server(proc, cluster_.stack(0, kind), so);
+    }
+  }
+
+  sim::Task<void> connection(std::size_t host, std::size_t c,
+                             apps::Cluster::StackKind kind) {
+    // Near-simultaneous arrivals: 50 ns apart, so the full connection
+    // population overlaps and the server really holds every connection
+    // live at once (EMP retransmission absorbs backlog overflow).
+    const std::size_t idx = (host - 1) * opt_.connections_per_host + c;
+    co_await cluster_.node_engine(host).delay(10'000 + idx * 50);
+    os::Process proc(cluster_.node(host).host);
+    apps::WebClientOptions co;
+    co.server_node = 0;
+    co.response_bytes = opt_.response_bytes;
+    co.requests_per_connection = opt_.requests_per_connection;
+    co.total_requests = opt_.requests_per_connection;  // one connection
+    // A thousand simultaneous SYNs can outlast EMP's retransmission
+    // give-up against a finite backlog; like any C10K client, back off
+    // and retry a refused connect (deterministic, idx-jittered delays).
+    for (int attempt = 0;; ++attempt) {
+      bool retry = false;
+      try {
+        co_await apps::web_client(proc, cluster_.stack(host, kind), co,
+                                  per_conn_[idx]);
+      } catch (const os::SocketError& e) {
+        if (e.code() != os::SockErr::kRefused || attempt >= 6) throw;
+        retry = true;  // co_await is illegal inside a handler
+      }
+      if (!retry) break;
+      co_await cluster_.node_engine(host).delay(100'000 * (attempt + 1) +
+                                                idx * 131);
+    }
+  }
+
   ScaleC10kOptions opt_;
   sim::ShardGroup group_;
   apps::Cluster cluster_;

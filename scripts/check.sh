@@ -11,8 +11,7 @@
 #      that passes scripts/validate_bench_json.py.
 #   5. ThreadSanitizer build: fig13_microbench on a 4-thread run_points()
 #      pool (the repo's cross-thread code: the job pool, thread_local run
-#      state and block pools, atomic host-perf totals), plus the sharded
-#      determinism tests.
+#      state and block pools), plus the sharded determinism tests.
 #   6. Benchmark smoke: python3 benchmark/run.py --smoke builds the Release
 #      benchmark drivers, runs all five workloads at 1% size (every payload
 #      byte is verified) and checks the result schema against
@@ -87,10 +86,10 @@ python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
 echo "==> [5/$TOTAL] ThreadSanitizer: bench job pool and sharded determinism tests"
 # bench::run_points() is the repo's one thread pool: fig13_microbench fans
 # its (size, stack) cells out over 4 workers, each building its own
-# engines, with thread_local run snapshots and block pools and atomic
-# host-perf totals shared across them.  That is the surface TSan needs to
-# see.  ShardGroup steps every shard on the calling thread; the Sharding.*
-# run stays so any thread that comes back into it is raced from the start.
+# engines, with thread_local run snapshots and block pools.  That is the
+# surface TSan needs to see.  ShardGroup steps every shard on the calling
+# thread, and frames cross shards by move; the Sharding.* run stays so any
+# thread that comes back into it is raced from the start.
 # TSan excludes the other sanitizers, so this is its own build tree.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . \

@@ -1,18 +1,16 @@
 """ulsan-shard-affinity: pool and engine handles must not cross shards.
 
-Frame pools, slice pools, slice refcounts and engines are single-threaded
-by contract (DESIGN.md §11): every shard owns its own, and the hot path is
-lock-free *because* nothing is shared.  The one sanctioned crossing is
-``net::Link``'s cross-shard transmit path, which deep-copies the frame out of
-its source shard's allocator world (``clone_for_shard_transfer``) before
-handing it to ``ShardGroup::post_remote``.
+Every shard owns its engine, and every host owns its frame and slice pools
+(DESIGN.md §11).  The one sanctioned crossing is ``net::Link``'s
+cross-shard transmit path, which hands the frame itself to
+``ShardGroup::post_remote``; the frame returns to its own pool on whichever
+shard drops it.
 
 Three shapes are flagged:
 
-1. The cross-shard primitives — ``post_remote(`` and
-   ``clone_for_shard_transfer(`` — anywhere outside the cross-shard
-   transmit path (``src/net/link.cpp``) and the shard runtime itself
-   (``src/sim/shard.hpp``/``.cpp``).  New cross-shard edges must be
+1. The cross-shard primitive ``post_remote(`` anywhere outside the
+   cross-shard transmit path (``src/net/link.cpp``) and the shard runtime
+   itself (``src/sim/shard.hpp``/``.cpp``).  New cross-shard edges must be
    designed, not sprinkled.
 
 2. Writes to the group's lookahead matrix —
@@ -22,11 +20,12 @@ Three shapes are flagged:
    when a cross-shard edge forms, and nothing else may invent one.
 
 3. A lambda handed to ``post_remote`` that smuggles shard-local state:
-   any by-reference or ``this`` capture (the callback runs on another
-   shard's thread), or a capture whose name looks like a pool or engine
-   handle.  This check applies *inside* the sanctioned files too — the
-   cross-shard transmit path must stay clean (value captures of the
-   destination sink and the already-cloned frame only).
+   any by-reference or ``this`` capture, or a capture whose name looks
+   like a pool or engine handle.  The callback runs later, on the
+   destination shard's engine, so such a capture reaches into the source
+   shard's state or bypasses the mailbox.  This check applies *inside*
+   the sanctioned files too — the cross-shard transmit path must stay
+   clean (value captures of the destination sink and the frame only).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from ..source import (SourceFile, capture_items, has_ref_capture,
 ALLOWED_SUFFIXES = ("src/net/link.cpp", "src/sim/shard.hpp",
                     "src/sim/shard.cpp")
 POST_REMOTE = re.compile(r"\bpost_remote\s*\(")
-CLONE = re.compile(r"\bclone_for_shard_transfer\s*\(")
 REGISTER = re.compile(r"\bregister_edge_lookahead\s*\(")
 HANDLE_NAME = re.compile(r"(?:^|_)(?:pool|eng|engine)s?_?$|pool_?$",
                          re.IGNORECASE)
@@ -82,13 +80,6 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                 "post_remote() outside net::Link's cross-shard transmit path "
                 "— cross-shard edges are designed in src/net/link.cpp, "
                 "nowhere else"))
-        for m in CLONE.finditer(text):
-            findings.append(_finding(
-                sf, m.start(),
-                "clone_for_shard_transfer() outside the cross-shard "
-                "transmit path — "
-                "shard-crossing frames are cloned exactly once, in "
-                "net::Link::transmit"))
         for m in REGISTER.finditer(text):
             findings.append(_finding(
                 sf, m.start(),
@@ -107,8 +98,8 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                 findings.append(_finding(
                     sf, lam.start(),
                     "by-reference capture in a post_remote callback — the "
-                    "callback runs on another shard's thread; captured "
-                    "referents belong to the source shard"))
+                    "callback runs later on the destination shard's engine; "
+                    "captured referents belong to the source shard"))
                 continue
             bad = _smuggled(caps)
             if bad is not None:
@@ -116,6 +107,6 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                     sf, lam.start(),
                     f"capture '{bad}' in a post_remote callback smuggles a "
                     f"shard-local handle across the engine boundary — "
-                    f"pools and engines are single-threaded by contract "
+                    f"cross-shard effects go through the mailbox "
                     f"(DESIGN.md §11)"))
     return findings

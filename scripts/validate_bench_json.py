@@ -6,16 +6,6 @@ Checks the ulsocks.bench.v1 schema without third-party dependencies:
   {
     "schema": "ulsocks.bench.v1",
     "figure": str, "title": str,
-    "host_perf": {"events": int, "wall_ms": number,          # optional
-                  "events_per_sec": number, "peak_rss_kb": int,
-                  "threads": int,
-                  # shard/thread configuration of the process's runs:
-                  # largest shard count used, the epoch window (lookahead,
-                  # simulated ns) of the sharded runs, and the worker
-                  # thread count the sharded runs actually used after
-                  # clamping to the hardware.
-                  "shards": int, "epoch_ns": int,
-                  "resolved_threads": int},
     "points": [{"series": str, "stack": str, "config": str, "x": str,
                 "value": number, "unit": str,
                 "metrics": {str: int, ...}}, ...]
@@ -38,16 +28,6 @@ POINT_FIELDS = {
     "metrics": dict,
 }
 STACKS = {"substrate", "tcp", "emp", "sim"}
-HOST_PERF_FIELDS = {
-    "events": int,
-    "wall_ms": (int, float),
-    "events_per_sec": (int, float),
-    "peak_rss_kb": int,
-    "threads": int,
-    "shards": int,
-    "epoch_ns": int,
-    "resolved_threads": int,
-}
 
 
 def validate(path):
@@ -69,15 +49,6 @@ def validate(path):
     for field in ("figure", "title"):
         if not isinstance(doc.get(field), str) or not doc.get(field):
             err(f"missing or empty {field!r}")
-    host_perf = doc.get("host_perf")
-    if host_perf is not None:
-        if not isinstance(host_perf, dict):
-            err("'host_perf' is not an object")
-        else:
-            for field, ftype in HOST_PERF_FIELDS.items():
-                v = host_perf.get(field)
-                if not isinstance(v, ftype) or isinstance(v, bool):
-                    err(f"host_perf.{field} missing or wrong type")
 
     points = doc.get("points")
     if not isinstance(points, list):

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/payload_slice.hpp"
 #include "sim/shard.hpp"
 
 namespace ulsocks::net {
@@ -32,33 +31,6 @@ sim::Duration shard_lookahead(const sim::WireCosts& wire) {
   return sim::serialization_ns(Frame{}.wire_bytes(), wire.link_bps) +
          wire.propagation_ns;
 }
-
-namespace {
-
-// Deep-copy `f` into a fresh heap frame owned by no pool, with every
-// payload slice re-backed by private heap storage.  Frame pools, slice
-// pools and slice refcounts are all single-threaded per shard, so a frame
-// crossing shards must leave its source shard's allocator world entirely;
-// the copy happens on the source thread, and the original (with its pool
-// and slice references) dies there too.  Slice boundaries are preserved so
-// scatter-gather receive paths behave identically serial vs. sharded.
-FramePtr clone_for_shard_transfer(const Frame& f) {
-  FramePtr out = make_frame_ptr();
-  out->dst = f.dst;
-  out->src = f.src;
-  out->type = f.type;
-  out->wire_id = f.wire_id;
-  out->payload = f.payload;
-  out->slices.reserve(f.slices.size());
-  for (const PayloadSlice& s : f.slices) {
-    auto span = s.span();
-    out->slices.push_back(
-        PayloadSlice::adopt(std::vector<std::uint8_t>(span.begin(), span.end())));
-  }
-  return out;
-}
-
-}  // namespace
 
 void Link::resolve_shard(Endpoint& e) {
   if (group_ != nullptr && e.eng != nullptr) {
@@ -96,8 +68,8 @@ sim::Time Link::transmit(Side side, FramePtr frame) {
   }
 
   sim::Time arrival = from.busy_until + propagation_ns_;
+  // EventFn is move-only, so the frame travels in the event itself.
   if (to.eng == from.eng) {
-    // EventFn is move-only, so the frame travels in the event itself.
     from.eng->schedule_at(arrival,
                           [sink = to.sink, f = std::move(frame)]() mutable {
                             if (sink) sink->frame_arrived(std::move(f));
@@ -106,13 +78,10 @@ sim::Time Link::transmit(Side side, FramePtr frame) {
     // Cross-shard: arrival >= now + serialization(min frame) + propagation
     // = now + min_latency(), which is exactly the edge lookahead this link
     // registered — the invariant post_remote demands.
-    FramePtr crossed = clone_for_shard_transfer(*frame);
-    frame.reset();  // original returns to its source-shard pool here
-    group_->post_remote(
-        from.shard, to.shard, arrival,
-        [sink = to.sink, f = std::move(crossed)]() mutable {
-          if (sink) sink->frame_arrived(std::move(f));
-        });
+    group_->post_remote(from.shard, to.shard, arrival,
+                        [sink = to.sink, f = std::move(frame)]() mutable {
+                          if (sink) sink->frame_arrived(std::move(f));
+                        });
   }
   return from.busy_until;
 }

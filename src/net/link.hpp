@@ -4,10 +4,12 @@
 // Each side of a link is attached to an engine.  When both sides share one
 // engine the arrival is scheduled locally (the classic serial path, byte
 // for byte).  When the sides live on different shards of a
-// sim::ShardGroup, transmit() deep-copies the frame off the source shard's
-// pools and posts it through the group's cross-shard mailbox instead — the
-// link's serialization + propagation delay is exactly the lookahead that
-// makes the conservative-parallel schedule safe (see sim/shard.hpp).
+// sim::ShardGroup, transmit() posts the same frame through the group's
+// cross-shard mailbox instead — the link's serialization + propagation
+// delay is exactly the lookahead that makes the conservative-parallel
+// schedule safe (see sim/shard.hpp).  Every shard runs on one thread, so
+// the frame crosses by move and returns to its own NIC's pool on whichever
+// shard drops it.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,8 @@
 // events still hold frames holding slices when a Cluster destructs), so the
 // pool core is shared_ptr-owned and stragglers free themselves when they
 // see the dead mark.  Refcounts are plain integers — slices, like frames,
-// never cross engine threads.
+// never cross threads (a frame may cross shards, but every shard of a
+// sim::ShardGroup runs on the calling thread).
 #pragma once
 
 #include <cstdint>

@@ -384,13 +384,6 @@ std::uint64_t ShardGroup::events_executed() const {
   return n;
 }
 
-std::vector<std::uint64_t> ShardGroup::events_executed_per_shard() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(engines_.size());
-  for (const auto& e : engines_) out.push_back(e->events_executed());
-  return out;
-}
-
 Time ShardGroup::now() const {
   Time t = 0;
   for (const auto& e : engines_) t = std::max(t, e->now());

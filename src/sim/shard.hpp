@@ -125,10 +125,6 @@ class ShardGroup {
   /// Total events executed across all shards.
   [[nodiscard]] std::uint64_t events_executed() const;
 
-  /// Per-shard executed-event counts in shard order (the hostperf JSON
-  /// block reports them as `events_per_shard`).
-  [[nodiscard]] std::vector<std::uint64_t> events_executed_per_shard() const;
-
   /// Latest shard clock (the simulated end time of the run).
   [[nodiscard]] Time now() const;
 

@@ -10,6 +10,7 @@
 #include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/shard.hpp"
 
 namespace ulsocks::net {
 namespace {
@@ -173,6 +174,42 @@ TEST(Link, RandomDropPolicyIsSeedDeterministic) {
   EXPECT_EQ(run_once(9), run_once(9));
   EXPECT_GT(run_once(9), 40u);
   EXPECT_LT(run_once(9), 95u);
+}
+
+TEST(Link, CrossShardTransmitHandsOverTheSameFrame) {
+  sim::ShardGroup group(2, shard_lookahead(test_wire()));
+  Link link(group.shard(0), test_wire());
+  link.set_shard_group(group);
+  Recorder rx;
+  rx.eng = &group.shard(1);
+  link.attach(Link::Side::kA, nullptr, group.shard(0));
+  link.attach(Link::Side::kB, &rx, group.shard(1));
+
+  FramePool frames;
+  SlicePool slices;
+  const std::vector<std::uint8_t> body(1000, 0x33);
+  const std::uint8_t* sent = nullptr;
+  std::uint64_t outstanding_after_transmit = 0;
+  // A post made outside any window is never delivered, so the transmit
+  // runs as an event on the source shard.
+  group.shard(0).schedule_at(0, [&] {
+    FramePtr f = frames.acquire();
+    f->slices.push_back(slices.copy_in(body));
+    sent = f->slices[0].data();
+    link.transmit(Link::Side::kA, std::move(f));
+    outstanding_after_transmit = frames.outstanding();
+  });
+  group.run();
+
+  EXPECT_EQ(outstanding_after_transmit, 1u)
+      << "the crossing frame must stay charged to its own pool";
+  ASSERT_EQ(rx.frames.size(), 1u);
+  ASSERT_EQ(rx.frames[0].second->slices.size(), 1u);
+  EXPECT_EQ(rx.frames[0].second->slices[0].data(), sent)
+      << "the sink must receive the sent slice, not a copy";
+  rx.frames.clear();
+  EXPECT_EQ(frames.outstanding(), 0u)
+      << "the frame returns to its pool on the shard that drops it";
 }
 
 class SwitchTest : public ::testing::Test {

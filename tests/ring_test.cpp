@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "apps/cluster.hpp"
@@ -232,7 +234,27 @@ TEST(RingVsBlocking, SameResponsesUnderLossAndOverTcp) {
 // to the plain engine).
 // ---------------------------------------------------------------------------
 
-WebSignature run_web_sharded(std::size_t shards, const WebRunOptions& opt) {
+using Counters = std::map<std::string, std::int64_t>;
+
+/// Every shard's registry snapshot folded into one map.  Host-scoped keys
+/// ("h<N>/...") live on one shard; engine-wide keys such as
+/// host/bytes_copied sum over the shards.  The *_hwm pool gauges are left
+/// out: they count frames released during other shards' windows, so they
+/// follow host execution order, not simulated order.
+Counters fold_shard_counters(sim::ShardGroup& group) {
+  Counters out;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    for (const auto& [key, v] : group.shard(i).metrics().snapshot()) {
+      if (!key.ends_with("_hwm")) out[key] += v;
+    }
+  }
+  return out;
+}
+
+/// Runs the web workload on a `shards`-way group; `counters`, when given,
+/// receives fold_shard_counters() of the finished run.
+WebSignature run_web_sharded(std::size_t shards, const WebRunOptions& opt,
+                             Counters* counters = nullptr) {
   const sim::CostModel model = sim::calibrated_cost_model();
   sim::ShardGroup group(shards, net::shard_lookahead(model.wire), opt.seed);
   Cluster cl(group, model, opt.client_nodes + 1, opt.cfg);
@@ -252,6 +274,7 @@ WebSignature run_web_sharded(std::size_t shards, const WebRunOptions& opt) {
   WebSignature sig{group.digest(), group.causal_digest(),
                    group.events_executed(), group.now(), 0};
   for (const auto& s : stats) sig.responses += s.count();
+  if (counters != nullptr) *counters = fold_shard_counters(group);
   return sig;
 }
 
@@ -279,12 +302,16 @@ TEST(RingSharded, CausallyInvariantAcrossShardCounts) {
   const Case cases[] = {{"ring web", WebRunOptions{}, 2u * 3u * 2u * 2u},
                         {"16-host web", web16, 15u * 2u * 2u}};
   for (const Case& c : cases) {
-    CausalSignature one = causal_part(run_web_sharded(1, c.opt));
-    CausalSignature two = causal_part(run_web_sharded(2, c.opt));
-    CausalSignature four = causal_part(run_web_sharded(4, c.opt));
+    Counters c1, c2, c4;
+    CausalSignature one = causal_part(run_web_sharded(1, c.opt, &c1));
+    CausalSignature two = causal_part(run_web_sharded(2, c.opt, &c2));
+    CausalSignature four = causal_part(run_web_sharded(4, c.opt, &c4));
     EXPECT_EQ(two, one) << c.name << " diverged at 2 shards";
     EXPECT_EQ(four, one) << c.name << " diverged at 4 shards";
     EXPECT_EQ(one.responses, c.responses) << c.name;
+    EXPECT_FALSE(c1.empty()) << c.name;
+    EXPECT_EQ(c2, c1) << c.name << " per-host counters diverged at 2 shards";
+    EXPECT_EQ(c4, c1) << c.name << " per-host counters diverged at 4 shards";
   }
 }
 
