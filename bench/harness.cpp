@@ -2,21 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <thread>
-#include <type_traits>
 
 #include "apps/ftp.hpp"
 #include "apps/httpd.hpp"
 #include "apps/matmul.hpp"
 #include "obs/timeline.hpp"
-#include "scale.hpp"
-#include "sim/shard.hpp"
 
 namespace ulsocks::bench {
 
@@ -27,88 +23,12 @@ using sim::Engine;
 
 constexpr std::uint16_t kPort = 5001;
 
-// Observability state of the run scope.  The per-run snapshots are
+// Observability state of the run scope.  The per-run snapshot is
 // thread_local so run_points() workers each see their own last run.  The
 // armed trace path stays global: arming a trace forces run_points()
 // serial, so only one thread ever touches it.
 thread_local std::map<std::string, std::int64_t> g_last_metrics;  // NOLINT
-thread_local HostPerf g_last_host_perf;                           // NOLINT
 std::string g_trace_path;                                         // NOLINT
-
-/// Merge the per-shard registry snapshots of a group into one map.  Host
-/// scopes ("h<N>/...") are disjoint across shards, so most keys appear
-/// once; keys shared by every engine (notably "host/bytes_copied") merge
-/// by suffix: /min takes the min, /max and the histogram quantiles take
-/// the max, everything else (counts, sums, gauges) adds.
-std::map<std::string, std::int64_t> merged_shard_metrics(
-    sim::ShardGroup& group) {
-  auto ends_with = [](const std::string& s, std::string_view suf) {
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-  };
-  std::map<std::string, std::int64_t> out = group.shard(0).metrics().snapshot();
-  for (std::size_t i = 1; i < group.size(); ++i) {
-    for (const auto& [key, v] : group.shard(i).metrics().snapshot()) {
-      auto [it, inserted] = out.try_emplace(key, v);
-      if (inserted) continue;
-      if (ends_with(key, "/min")) {
-        it->second = std::min(it->second, v);
-      } else if (ends_with(key, "/max") || ends_with(key, "/p50") ||
-                 ends_with(key, "/p99")) {
-        it->second = std::max(it->second, v);
-      } else {
-        it->second += v;
-      }
-    }
-  }
-  // The group's own scheduler instruments ("shard/epochs",
-  // "shard/barrier_skips", "shard/epoch_ns/...") live in a separate
-  // registry with a disjoint namespace; fold them in verbatim so bench
-  // snapshots expose the epoch-size distribution per point.
-  for (const auto& [key, v] : group.metrics().snapshot()) out[key] = v;
-  return out;
-}
-
-/// The run scope behind both run_measured() overloads; `Sim` is
-/// sim::Engine or sim::ShardGroup.
-template <class Sim>
-void run_scope(Sim& sim) {
-  // The tracer is per engine and a group has one per shard, so trace
-  // exports stay a serial-run feature; a group run leaves the export
-  // armed for the next serial run.
-  constexpr bool kSerial = std::is_same_v<Sim, Engine>;
-  const bool traced = kSerial && !g_trace_path.empty();
-  if constexpr (kSerial) {
-    if (traced) sim.tracer().set_enabled(true);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.run();
-  const auto wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  g_last_host_perf.wall_ms = wall_ns / 1e6;
-  g_last_host_perf.events = sim.events_executed();
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0 ? static_cast<double>(g_last_host_perf.events) * 1e9 / wall_ns
-                  : 0.0;
-  if constexpr (kSerial) {
-    g_last_metrics = sim.metrics().snapshot();
-    if (traced) {
-      if (!sim.tracer().export_chrome_json(g_trace_path)) {
-        std::fprintf(stderr, "warning: could not write trace to %s\n",
-                     g_trace_path.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "trace written to %s (load in chrome://tracing)\n",
-                     g_trace_path.c_str());
-      }
-      g_trace_path.clear();  // only the first armed run is traced
-    }
-  } else {
-    g_last_metrics = merged_shard_metrics(sim);
-  }
-}
 
 std::vector<std::uint8_t> payload(std::size_t n) {
   std::vector<std::uint8_t> v(n);
@@ -308,11 +228,8 @@ double raw_emp_bandwidth_mbps(std::size_t msg_bytes, std::size_t total_bytes,
   return mbps;
 }
 
-/// Socket streaming goodput; the receiver drains with read_view() when
-/// `view` is set, read() otherwise.
 double socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
-                             std::size_t total_bytes, bool dual_cpu,
-                             bool view) {
+                             std::size_t total_bytes, bool dual_cpu) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), {}, dual_cpu);
   auto chunk = payload(msg_bytes);
@@ -321,18 +238,11 @@ double socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
   auto receiver = [&]() -> Task<void> {
     auto& api = pick(cl, 1, stack);
     const Accepted a = co_await accept_one(api, stack);
-    const std::size_t window = std::max<std::size_t>(msg_bytes, 65'536);
-    std::vector<std::uint8_t> buf(view ? 0 : window);
-    os::RecvView rv;
+    std::vector<std::uint8_t> buf(std::max<std::size_t>(msg_bytes, 65'536));
     std::size_t got = 0;
     sim::Time t0 = eng.now();
     while (got < total_bytes) {
-      std::size_t n = 0;
-      if (view) {
-        n = co_await api.read_view(a.conn, rv, window);
-      } else {
-        n = co_await api.read(a.conn, buf);
-      }
+      const std::size_t n = co_await api.read(a.conn, buf);
       if (n == 0) break;
       got += n;
     }
@@ -407,8 +317,6 @@ const std::map<std::string, std::int64_t>& last_run_metrics() {
   return g_last_metrics;
 }
 
-const HostPerf& last_run_host_perf() { return g_last_host_perf; }
-
 std::vector<MeasuredPoint> run_points(
     std::vector<std::function<double()>> jobs, unsigned threads) {
   std::vector<MeasuredPoint> out(jobs.size());
@@ -418,7 +326,6 @@ std::vector<MeasuredPoint> run_points(
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       out[i].value = jobs[i]();
       out[i].metrics = g_last_metrics;
-      out[i].perf = g_last_host_perf;
     }
     return out;
   }
@@ -433,7 +340,6 @@ std::vector<MeasuredPoint> run_points(
       try {
         out[i].value = jobs[i]();
         out[i].metrics = g_last_metrics;  // this worker's own run
-        out[i].perf = g_last_host_perf;
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -573,9 +479,21 @@ std::string BenchResults::write(const std::string& dir) const {
   return path;
 }
 
-void run_measured(Engine& eng) { run_scope(eng); }
-
-void run_measured(sim::ShardGroup& group) { run_scope(group); }
+void run_measured(Engine& eng) {
+  const bool traced = !g_trace_path.empty();
+  if (traced) eng.tracer().set_enabled(true);
+  eng.run();
+  g_last_metrics = eng.metrics().snapshot();
+  if (!traced) return;
+  if (!eng.tracer().export_chrome_json(g_trace_path)) {
+    std::fprintf(stderr, "warning: could not write trace to %s\n",
+                 g_trace_path.c_str());
+  } else {
+    std::fprintf(stderr, "trace written to %s (load in chrome://tracing)\n",
+                 g_trace_path.c_str());
+  }
+  g_trace_path.clear();  // only the first armed run is traced
+}
 
 double measure_latency_us(const StackChoice& stack, std::size_t msg_bytes,
                           int iters, int warmup, bool dual_cpu) {
@@ -590,15 +508,7 @@ double measure_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
   if (stack.kind() == StackChoice::Kind::kRawEmp) {
     return raw_emp_bandwidth_mbps(msg_bytes, total_bytes, dual_cpu);
   }
-  return socket_bandwidth_mbps(stack, msg_bytes, total_bytes, dual_cpu,
-                               /*view=*/false);
-}
-
-double measure_bandwidth_view_mbps(const StackChoice& stack,
-                                   std::size_t msg_bytes,
-                                   std::size_t total_bytes) {
-  return socket_bandwidth_mbps(stack, msg_bytes, total_bytes,
-                               /*dual_cpu=*/true, /*view=*/true);
+  return socket_bandwidth_mbps(stack, msg_bytes, total_bytes, dual_cpu);
 }
 
 double measure_ftp_mbps(const StackChoice& stack, std::size_t file_bytes) {
@@ -665,36 +575,6 @@ double measure_web_response_us(const StackChoice& stack,
     for (std::size_t i = 0; i < st.count(); ++i) all.add(st.mean());
   }
   return all.mean();
-}
-
-double measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
-                              std::size_t shards,
-                              std::size_t requests_per_client) {
-  ScaleWebOptions opt;
-  opt.hosts = hosts;
-  opt.shards = shards;
-  opt.requests_per_client = requests_per_client;
-  ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  scale.start(cluster_kind(stack));
-  run_measured(scale.group());
-  return g_last_host_perf.events_per_sec;
-}
-
-double measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
-                                std::size_t connections_per_host,
-                                std::size_t shards) {
-  ScaleC10kOptions opt;
-  opt.ring_server = ring;
-  opt.connections_per_host = connections_per_host;
-  opt.shards = shards;
-  ScaleC10k scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  scale.start(cluster_kind(stack));
-  run_measured(scale.group());
-  // The measured quantity: application requests served per wall second.
-  const double wall_ms = g_last_host_perf.wall_ms;
-  return wall_ms > 0
-             ? static_cast<double>(scale.requests_served()) * 1e3 / wall_ms
-             : 0.0;
 }
 
 double measure_matmul_ms(const StackChoice& stack, std::size_t n) {

@@ -5,13 +5,12 @@
 // way the paper does: "latency" is half the ping-pong round trip, bandwidth
 // is receiver-side goodput over the transfer window.
 //
-// Observability: every run, serial or sharded, goes through one run scope
-// (run_measured()).  Afterwards last_run_metrics() holds that run's full
-// registry snapshot and last_run_host_perf() its wall-clock cost;
+// Observability: every run goes through one run scope (run_measured()).
+// Afterwards last_run_metrics() holds that run's full registry snapshot;
 // BenchResults attaches the snapshot to every recorded point and writes the
 // schema-versioned BENCH_<figure>.json that scripts/validate_bench_json.py
 // checks.  set_trace_export() arms a Chrome trace_event export of the next
-// serial run (see DESIGN.md §8).
+// run (see DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +22,6 @@
 
 #include "apps/cluster.hpp"
 #include "sim/engine.hpp"
-#include "sim/shard.hpp"
 #include "sim/stats.hpp"
 #include "sockets/config.hpp"
 
@@ -73,36 +71,21 @@ class StackChoice {
 };
 
 /// The run scope of every measured run.  Spawn the workload's roots, then
-/// call this: it enables the tracer when a trace export is armed (serial
-/// runs only — a group has one tracer per shard), runs `eng` or every
-/// shard of `group` to completion under a wall clock, records the run's
-/// HostPerf and registry snapshot (merged across shards for a group), and
-/// writes and disarms an armed trace export.
+/// call this: it enables the tracer when a trace export is armed, runs
+/// `eng` to completion, records the run's registry snapshot, and writes and
+/// disarms an armed trace export.
 void run_measured(sim::Engine& eng);
-void run_measured(sim::ShardGroup& group);
 
 /// Registry snapshot of the most recent run_measured() run on this thread
 /// (path -> value; see obs/metrics.hpp for the "h<N>/<layer>/<name>" path
 /// scheme).  Thread-local so run_points() workers don't race.
 [[nodiscard]] const std::map<std::string, std::int64_t>& last_run_metrics();
 
-/// Host-side (wall-clock) cost of a simulator run: how fast the simulator
-/// itself executes, as opposed to the simulated result it produces.
-struct HostPerf {
-  double wall_ms = 0;
-  std::uint64_t events = 0;
-  double events_per_sec = 0;
-};
-
-/// HostPerf of the most recent run_measured() run on this thread.
-[[nodiscard]] const HostPerf& last_run_host_perf();
-
-/// One completed measurement job: the measured value plus the metrics and
-/// host-perf snapshots of the run that produced it.
+/// One completed measurement job: the measured value plus the metrics
+/// snapshot of the run that produced it.
 struct MeasuredPoint {
   double value = 0;
   std::map<std::string, std::int64_t> metrics;
-  HostPerf perf;
 };
 
 /// Run independent measurement jobs — each a closure over one measure_*
@@ -116,8 +99,8 @@ struct MeasuredPoint {
 [[nodiscard]] std::vector<MeasuredPoint> run_points(
     std::vector<std::function<double()>> jobs, unsigned threads);
 
-/// Arm a timeline export: the next serial run_measured() run executes with
-/// the tracer enabled and writes Chrome trace_event JSON to `path` when it
+/// Arm a timeline export: the next run_measured() run executes with the
+/// tracer enabled and writes Chrome trace_event JSON to `path` when it
 /// finishes.
 void set_trace_export(std::string path);
 
@@ -165,17 +148,16 @@ class BenchResults {
   void add(std::string_view series, std::string_view stack_name,
            std::string_view config_label, std::string_view x, double value,
            std::string_view unit);
-  /// Record a point with an explicit metrics snapshot (a run that was not
-  /// the last one, such as a best-of-N pick).
-  void add(std::string_view series, std::string_view stack_name,
-           std::string_view config_label, std::string_view x, double value,
-           std::string_view unit, std::map<std::string, std::int64_t> metrics);
-
   /// Write BENCH_<figure>.json into `dir`; returns the path written, or
   /// empty on I/O failure (also printed to stderr).
   std::string write(const std::string& dir = ".") const;
 
  private:
+  /// The overload every public add() forwards to.
+  void add(std::string_view series, std::string_view stack_name,
+           std::string_view config_label, std::string_view x, double value,
+           std::string_view unit, std::map<std::string, std::int64_t> metrics);
+
   struct Point {
     std::string series;
     std::string stack;
@@ -205,13 +187,6 @@ class BenchResults {
                                             std::size_t total_bytes,
                                             bool dual_cpu = true);
 
-/// Same workload, but the receiver drains with read_view() instead of
-/// read(): the zero-copy receive API (sliced stacks lend their buffers;
-/// others fall back to one copy into the view's scratch).
-[[nodiscard]] double measure_bandwidth_view_mbps(const StackChoice& stack,
-                                                 std::size_t msg_bytes,
-                                                 std::size_t total_bytes);
-
 /// ftp RETR throughput (Mb/s) for a file of `file_bytes` on a RAM disk.
 [[nodiscard]] double measure_ftp_mbps(const StackChoice& stack,
                                       std::size_t file_bytes);
@@ -231,31 +206,6 @@ class BenchResults {
 /// of the measurement channel (tag-matching walk-cost ablation).
 [[nodiscard]] double measure_latency_with_extra_descriptors_us(
     std::size_t extra_descriptors, std::size_t msg_bytes = 4);
-
-/// Host events/sec of the many-host sharded web workload (bench/scale.hpp):
-/// 1 server + (hosts-1) clients on a star, partitioned over `shards`
-/// engines.  The simulated result is shard-count invariant; the returned
-/// wall-clock throughput is what the partition costs or buys.
-/// last_run_metrics() afterwards holds the merged cross-shard snapshot and
-/// last_run_host_perf() the aggregate event count.
-[[nodiscard]] double measure_scale_web_evps(const StackChoice& stack,
-                                            std::size_t hosts,
-                                            std::size_t shards,
-                                            std::size_t requests_per_client);
-
-/// Served requests per wall-clock second of the C10K concurrency workload
-/// (bench/scale.hpp ScaleC10k): 3 client hosts x `connections_per_host`
-/// simultaneous connections against one server, ring (`ring = true`) or
-/// blocking.  Requests-per-second, not events-per-second, is the gated
-/// quantity: the ring server exists to do the same application work with
-/// FEWER engine events (one parked pump instead of a per-connection
-/// thundering herd), so comparing evps would reward the wasteful server.
-/// last_run_metrics() afterwards carries the merged snapshot including the
-/// ring/batch_size, ring/reap_wait_ns and ring/sqe_inflight instruments.
-[[nodiscard]] double measure_scale_c10k_reqps(const StackChoice& stack,
-                                              bool ring,
-                                              std::size_t connections_per_host,
-                                              std::size_t shards = 1);
 
 /// Pretty size label ("4", "1K", "64K").
 [[nodiscard]] std::string size_label(std::size_t bytes);

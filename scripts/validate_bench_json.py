@@ -27,7 +27,7 @@ POINT_FIELDS = {
     "unit": str,
     "metrics": dict,
 }
-STACKS = {"substrate", "tcp", "emp", "sim"}
+STACKS = {"substrate", "tcp", "emp"}
 
 
 def validate(path):
@@ -77,31 +77,10 @@ def validate(path):
                     err(f"{where}.metrics[{k!r}] is not a str->int entry")
                     break
             # Every run registers the global host-copy tally; a point
-            # without it came from an engine that bypassed the registry
-            # snapshot and would silently escape the zero-copy gate.
+            # without it came from an engine that bypassed the run scope's
+            # registry snapshot.
             if "host/bytes_copied" not in metrics:
                 err(f"{where}.metrics missing required 'host/bytes_copied'")
-            # Sharded runs (anything that recorded an epoch count) must
-            # also carry the final per-shard load skew, which
-            # benchmark/run.py reads as sim.shard.imbalance.
-            if "shard/epochs" in metrics and "shard/imbalance" not in metrics:
-                err(f"{where}.metrics missing required "
-                    "'shard/imbalance' on sharded point")
-            # Ring scenarios (x starting with "ring") must carry the
-            # OpRing instruments — a ring point without them ran the
-            # blocking server by mistake and the ring-vs-blocking gate
-            # would silently compare blocking against blocking.
-            if isinstance(p.get("x"), str) and p["x"].startswith("ring"):
-                for path_prefix in (
-                    "ring/batch_size/",
-                    "ring/reap_wait_ns/",
-                ):
-                    if not any(k.startswith(path_prefix) for k in metrics):
-                        err(f"{where}.metrics missing ring instrument "
-                            f"'{path_prefix}*' on ring scenario")
-                if "ring/sqe_inflight" not in metrics:
-                    err(f"{where}.metrics missing required "
-                        "'ring/sqe_inflight' on ring scenario")
     return errors
 
 

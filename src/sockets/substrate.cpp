@@ -385,9 +385,14 @@ sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
                                                Slot& slot, SockAddr* peer) {
   // Head-of-backlog connection request (§5.1).
   auto req = decode_conn_request(slot.buffer);
-  // Recycle the descriptor so the backlog depth is maintained.
+  // Recycle the descriptor so the backlog depth is maintained.  The repost
+  // parks, and until it returns `handle` still tests complete: mark the
+  // slot so a pass that overlaps this one does not accept the same
+  // request again.
+  slot.taken = true;
   slot.handle = co_await ep_.post_recv(
       std::nullopt, listen_tag(listener->local.port), slot.buffer);
+  slot.taken = false;
   if (!req) co_return -1;  // malformed request: drop
 
   auto child = std::make_shared<Sock>();
@@ -424,19 +429,15 @@ sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
 }
 
 sim::Task<int> EmpSocketStack::accept(int sd, SockAddr* peer) {
-  auto listener = sock(sd);
-  if (listener->state != Sock::State::kListening) {
-    throw SocketError(SockErr::kInvalid, "accept on non-listening socket");
-  }
-  for (;;) {
-    for (auto& slot : listener->conn_slots) {
-      if (!ep_.test_recv(slot->handle)) continue;
-      int child_sd = co_await complete_accept(listener, *slot, peer);
-      if (child_sd < 0) continue;
-      co_return child_sd;
-    }
+  // One backlog scan for both entry points: a pass per stack wake-up.  A
+  // listener closed meanwhile makes the next pass throw kInvalid.
+  std::vector<int> fds;
+  std::vector<SockAddr> peers;
+  while (co_await accept_many(sd, 1, fds, &peers) == 0) {
     co_await activity_.wait();
   }
+  if (peer != nullptr) *peer = peers.front();
+  co_return fds.front();
 }
 
 sim::Task<std::size_t> EmpSocketStack::accept_many(
@@ -456,7 +457,7 @@ sim::Task<std::size_t> EmpSocketStack::accept_many(
     // across complete_accept()'s suspension even if close() clears
     // conn_slots meanwhile.
     auto slot = listener->conn_slots[i];
-    if (!ep_.test_recv(slot->handle)) continue;
+    if (!ep_.test_recv(slot->handle) || slot->taken) continue;
     SockAddr peer{};
     int child_sd = co_await complete_accept(listener, *slot, &peer);
     if (child_sd < 0) continue;
@@ -1112,7 +1113,7 @@ bool EmpSocketStack::readable(int sd) const {
   const Sock& s = **sp;
   if (s.state == Sock::State::kListening) {
     for (const auto& slot : s.conn_slots) {
-      if (ep_.test_recv(slot->handle)) return true;
+      if (ep_.test_recv(slot->handle) && !slot->taken) return true;
     }
     return false;
   }

@@ -93,6 +93,9 @@ class EmpSocketStack final : public os::SocketApi {
     std::uint32_t msg_bytes = 0;   // valid once parsed
     std::uint32_t offset = 0;      // payload bytes already consumed
     bool parsed = false;           // header seen (credits applied)
+    // Listener slots: an accept is consuming the completed request here
+    // and has not yet replaced `handle`, so other scans must skip it.
+    bool taken = false;
   };
 
   struct Sock {
@@ -151,8 +154,8 @@ class EmpSocketStack final : public os::SocketApi {
 
   /// Complete the connection request sitting in `slot`: repost the
   /// descriptor, build the child socket, post its resources.  Returns the
-  /// child sd, or -1 for a malformed (dropped) request.  Shared by
-  /// accept() and accept_many().
+  /// child sd, or -1 for a malformed (dropped) request.  The slot is
+  /// `taken` until the repost replaces its completed handle.
   sim::Task<int> complete_accept(const SockPtr& listener, Slot& slot,
                                  os::SockAddr* peer);
 

@@ -228,6 +228,31 @@ TEST(RingVsBlocking, SameResponsesUnderLossAndOverTcp) {
   }
 }
 
+// An accept storm: 90 clients, one connection each, against a 16-deep
+// backlog with 4 credits per connection.  The ring's accept passes overlap
+// here (leftovers one pass reverts and freshly pushed accept SQEs start
+// passes at the same instant), so a request accepted twice would hand a
+// ghost child the live connection's tags.  Both servers serve every
+// client, and the ring, which parks one pump instead of one coroutine per
+// connection, executes fewer engine events on the same traffic.
+TEST(RingVsBlocking, AcceptStormServesEveryClientWithFewerRingEvents) {
+  WebRunOptions opt;
+  opt.cfg.credits = 4;
+  opt.cfg.buffer_bytes = 2048;
+  opt.client_nodes = 3;
+  opt.clients_per_node = 30;
+  opt.connections_per_client = 1;
+  opt.response_bytes = 256;
+  opt.ring_server = true;
+  const WebSignature ring = run_web(opt);
+  opt.ring_server = false;
+  const WebSignature blocking = run_web(opt);
+  EXPECT_EQ(ring.responses, 3u * 30u * 2u);
+  EXPECT_EQ(blocking.responses, 3u * 30u * 2u);
+  EXPECT_LT(ring.events, blocking.events)
+      << "ring " << ring.events << " vs blocking " << blocking.events;
+}
+
 // ---------------------------------------------------------------------------
 // Sharded: ring ops are per-host, so the ring web workload must be
 // causally invariant across shard counts (and a 1-shard group byte-equal

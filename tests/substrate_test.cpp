@@ -486,6 +486,74 @@ TEST_F(SubstrateTest, BacklogLimitsSimultaneousConnections) {
   EXPECT_GT(snap.at("h0/emp/retransmitted_frames"), 0);
 }
 
+TEST_F(SubstrateTest, OverlappingAcceptPassesAcceptOneRequestOnce) {
+  // Two accept_many() passes start at the same instant over a backlog
+  // holding one connection request.  The first parks in the descriptor
+  // repost inside the accept; the second must skip the request the first
+  // is consuming.  Accepting it twice builds a ghost child with the live
+  // connection's peer and tags.
+  int ls = -1;
+  std::vector<int> accepted;
+  auto listener = [&]() -> Task<void> {
+    ls = co_await stack(1).socket();
+    co_await stack(1).bind(ls, SockAddr{1, 80});
+    co_await stack(1).listen(ls, 4);
+  };
+  auto pass = [&]() -> Task<void> {
+    co_await eng_.delay(1'000'000);  // the request arrived long before
+    (void)co_await stack(1).accept_many(ls, 1, accepted);
+  };
+  auto client = [&]() -> Task<void> {
+    co_await eng_.delay(1000);
+    int s = co_await stack(0).socket();
+    co_await stack(0).connect(s, SockAddr{1, 80});
+    co_await eng_.delay(2'000'000);
+    co_await stack(0).close(s);
+  };
+  auto teardown = [&]() -> Task<void> {
+    co_await eng_.delay(4'000'000);
+    for (int cs : accepted) co_await stack(1).close(cs);
+    co_await stack(1).close(ls);
+  };
+  eng_.spawn(listener());
+  eng_.spawn(pass());
+  eng_.spawn(pass());
+  eng_.spawn(client());
+  eng_.spawn(teardown());
+  eng_.run();
+
+  EXPECT_EQ(accepted.size(), 1u);
+  EXPECT_EQ(eng_.metrics().snapshot().at("h1/sockets/connections_accepted"),
+            1);
+  EXPECT_EQ(stack(0).active_socket_count(), 0u);
+  EXPECT_EQ(stack(1).active_socket_count(), 0u);
+  EXPECT_EQ(cluster_.node(1).emp.posted_descriptor_count(), 0u);
+}
+
+TEST_F(SubstrateTest, BlockedAcceptThrowsWhenListenerCloses) {
+  bool threw = false;
+  int ls = -1;
+  auto acceptor = [&]() -> Task<void> {
+    ls = co_await stack(1).socket();
+    co_await stack(1).bind(ls, SockAddr{1, 80});
+    co_await stack(1).listen(ls, 2);
+    try {
+      (void)co_await stack(1).accept(ls, nullptr);  // no client ever comes
+    } catch (const SocketError& e) {
+      threw = e.code() == SockErr::kInvalid;
+    }
+  };
+  auto closer = [&]() -> Task<void> {
+    co_await eng_.delay(1'000'000);
+    co_await stack(1).close(ls);
+  };
+  eng_.spawn(acceptor());
+  eng_.spawn(closer());
+  eng_.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(stack(1).active_socket_count(), 0u);
+}
+
 TEST_F(SubstrateTest, SelectWakesOnReadable) {
   std::vector<int> ready_fds;
   auto server = [&]() -> Task<void> {
