@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const auto dg = StackChoice::substrate(sockets::preset("dg"));
   const auto ds = StackChoice::substrate(sockets::preset("ds_da_uq"));
   const auto tcp_def = StackChoice::tcp();
-  const auto tcp_tuned = StackChoice::tcp(262'144);
+  const auto tcp_256k = StackChoice::tcp(262'144);
   const auto emp = StackChoice::raw_emp();
 
   // Both sweeps fan out through run_points(): every (size, stack) cell is
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   std::printf("Figure 13b: bandwidth vs message size (Mb/s)\n\n");
   {
     const std::size_t sizes[] = {1024, 4096, 16384, 65536};
-    const StackChoice* stacks[] = {&ds, &dg, &tcp_def, &tcp_tuned, &emp};
+    const StackChoice* stacks[] = {&ds, &dg, &tcp_def, &tcp_256k, &emp};
     const char* series[] = {"bw_Substrate_DS", "bw_Datagram", "bw_TCP_16K",
                             "bw_TCP_tuned", "bw_raw_EMP"};
     std::vector<std::function<double()>> jobs;

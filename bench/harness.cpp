@@ -93,7 +93,7 @@ Task<int> connect_one(os::SocketApi& api, const StackChoice& stack) {
 double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
                           bool dual_cpu, std::size_t extra_descriptors) {
   Engine eng;
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, {}, dual_cpu);
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, dual_cpu);
   auto msg = payload(msg_bytes);
   std::vector<std::uint8_t> b0(msg_bytes ? msg_bytes : 1);
   std::vector<std::uint8_t> b1(msg_bytes ? msg_bytes : 1);
@@ -140,7 +140,7 @@ double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
 double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
                          int iters, int warmup, bool dual_cpu) {
   Engine eng;
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), {}, dual_cpu);
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), dual_cpu);
   auto msg = payload(msg_bytes);
   double one_way_us = 0;
 
@@ -178,7 +178,7 @@ double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
 double raw_emp_bandwidth_mbps(std::size_t msg_bytes, std::size_t total_bytes,
                               bool dual_cpu) {
   Engine eng;
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, {}, dual_cpu);
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, dual_cpu);
   auto chunk = payload(msg_bytes);
   std::size_t messages = (total_bytes + msg_bytes - 1) / msg_bytes;
   double mbps = 0;
@@ -231,7 +231,7 @@ double raw_emp_bandwidth_mbps(std::size_t msg_bytes, std::size_t total_bytes,
 double socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
                              std::size_t total_bytes, bool dual_cpu) {
   Engine eng;
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), {}, dual_cpu);
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), dual_cpu);
   auto chunk = payload(msg_bytes);
   double mbps = 0;
 

@@ -5,8 +5,8 @@
 #   2. clang-tidy over src/ with the repo's .clang-tidy profile.
 #   3. ulsan, the repo-specific static-analysis suite (python3 -m ulsan
 #      src): determinism, shard affinity, coroutine lifetime, layering,
-#      wire hygiene.  Fails on new findings, unused suppressions or a
-#      stale baseline (DESIGN.md §12).
+#      wire hygiene.  Fails on any unsuppressed finding or an unused
+#      suppression (DESIGN.md §12).
 #   4. Bench smoke: a short fig11_latency run must emit a BENCH_*.json
 #      that passes scripts/validate_bench_json.py.
 #   5. ThreadSanitizer build: fig13_microbench on a 4-thread run_points()

@@ -8,10 +8,9 @@ wire format hygiene.
 
 Run ``python3 -m ulsan src`` from the repository root, or see
 ``python3 -m ulsan --help``.  DESIGN.md §12 documents the rule catalogue
-and the suppression/baseline policy.
+and the suppression policy.
 """
 
 __version__ = "1.0"
 
-from .framework import (Baseline, Finding, Rule, RunResult, all_rules,  # noqa: F401
-                        run)
+from .framework import Finding, Rule, RunResult, all_rules, run  # noqa: F401

@@ -8,9 +8,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .framework import Baseline, all_rules, run
-
-DEFAULT_BASELINE = Path(__file__).parent / "baseline.json"
+from .framework import all_rules, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,14 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a rule's full documentation and exit")
     p.add_argument("--json", metavar="FILE",
                    help="write findings as JSON ('-' for stdout)")
-    p.add_argument("--baseline", metavar="FILE", type=Path,
-                   default=DEFAULT_BASELINE,
-                   help=f"baseline file (default: {DEFAULT_BASELINE})")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline: report every finding")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="rewrite the baseline from current findings "
-                        "(carries forward matching justifications)")
     p.add_argument("--quiet", action="store_true",
                    help="print findings only, no summary line")
     return p
@@ -70,25 +60,14 @@ def main(argv: list[str] | None = None) -> int:
                       for n in args.rules.split(",") if n.strip()]
 
     paths = [Path(p) for p in args.paths]
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(args.baseline)
-
     try:
-        result = run(paths, rule_names=rule_names, baseline=baseline)
+        result = run(paths, rule_names=rule_names)
     except FileNotFoundError as e:
         print(f"ulsan: error: {e}", file=sys.stderr)
         return 2
     except KeyError as e:
         print(f"ulsan: error: {e.args[0]}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        old = Baseline.load(args.baseline)
-        args.baseline.write_text(Baseline.render(result.new, old))
-        print(f"ulsan: wrote {len(result.new)} finding(s) to "
-              f"{args.baseline}")
-        return 0
 
     for f in result.new + result.errors:
         print(f.render())
@@ -104,7 +83,6 @@ def main(argv: list[str] | None = None) -> int:
             "counts": {
                 "new": len(result.new),
                 "suppressed": len(result.suppressed),
-                "baselined": len(result.baselined),
                 "errors": len(result.errors),
             },
         }
@@ -116,13 +94,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.quiet:
         bits = [f"{result.files_scanned} files"]
-        if result.baselined:
-            bits.append(f"{len(result.baselined)} baselined")
         if result.suppressed:
             bits.append(f"{len(result.suppressed)} suppressed")
         if result.failed:
             print(f"\nulsan: FAILED — {len(result.new)} new finding(s), "
-                  f"{len(result.errors)} suppression/baseline error(s) "
+                  f"{len(result.errors)} suppression error(s) "
                   f"({', '.join(bits)})")
         else:
             print(f"ulsan: clean ({', '.join(bits)})")

@@ -1,4 +1,4 @@
-"""ulsan rule framework: registry, findings, suppressions, baseline.
+"""ulsan rule framework: registry, findings, suppressions.
 
 Suppression syntax
 ------------------
@@ -10,22 +10,12 @@ comment can silence both tools.  Every ulsan token must suppress at least
 one finding — an unused suppression is itself an error (it means the code
 was fixed, or the token is misspelled).  A bare ``// NOLINT`` with no
 rule list is rejected as a blanket suppression, and unknown ``ulsan-*``
-rule names are rejected as typos.  The pre-ulsan ``NOLINT(coro-capture)``
-convention is recognized only to tell you to migrate.
-
-Baseline
---------
-``scripts/ulsan/baseline.json`` grandfathers pre-existing findings so the
-gate can demand "no *new* findings" from day one.  Entries match on
-(rule, file, whitespace-normalized line text) — stable across unrelated
-edits that renumber lines — and absorb up to ``count`` occurrences.  Every
-entry must carry a non-empty ``justification`` and must still match
-something: a stale entry fails the run so the baseline only ever shrinks.
+rule names are rejected as typos.  A suppression is the only way to keep
+a finding: the comment above it says why the code is right.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,13 +23,9 @@ from typing import Callable, Iterable
 
 from .source import SourceFile
 
-# Rules whose findings the committed gate must never baseline; kept here so
-# both the runner and the self-tests can assert the policy.
-NO_BASELINE_RULES = ("layering", "wire-hygiene")
-
 # Umbrella alias: suppresses both coroutine-capture rules.  Only the
 # namespaced NOLINT(ulsan-coro-capture) spelling counts; a bare
-# NOLINT(coro-capture) is rejected as malformed.
+# NOLINT(coro-capture) is a clang-tidy token and suppresses nothing here.
 CORO_ALIAS = "coro-capture"
 CORO_ALIAS_TARGETS = ("coro-schedule-capture", "coro-iife-capture")
 
@@ -51,10 +37,7 @@ class Finding:
     line: int
     message: str
     excerpt: str = ""
-    status: str = "new"  # new | suppressed | baselined
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.rule, self.path, normalize_text(self.excerpt))
+    status: str = "new"  # new | suppressed
 
     def render(self) -> str:
         loc = f"{self.path}:{self.line}"
@@ -100,10 +83,6 @@ def all_rules() -> dict[str, Rule]:
     # Importing the rules package populates the registry exactly once.
     from . import rules  # noqa: F401
     return dict(_REGISTRY)
-
-
-def normalize_text(s: str) -> str:
-    return " ".join(s.split())
 
 
 class RunContext:
@@ -184,15 +163,6 @@ def scan_suppressions(sf: SourceFile,
                 tok = raw.strip()
                 if not tok:
                     continue
-                if tok == CORO_ALIAS:
-                    out.malformed.append(Finding(
-                        rule="suppression-syntax", path=sf.display,
-                        line=lineno,
-                        message="legacy NOLINT(coro-capture) syntax; "
-                                "migrate to NOLINT(ulsan-coro-capture) "
-                                "or a specific ulsan-coro-* rule",
-                        excerpt=sf.line_text(lineno)))
-                    continue
                 if not tok.startswith("ulsan-"):
                     continue  # clang-tidy's namespace
                 name = tok[len("ulsan-"):]
@@ -210,102 +180,6 @@ def scan_suppressions(sf: SourceFile,
                                 f"(see --list-rules)",
                         excerpt=sf.line_text(lineno)))
     return out
-
-
-# --------------------------------------------------------------------------
-# Baseline
-
-@dataclass
-class BaselineEntry:
-    rule: str
-    file: str
-    text: str
-    count: int
-    justification: str
-    matched: int = 0
-
-
-class Baseline:
-    def __init__(self, entries: list[BaselineEntry], path: Path | None):
-        self.entries = entries
-        self.path = path
-
-    @classmethod
-    def load(cls, path: Path | None) -> "Baseline":
-        if path is None or not path.exists():
-            return cls([], path)
-        data = json.loads(path.read_text())
-        entries = [
-            BaselineEntry(
-                rule=e["rule"].removeprefix("ulsan-"),
-                file=e["file"],
-                text=normalize_text(e["text"]),
-                count=int(e.get("count", 1)),
-                justification=e.get("justification", ""),
-            )
-            for e in data.get("entries", [])
-        ]
-        return cls(entries, path)
-
-    def absorb(self, f: Finding) -> bool:
-        for e in self.entries:
-            if (e.rule == f.rule and e.file == f.path
-                    and e.text == normalize_text(f.excerpt)
-                    and e.matched < e.count):
-                e.matched += 1
-                return True
-        return False
-
-    def problems(self) -> list[Finding]:
-        out: list[Finding] = []
-        for e in self.entries:
-            if e.rule in NO_BASELINE_RULES:
-                out.append(Finding(
-                    rule="baseline-policy", path=e.file, line=0,
-                    message=f"rule ulsan-{e.rule} may not be baselined "
-                            f"(fix the code instead)", excerpt=e.text))
-            if not e.justification.strip():
-                out.append(Finding(
-                    rule="baseline-policy", path=e.file, line=0,
-                    message=f"baseline entry for ulsan-{e.rule} has no "
-                            f"justification", excerpt=e.text))
-            if e.matched == 0:
-                out.append(Finding(
-                    rule="baseline-stale", path=e.file, line=0,
-                    message=f"baseline entry for ulsan-{e.rule} matched "
-                            f"nothing — the finding was fixed; delete the "
-                            f"entry", excerpt=e.text))
-            elif e.matched < e.count:
-                out.append(Finding(
-                    rule="baseline-stale", path=e.file, line=0,
-                    message=f"baseline entry for ulsan-{e.rule} expects "
-                            f"{e.count} occurrence(s) but only {e.matched} "
-                            f"remain; lower the count", excerpt=e.text))
-        return out
-
-    @staticmethod
-    def render(findings: list[Finding],
-               old: "Baseline | None" = None) -> str:
-        """Serialize current findings as a baseline file, carrying forward
-        justifications from ``old`` where keys still match."""
-        kept: dict[tuple[str, str, str], str] = {}
-        if old is not None:
-            for e in old.entries:
-                kept[(e.rule, e.file, e.text)] = e.justification
-        grouped: dict[tuple[str, str, str], int] = {}
-        for f in findings:
-            grouped[f.key()] = grouped.get(f.key(), 0) + 1
-        entries = []
-        for (rule_name, path, text), count in sorted(grouped.items()):
-            entries.append({
-                "rule": f"ulsan-{rule_name}",
-                "file": path,
-                "text": text,
-                "count": count,
-                "justification": kept.get((rule_name, path, text),
-                                          "TODO: justify or fix"),
-            })
-        return json.dumps({"version": 1, "entries": entries}, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -345,19 +219,17 @@ class RunResult:
     files_scanned: int = 0
     new: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    errors: list[Finding] = field(default_factory=list)  # unused/malformed/stale
+    errors: list[Finding] = field(default_factory=list)  # unused/malformed
 
     @property
     def failed(self) -> bool:
         return bool(self.new or self.errors)
 
     def all_findings(self) -> list[Finding]:
-        return self.new + self.suppressed + self.baselined + self.errors
+        return self.new + self.suppressed + self.errors
 
 
-def run(paths: list[Path], rule_names: list[str] | None = None,
-        baseline: Baseline | None = None) -> RunResult:
+def run(paths: list[Path], rule_names: list[str] | None = None) -> RunResult:
     registry = all_rules()
     if rule_names is None:
         active = list(registry.values())
@@ -385,9 +257,6 @@ def run(paths: list[Path], rule_names: list[str] | None = None,
                     cover.used = True
                     f.status = "suppressed"
                     result.suppressed.append(f)
-                elif baseline is not None and baseline.absorb(f):
-                    f.status = "baselined"
-                    result.baselined.append(f)
                 else:
                     result.new.append(f)
         # Only suppressions for *active* rules can be judged unused: a
@@ -404,7 +273,4 @@ def run(paths: list[Path], rule_names: list[str] | None = None,
                             f"the finding was fixed or the rule name is "
                             f"wrong; remove it",
                     excerpt=sf.line_text(s.line)))
-
-    if baseline is not None:
-        result.errors.extend(baseline.problems())
     return result

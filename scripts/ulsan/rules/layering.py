@@ -24,8 +24,6 @@ Concretely, each importer directory may include only the directories
 listed for it below (SimBricks-style interface discipline: a lower layer
 that reaches up stops being composable, and a sideways include between
 ``emp`` and ``tcp`` would entangle the two stacks the paper compares).
-This rule is never baselined: a layering violation is fixed, not
-grandfathered.
 """
 
 from __future__ import annotations

@@ -9,9 +9,6 @@ lines, by a ``static_assert`` that mentions the struct by name (typically
 constant).  Growing one of these structs without consciously revisiting
 the encoder is exactly how a wire format drifts: the assert turns the
 silent drift into a compile error at the definition site.
-
-This rule is never baselined: adding the assert is always cheaper than
-carrying the exemption.
 """
 
 from __future__ import annotations

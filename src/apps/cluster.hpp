@@ -29,18 +29,12 @@ class Cluster {
   struct Node {
     Node(sim::Engine& eng, const sim::CostModel& model, std::uint16_t id,
          net::Link& link, const sockets::SubstrateConfig& cfg,
-         const tcp::TcpTunables& tcp_tun, bool dual_cpu_nic)
+         bool dual_cpu_nic)
         : host(eng, model, id),
           nic(eng, model, link, net::StarNetwork::kHostSide,
               net::MacAddress::for_host(id), dual_cpu_nic),
-          emp(eng, model, nic, host.cpu(), id,
-              [](emp::NodeId n) {
-                return net::MacAddress::for_host(
-                    static_cast<std::uint32_t>(n));
-              }),
-          tcp(eng, model, host, nic,
-              [](std::uint16_t n) { return net::MacAddress::for_host(n); },
-              tcp_tun),
+          emp(eng, model, nic, host.cpu(), id),
+          tcp(eng, model, host, nic),
           socks(eng, model, host, emp, cfg) {}
 
     os::Host host;
@@ -55,7 +49,7 @@ class Cluster {
   /// the model's uniform wire — see net::StarNetwork.
   Cluster(sim::Engine& eng, const sim::CostModel& model,
           std::size_t node_count, sockets::SubstrateConfig cfg = {},
-          tcp::TcpTunables tcp_tun = {}, bool dual_cpu_nic = true,
+          bool dual_cpu_nic = true,
           std::vector<sim::Duration> per_host_propagation = {})
       : eng_(eng), model_(model),
         net_(eng, model.wire, node_count, std::move(per_host_propagation)) {
@@ -63,7 +57,7 @@ class Cluster {
     for (std::size_t i = 0; i < node_count; ++i) {
       nodes_.push_back(std::make_unique<Node>(
           eng, model, static_cast<std::uint16_t>(i), net_.host_link(i), cfg,
-          tcp_tun, dual_cpu_nic));
+          dual_cpu_nic));
     }
   }
 
@@ -74,7 +68,7 @@ class Cluster {
   /// group this is byte-identical to the serial constructor above.
   Cluster(sim::ShardGroup& group, const sim::CostModel& model,
           std::size_t node_count, sockets::SubstrateConfig cfg = {},
-          tcp::TcpTunables tcp_tun = {}, bool dual_cpu_nic = true,
+          bool dual_cpu_nic = true,
           std::vector<sim::Duration> per_host_propagation = {})
       : eng_(group.shard(0)), model_(model),
         net_(group, model.wire, node_count, std::move(per_host_propagation)) {
@@ -82,7 +76,7 @@ class Cluster {
     for (std::size_t i = 0; i < node_count; ++i) {
       nodes_.push_back(std::make_unique<Node>(
           group.shard(shard_of_node(i, group.size())), model,
-          static_cast<std::uint16_t>(i), net_.host_link(i), cfg, tcp_tun,
+          static_cast<std::uint16_t>(i), net_.host_link(i), cfg,
           dual_cpu_nic));
     }
     // Frames the switch pushed toward host i either arrived at its NIC

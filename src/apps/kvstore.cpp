@@ -127,7 +127,6 @@ sim::Task<void> KvClient::send_request(KvOp op, const std::string& key,
                 value.size());
   }
   co_await proc_.write_all(fd_, msg);
-  ++requests_;
 }
 
 sim::Task<std::pair<KvStatus, std::vector<std::uint8_t>>>

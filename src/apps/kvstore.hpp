@@ -59,8 +59,6 @@ class KvClient {
 
   [[nodiscard]] sim::Task<void> close();
 
-  [[nodiscard]] std::size_t requests_sent() const { return requests_; }
-
  private:
   [[nodiscard]] sim::Task<void> send_request(
       KvOp op, const std::string& key, std::span<const std::uint8_t> value);
@@ -72,7 +70,6 @@ class KvClient {
   std::uint16_t server_;
   std::uint16_t port_;
   int fd_ = -1;
-  std::size_t requests_ = 0;
 };
 
 }  // namespace ulsocks::apps

@@ -63,16 +63,12 @@ EmpEndpoint::Instruments::Instruments(obs::Scope scope)
 
 EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
                          nic::NicDevice& nic, sim::SerialResource& host_cpu,
-                         NodeId self,
-                         std::function<net::MacAddress(NodeId)> resolve,
-                         EmpConfig config)
+                         NodeId self)
     : eng_(&eng),
       model_(model),
       nic_(nic),
       host_cpu_(host_cpu),
       self_(self),
-      resolve_(std::move(resolve)),
-      config_(config),
       ctr_(obs::Scope(eng.metrics(), host_label(self) + "/emp")),
       bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
       tracer_(eng.tracer()),
@@ -99,9 +95,9 @@ void EmpEndpoint::check_invariants() const {
         check::msgf("node%u msg=%u acked %u of %u frames", self_, id,
                     st->acked_frames, st->total_frames));
     ULSOCKS_INVARIANT(
-        st->retries <= config_.max_retries,
+        st->retries <= kMaxRetries,
         check::msgf("node%u msg=%u retries=%u > max=%u", self_, id,
-                    st->retries, config_.max_retries));
+                    st->retries, kMaxRetries));
   }
   // Receive bindings: every in-flight message is homed in exactly one
   // descriptor or unexpected entry, with per-frame accounting in bounds.
@@ -111,23 +107,21 @@ void EmpEndpoint::check_invariants() const {
         (b.recv != nullptr) != (b.unexpected != nullptr),
         check::msgf("node%u binding %llx must have exactly one home", self_,
                     static_cast<unsigned long long>(key)));
-    if (b.recv) {
-      ULSOCKS_INVARIANT(
-          b.recv->bound,
-          check::msgf("node%u bound map points at unbound descriptor",
-                      self_));
-      ULSOCKS_INVARIANT(
-          b.recv->frames_received <= b.recv->total_frames &&
-              b.recv->frames_landed <= b.recv->total_frames,
-          check::msgf("node%u msg from=%u frame accounting out of bounds: "
-                      "received=%u landed=%u total=%u",
-                      self_, b.recv->from, b.recv->frames_received,
-                      b.recv->frames_landed, b.recv->total_frames));
-    }
+    const Reassembly& m = b.msg();
+    ULSOCKS_INVARIANT(
+        m.bound, check::msgf("node%u bound map points at an unbound home",
+                             self_));
+    ULSOCKS_INVARIANT(
+        m.frames_received <= m.total_frames &&
+            m.frames_landed <= m.total_frames,
+        check::msgf("node%u msg from=%u frame accounting out of bounds: "
+                    "received=%u landed=%u total=%u",
+                    self_, m.from, m.frames_received, m.frames_landed,
+                    m.total_frames));
   }
   for (const auto* u : unexpected_ready_) {
     ULSOCKS_INVARIANT(
-        u->bound && u->ready,
+        u->msg.bound && u->ready,
         check::msgf("node%u unexpected-ready entry not bound+ready", self_));
   }
   // Translation cache: map and LRU list describe the same set, and the
@@ -137,17 +131,17 @@ void EmpEndpoint::check_invariants() const {
       check::msgf("node%u translation cache map/LRU diverged: %zu != %zu",
                   self_, pin_map_.size(), pin_lru_.size()));
   ULSOCKS_INVARIANT(
-      pin_lru_.size() <= config_.translation_cache_capacity,
+      pin_lru_.size() <= kTranslationCacheCapacity,
       check::msgf("node%u translation cache over capacity: %zu > %zu", self_,
-                  pin_lru_.size(), config_.translation_cache_capacity));
+                  pin_lru_.size(), kTranslationCacheCapacity));
   // Duplicate-suppression history is bounded and consistent.
   ULSOCKS_INVARIANT(
       completed_history_.size() == completed_order_.size() &&
-          completed_history_.size() <= config_.completed_history,
+          completed_history_.size() <= kCompletedHistory,
       check::msgf("node%u completed history out of bounds: map=%zu order=%zu "
                   "cap=%zu",
                   self_, completed_history_.size(), completed_order_.size(),
-                  config_.completed_history));
+                  kCompletedHistory));
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +158,7 @@ sim::Duration EmpEndpoint::pin_cost(const void* base) {
   ++ctr_.pin_misses;
   pin_lru_.push_front(base);
   pin_map_[base] = pin_lru_.begin();
-  if (pin_lru_.size() > config_.translation_cache_capacity) {
+  if (pin_lru_.size() > kTranslationCacheCapacity) {
     pin_map_.erase(pin_lru_.back());
     pin_lru_.pop_back();
   }
@@ -173,16 +167,10 @@ sim::Duration EmpEndpoint::pin_cost(const void* base) {
 
 sim::Task<SendHandle> EmpEndpoint::post_send(
     NodeId dst, Tag tag, std::span<const std::uint8_t> data) {
-  return post_send_impl(dst, tag, {}, data, data.data());
+  return post_send_sg(dst, tag, {}, data, data.data());
 }
 
 sim::Task<SendHandle> EmpEndpoint::post_send_sg(
-    NodeId dst, Tag tag, std::span<const std::uint8_t> head,
-    std::span<const std::uint8_t> body, const void* pin_base) {
-  return post_send_impl(dst, tag, head, body, pin_base);
-}
-
-sim::Task<SendHandle> EmpEndpoint::post_send_impl(
     NodeId dst, Tag tag, std::span<const std::uint8_t> head,
     std::span<const std::uint8_t> body, const void* pin_base) {
   const sim::Time t0 = eng_->now();
@@ -213,7 +201,7 @@ sim::Task<SendHandle> EmpEndpoint::post_send_impl(
   ++ctr_.sends_posted;
 
   nic_.fw_tx(model_.nic.fw_tx_post_ns,
-             [this, st] { transmit_frames(st, 0); });
+             [this, st] { transmit_frames(st, 0, Emit::kFirst); });
   if (tracer_.enabled()) {
     tracer_.complete(trk_lib_, t0, eng_->now() - t0, "post_send",
                      "\"dst\":" + std::to_string(dst) +
@@ -301,7 +289,7 @@ sim::Task<RecvResult> EmpEndpoint::wait_recv(RecvHandle h) {
 
 sim::Task<bool> EmpEndpoint::unpost_recv(RecvHandle h) {
   co_await host_cpu_.use(model_.nic.mailbox_post_ns);
-  if (h->bound || h->completed) co_return false;
+  if (h->msg.bound || h->completed) co_return false;
   h->unposted = true;
   nic_.fw_rx(model_.nic.fw_rx_post_ns, [this, h] { walk_remove(h); });
   co_return true;
@@ -311,27 +299,15 @@ sim::Task<std::optional<RecvResult>> EmpEndpoint::try_claim_unexpected(
     std::optional<NodeId> src, Tag tag, std::span<std::uint8_t> buffer) {
   co_await host_cpu_.use(model_.host.poll_iteration_ns);
   for (auto* u : unexpected_ready_) {
-    bool src_ok = !src.has_value() || *src == u->from;
-    if (!src_ok || tag != u->tag || u->msg_bytes > buffer.size()) continue;
-    std::uint32_t bytes = u->msg_bytes;
+    const Reassembly& m = u->msg;
+    bool src_ok = !src.has_value() || *src == m.from;
+    if (!src_ok || tag != m.tag || m.msg_bytes > buffer.size()) continue;
     if (tracer_.enabled()) {
       tracer_.instant(trk_lib_, eng_->now(), "uq-claim",
-                      uq_args(u->from, u->tag, bytes));
+                      uq_args(m.from, m.tag, m.msg_bytes));
     }
-    RecvResult result{u->from, u->tag, bytes};
-    if (bytes > 0) {
-      std::memcpy(buffer.data(), u->buffer.data(), bytes);
-      *bytes_copied_ += bytes;
-    }
-    std::erase(unexpected_ready_, u);
-    bound_.erase(key_of(u->from, u->msg_id));
-    remember_completed(u->from, u->msg_id, u->total_frames);
-    u->bound = false;
-    u->ready = false;
-    u->got.clear();
-    u->frames_received = 0;
-    u->frames_landed = 0;
-    co_await host_cpu_.use(model_.memcpy_cost(bytes));
+    const RecvResult result = claim_unexpected(u, buffer.data());
+    co_await host_cpu_.use(model_.memcpy_cost(result.bytes));
     co_return result;
   }
   co_return std::nullopt;
@@ -340,7 +316,7 @@ sim::Task<std::optional<RecvResult>> EmpEndpoint::try_claim_unexpected(
 std::size_t EmpEndpoint::unexpected_free_count() const {
   std::size_t n = 0;
   for (const auto& u : unexpected_pool_) {
-    if (!u.bound) ++n;
+    if (!u.msg.bound) ++n;
   }
   return n;
 }
@@ -349,18 +325,10 @@ std::size_t EmpEndpoint::unexpected_free_count() const {
 // NIC-side transmit path
 // ---------------------------------------------------------------------------
 
-net::MacAddress EmpEndpoint::resolve_mac(NodeId dst) {
-  auto it = resolve_cache_.find(dst);
-  if (it != resolve_cache_.end()) return it->second;
-  net::MacAddress mac = resolve_(dst);
-  resolve_cache_.emplace(dst, mac);
-  return mac;
-}
-
 net::FramePtr EmpEndpoint::make_control_frame(NodeId dst,
                                               const EmpHeader& h) {
   net::FramePtr f = nic_.frame_pool().acquire();
-  f->dst = resolve_mac(dst);
+  f->dst = net::MacAddress::for_host(dst);
   f->src = nic_.mac();
   f->type = net::EtherType::kEmp;
   encode_frame_into(h, {}, f->payload);
@@ -372,7 +340,7 @@ net::FramePtr EmpEndpoint::make_data_frame(const SendHandle& st,
                                            std::uint32_t offset,
                                            std::uint32_t len) {
   net::FramePtr f = nic_.frame_pool().acquire();
-  f->dst = resolve_mac(st->dst);
+  f->dst = net::MacAddress::for_host(st->dst);
   f->src = nic_.mac();
   f->type = net::EtherType::kEmp;
   // Zero-copy: the frame carries the 20 header bytes inline and references
@@ -383,59 +351,61 @@ net::FramePtr EmpEndpoint::make_data_frame(const SendHandle& st,
 }
 
 void EmpEndpoint::transmit_frames(const SendHandle& st,
-                                  std::uint32_t first_frame, bool retransmit) {
-  const std::uint32_t total = st->total_frames;
-  const std::uint32_t frag = fragment_size();
-  for (std::uint32_t idx = first_frame; idx < total; ++idx) {
-    if (retransmit) {
-      ++ctr_.retransmitted_frames;
-      if (tracer_.enabled()) {
-        tracer_.instant(trk_fw_, eng_->now(), "retransmit");
-      }
-    }
-    const std::uint32_t bytes = st->size_bytes();
-    std::uint32_t offset0 = idx * frag;
-    std::uint32_t len0 =
-        bytes == 0 ? 0 : std::min<std::uint32_t>(frag, bytes - offset0);
-    nic_.tx_cpu().run(
-        model_.fw_tx_frame_cost(len0),
-        [this, st, idx, total, offset0, len0]() mutable {
-          nic_.dma_transfer(
-              len0 + kHeaderBytes,
-              [this, st = std::move(st), idx, total, offset = offset0,
-               len = len0] {
-                EmpHeader h;
-                h.kind = FrameKind::kData;
-                h.src_node = self_;
-                h.dst_node = st->dst;
-                h.tag = st->tag;
-                h.msg_id = st->msg_id;
-                h.frame_index = static_cast<std::uint16_t>(idx);
-                h.total_frames = static_cast<std::uint16_t>(total);
-                h.msg_bytes = st->size_bytes();
-                ++ctr_.data_frames_tx;
-                nic_.mac_send(make_data_frame(st, h, offset, len));
-                if (idx + 1 == total) {
-                  if (!st->local_done) {
-                    st->local_done = true;
-                    st->local_evt.set();
-                  }
-                  arm_retransmit_timer(st);
-                }
-              });
-        });
+                                  std::uint32_t first_frame, Emit why) {
+  for (std::uint32_t idx = first_frame; idx < st->total_frames; ++idx) {
+    emit_fragment(st, idx, why);
   }
 }
 
+void EmpEndpoint::emit_fragment(const SendHandle& st, std::uint32_t idx,
+                                Emit why) {
+  if (why != Emit::kFirst) ++ctr_.retransmitted_frames;
+  if (why == Emit::kResend && tracer_.enabled()) {
+    tracer_.instant(trk_fw_, eng_->now(), "retransmit");
+  }
+  const bool ends_round =
+      why != Emit::kRepair && idx + 1 == st->total_frames;
+  const std::uint32_t frag = fragment_size();
+  const std::uint32_t bytes = st->size_bytes();
+  const std::uint32_t offset = idx * frag;
+  const std::uint32_t len =
+      bytes == 0 ? 0 : std::min<std::uint32_t>(frag, bytes - offset);
+  nic_.tx_cpu().run(
+      model_.fw_tx_frame_cost(len),
+      [this, st, idx, offset, len, ends_round]() mutable {
+        nic_.dma_transfer(
+            len + kHeaderBytes,
+            [this, st = std::move(st), idx, offset, len, ends_round] {
+              EmpHeader h;
+              h.kind = FrameKind::kData;
+              h.src_node = self_;
+              h.dst_node = st->dst;
+              h.tag = st->tag;
+              h.msg_id = st->msg_id;
+              h.frame_index = static_cast<std::uint16_t>(idx);
+              h.total_frames = st->total_frames;
+              h.msg_bytes = st->size_bytes();
+              ++ctr_.data_frames_tx;
+              nic_.mac_send(make_data_frame(st, h, offset, len));
+              if (!ends_round) return;
+              if (!st->local_done) {
+                st->local_done = true;
+                st->local_evt.set();
+              }
+              arm_retransmit_timer(st);
+            });
+      });
+}
+
 void EmpEndpoint::arm_retransmit_timer(const SendHandle& st) {
-  eng_->schedule_after(config_.retransmit_timeout, [this, st] {
+  eng_->schedule_after(kRetransmitTimeout, [this, st] {
     if (st->acked_done || st->failed) return;
-    if (++st->retries > config_.max_retries) {
+    if (++st->retries > kMaxRetries) {
       fail_send(st);
       return;
     }
     // Cumulative acks: resend everything past the acknowledged prefix.
-    transmit_frames(st, st->acked_frames, /*retransmit=*/true);
+    transmit_frames(st, st->acked_frames, Emit::kResend);
   });
 }
 
@@ -517,12 +487,8 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
     // The frame's geometry was checked against its own header on arrival;
     // it must also describe the message its first frame bound, or its
     // index and length would not fit that buffer.
-    const bool same_message =
-        binding.recv ? h.total_frames == binding.recv->total_frames &&
-                           h.msg_bytes == binding.recv->msg_bytes
-                     : h.total_frames == binding.unexpected->total_frames &&
-                           h.msg_bytes == binding.unexpected->msg_bytes;
-    if (!same_message) {
+    const Reassembly& m = binding.msg();
+    if (h.total_frames != m.total_frames || h.msg_bytes != m.msg_bytes) {
       ++ctr_.malformed_frames;
       return;
     }
@@ -530,69 +496,40 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
   } else {
     // First frame of a message: walk pre-posted descriptors in post order.
     bool too_small_candidate = false;
-    for (std::size_t i = 0; i < walk_.size() && !binding.recv; ++i) {
-      RecvState* r = walk_[i].get();
+    for (const RecvHandle& r : walk_) {
       // Tombstones are host-side bookkeeping; the NIC's walk list never
       // held them, so they cost no modeled per-descriptor match time.
       if (r == nullptr) continue;
       ++walked;
-      if (r->bound) continue;
+      if (r->msg.bound) continue;
       bool src_ok = !r->src_match.has_value() || *r->src_match == h.src_node;
       if (!src_ok || r->tag != h.tag) continue;
       if (h.msg_bytes > r->capacity) {
         too_small_candidate = true;
         continue;
       }
-      r->bound = true;
-      r->from = h.src_node;
-      r->msg_id = h.msg_id;
-      r->total_frames = h.total_frames;
-      r->msg_bytes = h.msg_bytes;
-      r->got.assign(h.total_frames, false);
-      if (r->want_slices) r->parts.assign(h.total_frames, net::PayloadSlice{});
-      binding.recv = walk_[i];
+      binding.recv = r;
+      break;
     }
-    if (!binding.recv) {
-      // Unexpected queue: checked after every pre-posted descriptor.
-      // High-range tags (connection requests) are excluded so the backlog
-      // descriptors alone bound pending connections (§5.1).
-      bool uq_eligible = h.tag <= config_.unexpected_max_tag;
-      if (uq_eligible) {
-        // If the pool is exhausted, recycle the oldest unclaimed entry:
-        // stale control messages from closed connections must not starve
-        // live traffic.
-        bool has_free = false;
-        for (auto& u : unexpected_pool_) {
-          if (!u.bound && u.buffer.size() >= h.msg_bytes) {
-            has_free = true;
-            break;
-          }
-        }
-        if (!has_free && !unexpected_ready_.empty()) {
-          UnexpectedEntry* victim = unexpected_ready_.front();
-          unexpected_ready_.erase(unexpected_ready_.begin());
-          bound_.erase(key_of(victim->from, victim->msg_id));
-          victim->bound = false;
-          victim->ready = false;
-          victim->got.clear();
-          victim->frames_received = 0;
-          victim->frames_landed = 0;
-          ++ctr_.unexpected_evictions;
-        }
+    // Unexpected queue: checked after every pre-posted descriptor.
+    // High-range tags (connection requests) are excluded so the backlog
+    // descriptors alone bound pending connections (§5.1).
+    if (!binding.recv && h.tag <= kUnexpectedMaxTag) {
+      // If the pool is exhausted, recycle the oldest unclaimed entry:
+      // stale control messages from closed connections must not starve
+      // live traffic.
+      const bool has_free = std::any_of(
+          unexpected_pool_.begin(), unexpected_pool_.end(),
+          [&h](const UnexpectedEntry& u) {
+            return !u.msg.bound && u.buffer.size() >= h.msg_bytes;
+          });
+      if (!has_free && !unexpected_ready_.empty()) {
+        release_unexpected(unexpected_ready_.front());
+        ++ctr_.unexpected_evictions;
       }
       for (auto& u : unexpected_pool_) {
-        if (!uq_eligible) break;
         ++walked;
-        if (u.bound || u.buffer.size() < h.msg_bytes) continue;
-        u.bound = true;
-        u.from = h.src_node;
-        u.tag = h.tag;
-        u.msg_id = h.msg_id;
-        u.total_frames = h.total_frames;
-        u.msg_bytes = h.msg_bytes;
-        u.got.assign(h.total_frames, false);
-        u.frames_received = 0;
-        u.frames_landed = 0;
+        if (u.msg.bound || u.buffer.size() < h.msg_bytes) continue;
         binding.unexpected = &u;
         ++ctr_.unexpected_claims;
         break;
@@ -623,6 +560,10 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
       }
       return;
     }
+    binding.msg().bind(h);
+    if (binding.recv && binding.recv->want_slices) {
+      binding.recv->parts.assign(h.total_frames, net::PayloadSlice{});
+    }
     bound_[key] = binding;
   }
 
@@ -643,67 +584,44 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
 
 void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
                                    net::FramePtr frame) {
-  const std::size_t frag_len = frame->payload_bytes() - kHeaderBytes;
-  std::vector<bool>* got;
-  std::uint32_t* received;
-  std::uint8_t* dest_base;
-  if (binding.recv) {
-    got = &binding.recv->got;
-    received = &binding.recv->frames_received;
-    dest_base = binding.recv->buffer;
-  } else {
-    // A recv binding's shared handle keeps the descriptor alive, but an
-    // unexpected entry is pool storage: by the time this deferred firmware
-    // work runs, the entry may have completed, been claimed or evicted, and
-    // been re-bound to a DIFFERENT message.  Writing this fragment into the
-    // recycled entry would corrupt the new message (and mark it received),
-    // so a binding whose entry no longer matches the fragment's (src,
-    // msg_id) is dead — drop the fragment.  Per-sender msg_ids never
-    // repeat, so a match is unambiguous; the sender keeps retransmitting
-    // and the live copy re-binds through the normal tag-match path.
-    UnexpectedEntry* u = binding.unexpected;
-    if (!u->bound || u->from != h.src_node || u->msg_id != h.msg_id) {
-      ++ctr_.stale_frames;
-      return;
-    }
-    got = &u->got;
-    received = &u->frames_received;
-    dest_base = u->buffer.data();
+  Reassembly& m = binding.msg();
+  // A recv binding's shared handle keeps the descriptor alive and bound to
+  // its one message, but an unexpected entry is pool storage: by the time
+  // this deferred firmware work runs, the entry may have completed, been
+  // claimed or evicted, and been re-bound to a DIFFERENT message.  Writing
+  // this fragment into the recycled entry would corrupt the new message
+  // (and mark it received), so a binding that no longer holds the
+  // fragment's (src, msg_id) is dead — drop the fragment.  Per-sender
+  // msg_ids never repeat, so a match is unambiguous; the sender keeps
+  // retransmitting and the live copy re-binds through the normal tag-match
+  // path.
+  if (!m.holds(h)) {
+    ++ctr_.stale_frames;
+    return;
   }
 
-  if (h.frame_index >= got->size() || (*got)[h.frame_index]) {
+  if (h.frame_index >= m.got.size() || m.got[h.frame_index]) {
     ++ctr_.duplicate_frames;
     // Re-ack the contiguous prefix so a sender that lost our ack makes
     // progress.
-    std::uint32_t prefix = 0;
-    while (prefix < got->size() && (*got)[prefix]) ++prefix;
     ++ctr_.reacks;
-    send_ack(h.src_node, h.msg_id, prefix);
+    send_ack(h.src_node, h.msg_id, m.prefix());
     return;
   }
-  (*got)[h.frame_index] = true;
-  ++*received;
+  m.got[h.frame_index] = true;
+  ++m.frames_received;
 
   // Acks are cumulative: they carry the length of the contiguous prefix of
   // received frames, so the sender can resend exactly from the first hole.
-  std::uint32_t prefix = 0;
-  while (prefix < got->size() && (*got)[prefix]) ++prefix;
-
-  const std::uint32_t total = h.total_frames;
-  bool all_received = *received == total;
-  if (*received % config_.ack_window == 0 || all_received) {
+  const std::uint32_t prefix = m.prefix();
+  const bool all_received = m.frames_received == h.total_frames;
+  if (m.frames_received % kAckWindow == 0 || all_received) {
     send_ack(h.src_node, h.msg_id, prefix);
   }
 
   // Gap detection: a frame far ahead of the first hole triggers a NACK.
-  if (!all_received && h.frame_index >= 2 * config_.ack_window) {
-    std::uint32_t first_missing = 0;
-    while (first_missing < got->size() && (*got)[first_missing]) {
-      ++first_missing;
-    }
-    if (first_missing + 2 * config_.ack_window <= h.frame_index) {
-      send_nack(h.src_node, h.msg_id, first_missing);
-    }
+  if (!all_received && prefix + 2 * kAckWindow <= h.frame_index) {
+    send_nack(h.src_node, h.msg_id, prefix);
   }
 
   // DMA the fragment to (pinned) memory.  Content moves now; the timing of
@@ -712,6 +630,7 @@ void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
   // frame's payload slice: the bytes never move, only the refcount does
   // (the slice outlives the frame's return to its pool).  Both homes
   // charge the identical DMA transfer; they differ only in host copies.
+  const std::size_t frag_len = frame->payload_bytes() - kHeaderBytes;
   bool took_slice = false;
   if (binding.recv && binding.recv->want_slices && !frame->slices.empty() &&
       h.frame_index < binding.recv->parts.size()) {
@@ -719,8 +638,10 @@ void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
     took_slice = true;
   }
   if (!took_slice && frag_len > 0) {
+    std::uint8_t* dest =
+        binding.recv ? binding.recv->buffer : binding.unexpected->buffer.data();
     std::uint32_t offset = h.frame_index * fragment_size();
-    frame->copy_payload(kHeaderBytes, {dest_base + offset, frag_len});
+    frame->copy_payload(kHeaderBytes, {dest + offset, frag_len});
     *bytes_copied_ += frag_len;
   }
   nic_.dma_transfer(frag_len + kHeaderBytes,
@@ -728,26 +649,19 @@ void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
 }
 
 void EmpEndpoint::fragment_landed(const Binding& binding) {
-  if (binding.recv) {
-    const RecvHandle& r = binding.recv;
-    ++r->frames_landed;
-    if (r->frames_landed == r->total_frames &&
-        r->frames_received == r->total_frames) {
-      nic_.rx_cpu().run(model_.nic.completion_write_ns,
-                        [this, r] { complete_recv(r); });
+  Reassembly& m = binding.msg();
+  ++m.frames_landed;
+  if (!m.all_landed()) return;
+  // The completion record is written by the firmware like any other
+  // completion, so unexpected messages cannot overtake earlier posted
+  // receives still in the completion pipeline.
+  nic_.rx_cpu().run(model_.nic.completion_write_ns, [this, binding] {
+    if (binding.recv) {
+      complete_recv(binding.recv);
+    } else {
+      unexpected_ready(binding.unexpected);
     }
-  } else {
-    UnexpectedEntry* u = binding.unexpected;
-    ++u->frames_landed;
-    if (u->frames_landed == u->total_frames &&
-        u->frames_received == u->total_frames) {
-      // The completion record is written by the firmware like any other
-      // completion, so unexpected messages cannot overtake earlier posted
-      // receives still in the completion pipeline.
-      nic_.rx_cpu().run(model_.nic.completion_write_ns,
-                        [this, u] { unexpected_ready(u); });
-    }
-  }
+  });
 }
 
 void EmpEndpoint::walk_remove(const RecvHandle& r) {
@@ -780,10 +694,11 @@ void EmpEndpoint::walk_remove(const RecvHandle& r) {
 }
 
 void EmpEndpoint::complete_recv(const RecvHandle& r) {
+  const Reassembly& m = r->msg;
   r->completed = true;
-  r->result = RecvResult{r->from, r->tag, r->msg_bytes};
-  bound_.erase(key_of(r->from, r->msg_id));
-  remember_completed(r->from, r->msg_id, r->total_frames);
+  r->result = RecvResult{m.from, r->tag, m.msg_bytes};
+  bound_.erase(key_of(m.from, m.msg_id));
+  remember_completed(m.from, m.msg_id, m.total_frames);
   walk_remove(r);
   r->done_evt.set();
   fire_completion_hook();
@@ -792,7 +707,7 @@ void EmpEndpoint::complete_recv(const RecvHandle& r) {
 void EmpEndpoint::unexpected_ready(UnexpectedEntry* u) {
   if (tracer_.enabled()) {
     tracer_.instant(trk_fw_, eng_->now(), "uq-ready",
-                    uq_args(u->from, u->tag, u->msg_bytes));
+                    uq_args(u->msg.from, u->msg.tag, u->msg.msg_bytes));
   }
   u->ready = true;
   unexpected_ready_.push_back(u);
@@ -812,9 +727,10 @@ void EmpEndpoint::reconcile_unexpected() {
     for (auto* u : unexpected_ready_) {
       for (auto& r : walk_) {
         if (!r) continue;  // tombstone
-        if (r->bound || r->completed || r->unposted) continue;
-        bool src_ok = !r->src_match.has_value() || *r->src_match == u->from;
-        if (src_ok && r->tag == u->tag && u->msg_bytes <= r->capacity) {
+        if (r->msg.bound || r->completed || r->unposted) continue;
+        const Reassembly& m = u->msg;
+        bool src_ok = !r->src_match.has_value() || *r->src_match == m.from;
+        if (src_ok && r->tag == m.tag && m.msg_bytes <= r->capacity) {
           deliver_unexpected(r, u);
           delivered = true;
           break;
@@ -828,40 +744,40 @@ void EmpEndpoint::reconcile_unexpected() {
 void EmpEndpoint::deliver_unexpected(RecvHandle r, UnexpectedEntry* u) {
   if (tracer_.enabled()) {
     tracer_.instant(trk_lib_, eng_->now(), "uq-deliver",
-                    uq_args(u->from, u->tag, u->msg_bytes));
+                    uq_args(u->msg.from, u->msg.tag, u->msg.msg_bytes));
   }
-  // The descriptor is consumed by the library, never matched at the NIC.
-  r->bound = true;
-  r->from = u->from;
-  r->msg_id = u->msg_id;
-  r->total_frames = u->total_frames;
-  r->msg_bytes = u->msg_bytes;
+  // The descriptor is consumed by the library, never matched at the NIC:
+  // it takes over the message the entry reassembled.
+  r->msg = u->msg;
   walk_remove(r);
-  std::erase(unexpected_ready_, u);
-  bound_.erase(key_of(u->from, u->msg_id));
-  remember_completed(u->from, u->msg_id, u->total_frames);
-
   // The unexpected path costs one extra host memory copy.
-  std::uint32_t bytes = u->msg_bytes;
-  if (bytes > 0) {
-    std::memcpy(r->buffer, u->buffer.data(), bytes);
-    *bytes_copied_ += bytes;
-  }
-  RecvHandle handle = r;
-  host_cpu_.run(model_.memcpy_cost(bytes), [this, handle] {
-    handle->completed = true;
-    handle->result =
-        RecvResult{handle->from, handle->tag, handle->msg_bytes};
-    handle->done_evt.set();
+  const RecvResult result = claim_unexpected(u, r->buffer);
+  host_cpu_.run(model_.memcpy_cost(result.bytes), [this, r, result] {
+    r->completed = true;
+    r->result = result;
+    r->done_evt.set();
     fire_completion_hook();
   });
+}
 
-  // Return the entry to the free pool.
-  u->bound = false;
+RecvResult EmpEndpoint::claim_unexpected(UnexpectedEntry* u,
+                                         std::uint8_t* dst) {
+  const Reassembly& m = u->msg;
+  const RecvResult result{m.from, m.tag, m.msg_bytes};
+  if (result.bytes > 0) {
+    std::memcpy(dst, u->buffer.data(), result.bytes);
+    *bytes_copied_ += result.bytes;
+  }
+  remember_completed(m.from, m.msg_id, m.total_frames);
+  release_unexpected(u);
+  return result;
+}
+
+void EmpEndpoint::release_unexpected(UnexpectedEntry* u) {
+  std::erase(unexpected_ready_, u);
+  bound_.erase(key_of(u->msg.from, u->msg.msg_id));
   u->ready = false;
-  u->got.clear();
-  u->frames_received = 0;
-  u->frames_landed = 0;
+  u->msg.clear();
 }
 
 void EmpEndpoint::remember_completed(NodeId src, std::uint32_t msg_id,
@@ -869,7 +785,7 @@ void EmpEndpoint::remember_completed(NodeId src, std::uint32_t msg_id,
   const std::uint64_t key = key_of(src, msg_id);
   if (completed_history_.emplace(key, total).second) {
     completed_order_.push_back(key);
-    if (completed_order_.size() > config_.completed_history) {
+    if (completed_order_.size() > kCompletedHistory) {
       completed_history_.erase(completed_order_.front());
       completed_order_.pop_front();
     }
@@ -928,30 +844,7 @@ void EmpEndpoint::handle_nack(const EmpHeader& h) {
   std::uint32_t idx = h.ack_value;
   if (idx >= st->total_frames) return;
   // Immediate single-frame repair; the regular timer still backstops.
-  ++ctr_.retransmitted_frames;
-  const std::uint32_t frag = fragment_size();
-  const std::uint32_t bytes = st->size_bytes();
-  std::uint32_t rlen =
-      bytes == 0 ? 0 : std::min<std::uint32_t>(frag, bytes - idx * frag);
-  nic_.tx_cpu().run(
-      model_.fw_tx_frame_cost(rlen), [this, st, idx, frag, rlen]() mutable {
-        nic_.dma_transfer(
-            rlen + kHeaderBytes,
-            [this, st = std::move(st), idx, offset = idx * frag,
-             len = rlen] {
-              EmpHeader hh;
-              hh.kind = FrameKind::kData;
-              hh.src_node = self_;
-              hh.dst_node = st->dst;
-              hh.tag = st->tag;
-              hh.msg_id = st->msg_id;
-              hh.frame_index = static_cast<std::uint16_t>(idx);
-              hh.total_frames = st->total_frames;
-              hh.msg_bytes = st->size_bytes();
-              ++ctr_.data_frames_tx;
-              nic_.mac_send(make_data_frame(st, hh, offset, len));
-            });
-      });
+  emit_fragment(st, idx, Emit::kRepair);
 }
 
 }  // namespace ulsocks::emp

@@ -47,32 +47,30 @@ class EmpError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-struct EmpConfig {
-  /// Frames per NIC-level acknowledgment (the paper uses 4).
-  std::uint32_t ack_window = 4;
-  /// Sender-side retransmission timeout for unacknowledged frames.  Kept
-  /// well above the worst receive-side firmware backlog so acks delayed by
-  /// a busy NIC do not trigger spurious retransmission.
-  sim::Duration retransmit_timeout = 10'000'000;  // 10 ms
-  /// Give up (fail the send) after this many retransmission rounds.
-  std::uint32_t max_retries = 50;
-  /// Translation/pin cache capacity, in distinct regions.
-  std::size_t translation_cache_capacity = 1024;
-  /// Completed (src, msg) pairs remembered for re-acking late duplicates.
-  /// Must cover every message the endpoint can complete within one
-  /// retransmission horizon: an entry evicted while the sender is still
-  /// retransmitting lets the duplicate re-match a fresh descriptor and be
-  /// delivered twice (observed downstream as credit over-return).  C10K
-  /// workloads complete several thousand messages per retransmit_timeout
-  /// during an accept storm, so the window is sized for that rate with
-  /// margin (~16 B/entry; memory stays trivial).
-  std::size_t completed_history = 16384;
-  /// Messages with tags above this never use the unexpected queue.  The
-  /// substrate reserves the high-bit tag range for connection requests,
-  /// which must be bounded by the pre-posted backlog descriptors alone
-  /// (§5.1) rather than absorbed by unexpected buffers.
-  Tag unexpected_max_tag = 0x7fff;
-};
+/// Frames per NIC-level acknowledgment (the paper uses 4).
+inline constexpr std::uint32_t kAckWindow = 4;
+/// Sender-side retransmission timeout for unacknowledged frames.  Kept
+/// well above the worst receive-side firmware backlog so acks delayed by a
+/// busy NIC do not trigger spurious retransmission.
+inline constexpr sim::Duration kRetransmitTimeout = 10'000'000;  // 10 ms
+/// Give up (fail the send) after this many retransmission rounds.
+inline constexpr std::uint32_t kMaxRetries = 50;
+/// Translation/pin cache capacity, in distinct regions.
+inline constexpr std::size_t kTranslationCacheCapacity = 1024;
+/// Completed (src, msg) pairs remembered for re-acking late duplicates.
+/// Must cover every message the endpoint can complete within one
+/// retransmission horizon: an entry evicted while the sender is still
+/// retransmitting lets the duplicate re-match a fresh descriptor and be
+/// delivered twice (observed downstream as credit over-return).  C10K
+/// workloads complete several thousand messages per kRetransmitTimeout
+/// during an accept storm, so the window is sized for that rate with margin
+/// (~16 B/entry; memory stays trivial).
+inline constexpr std::size_t kCompletedHistory = 16384;
+/// Messages with tags above this never use the unexpected queue.  The
+/// substrate reserves the high-bit tag range for connection requests, which
+/// must be bounded by the pre-posted backlog descriptors alone (§5.1)
+/// rather than absorbed by unexpected buffers.
+inline constexpr Tag kUnexpectedMaxTag = 0x7fff;
 
 struct RecvResult {
   NodeId src = 0;
@@ -104,6 +102,59 @@ struct SendState {
 };
 using SendHandle = std::shared_ptr<SendState>;
 
+/// Reassembly state of one incoming message in the home its first frame
+/// bound: a pre-posted descriptor or an unexpected-queue buffer.
+struct Reassembly {
+  bool bound = false;
+  NodeId from = 0;
+  Tag tag = 0;
+  std::uint32_t msg_id = 0;
+  std::uint16_t total_frames = 0;
+  std::uint32_t msg_bytes = 0;
+  std::vector<bool> got;  // per frame index: fragment received
+  std::uint32_t frames_received = 0;
+  std::uint32_t frames_landed = 0;  // fragments whose DMA completed
+
+  /// Bind to the message `h` is a frame of, with no fragment received.
+  void bind(const EmpHeader& h) {
+    bound = true;
+    from = h.src_node;
+    tag = h.tag;
+    msg_id = h.msg_id;
+    total_frames = h.total_frames;
+    msg_bytes = h.msg_bytes;
+    got.assign(h.total_frames, false);
+    frames_received = 0;
+    frames_landed = 0;
+  }
+
+  /// Unbind: the message left this home.
+  void clear() {
+    bound = false;
+    got.clear();
+    frames_received = 0;
+    frames_landed = 0;
+  }
+
+  /// Whether this record is bound to the message `h` is a frame of.
+  [[nodiscard]] bool holds(const EmpHeader& h) const noexcept {
+    return bound && from == h.src_node && msg_id == h.msg_id;
+  }
+
+  /// Frames received without a hole from index 0: what a cumulative ack
+  /// carries, and the first frame a NACK asks for.
+  [[nodiscard]] std::uint32_t prefix() const noexcept {
+    std::uint32_t n = 0;
+    while (n < got.size() && got[n]) ++n;
+    return n;
+  }
+
+  /// Every fragment arrived and its DMA into host memory completed.
+  [[nodiscard]] bool all_landed() const noexcept {
+    return frames_received == total_frames && frames_landed == total_frames;
+  }
+};
+
 /// Shared state of one posted receive.
 struct RecvState {
   explicit RecvState(sim::Engine& eng) : done_evt(eng) {}
@@ -111,15 +162,7 @@ struct RecvState {
   Tag tag = 0;
   std::uint8_t* buffer = nullptr;
   std::uint32_t capacity = 0;
-  // Binding (filled when the first frame of a message matches):
-  bool bound = false;
-  NodeId from = 0;
-  std::uint32_t msg_id = 0;
-  std::uint16_t total_frames = 0;
-  std::uint32_t msg_bytes = 0;
-  std::vector<bool> got;
-  std::uint32_t frames_received = 0;
-  std::uint32_t frames_landed = 0;  // fragments whose DMA completed
+  Reassembly msg;  // bound when the first frame of a message matches
   bool completed = false;
   bool failed = false;
   bool unposted = false;
@@ -176,19 +219,16 @@ using RecvHandle = std::shared_ptr<RecvState>;
 
 class EmpEndpoint {
  public:
-  /// `resolve` maps EMP node ids to MAC addresses (the cluster's routing
-  /// table).  `host_cpu` is the CPU that host-side library work runs on.
+  /// `host_cpu` is the CPU that host-side library work runs on.  Node n's
+  /// NIC answers to net::MacAddress::for_host(n).
   EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
-              nic::NicDevice& nic, sim::SerialResource& host_cpu, NodeId self,
-              std::function<net::MacAddress(NodeId)> resolve,
-              EmpConfig config = {});
+              nic::NicDevice& nic, sim::SerialResource& host_cpu,
+              NodeId self);
 
   EmpEndpoint(const EmpEndpoint&) = delete;
   EmpEndpoint& operator=(const EmpEndpoint&) = delete;
 
   [[nodiscard]] NodeId node_id() const noexcept { return self_; }
-
-  [[nodiscard]] const EmpConfig& config() const noexcept { return config_; }
 
   // ---- Host-side operations (coroutines charging host CPU time) ----
 
@@ -233,12 +273,9 @@ class EmpEndpoint {
   /// Wait for a posted receive to complete; returns (src, tag, bytes).
   [[nodiscard]] sim::Task<RecvResult> wait_recv(RecvHandle h);
 
-  /// Non-blocking completion probes.
+  /// Non-blocking completion probe.
   [[nodiscard]] bool test_recv(const RecvHandle& h) const {
     return h->completed || h->failed;
-  }
-  [[nodiscard]] bool test_send_acked(const SendHandle& h) const {
-    return h->acked_done || h->failed;
   }
 
   /// Remove a not-yet-matched receive descriptor (EMP has no garbage
@@ -260,8 +297,8 @@ class EmpEndpoint {
   [[nodiscard]] bool has_unexpected_ready(std::optional<NodeId> src,
                                           Tag tag) const {
     for (const auto* u : unexpected_ready_) {
-      bool src_ok = !src.has_value() || *src == u->from;
-      if (src_ok && tag == u->tag) return true;
+      bool src_ok = !src.has_value() || *src == u->msg.from;
+      if (src_ok && tag == u->msg.tag) return true;
     }
     return false;
   }
@@ -278,9 +315,6 @@ class EmpEndpoint {
     return walk_.size() - walk_tombstones_;
   }
   [[nodiscard]] std::size_t unexpected_free_count() const;
-  [[nodiscard]] std::size_t unexpected_ready_count() const {
-    return unexpected_ready_.size();
-  }
   [[nodiscard]] std::size_t pending_send_count() const {
     return pending_sends_.size();
   }
@@ -326,16 +360,8 @@ class EmpEndpoint {
 
   struct UnexpectedEntry {
     std::vector<std::uint8_t> buffer;
-    bool bound = false;
-    bool ready = false;
-    NodeId from = 0;
-    Tag tag = 0;
-    std::uint32_t msg_id = 0;
-    std::uint16_t total_frames = 0;
-    std::uint32_t msg_bytes = 0;
-    std::vector<bool> got;
-    std::uint32_t frames_received = 0;
-    std::uint32_t frames_landed = 0;
+    Reassembly msg;
+    bool ready = false;  // complete, waiting to be claimed or delivered
   };
 
   // Either a posted descriptor or an unexpected entry can be the home of an
@@ -344,7 +370,15 @@ class EmpEndpoint {
   struct Binding {
     RecvHandle recv;
     UnexpectedEntry* unexpected = nullptr;
+
+    [[nodiscard]] Reassembly& msg() const {
+      return recv ? recv->msg : unexpected->msg;
+    }
   };
+
+  /// Why a data frame goes out: its first transmission, a resend after the
+  /// retransmission timeout, or the single-frame repair a NACK asks for.
+  enum class Emit : std::uint8_t { kFirst, kResend, kRepair };
 
   static std::uint64_t key_of(NodeId src, std::uint32_t msg_id) {
     return (static_cast<std::uint64_t>(src) << 32) | msg_id;
@@ -365,8 +399,14 @@ class EmpEndpoint {
   void reconcile_unexpected();
   void send_ack(NodeId to, std::uint32_t msg_id, std::uint32_t count);
   void send_nack(NodeId to, std::uint32_t msg_id, std::uint32_t missing);
+  /// Emit frames [first_frame, total) of `st`, the whole message or the
+  /// unacknowledged suffix a timeout resends.
   void transmit_frames(const SendHandle& st, std::uint32_t first_frame,
-                       bool retransmit = false);
+                       Emit why);
+  /// Every data frame leaves through here: transmit firmware, DMA from the
+  /// pinned payload, then the MAC.  The last frame of a first transmission
+  /// or resend completes the local send and arms the retransmission timer.
+  void emit_fragment(const SendHandle& st, std::uint32_t idx, Emit why);
   void arm_retransmit_timer(const SendHandle& st);
   void remember_completed(NodeId src, std::uint32_t msg_id,
                           std::uint16_t total);
@@ -378,14 +418,16 @@ class EmpEndpoint {
   // which this function erases from.
   void deliver_unexpected(RecvHandle r, UnexpectedEntry* u);
 
+  /// Host-side: copy ready entry `u`'s message into `dst`, remember it as
+  /// completed and release the entry.  Both consumers of the unexpected
+  /// queue (a descriptor, a direct claim) take messages through here.
+  RecvResult claim_unexpected(UnexpectedEntry* u, std::uint8_t* dst);
+
+  /// Return `u` to the free pool, dropping whatever message it held.
+  void release_unexpected(UnexpectedEntry* u);
+
   /// Translation/pin cache lookup; returns the host-time cost.
   sim::Duration pin_cost(const void* base);
-
-  /// Shared body of post_send / post_send_sg (head + body = one message).
-  sim::Task<SendHandle> post_send_impl(NodeId dst, Tag tag,
-                                       std::span<const std::uint8_t> head,
-                                       std::span<const std::uint8_t> body,
-                                       const void* pin_base);
 
   /// Control frame (ACK/NACK): the header is the whole payload.
   net::FramePtr make_control_frame(NodeId dst, const EmpHeader& h);
@@ -395,10 +437,6 @@ class EmpEndpoint {
   /// slice.
   net::FramePtr make_data_frame(const SendHandle& st, const EmpHeader& h,
                                 std::uint32_t offset, std::uint32_t len);
-
-  /// Memoized resolve_: node ids are tiny and stable, so skip the
-  /// std::function call on the per-frame path.
-  net::MacAddress resolve_mac(NodeId dst);
 
   [[nodiscard]] std::uint32_t fragment_size() const {
     return max_fragment_bytes(model_.wire.mtu);
@@ -413,8 +451,6 @@ class EmpEndpoint {
   nic::NicDevice& nic_;
   sim::SerialResource& host_cpu_;
   NodeId self_;
-  std::function<net::MacAddress(NodeId)> resolve_;
-  EmpConfig config_;
   Instruments ctr_;
   obs::Counter* bytes_copied_;  // engine-wide "host/bytes_copied"
   obs::Tracer& tracer_;
@@ -447,9 +483,6 @@ class EmpEndpoint {
   // Host-side translation cache (LRU over region base addresses).
   std::list<const void*> pin_lru_;
   std::unordered_map<const void*, std::list<const void*>::iterator> pin_map_;
-
-  // NodeId -> MAC memo for the per-frame transmit path.
-  std::unordered_map<NodeId, net::MacAddress> resolve_cache_;
 
   // Last member: deregisters before the state it inspects is torn down.
   check::ScopedChecker inv_check_;

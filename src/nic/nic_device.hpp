@@ -38,9 +38,9 @@ class NicDevice final : public net::FrameSink {
         side_(side),
         mac_(mac),
         dual_cpu_(dual_cpu),
-        tx_cpu_(eng, "nic-tx-cpu"),
-        rx_cpu_(eng, "nic-rx-cpu"),
-        dma_(eng, "nic-dma"),
+        tx_cpu_(eng),
+        rx_cpu_(eng),
+        dma_(eng),
         scope_(eng.metrics(),
                "h" + std::to_string(mac.host_index()) + "/nic"),
         frames_tx_(scope_.counter("frames_tx")),
@@ -124,16 +124,12 @@ class NicDevice final : public net::FrameSink {
     if (handler) handler(std::move(frame));
   }
 
-  [[nodiscard]] std::uint64_t frames_tx() const noexcept {
-    return frames_tx_.value();
-  }
   [[nodiscard]] std::uint64_t frames_rx() const noexcept {
     return frames_rx_.value();
   }
   [[nodiscard]] std::uint64_t frames_filtered() const noexcept {
     return frames_filtered_.value();
   }
-  [[nodiscard]] sim::SerialResource& dma() noexcept { return dma_; }
 
  private:
   void drain_tx() {

@@ -20,7 +20,7 @@ class Host {
       : eng_(&eng),
         model_(model),
         id_(id),
-        cpu_(eng, "host" + std::to_string(id) + "-cpu"),
+        cpu_(eng),
         fs_(eng, model, cpu_) {}
 
   Host(const Host&) = delete;

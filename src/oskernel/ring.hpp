@@ -114,12 +114,6 @@ class OpRing {
   [[nodiscard]] std::size_t inflight() const noexcept {
     return pending_.size();
   }
-  /// CQEs ready to reap without blocking.
-  [[nodiscard]] std::size_t cqe_ready() const noexcept {
-    return ready_.size();
-  }
-  /// SQEs pushed but not yet submitted.
-  [[nodiscard]] std::size_t staged() const noexcept { return staged_.size(); }
 
  private:
   struct Sqe {

@@ -33,7 +33,6 @@ enum class SockErr : std::uint8_t {
   kInUse,         // bind: address already bound
   kRefused,       // connect: nobody listening
   kClosed,        // peer closed / connection reset
-  kTimedOut,
   kNoResources,   // backlog overflow, out of buffers
 };
 

@@ -25,8 +25,6 @@ namespace ulsocks::sim {
 struct HostCosts {
   /// Entering + leaving the kernel for one system call. [era]
   Duration syscall_ns = 700;
-  /// Full context switch (schedule another process/thread). [era]
-  Duration context_switch_ns = 5'000;
   /// OS scheduler timeslice granularity; a thread that blocks (rather than
   /// polls) observes wake-up latency of this order.  The paper cites
   /// "order of milliseconds" for the blocking-thread alternative. [paper]
@@ -123,8 +121,6 @@ struct TcpCosts {
   Duration rx_coalesce_ns = 85'000;
   /// Frames arriving within the window share one interrupt.
   std::uint32_t rx_coalesce_frames = 16;
-  /// Waking a process blocked in recv() (softirq -> schedule). [era]
-  Duration wakeup_ns = 13'000;
   /// Standard (non-EMP) NIC firmware store-and-forward per frame, each
   /// direction; the stock firmware is much leaner than EMP's. [era]
   Duration nic_frame_ns = 2'000;

@@ -173,10 +173,6 @@ class Engine {
 
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
-  /// Record a process failure (used by the root wrapper; also usable by
-  /// tests to inject failures).
-  void set_error(std::exception_ptr e) noexcept { root_error_ = e; }
-
   /// Per-run event digest: (time, sequence, count) of every executed event
   /// folded into 64 bits.  Two runs of the same seeded workload must
   /// produce identical digests — the determinism self-check the ROADMAP

@@ -16,8 +16,6 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 1) : gen_(seed) {}
 
-  void reseed(std::uint64_t seed) { gen_.seed(seed); }
-
   /// Uniform integer in [lo, hi] (inclusive).
   std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) {
     ULSOCKS_INVARIANT(lo <= hi, "uniform(): empty range");
@@ -31,21 +29,6 @@ class Rng {
 
   /// Bernoulli trial.
   bool chance(double p) { return uniform01() < p; }
-
-  /// Exponentially distributed duration with the given mean.
-  double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(gen_);
-  }
-
-  /// Fill a buffer with pseudo-random bytes (payload generation).
-  template <class Container>
-  void fill_bytes(Container& c) {
-    for (auto& b : c) {
-      b = static_cast<typename Container::value_type>(gen_() & 0xff);
-    }
-  }
-
-  std::mt19937_64& engine() noexcept { return gen_; }
 
  private:
   std::mt19937_64 gen_;

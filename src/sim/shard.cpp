@@ -278,8 +278,7 @@ void ShardGroup::finish_epoch() {
   deliver_mailboxes();
   // Coalesced streaks advance epochs_ by more than one between barriers;
   // compare against the last sweep instead of a modulus.
-  if (check_epoch_interval_ != 0 &&
-      epochs_ - last_check_epoch_ >= check_epoch_interval_) {
+  if (epochs_ - last_check_epoch_ >= kCheckEpochInterval) {
     last_check_epoch_ = epochs_;
     checks_.run_all();
   }

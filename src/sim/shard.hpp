@@ -158,12 +158,6 @@ class ShardGroup {
   /// checkers stay on their own engine's registry.
   [[nodiscard]] check::Registry& checks() noexcept { return checks_; }
 
-  /// Epoch windows between group checker sweeps (default 256; 0 disables
-  /// all but the final quiesced sweep).
-  void set_check_epoch_interval(std::uint64_t every_n_epochs) noexcept {
-    check_epoch_interval_ = every_n_epochs;
-  }
-
   /// Introspection/testing: compute the next epoch's per-shard bounds
   /// (and the runnable set, see planned_runnable()) from the current
   /// queues without executing anything.  Empty when every queue is
@@ -234,6 +228,9 @@ class ShardGroup {
   /// Windows a quiet single-shard streak may run before forcing a full
   /// barrier round-trip (bookkeeping, checker cadence, fresh bounds).
   static constexpr std::size_t kMaxCoalesceStride = 64;
+  /// Epoch windows between group checker sweeps; a quiesced run() also
+  /// sweeps once at its end.
+  static constexpr std::uint64_t kCheckEpochInterval = 256;
 
   Duration lookahead_;
   std::vector<std::unique_ptr<Engine>> engines_;
@@ -258,7 +255,6 @@ class ShardGroup {
   std::uint64_t skips_flushed_ = 0;
   std::uint64_t delivered_flushed_ = 0;
   std::uint64_t last_check_epoch_ = 0;
-  std::uint64_t check_epoch_interval_ = 256;
 };
 
 }  // namespace ulsocks::sim

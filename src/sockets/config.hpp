@@ -105,20 +105,13 @@ inline constexpr Preset kPresets[] = {
 }  // namespace detail
 
 /// The named-preset registry (the paper's figure configurations).  Unknown
-/// names throw; use try_preset() to probe.
+/// names throw.
 [[nodiscard]] inline const Preset& preset(std::string_view name) {
   for (const Preset& p : detail::kPresets) {
     if (p.name == name) return p;
   }
   throw std::invalid_argument("unknown substrate preset: " +
                               std::string(name));
-}
-
-[[nodiscard]] inline const Preset* try_preset(std::string_view name) {
-  for (const Preset& p : detail::kPresets) {
-    if (p.name == name) return &p;
-  }
-  return nullptr;
 }
 
 /// Every registered preset, in registration order.

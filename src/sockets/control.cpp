@@ -41,7 +41,7 @@ std::optional<CtrlMsg> decode_ctrl(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kCtrlBytes) return std::nullopt;
   CtrlMsg m;
   auto t = get16(bytes, 0);
-  if (t < 1 || t > 6) return std::nullopt;
+  if (t < 1 || t > 4) return std::nullopt;
   m.type = static_cast<CtrlType>(t);
   m.a = get32(bytes, 4);
   m.b = get32(bytes, 8);

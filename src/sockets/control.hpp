@@ -2,9 +2,8 @@
 //
 // Connection management uses the paper's "data message exchange" (§5.1):
 // an explicit request message carrying the client's identity and channel
-// parameters, answered by an explicit reply.  All other control traffic
-// (credit acks, close notification, rendezvous request/grant) flows over a
-// per-connection control tag.
+// parameters.  All other control traffic (credit acks, close notification,
+// rendezvous request/grant) flows over a per-connection control tag.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +18,6 @@ enum class CtrlType : std::uint16_t {
   kClose = 2,       // connection teardown notification
   kRendReq = 3,     // a: payload bytes, b: request id
   kRendGrant = 4,   // b: request id (descriptor now posted)
-  kConnReply = 5,   // a: packed tags, b: credits, c: buffer_bytes
-  kConnRefuse = 6,
 };
 
 struct CtrlMsg {

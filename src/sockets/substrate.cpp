@@ -367,7 +367,6 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
     refused = true;
   }
   if (refused) {
-    s->refused = true;
     s->terminated = true;
     co_await cleanup(s);
     throw SocketError(SockErr::kRefused, "connection refused");
@@ -576,11 +575,6 @@ void EmpSocketStack::apply_ctrl(const SockPtr& s, const CtrlMsg& m) {
       break;
     case CtrlType::kRendGrant:
       s->rend_granted[m.b] = true;
-      break;
-    case CtrlType::kConnReply:
-      break;  // legacy: connections complete on the request's EMP ack
-    case CtrlType::kConnRefuse:
-      s->refused = true;
       break;
   }
   activity_.notify_all();
@@ -804,6 +798,11 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
 
     bool rendezvous_mode = s->cfg.flow == FlowControl::kRendezvous;
     if (!rendezvous_mode && front_data_ready(*s)) {
+      // Binds the pooled Slot object, not the deque element: it is
+      // heap-stable under deque rotation and destroyed only at socket
+      // teardown by this same task, and the loop re-fetches front() on
+      // every iteration.
+      // NOLINTNEXTLINE(ulsan-coro-ref-across-await)
       Slot& slot = *s->data_slots.front();
       if (!slot.parsed) {
         (void)parse_arrived_data_headers(s);

@@ -141,7 +141,6 @@ class EmpSocketStack final : public os::SocketApi {
     bool owns_tags = false;  // this side allocated the connection's tags
     emp::Tag remote_base = 0;  // the peer-side triple we allocated (if any)
     bool established = false;
-    bool refused = false;
     bool peer_closed = false;
     bool local_closed = false;
     bool terminated = false;  // pump exited, resources reclaimed

@@ -24,15 +24,11 @@ TcpStack::Instruments::Instruments(obs::Scope scope)
       window_probes(scope.counter("window_probes")) {}
 
 TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
-                   os::Host& host, nic::NicDevice& nic,
-                   std::function<net::MacAddress(std::uint16_t)> resolve,
-                   TcpTunables tunables)
+                   os::Host& host, nic::NicDevice& nic)
     : eng_(&eng),
       model_(model),
       host_(host),
       nic_(nic),
-      resolve_(std::move(resolve)),
-      tun_(tunables),
       node_(host.id()),
       activity_(eng),
       ctr_(obs::Scope(eng.metrics(),
@@ -40,8 +36,7 @@ TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
       bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
       recv_scratch_hwm_(&eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
-      trk_(eng.tracer().track("h" + std::to_string(host.id()), "tcp")),
-      next_ephemeral_(tunables.ephemeral_base) {
+      trk_(eng.tracer().track("h" + std::to_string(host.id()), "tcp")) {
   nic_.set_rx_handler(net::EtherType::kIpv4,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
 }
@@ -316,13 +311,14 @@ void TcpStack::emit(const ConnPtr& c, Flags flags, std::uint64_t seq,
     c->pending_ack_segments = 0;  // this segment carries the ack
     c->last_advertised = seg.window;
   }
+  transmit(std::move(seg));
+}
 
-  // Kernel output processing, then the stock NIC firmware path.  The
-  // pooled frame is encoded once here and moved stage to stage — the old
-  // std::function chain copied the byte vector at every hop.
+void TcpStack::transmit(Segment seg) {
+  // The pooled frame is encoded once here and moved stage to stage.
   std::uint64_t wire_bytes = seg.payload.size() + kSegmentHeaderBytes;
   net::FramePtr frame = nic_.frame_pool().acquire();
-  frame->dst = resolve_(seg.dst_node);
+  frame->dst = net::MacAddress::for_host(seg.dst_node);
   frame->src = nic_.mac();
   frame->type = net::EtherType::kIpv4;
   if (seg.payload.empty()) {
@@ -359,22 +355,7 @@ void TcpStack::send_rst(const Segment& to) {
   seg.seq = to.ack;
   seg.ack = to.seq + 1;
   seg.flags = Flags{.ack = true, .rst = true};
-  net::FramePtr frame = nic_.frame_pool().acquire();
-  frame->dst = resolve_(seg.dst_node);
-  frame->src = nic_.mac();
-  frame->type = net::EtherType::kIpv4;
-  encode_segment_into(seg, frame->payload);
-  host_.cpu().run(model_.tcp.tx_segment_ns + model_.tcp.driver_tx_ns,
-                  [this, f = std::move(frame)]() mutable {
-                    nic_.fw_tx(model_.tcp.nic_frame_ns,
-                               [this, f = std::move(f)]() mutable {
-                                 nic_.dma_transfer(
-                                     kSegmentHeaderBytes,
-                                     [this, f = std::move(f)]() mutable {
-                                       nic_.mac_send(std::move(f));
-                                     });
-                               });
-                  });
+  transmit(std::move(seg));
 }
 
 void TcpStack::try_output(const ConnPtr& c) {
@@ -434,7 +415,7 @@ void TcpStack::maybe_send_window_update(const ConnPtr& c) {
 void TcpStack::arm_rto(const ConnPtr& c) {
   if (c->rto_armed) return;
   c->rto_armed = true;
-  eng_->schedule_after(tun_.rto, [this, c] {
+  eng_->schedule_after(kRto, [this, c] {
     c->rto_armed = false;
     rto_fire(c);
   });
@@ -452,7 +433,7 @@ void TcpStack::rto_fire(const ConnPtr& c) {
   // Zero-window probes do not count toward the give-up limit: a peer that
   // simply isn't reading (compute phase, slow disk) must not get reset, as
   // in real TCP's persist timer.
-  if (unacked && ++c->retries > tun_.max_retries) {
+  if (unacked && ++c->retries > kMaxRetries) {
     fail_conn(c);
     return;
   }
@@ -489,7 +470,7 @@ void TcpStack::rto_fire(const ConnPtr& c) {
 void TcpStack::arm_delack(const ConnPtr& c) {
   if (c->delack_armed) return;
   c->delack_armed = true;
-  eng_->schedule_after(tun_.delayed_ack, [this, c] {
+  eng_->schedule_after(kDelayedAck, [this, c] {
     c->delack_armed = false;
     if (c->pending_ack_segments > 0 && !c->reset &&
         c->state != State::kDone) {
@@ -521,7 +502,7 @@ void TcpStack::maybe_schedule_gc(const ConnPtr& c) {
               (c->fin_acked && c->peer_fin);
   if (!done) return;
   c->gc_scheduled = true;
-  eng_->schedule_after(tun_.gc_linger, [this, c] {
+  eng_->schedule_after(kGcLinger, [this, c] {
     by_tuple_.erase(conn_key(c->local.port, c->remote.node, c->remote.port));
     conns_by_sd_.erase(c->sd);
   });
@@ -585,13 +566,12 @@ void TcpStack::process_segment(Segment seg) {
     if (lst != listeners_.end() && seg.flags.syn && !seg.flags.ack) {
       auto listener = conn(lst->second);
       // Embryonic (SYN_RCVD) connections count against the backlog, as in
-      // real TCP: a burst of requests beyond it is refused.
+      // real TCP.  A SYN that finds it full is dropped, as 4.4BSD and Linux
+      // do: the client's SYN retransmission retries once accept() drains
+      // the queue, and only a client that exhausts its retries is refused.
       std::size_t waiting =
           listener->accept_queue.size() + listener->synrcvd_count;
-      if (waiting >= static_cast<std::size_t>(listener->backlog)) {
-        send_rst(seg);
-        return;
-      }
+      if (waiting >= static_cast<std::size_t>(listener->backlog)) return;
       ++listener->synrcvd_count;
       auto child = std::make_shared<Conn>();
       child->snd_buf_limit = model_.tcp.default_sndbuf_bytes;

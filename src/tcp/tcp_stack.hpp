@@ -38,20 +38,23 @@
 
 namespace ulsocks::tcp {
 
-struct TcpTunables {
-  sim::Duration rto = 5'000'000;            // 5 ms fixed retransmission timer
-  sim::Duration delayed_ack = 40'000'000;   // 40 ms (Linux 2.4 minimum)
-  sim::Duration gc_linger = 2'000'000;      // reclaim closed conns after 2 ms
-  std::uint32_t max_retries = 15;
-  std::uint16_t ephemeral_base = 32'768;
-};
+/// Fixed retransmission timer, for data, FIN and SYN alike (no backoff).
+inline constexpr sim::Duration kRto = 5'000'000;  // 5 ms
+/// Delayed-ack timer (the Linux 2.4 minimum).
+inline constexpr sim::Duration kDelayedAck = 40'000'000;  // 40 ms
+/// A closed connection's state is reclaimed this long after both
+/// directions shut down.
+inline constexpr sim::Duration kGcLinger = 2'000'000;  // 2 ms
+/// Unanswered RTOs before the connection is reset.
+inline constexpr std::uint32_t kMaxRetries = 15;
+/// First port connect() assigns to an unbound socket.
+inline constexpr std::uint16_t kEphemeralBase = 32'768;
 
+/// Node n's NIC answers to net::MacAddress::for_host(n).
 class TcpStack final : public os::SocketApi {
  public:
   TcpStack(sim::Engine& eng, const sim::CostModel& model, os::Host& host,
-           nic::NicDevice& nic,
-           std::function<net::MacAddress(std::uint16_t)> resolve,
-           TcpTunables tunables = {});
+           nic::NicDevice& nic);
 
   // SocketApi.
   sim::Task<int> socket() override;
@@ -152,6 +155,9 @@ class TcpStack final : public os::SocketApi {
   void try_output(const ConnPtr& c);
   void emit(const ConnPtr& c, Flags flags, std::uint64_t seq,
             std::vector<std::uint8_t> payload, bool retransmit = false);
+  /// Kernel output processing, then the stock NIC firmware path, for
+  /// every segment this host sends.
+  void transmit(Segment seg);
   void send_pure_ack(const ConnPtr& c);
   void send_rst(const Segment& to);
   void maybe_send_window_update(const ConnPtr& c);
@@ -185,8 +191,6 @@ class TcpStack final : public os::SocketApi {
   sim::CostModel model_;
   os::Host& host_;
   nic::NicDevice& nic_;
-  std::function<net::MacAddress(std::uint16_t)> resolve_;
-  TcpTunables tun_;
   std::uint16_t node_;
   sim::CondVar activity_;
   Instruments ctr_;
@@ -203,9 +207,8 @@ class TcpStack final : public os::SocketApi {
   std::uint32_t trk_;  // ("h<N>", "tcp") timeline track
 
   int next_sd_ = 1;
-  std::uint16_t next_ephemeral_;
+  std::uint16_t next_ephemeral_ = kEphemeralBase;
   std::unordered_map<int, ConnPtr> conns_by_sd_;
-  std::unordered_map<int, int> sd_of_conn_;  // reverse: not needed; kept out
   std::map<std::uint16_t, int> listeners_;   // port -> listening sd
   std::map<std::uint64_t, int> by_tuple_;    // (lport,rnode,rport) -> sd
 

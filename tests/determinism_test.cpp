@@ -581,7 +581,7 @@ sim::Duration echo_lookahead(const sim::CostModel& model,
 
 ShardSignature run_plain_echo(const ShardEchoOptions& opt = {}) {
   Engine eng(opt.seed);
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, opt.cfg, {}, true,
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, opt.cfg, true,
              opt.per_host_propagation);
   shard_echo_losses(cl, opt);
   std::uint64_t echoed = 0;
@@ -598,7 +598,7 @@ ShardSignature run_sharded_echo(std::size_t shards,
                                 GroupStats* stats = nullptr) {
   const sim::CostModel model = sim::calibrated_cost_model();
   sim::ShardGroup group(shards, echo_lookahead(model, opt), opt.seed);
-  Cluster cl(group, model, 2, opt.cfg, {}, true, opt.per_host_propagation);
+  Cluster cl(group, model, 2, opt.cfg, true, opt.per_host_propagation);
   shard_echo_losses(cl, opt);
   std::uint64_t echoed = 0;
   cl.node_engine(1).spawn(shard_echo_server(shard_echo_api(cl, 1, opt.use_tcp)));

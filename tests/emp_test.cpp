@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "emp/endpoint.hpp"
@@ -78,18 +79,13 @@ class EmpPair : public ::testing::Test {
  protected:
   EmpPair() : model_(sim::calibrated_cost_model()), net_(eng_, model_.wire, 2) {
     for (int i = 0; i < 2; ++i) {
-      cpu_[i] = std::make_unique<sim::SerialResource>(
-          eng_, "host" + std::to_string(i));
+      cpu_[i] = std::make_unique<sim::SerialResource>(eng_);
       nic_[i] = std::make_unique<nic::NicDevice>(
           eng_, model_, net_.host_link(static_cast<std::size_t>(i)),
           net::StarNetwork::kHostSide,
           net::MacAddress::for_host(static_cast<std::uint32_t>(i)));
-      ep_[i] = std::make_unique<EmpEndpoint>(
-          eng_, model_, *nic_[i], *cpu_[i], static_cast<NodeId>(i),
-          [](NodeId n) {
-            return net::MacAddress::for_host(static_cast<std::uint32_t>(n));
-          },
-          config_);
+      ep_[i] = std::make_unique<EmpEndpoint>(eng_, model_, *nic_[i], *cpu_[i],
+                                             static_cast<NodeId>(i));
     }
   }
 
@@ -108,7 +104,6 @@ class EmpPair : public ::testing::Test {
     return v;
   }
 
-  EmpConfig config_{};
   Engine eng_;
   sim::CostModel model_;
   net::StarNetwork net_;
@@ -242,7 +237,7 @@ TEST_F(EmpPair, UnmatchedMessageIsDroppedThenRetransmitted) {
   };
   auto receiver = [&]() -> Task<void> {
     // Wait past one retransmit timeout before posting.
-    co_await eng_.delay(config_.retransmit_timeout + 500'000);
+    co_await eng_.delay(kRetransmitTimeout + 500'000);
     auto h = co_await ep_[1]->post_recv(NodeId{0}, 42, buf);
     auto r = co_await ep_[1]->wait_recv(h);
     EXPECT_EQ(r.bytes, 100u);
@@ -258,30 +253,25 @@ TEST_F(EmpPair, UnmatchedMessageIsDroppedThenRetransmitted) {
   EXPECT_GE(emp_counter(0, "retransmitted_frames"), 1);
 }
 
+// Nobody posts a descriptor, so the send fails after kMaxRetries + 1
+// rounds of kRetransmitTimeout (510 ms simulated).
 TEST_F(EmpPair, SendFailsAfterMaxRetries) {
-  config_ = EmpConfig{};
-  config_.max_retries = 3;
-  config_.retransmit_timeout = 100'000;
-  // Rebuild endpoint 0 with the tighter config.
-  ep_[0] = std::make_unique<EmpEndpoint>(
-      eng_, model_, *nic_[0], *cpu_[0], NodeId{0},
-      [](NodeId n) {
-        return net::MacAddress::for_host(static_cast<std::uint32_t>(n));
-      },
-      config_);
-
   bool failed = false;
+  sim::Time failed_at = 0;
   auto sender = [&]() -> Task<void> {
     auto h = co_await ep_[0]->post_send(1, 7, pattern(10));
     try {
       co_await ep_[0]->wait_send_acked(h);
     } catch (const EmpError&) {
       failed = true;
+      failed_at = eng_.now();
     }
   };
   eng_.spawn(sender());
   eng_.run();
   EXPECT_TRUE(failed);
+  EXPECT_GE(failed_at, (kMaxRetries + 1) * kRetransmitTimeout);
+  EXPECT_LT(failed_at, (kMaxRetries + 2) * kRetransmitTimeout);
   EXPECT_EQ(ep_[0]->pending_send_count(), 0u);
 }
 
@@ -403,6 +393,46 @@ TEST_F(EmpPair, UnexpectedReconciledWithDescriptorPostedWhileInFlight) {
   eng_.run();
   EXPECT_TRUE(got);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
+}
+
+// A message that finds every unexpected buffer taken recycles the oldest
+// ready one, so stale control messages cannot starve live traffic.  One
+// 64 B buffer and no descriptor: tag 10 lands and completes, then tag 11
+// evicts it.  Only tag 11 can be claimed afterwards.
+TEST_F(EmpPair, FullUnexpectedPoolEvictsOldestReadyMessage) {
+  const auto first = pattern(16, 3);
+  const auto second = pattern(16, 40);
+  std::vector<std::uint8_t> buf(64, 0);
+  std::optional<RecvResult> claimed_first;
+  std::optional<RecvResult> claimed_second;
+
+  auto setup = [&]() -> Task<void> {
+    co_await ep_[1]->post_unexpected(1, 64);
+  };
+  auto sender = [&]() -> Task<void> {
+    co_await eng_.delay(50'000);
+    auto h = co_await ep_[0]->post_send(1, 10, first);
+    co_await ep_[0]->wait_send_acked(h);
+    h = co_await ep_[0]->post_send(1, 11, second);
+    co_await ep_[0]->wait_send_acked(h);
+  };
+  auto receiver = [&]() -> Task<void> {
+    co_await eng_.delay(1'000'000);  // both messages have landed by now
+    claimed_first = co_await ep_[1]->try_claim_unexpected(NodeId{0}, 10, buf);
+    claimed_second = co_await ep_[1]->try_claim_unexpected(NodeId{0}, 11, buf);
+  };
+  eng_.spawn(setup());
+  eng_.spawn(sender());
+  eng_.spawn(receiver());
+  eng_.run();
+
+  EXPECT_FALSE(claimed_first.has_value());
+  ASSERT_TRUE(claimed_second.has_value());
+  EXPECT_EQ(claimed_second->tag, 11);
+  EXPECT_EQ(claimed_second->bytes, 16u);
+  EXPECT_TRUE(std::equal(second.begin(), second.end(), buf.begin()));
+  EXPECT_EQ(emp_counter(1, "unexpected_evictions"), 1);
+  EXPECT_EQ(emp_counter(1, "unexpected_claims"), 2);
 }
 
 // deliver_fragment writes a fragment at frame_index x fragment size into

@@ -116,7 +116,11 @@ Task<void> run_client(Cluster& cl, const WebRunOptions& opt, std::size_t node,
   co_await apps::web_client(proc, stack, copt, stats);
 }
 
-WebSignature run_web(const WebRunOptions& opt) {
+using Counters = std::map<std::string, std::int64_t>;
+
+/// Runs the web workload on one engine; `counters`, when given, receives
+/// the finished run's registry snapshot.
+WebSignature run_web(const WebRunOptions& opt, Counters* counters = nullptr) {
   Engine eng(opt.seed);
   Cluster cl(eng, sim::calibrated_cost_model(), opt.client_nodes + 1,
              opt.cfg);
@@ -143,6 +147,7 @@ WebSignature run_web(const WebRunOptions& opt) {
   WebSignature sig{eng.digest(), eng.causal_digest(), eng.events_executed(),
                    eng.now(), 0};
   for (const auto& s : stats) sig.responses += s.count();
+  if (counters != nullptr) *counters = eng.metrics().snapshot();
   return sig;
 }
 
@@ -192,6 +197,50 @@ TEST(RingDeterminism, DigestIdenticalAcrossReapBatchSizesOverTcp) {
   EXPECT_EQ(one.responses, 2u * 3u * 2u * 2u);
 }
 
+/// Accept-storm traffic: `clients_per_node` clients on each of 3 client
+/// nodes, one connection each, against the 16-deep backlog with 4 credits
+/// of 2,048 B per connection and 256 B responses.
+WebRunOptions accept_storm(std::size_t clients_per_node) {
+  WebRunOptions opt;
+  opt.cfg.credits = 4;
+  opt.cfg.buffer_bytes = 2048;
+  opt.client_nodes = 3;
+  opt.clients_per_node = clients_per_node;
+  opt.connections_per_client = 1;
+  opt.response_bytes = 256;
+  return opt;
+}
+
+/// `name` counter of every host's EMP endpoint ("h<N>/emp/<name>"), summed.
+std::int64_t emp_total(const Counters& counters, const std::string& name) {
+  std::int64_t sum = 0;
+  for (const auto& [key, v] : counters) {
+    if (key.ends_with("/emp/" + name)) sum += v;
+  }
+  return sum;
+}
+
+// A storm twice the accept storm below: 180 ring clients, one connection
+// each, against the 16-deep backlog with 4 credits per connection.  It is
+// the tier-1 input that drives EMP's receive path through duplicates,
+// stale unexpected-queue fragments, unmatched drops and resends, so its
+// schedule and those counters are pinned as literals.
+TEST(RingDeterminism, StormScheduleMatchesPinnedValues) {
+  Counters counters;
+  const WebSignature sig = run_web(accept_storm(60), &counters);
+  EXPECT_EQ(sig.digest, 0xccdd4af74bc93f25ull);
+  EXPECT_EQ(sig.causal, 0xcc4123fc6965d9c6ull);
+  EXPECT_EQ(sig.events, 317'922u);
+  EXPECT_EQ(sig.end_time, 395'064'452u);
+  EXPECT_EQ(sig.responses, 3u * 60u * 2u);
+  EXPECT_EQ(emp_total(counters, "duplicate_frames"), 1'246);
+  EXPECT_EQ(emp_total(counters, "reacks"), 1'246);
+  EXPECT_EQ(emp_total(counters, "stale_frames"), 512);
+  EXPECT_EQ(emp_total(counters, "retransmitted_frames"), 4'662);
+  EXPECT_EQ(emp_total(counters, "unmatched_drops"), 2'904);
+  EXPECT_EQ(emp_total(counters, "unexpected_claims"), 664);
+}
+
 // ---------------------------------------------------------------------------
 // Ring-vs-blocking: same protocol outcomes on both stacks (the seq-folded
 // digest is program-dependent; see the header comment).
@@ -229,28 +278,29 @@ TEST(RingVsBlocking, SameResponsesUnderLossAndOverTcp) {
 }
 
 // An accept storm: 90 clients, one connection each, against a 16-deep
-// backlog with 4 credits per connection.  The ring's accept passes overlap
-// here (leftovers one pass reverts and freshly pushed accept SQEs start
-// passes at the same instant), so a request accepted twice would hand a
-// ghost child the live connection's tags.  Both servers serve every
-// client, and the ring, which parks one pump instead of one coroutine per
-// connection, executes fewer engine events on the same traffic.
+// backlog with 4 credits per connection, on both stacks.  The ring's accept
+// passes overlap here (leftovers one pass reverts and freshly pushed accept
+// SQEs start passes at the same instant), so a request accepted twice
+// would hand a ghost child the live connection's tags.  Over kernel TCP the
+// SYNs that find the backlog full are dropped and retried.  Both servers
+// serve every client, and the ring, which parks one pump instead of one
+// coroutine per connection, executes fewer engine events on the same
+// traffic.
 TEST(RingVsBlocking, AcceptStormServesEveryClientWithFewerRingEvents) {
-  WebRunOptions opt;
-  opt.cfg.credits = 4;
-  opt.cfg.buffer_bytes = 2048;
-  opt.client_nodes = 3;
-  opt.clients_per_node = 30;
-  opt.connections_per_client = 1;
-  opt.response_bytes = 256;
-  opt.ring_server = true;
-  const WebSignature ring = run_web(opt);
-  opt.ring_server = false;
-  const WebSignature blocking = run_web(opt);
-  EXPECT_EQ(ring.responses, 3u * 30u * 2u);
-  EXPECT_EQ(blocking.responses, 3u * 30u * 2u);
-  EXPECT_LT(ring.events, blocking.events)
-      << "ring " << ring.events << " vs blocking " << blocking.events;
+  for (bool tcp : {false, true}) {
+    WebRunOptions opt = accept_storm(30);
+    opt.use_tcp = tcp;
+    opt.ring_server = true;
+    const WebSignature ring = run_web(opt);
+    opt.ring_server = false;
+    const WebSignature blocking = run_web(opt);
+    const char* stack = tcp ? "tcp" : "substrate";
+    EXPECT_EQ(ring.responses, 3u * 30u * 2u) << stack;
+    EXPECT_EQ(blocking.responses, 3u * 30u * 2u) << stack;
+    EXPECT_LT(ring.events, blocking.events)
+        << stack << ": ring " << ring.events << " vs blocking "
+        << blocking.events;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -258,8 +308,6 @@ TEST(RingVsBlocking, AcceptStormServesEveryClientWithFewerRingEvents) {
 // causally invariant across shard counts (and a 1-shard group byte-equal
 // to the plain engine).
 // ---------------------------------------------------------------------------
-
-using Counters = std::map<std::string, std::int64_t>;
 
 /// Every shard's registry snapshot folded into one map.  Host-scoped keys
 /// ("h<N>/...") live on one shard; engine-wide keys such as

@@ -242,43 +242,6 @@ TEST(CondVar, NotifyAllWakesEveryWaiter) {
   EXPECT_EQ(cv.waiter_count(), 0u);
 }
 
-TEST(CondVar, NotifyOneWakesExactlyOne) {
-  Engine eng;
-  CondVar cv(eng);
-  int woken = 0;
-  auto waiter = [](CondVar& c, int& count) -> Task<void> {
-    co_await c.wait();
-    ++count;
-  };
-  for (int i = 0; i < 3; ++i) eng.spawn(waiter(cv, woken));
-  eng.schedule_at(10, [&] { cv.notify_one(); });
-  eng.run();
-  EXPECT_EQ(woken, 1);
-  EXPECT_EQ(cv.waiter_count(), 2u);
-  cv.notify_all();  // clean up parked coroutines before teardown
-  eng.run();
-}
-
-TEST(CondVar, WaitUntilChecksPredicate) {
-  Engine eng;
-  CondVar cv(eng);
-  bool flag = false;
-  Time resumed_at = 0;
-  auto waiter = [](Engine& e, CondVar& c, bool& f, Time& at) -> Task<void> {
-    co_await c.wait_until([&f] { return f; });
-    at = e.now();
-  };
-  eng.spawn(waiter(eng, cv, flag, resumed_at));
-  // Spurious notify at t=10 must not release the waiter.
-  eng.schedule_at(10, [&] { cv.notify_all(); });
-  eng.schedule_at(20, [&] {
-    flag = true;
-    cv.notify_all();
-  });
-  eng.run();
-  EXPECT_EQ(resumed_at, 20u);
-}
-
 TEST(ManualEvent, WaitAfterSetDoesNotBlock) {
   Engine eng;
   ManualEvent ev(eng);
@@ -291,88 +254,6 @@ TEST(ManualEvent, WaitAfterSetDoesNotBlock) {
   eng.spawn(waiter(eng, ev, at));
   eng.run();
   EXPECT_EQ(at, 0u);
-}
-
-TEST(Semaphore, LimitsConcurrency) {
-  Engine eng;
-  Semaphore sem(eng, 2);
-  int concurrent = 0;
-  int peak = 0;
-  auto worker = [](Engine& e, Semaphore& s, int& cur, int& pk) -> Task<void> {
-    co_await s.acquire();
-    ++cur;
-    pk = std::max(pk, cur);
-    co_await e.delay(10);
-    --cur;
-    s.release();
-  };
-  for (int i = 0; i < 6; ++i) eng.spawn(worker(eng, sem, concurrent, peak));
-  eng.run();
-  EXPECT_EQ(peak, 2);
-  EXPECT_EQ(sem.available(), 2u);
-}
-
-TEST(Semaphore, TryAcquire) {
-  Engine eng;
-  Semaphore sem(eng, 1);
-  EXPECT_TRUE(sem.try_acquire());
-  EXPECT_FALSE(sem.try_acquire());
-  sem.release();
-  EXPECT_TRUE(sem.try_acquire());
-}
-
-TEST(Channel, FifoDelivery) {
-  Engine eng;
-  Channel<int> ch(eng, 4);
-  std::vector<int> got;
-  auto producer = [](Channel<int>& c) -> Task<void> {
-    for (int i = 0; i < 10; ++i) co_await c.send(i);
-    c.close();
-  };
-  auto consumer = [](Channel<int>& c, std::vector<int>& out) -> Task<void> {
-    while (auto v = co_await c.recv()) out.push_back(*v);
-  };
-  eng.spawn(producer(ch));
-  eng.spawn(consumer(ch, got));
-  eng.run();
-  ASSERT_EQ(got.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-}
-
-TEST(Channel, BoundedCapacityBlocksSender) {
-  Engine eng;
-  Channel<int> ch(eng, 2);
-  int sent = 0;
-  auto producer = [](Channel<int>& c, int& s) -> Task<void> {
-    for (int i = 0; i < 5; ++i) {
-      co_await c.send(i);
-      ++s;
-    }
-  };
-  eng.spawn(producer(ch, sent));
-  eng.run();
-  EXPECT_EQ(sent, 2);  // producer parked: channel full, nobody receiving
-  // Drain one; producer should make exactly one more send.
-  auto drain = [](Channel<int>& c) -> Task<void> {
-    auto v = co_await c.recv();
-    EXPECT_TRUE(v.has_value());
-  };
-  eng.spawn(drain(ch));
-  eng.run();
-  EXPECT_EQ(sent, 3);
-  ch.close();  // release the parked producer (send throws; swallowed by run)
-  EXPECT_THROW(eng.run(), std::runtime_error);
-}
-
-TEST(Channel, TrySendTryRecv) {
-  Engine eng;
-  Channel<int> ch(eng, 1);
-  EXPECT_TRUE(ch.try_send(7));
-  EXPECT_FALSE(ch.try_send(8));
-  auto v = ch.try_recv();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  EXPECT_FALSE(ch.try_recv().has_value());
 }
 
 TEST(Stats, OnlineStatsMoments) {

@@ -58,10 +58,7 @@ class TcpPair : public ::testing::Test {
       nic_[i] = std::make_unique<nic::NicDevice>(
           eng_, model_, net_.host_link(i), net::StarNetwork::kHostSide,
           net::MacAddress::for_host(i));
-      stack_[i] = std::make_unique<TcpStack>(
-          eng_, model_, *host_[i], *nic_[i], [](std::uint16_t n) {
-            return net::MacAddress::for_host(n);
-          });
+      stack_[i] = std::make_unique<TcpStack>(eng_, model_, *host_[i], *nic_[i]);
     }
   }
 
