@@ -459,7 +459,10 @@ std::string BenchResults::write(const std::string& dir) const {
     for (const auto& [path, v] : p.metrics) {
       json += first_metric ? "" : ", ";
       first_metric = false;
-      json += "\"" + obs::json_escape(path) + "\": " + std::to_string(v);
+      json += '"';
+      json += obs::json_escape(path);
+      json += "\": ";
+      json += std::to_string(v);
     }
     json += "}}";
   }

@@ -12,10 +12,15 @@
 #   5. ThreadSanitizer build: fig13_microbench on a 4-thread run_points()
 #      pool (the repo's cross-thread code: the job pool, thread_local run
 #      state and block pools), plus the sharded determinism tests.
-#   6. Benchmark smoke: python3 benchmark/run.py --smoke builds the Release
-#      benchmark drivers, runs all five workloads at 1% size (every payload
-#      byte is verified) and checks the result schema against
-#      BENCHMARK.json.
+#   6. Benchmark smoke and seed-1 pins: python3 benchmark/run.py --smoke
+#      builds the Release benchmark drivers, runs all five workloads at 1%
+#      size (every payload byte is verified) and checks the result schema
+#      against BENCHMARK.json.  Then python3 benchmark/run.py --seed 1
+#      --seconds 0 --trace 0 runs each workload at full size for its two
+#      minimum timed reps and compares every simulated output (events, end
+#      time, digests, served counts) with benchmark/expected_seed1.json;
+#      any mismatch fails, so a host-side change cannot move a simulated
+#      value unnoticed.  About 10 s once the smoke build exists.
 #
 # No stage gates on host speed.  Simulator speed is measured by benchmark/
 # (python3 benchmark/run.py; benchmark/compare.py A B pairs two result sets).
@@ -100,12 +105,19 @@ python3 scripts/validate_bench_json.py "$TSAN_SMOKE_DIR/BENCH_fig13_microbench.j
 TSAN_OPTIONS=halt_on_error=1 \
   "$TSAN_DIR/tests/determinism_test" --gtest_filter='Sharding.*'
 
-echo "==> [6/$TOTAL] benchmark smoke (Release drivers, payload checks, result schema)"
+echo "==> [6/$TOTAL] benchmark smoke (Release drivers, payload checks, result schema) and seed-1 pins"
 # Exits non-zero on a build failure, a failed payload check or a result
 # that does not match BENCHMARK.json.  Release-only defects surface here.
 # The per-workload report is long, so it is shown only on failure.
 SMOKE_LOG="$BUILD_DIR/benchmark-smoke.log"
 python3 benchmark/run.py --smoke >"$SMOKE_LOG" || { cat "$SMOKE_LOG"; exit 1; }
 grep '^smoke:' "$SMOKE_LOG"
+# The smoke run never compares simulated outputs with the pinned seed-1
+# values; a non-smoke seed-1 run does, and exits 1 on any mismatch.  No
+# timing is judged here: --seconds 0 keeps only the minimum reps.
+PINS_LOG="$BUILD_DIR/benchmark-pins.log"
+python3 benchmark/run.py --seed 1 --seconds 0 --trace 0 >"$PINS_LOG" ||
+  { grep -v '^\[' "$PINS_LOG"; exit 1; }
+echo "seed-1 pins: every workload matches benchmark/expected_seed1.json"
 
 echo "==> all checks passed"

@@ -12,8 +12,6 @@ namespace {
 /// One message may not exceed what total_frames (16-bit) can describe.
 constexpr std::uint32_t kMaxFramesPerMessage = 65'535;
 
-std::string host_label(NodeId self) { return "h" + std::to_string(self); }
-
 /// Whether a data frame describes a fragment of its own message: an index
 /// inside the message, the frame count its size implies, and exactly the
 /// bytes the sender cuts at that index.  deliver_fragment writes the
@@ -69,11 +67,11 @@ EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
       nic_(nic),
       host_cpu_(host_cpu),
       self_(self),
-      ctr_(obs::Scope(eng.metrics(), host_label(self) + "/emp")),
+      ctr_(obs::Scope(eng.metrics(), obs::host_label(self, "/emp"))),
       bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
       tracer_(eng.tracer()),
-      trk_lib_(tracer_.track(host_label(self), "emp")),
-      trk_fw_(tracer_.track(host_label(self), "emp-fw")),
+      trk_lib_(tracer_.track(obs::host_label(self), "emp")),
+      trk_fw_(tracer_.track(obs::host_label(self), "emp-fw")),
       inv_check_(eng.checks(), "emp.endpoint",
                  [this] { check_invariants(); }) {
   nic_.set_rx_handler(net::EtherType::kEmp,
@@ -124,6 +122,16 @@ void EmpEndpoint::check_invariants() const {
         u->msg.bound && u->ready,
         check::msgf("node%u unexpected-ready entry not bound+ready", self_));
   }
+  // The host-side match index counts exactly the live walk list.
+  ULSOCKS_INVARIANT(
+      walk_.empty() || live_slots_.live_through(walk_.size() - 1) ==
+                           walk_.size() - walk_tombstones_,
+      check::msgf("node%u live-slot counts diverged from the walk list",
+                  self_));
+  ULSOCKS_INVARIANT(
+      unexpected_free_.size() <= unexpected_pool_.size(),
+      check::msgf("node%u %zu free unexpected entries in a pool of %zu", self_,
+                  unexpected_free_.size(), unexpected_pool_.size()));
   // Translation cache: map and LRU list describe the same set, and the
   // eviction policy keeps it within capacity.
   ULSOCKS_INVARIANT(
@@ -239,6 +247,8 @@ sim::Task<RecvHandle> EmpEndpoint::post_recv(std::optional<NodeId> src,
     r->filed = true;
     r->walk_slot = walk_.size();
     walk_.push_back(r);
+    live_slots_.push_live();
+    by_tag_[r->tag].push_back(r.get());
     ctr_.desc_queue_depth.observe(walk_.size() - walk_tombstones_);
     reconcile_unexpected();
   });
@@ -262,8 +272,12 @@ sim::Task<void> EmpEndpoint::post_unexpected(std::size_t count,
   nic_.fw_rx(static_cast<sim::Duration>(count) * model_.nic.fw_rx_post_ns,
              [this, count, bytes] {
                for (std::size_t i = 0; i < count; ++i) {
-                 unexpected_pool_.emplace_back();
-                 unexpected_pool_.back().buffer.resize(bytes);
+                 auto& u = unexpected_pool_.emplace_back(
+                     std::make_unique<UnexpectedEntry>());
+                 u->buffer.resize(bytes);
+                 u->pos =
+                     static_cast<std::uint32_t>(unexpected_pool_.size() - 1);
+                 unexpected_free_.insert(u->pos);
                }
              });
 }
@@ -283,7 +297,6 @@ sim::Task<void> EmpEndpoint::wait_send_acked(SendHandle h) {
 sim::Task<RecvResult> EmpEndpoint::wait_recv(RecvHandle h) {
   co_await h->done_evt.wait();
   co_await host_cpu_.use(model_.host.poll_iteration_ns);
-  if (h->failed) throw EmpError("EMP receive failed");
   co_return h->result;
 }
 
@@ -313,12 +326,13 @@ sim::Task<std::optional<RecvResult>> EmpEndpoint::try_claim_unexpected(
   co_return std::nullopt;
 }
 
-std::size_t EmpEndpoint::unexpected_free_count() const {
-  std::size_t n = 0;
-  for (const auto& u : unexpected_pool_) {
-    if (!u.msg.bound) ++n;
+EmpEndpoint::UnexpectedEntry* EmpEndpoint::first_free_unexpected(
+    std::uint32_t bytes) {
+  for (std::uint32_t pos : unexpected_free_) {
+    UnexpectedEntry* u = unexpected_pool_[pos].get();
+    if (u->buffer.size() >= bytes) return u;
   }
-  return n;
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -494,45 +508,45 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
     }
     walked = 1;
   } else {
-    // First frame of a message: walk pre-posted descriptors in post order.
+    // First frame of a message.  The NIC walks every live pre-posted
+    // descriptor in post order up to the first unbound one whose source,
+    // tag and capacity fit; the host finds that one in the frame's tag list
+    // (same post order, same skip rules) and counts the live descriptors up
+    // to it, so the modeled walk length is exact without the walk.
     bool too_small_candidate = false;
-    for (const RecvHandle& r : walk_) {
-      // Tombstones are host-side bookkeeping; the NIC's walk list never
-      // held them, so they cost no modeled per-descriptor match time.
-      if (r == nullptr) continue;
-      ++walked;
-      if (r->msg.bound) continue;
-      bool src_ok = !r->src_match.has_value() || *r->src_match == h.src_node;
-      if (!src_ok || r->tag != h.tag) continue;
-      if (h.msg_bytes > r->capacity) {
-        too_small_candidate = true;
-        continue;
+    if (auto list = by_tag_.find(h.tag); list != by_tag_.end()) {
+      for (RecvState* r : list->second) {
+        if (r->msg.bound) continue;
+        if (r->src_match.has_value() && *r->src_match != h.src_node) continue;
+        if (h.msg_bytes > r->capacity) {
+          too_small_candidate = true;
+          continue;
+        }
+        binding.recv = walk_[r->walk_slot];
+        break;
       }
-      binding.recv = r;
-      break;
     }
-    // Unexpected queue: checked after every pre-posted descriptor.
-    // High-range tags (connection requests) are excluded so the backlog
-    // descriptors alone bound pending connections (§5.1).
+    walked = binding.recv ? live_slots_.live_through(binding.recv->walk_slot)
+                          : walk_.size() - walk_tombstones_;
+    // Unexpected queue: checked after every pre-posted descriptor, and
+    // walked up to its first free entry that fits (all of it if none
+    // does).  High-range tags (connection requests) are excluded so the
+    // backlog descriptors alone bound pending connections (§5.1).
     if (!binding.recv && h.tag <= kUnexpectedMaxTag) {
       // If the pool is exhausted, recycle the oldest unclaimed entry:
       // stale control messages from closed connections must not starve
       // live traffic.
-      const bool has_free = std::any_of(
-          unexpected_pool_.begin(), unexpected_pool_.end(),
-          [&h](const UnexpectedEntry& u) {
-            return !u.msg.bound && u.buffer.size() >= h.msg_bytes;
-          });
-      if (!has_free && !unexpected_ready_.empty()) {
+      UnexpectedEntry* fit = first_free_unexpected(h.msg_bytes);
+      if (fit == nullptr && !unexpected_ready_.empty()) {
         release_unexpected(unexpected_ready_.front());
         ++ctr_.unexpected_evictions;
+        fit = first_free_unexpected(h.msg_bytes);
       }
-      for (auto& u : unexpected_pool_) {
-        ++walked;
-        if (u.msg.bound || u.buffer.size() < h.msg_bytes) continue;
-        binding.unexpected = &u;
+      walked += fit != nullptr ? fit->pos + 1 : unexpected_pool_.size();
+      if (fit != nullptr) {
+        binding.unexpected = fit;
+        unexpected_free_.erase(fit->pos);
         ++ctr_.unexpected_claims;
-        break;
       }
     }
     if (!binding.recv && binding.unexpected == nullptr) {
@@ -676,7 +690,12 @@ void EmpEndpoint::walk_remove(const RecvHandle& r) {
   if (slot >= walk_.size() || walk_[slot].get() != r.get()) {
     return;  // never filed (e.g. unposted before the NIC filed it)
   }
+  auto list = by_tag_.find(r->tag);
+  list->second.erase(
+      std::find(list->second.begin(), list->second.end(), r.get()));
+  if (list->second.empty()) by_tag_.erase(list);
   walk_[slot].reset();
+  live_slots_.kill(slot);
   ++walk_tombstones_;
   if (walk_tombstones_ * 2 > walk_.size()) {
     std::size_t out = 0;
@@ -687,6 +706,7 @@ void EmpEndpoint::walk_remove(const RecvHandle& r) {
     }
     walk_.resize(out);
     walk_tombstones_ = 0;
+    live_slots_.reset_live(out);
   }
   // The drain edge of the queue-depth histogram (filing observes the
   // growth edge).
@@ -701,7 +721,7 @@ void EmpEndpoint::complete_recv(const RecvHandle& r) {
   remember_completed(m.from, m.msg_id, m.total_frames);
   walk_remove(r);
   r->done_evt.set();
-  fire_completion_hook();
+  fire_completion_hook(r.get());
 }
 
 void EmpEndpoint::unexpected_ready(UnexpectedEntry* u) {
@@ -719,19 +739,20 @@ void EmpEndpoint::unexpected_ready(UnexpectedEntry* u) {
 
 void EmpEndpoint::reconcile_unexpected() {
   // Deliver ready unexpected messages into matching filed descriptors.
-  // The walk list is scanned in post order so delivery respects the same
-  // FIFO the NIC's tag matching gives directly-matched messages.
+  // Each message's tag list is scanned in post order, so delivery respects
+  // the same FIFO the NIC's tag matching gives directly-matched messages.
   bool delivered = true;
   while (delivered && !unexpected_ready_.empty()) {
     delivered = false;
     for (auto* u : unexpected_ready_) {
-      for (auto& r : walk_) {
-        if (!r) continue;  // tombstone
+      const Reassembly& m = u->msg;
+      auto list = by_tag_.find(m.tag);
+      if (list == by_tag_.end()) continue;
+      for (RecvState* r : list->second) {
         if (r->msg.bound || r->completed || r->unposted) continue;
-        const Reassembly& m = u->msg;
         bool src_ok = !r->src_match.has_value() || *r->src_match == m.from;
-        if (src_ok && r->tag == m.tag && m.msg_bytes <= r->capacity) {
-          deliver_unexpected(r, u);
+        if (src_ok && m.msg_bytes <= r->capacity) {
+          deliver_unexpected(walk_[r->walk_slot], u);
           delivered = true;
           break;
         }
@@ -756,7 +777,7 @@ void EmpEndpoint::deliver_unexpected(RecvHandle r, UnexpectedEntry* u) {
     r->completed = true;
     r->result = result;
     r->done_evt.set();
-    fire_completion_hook();
+    fire_completion_hook(r.get());
   });
 }
 
@@ -778,6 +799,7 @@ void EmpEndpoint::release_unexpected(UnexpectedEntry* u) {
   bound_.erase(key_of(u->msg.from, u->msg.msg_id));
   u->ready = false;
   u->msg.clear();
+  unexpected_free_.insert(u->pos);
 }
 
 void EmpEndpoint::remember_completed(NodeId src, std::uint32_t msg_id,

@@ -23,6 +23,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -164,7 +165,6 @@ struct RecvState {
   std::uint32_t capacity = 0;
   Reassembly msg;  // bound when the first frame of a message matches
   bool completed = false;
-  bool failed = false;
   bool unposted = false;
   bool filed = false;  // descriptor reached the NIC walk list
   // Index of this descriptor in the endpoint's walk list while filed;
@@ -275,7 +275,7 @@ class EmpEndpoint {
 
   /// Non-blocking completion probe.
   [[nodiscard]] bool test_recv(const RecvHandle& h) const {
-    return h->completed || h->failed;
+    return h->completed;
   }
 
   /// Remove a not-yet-matched receive descriptor (EMP has no garbage
@@ -303,10 +303,13 @@ class EmpEndpoint {
     return false;
   }
 
-  /// Invoked on every completion event (receive completed, send acked,
-  /// unexpected message became ready).  The substrate uses it to drive its
-  /// select()/blocking machinery from one condition variable.
-  void set_completion_hook(std::function<void()> hook) {
+  /// Invoked on every completion event (receive completed, send acked or
+  /// failed, unexpected message became ready).  The argument is the receive
+  /// descriptor that completed, and null for the other events; it is called
+  /// right after test_recv() turns true.  The substrate drives its
+  /// select()/blocking machinery from one condition variable with it, and
+  /// files each completed descriptor with the slot it was posted for.
+  void set_completion_hook(std::function<void(const RecvState*)> hook) {
     completion_hook_ = std::move(hook);
   }
 
@@ -314,7 +317,9 @@ class EmpEndpoint {
   [[nodiscard]] std::size_t posted_descriptor_count() const {
     return walk_.size() - walk_tombstones_;
   }
-  [[nodiscard]] std::size_t unexpected_free_count() const;
+  [[nodiscard]] std::size_t unexpected_free_count() const {
+    return unexpected_free_.size();
+  }
   [[nodiscard]] std::size_t pending_send_count() const {
     return pending_sends_.size();
   }
@@ -362,6 +367,47 @@ class EmpEndpoint {
     std::vector<std::uint8_t> buffer;
     Reassembly msg;
     bool ready = false;  // complete, waiting to be claimed or delivered
+    std::uint32_t pos = 0;  // index in the pool: its place in the walk
+  };
+
+  /// Prefix counts over walk_ slots, 1 for a live descriptor and 0 for a
+  /// tombstone: a Fenwick tree, so the modeled walk length up to any slot
+  /// costs O(log n) host work instead of a walk.
+  class LiveSlots {
+   public:
+    /// Append one live slot at the end.
+    void push_live() {
+      if (tree_.empty()) tree_.push_back(0);  // the unused index 0
+      const std::size_t i = tree_.size();  // 1-based index of the new slot
+      std::uint32_t sum = 1;
+      for (std::size_t j = i - 1; j > i - low_bit(i); j -= low_bit(j)) {
+        sum += tree_[j];
+      }
+      tree_.push_back(sum);
+    }
+    /// Turn live slot `slot` (0-based) into a tombstone.
+    void kill(std::size_t slot) {
+      for (std::size_t i = slot + 1; i < tree_.size(); i += low_bit(i)) {
+        --tree_[i];
+      }
+    }
+    /// `n` slots, every one live (the walk list right after compaction).
+    void reset_live(std::size_t n) {
+      tree_.resize(n + 1);
+      for (std::size_t i = 1; i <= n; ++i) {
+        tree_[i] = static_cast<std::uint32_t>(low_bit(i));
+      }
+    }
+    /// Live slots in [0, slot].
+    [[nodiscard]] std::size_t live_through(std::size_t slot) const {
+      std::size_t n = 0;
+      for (std::size_t i = slot + 1; i > 0; i -= low_bit(i)) n += tree_[i];
+      return n;
+    }
+
+   private:
+    static std::size_t low_bit(std::size_t i) { return i & (~i + 1); }
+    std::vector<std::uint32_t> tree_;  // 1-based; tree_[0] unused
   };
 
   // Either a posted descriptor or an unexpected entry can be the home of an
@@ -442,9 +488,12 @@ class EmpEndpoint {
     return max_fragment_bytes(model_.wire.mtu);
   }
 
-  void fire_completion_hook() {
-    if (completion_hook_) completion_hook_();
+  void fire_completion_hook(const RecvState* completed = nullptr) {
+    if (completion_hook_) completion_hook_(completed);
   }
+
+  /// First free unexpected entry (lowest position) that holds `bytes`.
+  [[nodiscard]] UnexpectedEntry* first_free_unexpected(std::uint32_t bytes);
 
   sim::Engine* eng_;
   sim::CostModel model_;
@@ -456,22 +505,31 @@ class EmpEndpoint {
   obs::Tracer& tracer_;
   std::uint32_t trk_lib_;  // ("h<N>", "emp") host-library timeline track
   std::uint32_t trk_fw_;   // ("h<N>", "emp-fw") NIC-firmware timeline track
-  std::function<void()> completion_hook_;
+  std::function<void(const RecvState*)> completion_hook_;
 
   std::uint32_t next_msg_id_ = 1;
 
   /// Remove `r` from the walk list by tombstoning its slot (null entry;
   /// post order preserved), compacting only when tombstones outnumber live
-  /// descriptors.  No-op if `r` never filed.  Observes desc_queue_depth.
+  /// descriptors, and from its tag list.  No-op if `r` never filed.
+  /// Observes desc_queue_depth.
   void walk_remove(const RecvHandle& r);
 
   // NIC-side receive state.  walk_ holds pre-posted descriptors in post
   // order; null entries are tombstones of removed descriptors (counted by
-  // walk_tombstones_) that every scan skips without charging modeled
-  // per-descriptor walk time — the NIC's list never contained them.
+  // walk_tombstones_) that cost no modeled per-descriptor walk time — the
+  // NIC's list never contained them.  The host never walks it: by_tag_
+  // lists each tag's filed descriptors in the same post order, and
+  // live_slots_ counts the live slots the modeled walk would visit.
   std::vector<RecvHandle> walk_;
   std::size_t walk_tombstones_ = 0;
-  std::list<UnexpectedEntry> unexpected_pool_;
+  std::unordered_map<Tag, std::vector<RecvState*>> by_tag_;
+  LiveSlots live_slots_;
+  // Entries are never freed or moved, so a Binding may point at one.
+  // unexpected_free_ holds the positions of the unbound entries, lowest
+  // first.
+  std::vector<std::unique_ptr<UnexpectedEntry>> unexpected_pool_;
+  std::set<std::uint32_t> unexpected_free_;
   std::vector<UnexpectedEntry*> unexpected_ready_;
   std::unordered_map<std::uint64_t, Binding> bound_;
   std::unordered_map<std::uint64_t, std::uint16_t> completed_history_;

@@ -69,10 +69,10 @@ void encode_frame_into(const EmpHeader& h,
 }
 
 void encode_header_into(const EmpHeader& h, std::vector<std::uint8_t>& out) {
-  std::uint8_t hdr[kHeaderBytes];
-  build_header(h, hdr);
-  out.clear();
-  out.insert(out.end(), hdr, hdr + kHeaderBytes);
+  // Written in place: a pooled frame's payload keeps its capacity, so this
+  // allocates nothing once the frame has been used.
+  out.resize(kHeaderBytes);
+  build_header(h, out.data());
 }
 
 std::optional<DecodedFrame> decode_frame(std::span<const std::uint8_t> p) {

@@ -41,14 +41,12 @@ class NicDevice final : public net::FrameSink {
         tx_cpu_(eng),
         rx_cpu_(eng),
         dma_(eng),
-        scope_(eng.metrics(),
-               "h" + std::to_string(mac.host_index()) + "/nic"),
+        scope_(eng.metrics(), obs::host_label(mac.host_index(), "/nic")),
         frames_tx_(scope_.counter("frames_tx")),
         frames_rx_(scope_.counter("frames_rx")),
         frames_filtered_(scope_.counter("frames_filtered")),
         tracer_(eng.tracer()),
-        trk_(eng.tracer().track("h" + std::to_string(mac.host_index()),
-                                "nic")) {
+        trk_(eng.tracer().track(obs::host_label(mac.host_index()), "nic")) {
     pool_.bind_hwm_gauge(scope_.gauge("frame_pool_hwm"));
     slice_pool_.bind_hwm_gauge(scope_.gauge("slice_pool_hwm"));
     link_.attach(side_, this, eng);

@@ -140,6 +140,17 @@ class Registry {
   std::map<std::string, Histogram*> histograms_;
 };
 
+/// "h<node>" followed by `suffix`: the per-host prefix of metric paths and
+/// timeline processes ("h3/emp", "h3").  Built by appending: GCC 12 flags
+/// the insert inside `"h" + std::to_string(n)` with a false -Wrestrict.
+[[nodiscard]] inline std::string host_label(std::uint32_t node,
+                                            std::string_view suffix = {}) {
+  std::string label = "h";
+  label += std::to_string(node);
+  label += suffix;
+  return label;
+}
+
 /// Prefix helper: a component creates one Scope ("h3/emp") and registers
 /// its instruments by bare name.
 class Scope {

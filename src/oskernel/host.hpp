@@ -32,10 +32,9 @@ class Host {
   [[nodiscard]] sim::SerialResource& cpu() noexcept { return cpu_; }
   [[nodiscard]] RamDiskFs& fs() noexcept { return fs_; }
 
-  /// Charge one system-call round trip.
-  [[nodiscard]] sim::Task<void> syscall() {
-    co_await cpu_.use(model_.host.syscall_ns);
-  }
+  /// Charge one system-call round trip.  Like every plain CPU charge this
+  /// returns the resource's awaiter, so it allocates no coroutine frame.
+  [[nodiscard]] auto syscall() { return cpu_.use(model_.host.syscall_ns); }
 
   /// Charge application compute time (matmul kernels etc.).  Long bursts
   /// are charged in scheduler-quantum slices so that kernel work (interrupt
@@ -52,8 +51,8 @@ class Host {
   }
 
   /// Charge a user-space memory copy of `bytes`.
-  [[nodiscard]] sim::Task<void> copy(std::uint64_t bytes) {
-    co_await cpu_.use(model_.memcpy_cost(bytes));
+  [[nodiscard]] auto copy(std::uint64_t bytes) {
+    return cpu_.use(model_.memcpy_cost(bytes));
   }
 
  private:

@@ -3,6 +3,8 @@
 // occupies the resource for its cost, then runs its completion action.
 #pragma once
 
+#include <coroutine>
+
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -25,10 +27,21 @@ class SerialResource {
   }
 
   /// Coroutine flavour: occupy the resource for `cost`, resuming the caller
-  /// at completion.
-  [[nodiscard]] Task<void> use(Duration cost) {
-    Time end = run(cost);
-    co_await eng_->delay(end - eng_->now());
+  /// at completion.  An awaiter rather than a Task, so a charge allocates no
+  /// coroutine frame; the resume is the one event a Task awaiting delay()
+  /// would schedule, at the same time and sequence number.
+  [[nodiscard]] auto use(Duration cost) {
+    struct Awaiter {
+      SerialResource* res;
+      Duration cost;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) const {
+        res->eng_->schedule_at(res->run(cost),
+                               [h] { detail::resume_chain(h); });
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this, cost};
   }
 
  private:

@@ -62,10 +62,12 @@ inline constexpr std::size_t kConnRequestBytes = 24;
     std::span<const std::uint8_t> bytes);
 
 /// Eager data messages carry a 4-byte header: piggybacked credit return
-/// (§6.1) plus flags.
+/// (§6.1) plus the message's stream number mod 2^16, which lets the reader
+/// consume messages in the order they were written even when a lost first
+/// frame made them bind descriptors out of order.
 struct DataHeader {
   std::uint16_t piggyback_credits = 0;
-  std::uint16_t flags = 0;
+  std::uint16_t msg_no = 0;
 };
 inline constexpr std::size_t kDataHeaderBytes = 4;
 
@@ -73,8 +75,8 @@ inline void encode_data_header(const DataHeader& h,
                                              std::uint8_t* out) {
   out[0] = static_cast<std::uint8_t>(h.piggyback_credits);
   out[1] = static_cast<std::uint8_t>(h.piggyback_credits >> 8);
-  out[2] = static_cast<std::uint8_t>(h.flags);
-  out[3] = static_cast<std::uint8_t>(h.flags >> 8);
+  out[2] = static_cast<std::uint8_t>(h.msg_no);
+  out[3] = static_cast<std::uint8_t>(h.msg_no >> 8);
 }
 
 [[nodiscard]] inline DataHeader decode_data_header(const std::uint8_t* in) {
@@ -82,7 +84,7 @@ inline void encode_data_header(const DataHeader& h,
   h.piggyback_credits =
       static_cast<std::uint16_t>(in[0] | (static_cast<std::uint16_t>(in[1])
                                           << 8));
-  h.flags = static_cast<std::uint16_t>(
+  h.msg_no = static_cast<std::uint16_t>(
       in[2] | (static_cast<std::uint16_t>(in[3]) << 8));
   return h;
 }

@@ -1,6 +1,7 @@
 #include "sockets/substrate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "check/invariant.hpp"
@@ -59,20 +60,37 @@ EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
       default_cfg_(default_config),
       activity_(eng),
       ctr_(obs::Scope(eng.metrics(),
-                      "h" + std::to_string(ep.node_id()) + "/sockets")),
+                      obs::host_label(ep.node_id(), "/sockets"))),
       bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
       recv_scratch_hwm_(&eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
-      trk_(eng.tracer().track("h" + std::to_string(ep.node_id()), "sockets")),
+      trk_(eng.tracer().track(obs::host_label(ep.node_id()), "sockets")),
       inv_check_(eng.checks(), "sockets.substrate",
                  [this] { check_invariants(); }) {
   // Every EMP completion wakes whatever substrate call is blocked.
-  ep_.set_completion_hook([this] { activity_.notify_all(); });
+  ep_.set_completion_hook([this](const emp::RecvState* r) {
+    if (r != nullptr) on_recv_completed(r);
+    activity_.notify_all();
+  });
+}
+
+void EmpSocketStack::on_recv_completed(const emp::RecvState* r) {
+  auto it = posted_.find(r);
+  if (it == posted_.end()) return;  // no slot waits on this descriptor
+  const Posted p = it->second;
+  posted_.erase(it);
+  if (p.conn) {
+    ++p.sock->conn_ready;
+  } else {
+    p.sock->arrived.push_back(p.slot);
+    ++p.sock->data_ready;
+  }
 }
 
 void EmpSocketStack::check_invariants() const {
-  for (const auto& [sd, s] : socks_) {
-    if (s->state != Sock::State::kConnected || s->terminated) continue;
+  for (const SockPtr& s : socks_) {
+    if (!s || s->state != Sock::State::kConnected || s->terminated) continue;
+    const int sd = s->sd;
     // Credit conservation (§6.1): the peer only returns credits for
     // messages it consumed, so the credits we hold can never exceed the
     // window negotiated at connect time.
@@ -112,17 +130,33 @@ void EmpSocketStack::check_invariants() const {
   }
 }
 
-EmpSocketStack::SockPtr& EmpSocketStack::sock(int sd) {
-  auto it = socks_.find(sd);
-  if (it == socks_.end()) {
+EmpSocketStack::SockPtr EmpSocketStack::sock(int sd) const {
+  if (find_sock(sd) == nullptr) {
     throw SocketError(SockErr::kInvalid, "bad socket descriptor");
   }
-  return it->second;
+  return socks_[static_cast<std::size_t>(sd) - 1];
 }
 
-const EmpSocketStack::SockPtr* EmpSocketStack::find_sock(int sd) const {
-  auto it = socks_.find(sd);
-  return it == socks_.end() ? nullptr : &it->second;
+const EmpSocketStack::Sock* EmpSocketStack::find_sock(int sd) const {
+  if (sd <= 0 || static_cast<std::size_t>(sd) > socks_.size()) return nullptr;
+  return socks_[static_cast<std::size_t>(sd) - 1].get();
+}
+
+void EmpSocketStack::add_sock(SockPtr s) {
+  // Sds are handed out in order from 1 and never reused, so each new
+  // socket extends the table by exactly one entry.
+  ULSOCKS_INVARIANT(static_cast<std::size_t>(s->sd) == socks_.size() + 1,
+                    "socket table out of step with sd allocation");
+  socks_.push_back(std::move(s));
+  ++live_socks_;
+}
+
+void EmpSocketStack::drop_sock(int sd) {
+  SockPtr& entry = socks_[static_cast<std::size_t>(sd) - 1];
+  if (entry) {
+    entry.reset();
+    --live_socks_;
+  }
 }
 
 std::vector<std::uint8_t> EmpSocketStack::get_arena(std::size_t bytes) {
@@ -212,18 +246,18 @@ sim::Task<int> EmpSocketStack::socket() {
   s->cfg = default_cfg_;
   int sd = next_sd_++;
   s->sd = sd;
-  socks_[sd] = std::move(s);
+  add_sock(std::move(s));
   co_return sd;
 }
 
 sim::Task<void> EmpSocketStack::bind(int sd, SockAddr local) {
   co_await host_.cpu().use(model_.host.desc_build_ns);
-  auto& s = sock(sd);
+  auto s = sock(sd);
   if (s->state != Sock::State::kFresh) {
     throw SocketError(SockErr::kInvalid, "bind on active socket");
   }
-  for (const auto& [other_sd, other] : socks_) {
-    if (other->state == Sock::State::kListening &&
+  for (const SockPtr& other : socks_) {
+    if (other && other->state == Sock::State::kListening &&
         other->local.port == local.port) {
       throw SocketError(SockErr::kInUse, "port already bound");
     }
@@ -249,6 +283,7 @@ sim::Task<void> EmpSocketStack::listen(int sd, int backlog) {
     slot->handle = co_await ep_.post_recv(std::nullopt,
                                           listen_tag(s->local.port),
                                           slot->buffer);
+    track(*s, *slot, /*conn=*/true);
     s->conn_slots.push_back(std::move(slot));
   }
   // Stock the unexpected pool before any client can race us: requests'
@@ -288,6 +323,7 @@ sim::Task<void> EmpSocketStack::post_connection_resources(const SockPtr& s) {
     // (unexpected-queue arrivals).
     slot->handle = co_await ep_.post_recv(s->peer_node, s->my_data,
                                           slot->buffer, /*want_slices=*/true);
+    track(*s, *slot, /*conn=*/false);
     s->data_slots.push_back(std::move(slot));
   }
   // ... plus control descriptors ("2N", §6.1) unless acks ride the
@@ -389,8 +425,10 @@ sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
   // slot so a pass that overlaps this one does not accept the same
   // request again.
   slot.taken = true;
+  --listener->conn_ready;
   slot.handle = co_await ep_.post_recv(
       std::nullopt, listen_tag(listener->local.port), slot.buffer);
+  track(*listener, slot, /*conn=*/true);
   slot.taken = false;
   if (!req) co_return -1;  // malformed request: drop
 
@@ -419,7 +457,7 @@ sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
   // the EMP ack of the request.
   int child_sd = next_sd_++;
   child->sd = child_sd;
-  socks_[child_sd] = child;
+  add_sock(child);
   eng_->spawn(pump(child));
   ++ctr_.connections_accepted;
   if (peer != nullptr) *peer = child->remote;
@@ -448,10 +486,12 @@ sim::Task<std::size_t> EmpSocketStack::accept_many(
   }
   // One pass over the pre-posted backlog descriptors, by index: the repost
   // inside complete_accept() co_awaits, and close() may clear conn_slots
-  // while we are parked there.
+  // while we are parked there.  The pass stops once no arrived request is
+  // left untaken; the slots past that point would all be skipped.
   std::size_t n = 0;
   for (std::size_t i = 0; n < max && i < listener->conn_slots.size(); ++i) {
     if (listener->state != Sock::State::kListening) break;
+    if (listener->conn_ready == 0) break;
     // Shared owner, not a reference into the deque: the slot stays alive
     // across complete_accept()'s suspension even if close() clears
     // conn_slots meanwhile.
@@ -475,15 +515,17 @@ sim::Task<void> EmpSocketStack::close(int sd) {
       bool ok = co_await ep_.unpost_recv(slot->handle);
       (void)ok;  // a matched-but-unaccepted request is simply dropped
     }
+    // After the unposts: an accept's repost may have landed meanwhile.
+    for (const auto& slot : s->conn_slots) untrack(*slot);
     s->conn_slots.clear();
     release_arena(std::move(s->arena));
     s->state = Sock::State::kClosed;
-    socks_.erase(sd);
+    drop_sock(sd);
     activity_.notify_all();
     co_return;
   }
   if (s->state != Sock::State::kConnected) {
-    socks_.erase(sd);
+    drop_sock(sd);
     activity_.notify_all();
     co_return;
   }
@@ -504,7 +546,7 @@ sim::Task<void> EmpSocketStack::close(int sd) {
 sim::Task<void> EmpSocketStack::set_option(int sd, os::SockOpt opt,
                                            int value) {
   co_await host_.cpu().use(model_.host.desc_build_ns);
-  auto& s = sock(sd);
+  auto s = sock(sd);
   // A listener's options configure the connections it will accept.
   bool configurable = s->state == Sock::State::kFresh ||
                       s->state == Sock::State::kBound ||
@@ -529,7 +571,7 @@ sim::Task<void> EmpSocketStack::set_option(int sd, os::SockOpt opt,
 
 sim::Task<int> EmpSocketStack::get_option(int sd, os::SockOpt opt) {
   co_await host_.cpu().use(model_.host.desc_build_ns);
-  auto& s = sock(sd);
+  auto s = sock(sd);
   switch (opt) {
     case os::SockOpt::kCredits:
       co_return static_cast<int>(s->cfg.credits);
@@ -592,7 +634,7 @@ sim::Task<void> EmpSocketStack::drain_ctrl(const SockPtr& s, bool& progress) {
   if (s->cfg.unexpected_queue_acks) {
     // §6.4: control messages sit on the EMP unexpected queue; claim them
     // from the library without ever posting descriptors for them.
-    std::vector<std::uint8_t> buf(64);
+    std::array<std::uint8_t, 64> buf{};
     for (;;) {
       auto r = co_await ep_.try_claim_unexpected(s->peer_node, s->my_ctrl,
                                                  buf);
@@ -630,32 +672,37 @@ sim::Task<void> EmpSocketStack::drain_ctrl(const SockPtr& s, bool& progress) {
   }
 }
 
+DataHeader EmpSocketStack::data_header(const Slot& slot) {
+  // Slice-delivered messages keep their bytes in the handle's parts; gather
+  // the 4 header bytes instead of reading the (empty) slot buffer.
+  if (slot.handle->sliced_delivery()) {
+    std::uint8_t hdr[kDataHeaderBytes];
+    slot.handle->copy_out(0, std::span<std::uint8_t>(hdr));
+    return decode_data_header(hdr);
+  }
+  return decode_data_header(slot.buffer.data());
+}
+
 bool EmpSocketStack::parse_arrived_data_headers(const SockPtr& s) {
-  bool progress = false;
-  for (auto& slot : s->data_slots) {
-    if (slot->parsed || !ep_.test_recv(slot->handle)) continue;
+  // Only the slots whose descriptor completed since the last parse: the
+  // completion hook lists them.  Order does not matter, since piggy-backed
+  // credits add.
+  if (s->arrived.empty()) return false;
+  for (Slot* slot : s->arrived) {
     slot->msg_bytes = slot->handle->result.bytes;
     slot->offset = 0;
     slot->parsed = true;
-    progress = true;
     if (slot->msg_bytes >= kDataHeaderBytes) {
-      // Slice-delivered messages keep their bytes in the handle's parts;
-      // gather the 4 header bytes instead of reading the (empty) slot
-      // buffer.
-      std::uint8_t hdr[kDataHeaderBytes];
-      const std::uint8_t* hp = slot->buffer.data();
-      if (slot->handle->sliced_delivery()) {
-        slot->handle->copy_out(0, std::span<std::uint8_t>(hdr));
-        hp = hdr;
-      }
-      DataHeader h = decode_data_header(hp);
+      DataHeader h = data_header(*slot);
+      slot->msg_no = h.msg_no;
       if (h.piggyback_credits > 0) {
         s->send_credits += h.piggyback_credits;  // §6.1 piggy-backed return
       }
     }
   }
-  if (progress) activity_.notify_all();
-  return progress;
+  s->arrived.clear();
+  activity_.notify_all();
+  return true;
 }
 
 sim::Task<void> EmpSocketStack::pump(SockPtr s) {
@@ -673,6 +720,10 @@ sim::Task<void> EmpSocketStack::pump(SockPtr s) {
 sim::Task<void> EmpSocketStack::cleanup(const SockPtr& s) {
   if (s->terminated && s->my_data == 0) co_return;
   s->terminated = true;
+  // Arrivals from here on belong to no slot.
+  for (const auto& slot : s->data_slots) untrack(*slot);
+  s->arrived.clear();
+  s->data_ready = 0;
   // §5.3: EMP has no garbage collection — every descriptor must be used or
   // explicitly unposted, or the NIC leaks resources.
   for (auto& slot : s->data_slots) {
@@ -713,7 +764,7 @@ sim::Task<void> EmpSocketStack::cleanup(const SockPtr& s) {
     s->my_data = 0;
   }
   s->state = Sock::State::kClosed;
-  socks_.erase(s->sd);
+  drop_sock(s->sd);
   activity_.notify_all();
 }
 
@@ -734,8 +785,32 @@ sim::Task<void> EmpSocketStack::maybe_send_credit_ack(const SockPtr& s,
 // Data path
 // ---------------------------------------------------------------------------
 
-bool EmpSocketStack::front_data_ready(const Sock& s) const {
-  return !s.data_slots.empty() && ep_.test_recv(s.data_slots.front()->handle);
+bool EmpSocketStack::holds_message(const Slot& slot, std::uint16_t msg_no) {
+  // A message too short for a header has no number; it is taken where it
+  // stands, as before numbering existed.
+  if (slot.parsed) {
+    return slot.msg_bytes < kDataHeaderBytes || slot.msg_no == msg_no;
+  }
+  return slot.handle->result.bytes < kDataHeaderBytes ||
+         data_header(slot).msg_no == msg_no;
+}
+
+EmpSocketStack::Slot* EmpSocketStack::next_data_slot(const Sock& s) const {
+  if (s.data_ready == 0) return nullptr;
+  // Descriptors bind messages in post order, so without loss the next
+  // message sits in the front slot.
+  Slot* front = s.data_slots.front().get();
+  const bool front_done = ep_.test_recv(front->handle);
+  if (front_done && holds_message(*front, s.next_msg_no)) return front;
+  // A lost first frame let a later message take an earlier descriptor:
+  // look further back, but only if some other slot has completed.
+  if (s.data_ready == (front_done ? 1u : 0u)) return nullptr;
+  for (const auto& slot : s.data_slots) {
+    if (ep_.test_recv(slot->handle) && holds_message(*slot, s.next_msg_no)) {
+      return slot.get();
+    }
+  }
+  return nullptr;
 }
 
 sim::Task<void> EmpSocketStack::repost_slot(const SockPtr& s, Slot& slot) {
@@ -744,6 +819,7 @@ sim::Task<void> EmpSocketStack::repost_slot(const SockPtr& s, Slot& slot) {
   slot.msg_bytes = 0;
   slot.handle = co_await ep_.post_recv(s->peer_node, s->my_data, slot.buffer,
                                        /*want_slices=*/true);
+  track(*s, slot, /*conn=*/false);
 }
 
 sim::Task<std::size_t> EmpSocketStack::read(int sd,
@@ -797,13 +873,14 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
     co_await drain_ctrl(s, drain_progress);
 
     bool rendezvous_mode = s->cfg.flow == FlowControl::kRendezvous;
-    if (!rendezvous_mode && front_data_ready(*s)) {
+    Slot* next = rendezvous_mode ? nullptr : next_data_slot(*s);
+    if (next != nullptr) {
       // Binds the pooled Slot object, not the deque element: it is
       // heap-stable under deque rotation and destroyed only at socket
-      // teardown by this same task, and the loop re-fetches front() on
-      // every iteration.
+      // teardown by this same task, and the loop re-fetches it on every
+      // iteration.
       // NOLINTNEXTLINE(ulsan-coro-ref-across-await)
-      Slot& slot = *s->data_slots.front();
+      Slot& slot = *next;
       if (!slot.parsed) {
         (void)parse_arrived_data_headers(s);
       }
@@ -835,8 +912,16 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
         consumed = true;
       }
       if (consumed) {
-        auto finished = std::move(s->data_slots.front());
-        s->data_slots.pop_front();
+        // Repost at the back, so data_slots stays in EMP post order.
+        auto it = std::find_if(
+            s->data_slots.begin(), s->data_slots.end(),
+            [&slot](const auto& p) { return p.get() == &slot; });
+        ULSOCKS_INVARIANT(it != s->data_slots.end(),
+                          "consumed data slot left the socket mid-read");
+        auto finished = std::move(*it);
+        s->data_slots.erase(it);
+        --s->data_ready;
+        ++s->next_msg_no;
         co_await repost_slot(s, *finished);
         s->data_slots.push_back(std::move(finished));
         ++s->consumed_unacked;
@@ -933,6 +1018,8 @@ sim::Task<std::size_t> EmpSocketStack::eager_write(
     s->consumed_unacked -= h.piggyback_credits;
   }
 
+  // The stream number the reader consumes this message by.
+  h.msg_no = static_cast<std::uint16_t>(s->data_msgs_sent);
   ++ctr_.eager_messages_tx;
   ++s->data_msgs_sent;
   // Zero-copy send: header and user payload are gathered straight into one
@@ -1107,27 +1194,23 @@ sim::Task<std::size_t> EmpSocketStack::rendezvous_read(
 }
 
 bool EmpSocketStack::readable(int sd) const {
-  const SockPtr* sp = find_sock(sd);
+  const Sock* sp = find_sock(sd);
   if (sp == nullptr) return false;
-  const Sock& s = **sp;
-  if (s.state == Sock::State::kListening) {
-    for (const auto& slot : s.conn_slots) {
-      if (ep_.test_recv(slot->handle) && !slot->taken) return true;
-    }
-    return false;
-  }
+  const Sock& s = *sp;
+  if (s.state == Sock::State::kListening) return s.conn_ready > 0;
   if (s.state != Sock::State::kConnected) return false;
   if (!s.cfg.data_streaming &&
       ep_.has_unexpected_ready(s.peer_node, s.my_data)) {
     return true;  // a datagram is waiting on the unexpected queue
   }
-  return front_data_ready(s) || !s.pending_rend.empty() || s.peer_closed;
+  return next_data_slot(s) != nullptr || !s.pending_rend.empty() ||
+         s.peer_closed;
 }
 
 bool EmpSocketStack::writable(int sd) const {
-  const SockPtr* sp = find_sock(sd);
+  const Sock* sp = find_sock(sd);
   if (sp == nullptr) return false;
-  const Sock& s = **sp;
+  const Sock& s = *sp;
   if (s.state != Sock::State::kConnected || s.local_closed || s.peer_closed) {
     // write() throws immediately (kInvalid / kClosed): ready in the
     // select() sense so the caller collects the error from the call.

@@ -74,7 +74,7 @@ class EmpSocketStack final : public os::SocketApi {
   /// Active-socket-table size (§5.3); sockets leave the table only when
   /// both sides have closed and every descriptor has been reclaimed.
   [[nodiscard]] std::size_t active_socket_count() const {
-    return socks_.size();
+    return live_socks_;
   }
   [[nodiscard]] emp::EmpEndpoint& endpoint() noexcept { return ep_; }
 
@@ -92,6 +92,7 @@ class EmpSocketStack final : public os::SocketApi {
     emp::RecvHandle handle;
     std::uint32_t msg_bytes = 0;   // valid once parsed
     std::uint32_t offset = 0;      // payload bytes already consumed
+    std::uint16_t msg_no = 0;      // stream number (mod 2^16), once parsed
     bool parsed = false;           // header seen (credits applied)
     // Listener slots: an accept is consuming the completed request here
     // and has not yet replaced `handle`, so other scans must skip it.
@@ -117,6 +118,8 @@ class EmpSocketStack final : public os::SocketApi {
     // shared_ptr: an acceptor parked inside complete_accept() keeps its
     // slot alive even if close() clears the deque while it is suspended.
     std::deque<std::shared_ptr<Slot>> conn_slots;
+    // Connection slots whose request arrived and that no accept has taken.
+    std::size_t conn_ready = 0;
 
     // Connection state.
     std::vector<std::uint8_t> arena;  // backing store for every slot buffer
@@ -130,7 +133,13 @@ class EmpSocketStack final : public os::SocketApi {
     std::uint32_t send_credits = 0;
     std::uint32_t consumed_unacked = 0;
     std::uint32_t next_rend_id = 1;
-    std::deque<std::unique_ptr<Slot>> data_slots;  // FIFO arrival order
+    // Data slots in EMP post order: the order descriptors bind messages,
+    // which is stream order unless a lost first frame let a later message
+    // take an earlier descriptor (read_impl consumes by message number).
+    std::deque<std::unique_ptr<Slot>> data_slots;
+    std::vector<Slot*> arrived;     // completed data slots not yet parsed
+    std::uint32_t data_ready = 0;   // completed slots still in data_slots
+    std::uint16_t next_msg_no = 0;  // stream number read_impl takes next
     std::deque<std::unique_ptr<Slot>> ctrl_slots;  // empty in UQ mode
     std::deque<CtrlMsg> pending_rend;              // rendezvous requests
     std::unordered_map<std::uint32_t, bool> rend_granted;
@@ -148,8 +157,25 @@ class EmpSocketStack final : public os::SocketApi {
   };
   using SockPtr = std::shared_ptr<Sock>;
 
-  SockPtr& sock(int sd);
-  [[nodiscard]] const SockPtr* find_sock(int sd) const;
+  // The active-socket table is indexed by sd.  sock() returns an owner, not
+  // a reference into the table, which moves when the table grows.
+  [[nodiscard]] SockPtr sock(int sd) const;
+  [[nodiscard]] const Sock* find_sock(int sd) const;
+  void add_sock(SockPtr s);
+  void drop_sock(int sd);
+
+  /// Completion hook: file a completed descriptor with the slot it was
+  /// posted for (a data slot joins its socket's arrival list, a connection
+  /// slot counts towards its listener's ready requests).
+  void on_recv_completed(const emp::RecvState* r);
+  /// Map `slot`'s pending descriptor to the slot and its socket (`conn`:
+  /// a listener's connection slot), until it completes or untrack() drops
+  /// it.  A socket torn down while the post was in flight tracks nothing.
+  void track(Sock& s, Slot& slot, bool conn) {
+    if (s.terminated || s.state == Sock::State::kClosed) return;
+    posted_.insert_or_assign(slot.handle.get(), Posted{&s, &slot, conn});
+  }
+  void untrack(const Slot& slot) { posted_.erase(slot.handle.get()); }
 
   /// Complete the connection request sitting in `slot`: repost the
   /// descriptor, build the child socket, post its resources.  Returns the
@@ -207,7 +233,15 @@ class EmpSocketStack final : public os::SocketApi {
       const SockPtr& s, std::span<std::uint8_t> out);
   [[nodiscard]] sim::Task<void> repost_slot(const SockPtr& s, Slot& slot);
 
-  [[nodiscard]] bool front_data_ready(const Sock& s) const;
+  /// The completed data slot that holds the next message in stream order
+  /// (message next_msg_no), or null if it has not arrived.
+  [[nodiscard]] Slot* next_data_slot(const Sock& s) const;
+  /// Whether completed data slot `slot` holds stream message `msg_no`.
+  [[nodiscard]] static bool holds_message(const Slot& slot,
+                                          std::uint16_t msg_no);
+  /// The header of completed data slot `slot`, whose message carries one:
+  /// gathered from the handle's slices on the sliced path.
+  [[nodiscard]] static DataHeader data_header(const Slot& slot);
 
   /// Registry-backed counter/histogram handles under "h<N>/sockets/".
   struct Instruments {
@@ -237,7 +271,20 @@ class EmpSocketStack final : public os::SocketApi {
 
   int next_sd_ = 1;
   std::uint16_t next_ephemeral_ = 40'000;
-  std::map<int, SockPtr> socks_;  // the active socket table (§5.3)
+  // The active socket table (§5.3): entry sd - 1 holds socket sd.  Sds
+  // are never reused, so a closed socket leaves a null entry; live_socks_
+  // counts the rest.
+  std::vector<SockPtr> socks_;
+  std::size_t live_socks_ = 0;
+  // Pending data and connection descriptors, by the RecvState EMP hands to
+  // the completion hook.  An entry lives from the post until the
+  // descriptor completes or its socket tears the slot down.
+  struct Posted {
+    Sock* sock;
+    Slot* slot;
+    bool conn;
+  };
+  std::unordered_map<const emp::RecvState*, Posted> posted_;
   std::deque<emp::Tag> free_local_bases_;
   std::deque<emp::Tag> free_remote_bases_;
   emp::Tag next_local_base_ = 16;       // [16, 0x4000)

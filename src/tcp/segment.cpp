@@ -76,10 +76,10 @@ void encode_segment_into(const Segment& s, std::vector<std::uint8_t>& out) {
 
 void encode_segment_header_into(const Segment& s,
                                 std::vector<std::uint8_t>& out) {
-  std::uint8_t hdr[kSegmentHeaderBytes];
-  build_header(s, hdr);
-  out.clear();
-  out.insert(out.end(), hdr, hdr + kSegmentHeaderBytes);
+  // Written in place: a pooled frame's payload keeps its capacity, so this
+  // allocates nothing once the frame has been used.
+  out.resize(kSegmentHeaderBytes);
+  build_header(s, out.data());
 }
 
 std::optional<Segment> decode_segment(std::span<const std::uint8_t> p) {

@@ -31,12 +31,11 @@ TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
       nic_(nic),
       node_(host.id()),
       activity_(eng),
-      ctr_(obs::Scope(eng.metrics(),
-                      "h" + std::to_string(host.id()) + "/tcp")),
+      ctr_(obs::Scope(eng.metrics(), obs::host_label(host.id(), "/tcp"))),
       bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
       recv_scratch_hwm_(&eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
-      trk_(eng.tracer().track("h" + std::to_string(host.id()), "tcp")) {
+      trk_(eng.tracer().track(obs::host_label(host.id()), "tcp")) {
   nic_.set_rx_handler(net::EtherType::kIpv4,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
 }

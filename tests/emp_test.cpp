@@ -13,6 +13,7 @@
 #include "emp/wire.hpp"
 #include "net/topology.hpp"
 #include "nic/nic_device.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
 
@@ -91,8 +92,8 @@ class EmpPair : public ::testing::Test {
 
   /// Registry counter "h<node>/emp/<name>"; a misspelled name throws.
   std::int64_t emp_counter(int node, const std::string& name) {
-    return eng_.metrics().snapshot().at("h" + std::to_string(node) +
-                                        "/emp/" + name);
+    return eng_.metrics().snapshot().at(
+        obs::host_label(static_cast<std::uint32_t>(node), "/emp/") + name);
   }
 
   static std::vector<std::uint8_t> pattern(std::size_t n,
@@ -513,6 +514,138 @@ TEST_F(EmpPair, ForgedFrameGeometryIsDroppedNotWritten) {
   EXPECT_TRUE(sent->acked_done);
   EXPECT_EQ(result.bytes, kMsg);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), posted.begin()));
+}
+
+// The modeled tag-match walk charges every live pre-posted descriptor up to
+// and including the match (all of them when nothing matches), then the
+// unexpected pool up to its first free entry that fits (all of it when none
+// does).  Tombstones of unposted descriptors cost nothing.  Descriptors on
+// tags 100 and 200 interleave; unposts leave tombstones, and enough of them
+// force a compaction first.  First frames are injected at the receiving NIC
+// one at a time, and each one's counter deltas are checked exactly.
+TEST_F(EmpPair, TagWalkChargesLiveDescriptorsUpToTheMatch) {
+  struct Walk {
+    std::int64_t walked, walks, walk_sum, too_small, unmatched, claims,
+        evictions, free_entries;
+    bool operator==(const Walk&) const = default;
+  };
+  auto read = [&] {
+    return Walk{emp_counter(1, "descriptors_walked"),
+                emp_counter(1, "tag_walk_len/count"),
+                emp_counter(1, "tag_walk_len/sum"),
+                emp_counter(1, "too_small_drops"),
+                emp_counter(1, "unmatched_drops"),
+                emp_counter(1, "unexpected_claims"),
+                emp_counter(1, "unexpected_evictions"),
+                static_cast<std::int64_t>(ep_[1]->unexpected_free_count())};
+  };
+  auto delta = [](const Walk& a, const Walk& b) {
+    return Walk{b.walked - a.walked,       b.walks - a.walks,
+                b.walk_sum - a.walk_sum,   b.too_small - a.too_small,
+                b.unmatched - a.unmatched, b.claims - a.claims,
+                b.evictions - a.evictions, b.free_entries - a.free_entries};
+  };
+  std::uint32_t next_msg = 700;
+  // Frame 0 of a fresh `bytes`-byte message from node 0 on `tag`.
+  auto inject = [&](Tag tag, std::uint32_t bytes) {
+    EmpHeader h;
+    h.src_node = 0;
+    h.dst_node = 1;
+    h.tag = tag;
+    h.msg_id = next_msg++;
+    h.frame_index = 0;
+    h.total_frames = frames_for(bytes, model_.wire.mtu);
+    h.msg_bytes = bytes;
+    nic_[1]->frame_arrived(net::make_frame_ptr(
+        net::MacAddress::for_host(1), net::MacAddress::for_host(0),
+        net::EtherType::kEmp,
+        encode_frame(h, pattern(std::min<std::uint32_t>(
+                               bytes, max_fragment_bytes(model_.wire.mtu))))));
+  };
+  struct Desc {
+    std::optional<NodeId> src;
+    Tag tag;
+    std::size_t capacity;
+    bool unpost;
+  };
+  // First batch: 14 descriptors, 8 unposted (the 8th unpost compacts).
+  const std::vector<Desc> first = {
+      {0, 100, 64, true},    {0, 200, 64, false},  {0, 100, 4096, false},
+      {0, 200, 64, true},    {5, 100, 64, false},  {0, 200, 64, true},
+      {0, 100, 8, false},    {0, 200, 64, true},   {0, 200, 64, true},
+      {0, 200, 64, true},    {0, 100, 64, true},   {0, 200, 64, true},
+      {0, 0x9001, 8, false}, {0, 200, 64, false}};
+  // Second batch: a tombstone on each side of the wildcard tag-100 match.
+  const std::vector<Desc> second = {{0, 200, 64, true},
+                                    {std::nullopt, 100, 64, false},
+                                    {0, 200, 64, true},
+                                    {0, 100, 64, false}};
+  std::vector<std::vector<std::uint8_t>> bufs;
+  std::vector<Walk> deltas;
+  std::size_t live_before_frames = 0;
+
+  auto proc = [&]() -> Task<void> {
+    const std::vector<Desc>* batches[] = {&first, &second};
+    for (const auto* batch : batches) {
+      std::vector<RecvHandle> handles;
+      for (const Desc& d : *batch) {
+        bufs.emplace_back(d.capacity);
+        handles.push_back(
+            co_await ep_[1]->post_recv(d.src, d.tag, bufs.back()));
+      }
+      co_await eng_.delay(100'000);  // every descriptor is filed
+      for (std::size_t i = 0; i < batch->size(); ++i) {
+        if ((*batch)[i].unpost) {
+          const bool removed = co_await ep_[1]->unpost_recv(handles[i]);
+          EXPECT_TRUE(removed);
+        }
+      }
+      co_await eng_.delay(100'000);
+    }
+    live_before_frames = ep_[1]->posted_descriptor_count();
+    co_await ep_[1]->post_unexpected(2, 4096);
+    co_await eng_.delay(100'000);
+    // A 2,000 B message binds the 4,096 B tag-100 descriptor; its second
+    // frame never comes, so the descriptor stays bound.
+    inject(100, 2000);
+    co_await eng_.delay(100'000);
+    const std::vector<std::pair<Tag, std::uint32_t>> frames = {
+        {100, 16},     // skips bound, wrong-source, too-small; matches
+        {300, 2000},   // no descriptor: unexpected entry 0, stays bound
+        {301, 16},     // skips bound entry 0, lands in entry 1
+        {302, 16},     // pool full: evicts ready entry 1, lands there
+        {0x9000, 16},  // above kUnexpectedMaxTag, no descriptor
+        {0x9001, 16},  // above kUnexpectedMaxTag, only a too-small one
+        {303, 5000},   // evicts entry 1, then fits nowhere in the pool
+    };
+    for (const auto& [tag, bytes] : frames) {
+      const Walk before = read();
+      inject(tag, bytes);
+      co_await eng_.delay(100'000);
+      deltas.push_back(delta(before, read()));
+    }
+  };
+  eng_.spawn(proc());
+  eng_.run();
+
+  EXPECT_EQ(live_before_frames, 8u);
+  // {walked, walks, walk_sum, too_small, unmatched, claims, evictions,
+  //  free_entries}
+  const std::vector<Walk> expected = {
+      {7, 1, 7, 0, 0, 0, 0, 0},    {8, 1, 8, 0, 0, 1, 0, -1},
+      {9, 1, 9, 0, 0, 1, 0, -1},   {9, 1, 9, 0, 0, 1, 1, 0},
+      {7, 1, 7, 0, 1, 0, 0, 0},    {7, 1, 7, 1, 0, 0, 0, 0},
+      {9, 1, 9, 0, 1, 0, 1, 1},
+  };
+  ASSERT_EQ(deltas.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Walk& d = deltas[i];
+    EXPECT_EQ(d, expected[i])
+        << "frame " << i << ": walked " << d.walked << " walks " << d.walks
+        << " sum " << d.walk_sum << " too_small " << d.too_small
+        << " unmatched " << d.unmatched << " claims " << d.claims
+        << " evictions " << d.evictions << " free " << d.free_entries;
+  }
 }
 
 TEST_F(EmpPair, UnpostRemovesDescriptor) {

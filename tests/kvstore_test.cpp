@@ -46,7 +46,9 @@ TEST_P(KvTest, SetGetDelRoundTrip) {
 
     auto v = co_await kv.get("alpha");
     EXPECT_TRUE(v.has_value());
-    if (v) EXPECT_EQ(*v, value_of("one"));
+    if (v) {
+      EXPECT_EQ(*v, value_of("one"));
+    }
 
     EXPECT_FALSE((co_await kv.get("gamma")).has_value());
 
@@ -58,7 +60,9 @@ TEST_P(KvTest, SetGetDelRoundTrip) {
     EXPECT_EQ(co_await kv.set("beta", value_of("TWO!")), KvStatus::kOk);
     auto w = co_await kv.get("beta");
     EXPECT_TRUE(w.has_value());
-    if (w) EXPECT_EQ(*w, value_of("TWO!"));
+    if (w) {
+      EXPECT_EQ(*w, value_of("TWO!"));
+    }
 
     co_await kv.close();
     done = true;
@@ -89,7 +93,9 @@ TEST_P(KvTest, LargeValuesSurvive) {
     EXPECT_EQ(co_await kv.set("blob", big), KvStatus::kOk);
     auto v = co_await kv.get("blob");
     EXPECT_TRUE(v.has_value());
-    if (v) EXPECT_EQ(*v, big);
+    if (v) {
+      EXPECT_EQ(*v, big);
+    }
     co_await kv.close();
     done = true;
   };
@@ -119,7 +125,9 @@ TEST_P(KvTest, ManySmallOperations) {
                 KvStatus::kOk);
       auto v = co_await kv.get(key);
       EXPECT_TRUE(v.has_value());
-      if (v) EXPECT_EQ(*v, value_of(std::to_string(i)));
+      if (v) {
+        EXPECT_EQ(*v, value_of(std::to_string(i)));
+      }
     }
     co_await kv.close();
     done = true;

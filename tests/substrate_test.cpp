@@ -64,12 +64,12 @@ TEST(ControlWire, ConnRequestRoundTrip) {
 TEST(ControlWire, DataHeaderRoundTrip) {
   DataHeader h;
   h.piggyback_credits = 513;
-  h.flags = 7;
+  h.msg_no = 7;
   std::uint8_t buf[4];
   encode_data_header(h, buf);
   auto d = decode_data_header(buf);
   EXPECT_EQ(d.piggyback_credits, 513);
-  EXPECT_EQ(d.flags, 7);
+  EXPECT_EQ(d.msg_no, 7);
 }
 
 TEST(Config, PresetsMatchPaperLabels) {
