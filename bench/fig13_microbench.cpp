@@ -30,35 +30,18 @@ int main(int argc, char** argv) {
   const auto tcp_256k = StackChoice::tcp(262'144);
   const auto emp = StackChoice::raw_emp();
 
-  // Both sweeps fan out through run_points(): every (size, stack) cell is
-  // an independent simulation, so the pool runs them concurrently and the
-  // results — merged back in job order — are byte-identical to a serial
-  // sweep (each job owns its Engine; see bench/harness.hpp).
-  const unsigned threads = opt.resolved_threads();
-
   std::printf("Figure 13a: latency vs message size (one-way, us)\n\n");
   {
     const std::size_t sizes[] = {4, 64, 256, 1024, 4096};
     const StackChoice* stacks[] = {&dg, &ds, &tcp_def};
     const char* series[] = {"Datagram", "DataStreaming", "TCP"};
-    std::vector<std::function<double()>> jobs;
-    for (std::size_t size : sizes) {
-      for (const StackChoice* stack : stacks) {
-        jobs.push_back(
-            [stack, size, iters] { return measure_latency_us(*stack, size, iters); });
-      }
-    }
-    const auto points = run_points(std::move(jobs), threads);
-
     sim::ResultTable table({"size", "Datagram", "DataStreaming", "TCP",
                             "TCP/DG"});
-    std::size_t j = 0;
     for (std::size_t size : sizes) {
       double lat[3];
-      for (std::size_t s = 0; s < 3; ++s, ++j) {
-        lat[s] = points[j].value;
-        results.add(series[s], *stacks[s], size_label(size), lat[s], "us",
-                    points[j].metrics);
+      for (std::size_t s = 0; s < 3; ++s) {
+        lat[s] = measure_latency_us(*stacks[s], size, iters);
+        results.add(series[s], *stacks[s], size_label(size), lat[s], "us");
       }
       table.add_row({size_label(size), sim::ResultTable::num(lat[0], 1),
                      sim::ResultTable::num(lat[1], 1),
@@ -76,25 +59,13 @@ int main(int argc, char** argv) {
     const StackChoice* stacks[] = {&ds, &dg, &tcp_def, &tcp_256k, &emp};
     const char* series[] = {"bw_Substrate_DS", "bw_Datagram", "bw_TCP_16K",
                             "bw_TCP_tuned", "bw_raw_EMP"};
-    std::vector<std::function<double()>> jobs;
-    for (std::size_t size : sizes) {
-      for (const StackChoice* stack : stacks) {
-        jobs.push_back([stack, size, total] {
-          return measure_bandwidth_mbps(*stack, size, total);
-        });
-      }
-    }
-    const auto points = run_points(std::move(jobs), threads);
-
     sim::ResultTable table({"size", "Substrate_DS", "Datagram", "TCP_16K",
                             "TCP_tuned", "raw_EMP"});
-    std::size_t j = 0;
     for (std::size_t size : sizes) {
       double bw[5];
-      for (std::size_t s = 0; s < 5; ++s, ++j) {
-        bw[s] = points[j].value;
-        results.add(series[s], *stacks[s], size_label(size), bw[s], "mbps",
-                    points[j].metrics);
+      for (std::size_t s = 0; s < 5; ++s) {
+        bw[s] = measure_bandwidth_mbps(*stacks[s], size, total);
+        results.add(series[s], *stacks[s], size_label(size), bw[s], "mbps");
       }
       table.add_row({size_label(size), sim::ResultTable::num(bw[0], 0),
                      sim::ResultTable::num(bw[1], 0),

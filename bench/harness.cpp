@@ -1,13 +1,11 @@
 #include "harness.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <thread>
 
 #include "apps/ftp.hpp"
 #include "apps/httpd.hpp"
@@ -23,12 +21,10 @@ using sim::Engine;
 
 constexpr std::uint16_t kPort = 5001;
 
-// Observability state of the run scope.  The per-run snapshot is
-// thread_local so run_points() workers each see their own last run.  The
-// armed trace path stays global: arming a trace forces run_points()
-// serial, so only one thread ever touches it.
-thread_local std::map<std::string, std::int64_t> g_last_metrics;  // NOLINT
-std::string g_trace_path;                                         // NOLINT
+// Observability state of the run scope: the registry snapshot of the last
+// run, and the armed trace path.
+std::map<std::string, std::int64_t> g_last_metrics;  // NOLINT
+std::string g_trace_path;                            // NOLINT
 
 std::vector<std::uint8_t> payload(std::size_t n) {
   std::vector<std::uint8_t> v(n);
@@ -313,56 +309,7 @@ StackChoice StackChoice::raw_emp() {
   return s;
 }
 
-const std::map<std::string, std::int64_t>& last_run_metrics() {
-  return g_last_metrics;
-}
-
-std::vector<MeasuredPoint> run_points(
-    std::vector<std::function<double()>> jobs, unsigned threads) {
-  std::vector<MeasuredPoint> out(jobs.size());
-  const bool serial =
-      threads <= 1 || jobs.size() <= 1 || !g_trace_path.empty();
-  if (serial) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      out[i].value = jobs[i]();
-      out[i].metrics = g_last_metrics;
-    }
-    return out;
-  }
-  const unsigned pool_size =
-      static_cast<unsigned>(std::min<std::size_t>(threads, jobs.size()));
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(jobs.size());
-  auto worker = [&] {
-    for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      try {
-        out[i].value = jobs[i]();
-        out[i].metrics = g_last_metrics;  // this worker's own run
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(pool_size);
-  for (unsigned i = 0; i < pool_size; ++i) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return out;
-}
-
 void set_trace_export(std::string path) { g_trace_path = std::move(path); }
-
-unsigned BenchOptions::resolved_threads() const {
-  if (threads != 0) return threads;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return hw < 8 ? hw : 8;
-}
 
 BenchOptions parse_bench_args(int argc, char** argv) {
   BenchOptions opt;
@@ -381,13 +328,9 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       opt.trace_path = value();
     } else if (arg == "--out") {
       opt.out_dir = value();
-    } else if (arg == "--threads") {
-      int n = std::atoi(value());
-      opt.threads = n > 0 ? static_cast<unsigned>(n) : 0;
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
-                   "usage: %s [--iters N] [--trace FILE] [--out DIR] "
-                   "[--threads N]\n",
+                   "usage: %s [--iters N] [--trace FILE] [--out DIR]\n",
                    argv[0]);
       std::exit(0);
     } else {
@@ -409,23 +352,9 @@ void BenchResults::add(std::string_view series, const StackChoice& stack,
   add(series, stack.name(), stack.config_label(), x, value, unit);
 }
 
-void BenchResults::add(std::string_view series, const StackChoice& stack,
-                       std::string_view x, double value, std::string_view unit,
-                       std::map<std::string, std::int64_t> metrics) {
-  add(series, stack.name(), stack.config_label(), x, value, unit,
-      std::move(metrics));
-}
-
 void BenchResults::add(std::string_view series, std::string_view stack_name,
                        std::string_view config_label, std::string_view x,
                        double value, std::string_view unit) {
-  add(series, stack_name, config_label, x, value, unit, g_last_metrics);
-}
-
-void BenchResults::add(std::string_view series, std::string_view stack_name,
-                       std::string_view config_label, std::string_view x,
-                       double value, std::string_view unit,
-                       std::map<std::string, std::int64_t> metrics) {
   Point p;
   p.series = std::string(series);
   p.stack = std::string(stack_name);
@@ -433,7 +362,7 @@ void BenchResults::add(std::string_view series, std::string_view stack_name,
   p.x = std::string(x);
   p.value = value;
   p.unit = std::string(unit);
-  p.metrics = std::move(metrics);
+  p.metrics = g_last_metrics;
   points_.push_back(std::move(p));
 }
 

@@ -5,16 +5,14 @@
 // way the paper does: "latency" is half the ping-pong round trip, bandwidth
 // is receiver-side goodput over the transfer window.
 //
-// Observability: every run goes through one run scope (run_measured()).
-// Afterwards last_run_metrics() holds that run's full registry snapshot;
-// BenchResults attaches the snapshot to every recorded point and writes the
-// schema-versioned BENCH_<figure>.json that scripts/validate_bench_json.py
-// checks.  set_trace_export() arms a Chrome trace_event export of the next
+// Observability: every run goes through one run scope (run_measured()),
+// which keeps that run's full registry snapshot; BenchResults attaches the
+// snapshot to the point recorded next and writes the schema-versioned
+// BENCH_<figure>.json that scripts/validate_bench_json.py checks.  set_trace_export() arms a Chrome trace_event export of the next
 // run (see DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -76,29 +74,6 @@ class StackChoice {
 /// disarms an armed trace export.
 void run_measured(sim::Engine& eng);
 
-/// Registry snapshot of the most recent run_measured() run on this thread
-/// (path -> value; see obs/metrics.hpp for the "h<N>/<layer>/<name>" path
-/// scheme).  Thread-local so run_points() workers don't race.
-[[nodiscard]] const std::map<std::string, std::int64_t>& last_run_metrics();
-
-/// One completed measurement job: the measured value plus the metrics
-/// snapshot of the run that produced it.
-struct MeasuredPoint {
-  double value = 0;
-  std::map<std::string, std::int64_t> metrics;
-};
-
-/// Run independent measurement jobs — each a closure over one measure_*
-/// call — and return their results in job order.  With `threads` > 1 the
-/// jobs run on a thread pool (each job builds its own Engine, so runs are
-/// fully isolated and the simulated results are identical to a serial
-/// sweep; only wall-clock changes).  Falls back to serial when `threads`
-/// <= 1 or a trace export is armed (the trace must capture exactly one
-/// run).  A job that throws rethrows from run_points after all jobs
-/// complete.
-[[nodiscard]] std::vector<MeasuredPoint> run_points(
-    std::vector<std::function<double()>> jobs, unsigned threads);
-
 /// Arm a timeline export: the next run_measured() run executes with the
 /// tracer enabled and writes Chrome trace_event JSON to `path` when it
 /// finishes.
@@ -108,16 +83,12 @@ void set_trace_export(std::string path);
 ///   --iters N    latency iterations per point (smoke runs use small N)
 ///   --trace F    export a Chrome trace of the first run to F
 ///   --out DIR    directory for BENCH_<figure>.json (default ".")
-///   --threads N  run_points() pool size (0 = auto: hardware threads, <= 8)
 struct BenchOptions {
   int iters = 0;  // 0: the figure's default
   std::string trace_path;
   std::string out_dir = ".";
-  unsigned threads = 0;  // 0: auto
 
   [[nodiscard]] int iters_or(int dflt) const { return iters > 0 ? iters : dflt; }
-  /// Pool size for run_points(): --threads, or the auto default.
-  [[nodiscard]] unsigned resolved_threads() const;
 };
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
 
@@ -140,10 +111,6 @@ class BenchResults {
   /// Record the point for the measure_* call that just returned `value`.
   void add(std::string_view series, const StackChoice& stack,
            std::string_view x, double value, std::string_view unit);
-  /// Record a run_points() result (carries its own metrics snapshot).
-  void add(std::string_view series, const StackChoice& stack,
-           std::string_view x, double value, std::string_view unit,
-           std::map<std::string, std::int64_t> metrics);
   /// Record a point that has no StackChoice (raw-parameter ablations).
   void add(std::string_view series, std::string_view stack_name,
            std::string_view config_label, std::string_view x, double value,
@@ -153,11 +120,6 @@ class BenchResults {
   std::string write(const std::string& dir = ".") const;
 
  private:
-  /// The overload every public add() forwards to.
-  void add(std::string_view series, std::string_view stack_name,
-           std::string_view config_label, std::string_view x, double value,
-           std::string_view unit, std::map<std::string, std::int64_t> metrics);
-
   struct Point {
     std::string series;
     std::string stack;

@@ -9,10 +9,7 @@
 #      suppression (DESIGN.md §12).
 #   4. Bench smoke: a short fig11_latency run must emit a BENCH_*.json
 #      that passes scripts/validate_bench_json.py.
-#   5. ThreadSanitizer build: fig13_microbench on a 4-thread run_points()
-#      pool (the repo's cross-thread code: the job pool, thread_local run
-#      state and block pools), plus the sharded determinism tests.
-#   6. Benchmark smoke and seed-1 pins: python3 benchmark/run.py --smoke
+#   5. Benchmark smoke and seed-1 pins: python3 benchmark/run.py --smoke
 #      builds the Release benchmark drivers, runs all five workloads at 1%
 #      size (every payload byte is verified) and checks the result schema
 #      against BENCHMARK.json.  Then python3 benchmark/run.py --seed 1
@@ -44,7 +41,7 @@ for arg in "$@"; do
   esac
 done
 JOBS="$(nproc 2>/dev/null || echo 4)"
-TOTAL=6
+TOTAL=5
 
 echo "==> [1/$TOTAL] Debug + ASan/UBSan build and test"
 cmake -B "$BUILD_DIR" -S . \
@@ -83,29 +80,7 @@ mkdir -p "$SMOKE_DIR"
 "$BUILD_DIR/bench/fig11_latency" --iters 3 --out "$SMOKE_DIR" >/dev/null
 python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
 
-echo "==> [5/$TOTAL] ThreadSanitizer: bench job pool and sharded determinism tests"
-# bench::run_points() is the repo's one thread pool: fig13_microbench fans
-# its (size, stack) cells out over 4 workers, each building its own
-# engines, with thread_local run snapshots and block pools.  That is the
-# surface TSan needs to see.  ShardGroup steps every shard on the calling
-# thread, and frames cross shards by move; the Sharding.* run stays so any
-# thread that comes back into it is raced from the start.
-# TSan excludes the other sanitizers, so this is its own build tree.
-TSAN_DIR="$BUILD_DIR-tsan"
-cmake -B "$TSAN_DIR" -S . \
-  -DCMAKE_BUILD_TYPE=Debug \
-  -DULSOCKS_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$JOBS" --target fig13_microbench determinism_test
-TSAN_SMOKE_DIR="$TSAN_DIR/bench-smoke"
-mkdir -p "$TSAN_SMOKE_DIR"
-TSAN_OPTIONS=halt_on_error=1 \
-  "$TSAN_DIR/bench/fig13_microbench" --iters 2 --threads 4 \
-  --out "$TSAN_SMOKE_DIR" >/dev/null
-python3 scripts/validate_bench_json.py "$TSAN_SMOKE_DIR/BENCH_fig13_microbench.json"
-TSAN_OPTIONS=halt_on_error=1 \
-  "$TSAN_DIR/tests/determinism_test" --gtest_filter='Sharding.*'
-
-echo "==> [6/$TOTAL] benchmark smoke (Release drivers, payload checks, result schema) and seed-1 pins"
+echo "==> [5/$TOTAL] benchmark smoke (Release drivers, payload checks, result schema) and seed-1 pins"
 # Exits non-zero on a build failure, a failed payload check or a result
 # that does not match BENCHMARK.json.  Release-only defects surface here.
 # The per-workload report is long, so it is shown only on failure.

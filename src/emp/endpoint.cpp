@@ -345,7 +345,7 @@ net::FramePtr EmpEndpoint::make_control_frame(NodeId dst,
   f->dst = net::MacAddress::for_host(dst);
   f->src = nic_.mac();
   f->type = net::EtherType::kEmp;
-  encode_frame_into(h, {}, f->payload);
+  encode_header_into(h, f->payload);
   return f;
 }
 
@@ -360,7 +360,7 @@ net::FramePtr EmpEndpoint::make_data_frame(const SendHandle& st,
   // Zero-copy: the frame carries the 20 header bytes inline and references
   // the pinned payload through a subslice.
   encode_header_into(h, f->payload);
-  if (len > 0) f->slices.push_back(st->pinned.subslice(offset, len));
+  if (len > 0) f->body = st->pinned.subslice(offset, len);
   return f;
 }
 
@@ -436,12 +436,12 @@ void EmpEndpoint::fail_send(const SendHandle& st) {
 // ---------------------------------------------------------------------------
 
 void EmpEndpoint::on_frame(net::FramePtr frame) {
-  auto decoded = decode_frame(frame->payload);
+  const std::optional<EmpHeader> decoded = decode_header(frame->payload);
   if (!decoded) {
     ++ctr_.malformed_frames;
     return;
   }
-  EmpHeader h = decoded->header;
+  const EmpHeader h = *decoded;
   if (h.dst_node != self_) {
     ++ctr_.misrouted_frames;  // not ours (should be filtered by the MAC)
     return;
@@ -451,8 +451,7 @@ void EmpEndpoint::on_frame(net::FramePtr frame) {
       // The frame itself rides through the firmware pipeline; its payload
       // backs the fragment until DMA, so no per-frame fragment copy.
       // Fragment length comes from payload_bytes(): data frames carry the
-      // fragment in the scatter-gather list, so the inline span
-      // decode_frame returns holds only the header.
+      // fragment in the body, behind the inline header.
       const std::size_t frag_len = frame->payload_bytes() - kHeaderBytes;
       if (!fragment_geometry_ok(h, frag_len, model_.wire.mtu)) {
         ++ctr_.malformed_frames;
@@ -646,9 +645,9 @@ void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
   // charge the identical DMA transfer; they differ only in host copies.
   const std::size_t frag_len = frame->payload_bytes() - kHeaderBytes;
   bool took_slice = false;
-  if (binding.recv && binding.recv->want_slices && !frame->slices.empty() &&
+  if (binding.recv && binding.recv->want_slices && !frame->body.empty() &&
       h.frame_index < binding.recv->parts.size()) {
-    binding.recv->parts[h.frame_index] = frame->slices.front();
+    binding.recv->parts[h.frame_index] = frame->body;
     took_slice = true;
   }
   if (!took_slice && frag_len > 0) {

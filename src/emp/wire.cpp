@@ -27,17 +27,6 @@ std::uint32_t get32(std::span<const std::uint8_t> in, std::size_t at) {
          (static_cast<std::uint32_t>(get16(in, at + 2)) << 16);
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_frame(const EmpHeader& h,
-                                       std::span<const std::uint8_t> fragment) {
-  std::vector<std::uint8_t> out;
-  encode_frame_into(h, fragment, out);
-  return out;
-}
-
-namespace {
-
 void build_header(const EmpHeader& h, std::uint8_t* hdr) {
   hdr[0] = static_cast<std::uint8_t>(h.kind);
   hdr[1] = 0;  // reserved / alignment
@@ -54,20 +43,6 @@ void build_header(const EmpHeader& h, std::uint8_t* hdr) {
 
 }  // namespace
 
-void encode_frame_into(const EmpHeader& h,
-                       std::span<const std::uint8_t> fragment,
-                       std::vector<std::uint8_t>& out) {
-  // Assemble the header on the stack, then append header and payload as
-  // two bulk ranges: one capacity check per range instead of one per byte
-  // (this runs once per frame on the simulator's hottest path).
-  std::uint8_t hdr[kHeaderBytes];
-  build_header(h, hdr);
-  out.clear();
-  out.reserve(kHeaderBytes + fragment.size());
-  out.insert(out.end(), hdr, hdr + kHeaderBytes);
-  out.insert(out.end(), fragment.begin(), fragment.end());
-}
-
 void encode_header_into(const EmpHeader& h, std::vector<std::uint8_t>& out) {
   // Written in place: a pooled frame's payload keeps its capacity, so this
   // allocates nothing once the frame has been used.
@@ -75,7 +50,7 @@ void encode_header_into(const EmpHeader& h, std::vector<std::uint8_t>& out) {
   build_header(h, out.data());
 }
 
-std::optional<DecodedFrame> decode_frame(std::span<const std::uint8_t> p) {
+std::optional<EmpHeader> decode_header(std::span<const std::uint8_t> p) {
   if (p.size() < kHeaderBytes) return std::nullopt;
   EmpHeader h;
   auto kind = p[0];
@@ -95,7 +70,7 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::uint8_t> p) {
     h.msg_bytes = 0;
   }
   if (h.kind == FrameKind::kData && h.total_frames == 0) return std::nullopt;
-  return DecodedFrame{h, p.subspan(kHeaderBytes)};
+  return h;
 }
 
 }  // namespace ulsocks::emp

@@ -1,11 +1,11 @@
 // EMP frame wire format.
 //
 // Every EMP frame starts with a fixed 20-byte header followed by the data
-// fragment (empty for ACK/NACK frames).  Fields are encoded little-endian.
-// The receiving NIC classifies frames by `kind`, exactly as the paper
-// describes ("classified as a data, header, acknowledgment or a negative
-// acknowledgment frame" — the first frame of a message, which carries the
-// message length, plays the "header" role).
+// fragment (ACK/NACK frames are header-only).  Fields are encoded
+// little-endian.  The receiving NIC classifies frames by `kind`, exactly as
+// the paper describes ("classified as a data, header, acknowledgment or a
+// negative acknowledgment frame" — the first frame of a message, which
+// carries the message length, plays the "header" role).
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,8 @@ inline constexpr std::size_t kHeaderBytes = 20;
 // Layout pin: the encoder serializes kind (1 byte + 1 reserved), the five
 // 16/32-bit id fields, and one final word shared by msg_bytes (data) and
 // ack_value (control) — exactly kHeaderBytes on the wire.  Growing
-// EmpHeader must fail here until kHeaderBytes and encode_/decode_ are
-// consciously revised together.
+// EmpHeader must fail here until kHeaderBytes, encode_header_into and
+// decode_header are consciously revised together.
 static_assert(sizeof(EmpHeader::kind) + 1 /* reserved */ +
                       sizeof(EmpHeader::src_node) +
                       sizeof(EmpHeader::dst_node) + sizeof(EmpHeader::tag) +
@@ -57,8 +57,8 @@ static_assert(sizeof(EmpHeader::kind) + 1 /* reserved */ +
                       sizeof(EmpHeader::total_frames) +
                       sizeof(EmpHeader::msg_bytes) ==
                   kHeaderBytes,
-              "EmpHeader layout drifted: revise kHeaderBytes and the "
-              "encode_/decode_ functions together");
+              "EmpHeader layout drifted: revise kHeaderBytes, "
+              "encode_header_into and decode_header together");
 static_assert(sizeof(EmpHeader::ack_value) == sizeof(EmpHeader::msg_bytes),
               "ack_value shares the final EmpHeader wire word with "
               "msg_bytes; the two must stay the same width");
@@ -77,35 +77,17 @@ static_assert(sizeof(EmpHeader::ack_value) == sizeof(EmpHeader::msg_bytes),
   return static_cast<std::uint16_t>(n == 0 ? 1 : n);
 }
 
-/// Serialize header + fragment into a frame payload.
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(
-    const EmpHeader& h, std::span<const std::uint8_t> fragment);
-
-/// Same, but into `out` (cleared first).  Lets pooled frames reuse their
-/// payload vector's capacity instead of allocating per frame.
-void encode_frame_into(const EmpHeader& h,
-                       std::span<const std::uint8_t> fragment,
-                       std::vector<std::uint8_t>& out);
-
-/// Header-only encode for the sliced data path: `out` receives just the
-/// 20 header bytes; the fragment rides the frame's scatter-gather slice
-/// list instead of being copied in.
+/// Write the 20 header bytes into `out` (resized to exactly that).  A data
+/// frame's fragment rides the frame's body slice; control frames are
+/// header-only.
 void encode_header_into(const EmpHeader& h, std::vector<std::uint8_t>& out);
 
-/// Parse a frame payload.  Returns nullopt for malformed payloads: shorter
-/// than the header, an unknown kind, or a data frame claiming zero frames.
-/// The fragment's length and index are not checked here; the receiving
-/// endpoint checks them against the message they belong to.
-struct DecodedFrame {
-  EmpHeader header;
-  std::span<const std::uint8_t> fragment;  // view into the input payload
-};
-static_assert(sizeof(DecodedFrame) ==
-                  sizeof(EmpHeader) + sizeof(std::span<const std::uint8_t>),
-              "DecodedFrame is a parsed header plus a borrowed view; "
-              "adding owning state would put an allocation on the per-"
-              "frame decode path");
-[[nodiscard]] std::optional<DecodedFrame> decode_frame(
+/// Parse the header at the front of a frame payload.  Returns nullopt for
+/// malformed payloads: shorter than the header, an unknown kind, or a data
+/// frame claiming zero frames.  Bytes after the header are not read: the
+/// receiving endpoint sizes the fragment with Frame::payload_bytes() and
+/// checks it against the message it belongs to.
+[[nodiscard]] std::optional<EmpHeader> decode_header(
     std::span<const std::uint8_t> payload);
 
 }  // namespace ulsocks::emp

@@ -55,7 +55,6 @@ void Link::maybe_register_lookahead() {
 sim::Time Link::transmit(Side side, FramePtr frame) {
   auto& from = end_[static_cast<int>(side)];
   auto& to = end_[1 - static_cast<int>(side)];
-  frame->wire_id = from.next_wire_id++;
   ++from.sent;
 
   sim::Time start = std::max(from.eng->now(), from.busy_until);

@@ -134,10 +134,6 @@ class Link {
     sim::Time busy_until = 0;    // wire-free time for this direction
     std::uint64_t sent = 0;
     std::uint64_t dropped = 0;
-    // Per-direction (not per-link) so concurrent shards never share the
-    // counter.  wire_id is identification-only — nothing behavioral reads
-    // it — so renumbering per direction leaves digests untouched.
-    std::uint64_t next_wire_id = 1;
   };
 
   void resolve_shard(Endpoint& e);

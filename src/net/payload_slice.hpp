@@ -3,52 +3,28 @@
 // A PayloadSlice is an immutable view (offset/length) into a refcounted
 // byte buffer.  Protocol layers pin a message's payload into one slice at
 // the API boundary (the single host copy), then fragment, encode, forward,
-// flood and deliver it by slicing — refcount bumps instead of memcpy.  The
-// backing buffers are pool-recycled exactly like FramePool frames: the
-// deleter returns storage (capacity included) to the owning pool's free
-// list, so steady-state traffic reuses a warm working set.
-//
-// Lifetime mirrors FramePool: slices routinely outlive their pool (queued
-// events still hold frames holding slices when a Cluster destructs), so the
-// pool core is shared_ptr-owned and stragglers free themselves when they
-// see the dead mark.  Refcounts are plain integers — slices, like frames,
-// never cross threads (a frame may cross shards, but every shard of a
-// sim::ShardGroup runs on the calling thread).
+// flood and deliver it by slicing: refcount bumps instead of memcpy.  Every
+// backing buffer comes from a NIC's SlicePool, a net::Recycler: the last
+// release returns the buffer (capacity included) to the pool's free list,
+// and a buffer that outlives its pool frees itself (see net/recycler.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "net/recycler.hpp"
 
 namespace ulsocks::net {
 
 class SlicePool;
-class PayloadSlice;
 
 namespace detail {
 
-struct SlicePoolCore;
-
-/// One refcounted backing buffer.  `core` is set once at allocation (null
-/// for adopted/heap buffers) and never reassigned on recycle.
-struct SliceStorage {
+/// One refcounted backing buffer.
+struct SliceStorage : Recyclable<SliceStorage> {
   std::vector<std::uint8_t> bytes;
   std::uint32_t refs = 0;
-  std::shared_ptr<SlicePoolCore> core;
-};
-
-struct SlicePoolCore {
-  std::vector<SliceStorage*> free;
-  bool alive = true;           // cleared when the owning SlicePool dies
-  std::uint64_t created = 0;   // buffers ever heap-allocated by the pool
-  std::uint64_t recycled = 0;  // acquires served from the free list
-  std::uint64_t outstanding = 0;
-  std::uint64_t high_water = 0;  // peak simultaneously-outstanding buffers
-  obs::Gauge* hwm_gauge = nullptr;  // mirrors high_water when bound
 };
 
 }  // namespace detail
@@ -116,35 +92,12 @@ class PayloadSlice {
     return s_ == nullptr ? 0 : s_->refs;
   }
 
-  /// Wrap an existing vector as a slice without copying (heap-backed, not
-  /// pooled): the TCP encode path hands its segment payload straight off.
-  [[nodiscard]] static PayloadSlice adopt(std::vector<std::uint8_t> bytes) {
-    auto* s = new detail::SliceStorage();
-    s->bytes = std::move(bytes);
-    s->refs = 1;
-    PayloadSlice out;
-    out.s_ = s;
-    out.len_ = static_cast<std::uint32_t>(s->bytes.size());
-    return out;
-  }
-
  private:
   friend class SlicePool;
 
   void release() noexcept {
     if (s_ == nullptr) return;
-    if (--s_->refs == 0) {
-      detail::SlicePoolCore* core = s_->core.get();
-      if (core != nullptr) {
-        --core->outstanding;
-        if (core->alive) {
-          core->free.push_back(s_);
-          s_ = nullptr;
-          return;
-        }
-      }
-      delete s_;
-    }
+    if (--s_->refs == 0) Recycler<detail::SliceStorage>::give_back(s_);
     s_ = nullptr;
   }
 
@@ -154,78 +107,31 @@ class PayloadSlice {
 };
 
 /// Recycles slice backing buffers for one host's NIC (the simulated pinned
-/// DMA region).  Single-threaded, like the Engine that drives it.
-class SlicePool {
+/// DMA region).
+class SlicePool : public Recycler<detail::SliceStorage> {
  public:
-  SlicePool() : core_(std::make_shared<detail::SlicePoolCore>()) {}
-  SlicePool(const SlicePool&) = delete;
-  SlicePool& operator=(const SlicePool&) = delete;
-  ~SlicePool() {
-    core_->alive = false;
-    for (detail::SliceStorage* s : core_->free) delete s;
-    core_->free.clear();
-  }
-
   /// Pin `bytes` into a fresh slice: the one host copy of the zero-copy
-  /// path.  The buffer is written in full, so no stale bytes from a
-  /// previous life can bleed through.
+  /// path.
   [[nodiscard]] PayloadSlice copy_in(std::span<const std::uint8_t> bytes) {
-    return fill(bytes, {});
+    return gather(bytes, {});
   }
 
   /// Pin a header and a payload contiguously into one slice (the
   /// scatter-gather send: substrate header + user bytes in a single pass).
+  /// The buffer is written in full, so no stale bytes from a previous life
+  /// can bleed through.
   [[nodiscard]] PayloadSlice gather(std::span<const std::uint8_t> head,
                                     std::span<const std::uint8_t> body) {
-    return fill(head, body);
-  }
-
-  void bind_hwm_gauge(obs::Gauge& gauge) {
-    core_->hwm_gauge = &gauge;
-    gauge.set(static_cast<std::int64_t>(core_->high_water));
-  }
-
-  [[nodiscard]] std::uint64_t created() const { return core_->created; }
-  [[nodiscard]] std::uint64_t recycled() const { return core_->recycled; }
-  [[nodiscard]] std::uint64_t outstanding() const {
-    return core_->outstanding;
-  }
-  [[nodiscard]] std::uint64_t high_water_mark() const {
-    return core_->high_water;
-  }
-
- private:
-  [[nodiscard]] PayloadSlice fill(std::span<const std::uint8_t> a,
-                                  std::span<const std::uint8_t> b) {
-    detail::SlicePoolCore& c = *core_;
-    detail::SliceStorage* s;
-    if (!c.free.empty()) {
-      s = c.free.back();
-      c.free.pop_back();
-      ++c.recycled;
-    } else {
-      s = new detail::SliceStorage();
-      s->core = core_;
-      ++c.created;
-    }
+    detail::SliceStorage* s = take();
     s->bytes.clear();  // keeps capacity — the point of the pool
-    s->bytes.insert(s->bytes.end(), a.begin(), a.end());
-    s->bytes.insert(s->bytes.end(), b.begin(), b.end());
+    s->bytes.insert(s->bytes.end(), head.begin(), head.end());
+    s->bytes.insert(s->bytes.end(), body.begin(), body.end());
     s->refs = 1;
-    ++c.outstanding;
-    if (c.outstanding > c.high_water) {
-      c.high_water = c.outstanding;
-      if (c.hwm_gauge != nullptr) {
-        c.hwm_gauge->set(static_cast<std::int64_t>(c.high_water));
-      }
-    }
     PayloadSlice out;
     out.s_ = s;
     out.len_ = static_cast<std::uint32_t>(s->bytes.size());
     return out;
   }
-
-  std::shared_ptr<detail::SlicePoolCore> core_;
 };
 
 }  // namespace ulsocks::net

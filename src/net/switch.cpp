@@ -123,8 +123,8 @@ void EthernetSwitch::route(std::size_t port, FramePtr frame) {
   }
   // Unknown destination or broadcast: flood pooled copies to all other
   // ports; the original returns to its pool when `frame` dies here.  Each
-  // copy duplicates only the inline region — payload slices are shared —
-  // so a flood moves header bytes, not payloads.
+  // copy duplicates only the inline header and shares the body, so a flood
+  // moves header bytes, not payloads.
   ++flooded_;
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     if (p == port || ports_[p]->link == nullptr) continue;

@@ -81,12 +81,6 @@ std::string Tracer::to_chrome_json() const {
     const Track& t = tracks_.at(e.track);
     const char* ph = "i";
     switch (e.phase) {
-      case TraceEvent::Phase::kBegin:
-        ph = "B";
-        break;
-      case TraceEvent::Phase::kEnd:
-        ph = "E";
-        break;
       case TraceEvent::Phase::kComplete:
         ph = "X";
         break;

@@ -1,14 +1,14 @@
 // Span-based timeline tracer with Chrome trace_event export.
 //
-// Layers open spans stamped with *simulated* time, attributed to a
+// Layers record spans stamped with *simulated* time, attributed to a
 // (host, component) pair; the export writes Chrome's trace_event JSON so a
 // send() can be followed in chrome://tracing (or https://ui.perfetto.dev)
 // from the substrate call, through EMP descriptor posting, NIC firmware and
 // DMA, across the switch, to the peer's read() — each host a process row,
 // each component a thread row.
 //
-// Off by default: when disabled, begin()/end()/instant() are a single
-// branch, so the hot paths pay nothing.  It is the simulator's one tracer:
+// Off by default: when disabled, complete()/instant() are a single branch,
+// so the hot paths pay nothing.  It is the simulator's one tracer:
 // protocol decisions (drops, retransmits, unexpected-queue claims) are
 // recorded as instants beside the spans.
 #pragma once
@@ -27,13 +27,7 @@ namespace ulsocks::obs {
 /// One trace_event record.  `ts` is simulated nanoseconds (exported as
 /// fractional microseconds, Chrome's native unit).
 struct TraceEvent {
-  enum class Phase : std::uint8_t {
-    kBegin,
-    kEnd,
-    kComplete,
-    kInstant,
-    kCounter
-  };
+  enum class Phase : std::uint8_t { kComplete, kInstant, kCounter };
   Phase phase = Phase::kInstant;
   sim::Time ts = 0;
   sim::Duration dur = 0;    // kComplete only
@@ -52,22 +46,9 @@ class Tracer {
   [[nodiscard]] std::uint32_t track(std::string_view host,
                                     std::string_view component);
 
-  /// Open / close a nested duration span on a track.  Spans on one track
-  /// must nest (close in LIFO order); use these only in synchronous code
-  /// where no coroutine suspension can interleave another span on the same
-  /// track — Chrome rejects interleavings.
-  void begin(std::uint32_t track, sim::Time now, std::string_view name,
-             std::string args = {}) {
-    if (enabled_) push(TraceEvent::Phase::kBegin, track, now, 0, name,
-                       std::move(args));
-  }
-  void end(std::uint32_t track, sim::Time now) {
-    if (enabled_) push(TraceEvent::Phase::kEnd, track, now, 0, {}, {});
-  }
-
   /// Retrospective duration span [start, start+dur] (Chrome "X" event).
   /// Safe from coroutines: overlapping completes on one track render as
-  /// stacked slices without the LIFO discipline begin/end requires.
+  /// stacked slices, with no open/close pairing to keep in order.
   void complete(std::uint32_t track, sim::Time start, sim::Duration dur,
                 std::string_view name, std::string args = {}) {
     if (enabled_) push(TraceEvent::Phase::kComplete, track, start, dur, name,

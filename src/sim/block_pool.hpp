@@ -94,8 +94,8 @@ class BlockPool {
   List lists_[kBlockClasses];
 };
 
-/// The calling thread's pool.  Thread-local because bench::run_points
-/// steps independent engines on worker threads.
+/// The calling thread's pool.  Thread-local, so engines stepped on
+/// different threads never share a free list and the pool needs no lock.
 inline thread_local BlockPool block_pool;
 
 }  // namespace ulsocks::sim::detail

@@ -42,50 +42,6 @@ class OnlineStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Sample-retaining series with percentile queries (micro-benchmarks keep
-/// every iteration; sizes are small).
-class Series {
- public:
-  void add(double x) { samples_.push_back(x); }
-
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-
-  [[nodiscard]] double mean() const {
-    if (samples_.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : samples_) s += x;
-    return s / static_cast<double>(samples_.size());
-  }
-
-  /// p in [0,1]; nearest-rank on the sorted samples.
-  [[nodiscard]] double percentile(double p) const {
-    if (samples_.empty()) return 0.0;
-    std::vector<double> v = samples_;
-    std::sort(v.begin(), v.end());
-    auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1) +
-                                        0.5);
-    return v[std::min(idx, v.size() - 1)];
-  }
-
-  [[nodiscard]] double median() const { return percentile(0.5); }
-
-  [[nodiscard]] double min() const {
-    return samples_.empty()
-               ? 0.0
-               : *std::min_element(samples_.begin(), samples_.end());
-  }
-  [[nodiscard]] double max() const {
-    return samples_.empty()
-               ? 0.0
-               : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  void reset() { samples_.clear(); }
-
- private:
-  std::vector<double> samples_;
-};
-
 /// Fixed-width text table used by the figure-reproduction benches so every
 /// harness prints paper-style rows the same way.
 class ResultTable {

@@ -366,11 +366,9 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
   s->my_data = alloc_tags(TagRole::kLocal);
   s->my_ctrl = static_cast<emp::Tag>(s->my_data + 1);
   s->my_rend = static_cast<emp::Tag>(s->my_data + 2);
-  s->remote_base = alloc_tags(TagRole::kRemote);
-  s->peer_data = s->remote_base;
-  s->peer_ctrl = static_cast<emp::Tag>(s->remote_base + 1);
-  s->peer_rend = static_cast<emp::Tag>(s->remote_base + 2);
-  s->peer_buffer_bytes = s->cfg.buffer_bytes;
+  s->peer_data = alloc_tags(TagRole::kRemote);
+  s->peer_ctrl = static_cast<emp::Tag>(s->peer_data + 1);
+  s->peer_rend = static_cast<emp::Tag>(s->peer_data + 2);
   s->send_credits = s->cfg.credits;
   s->state = Sock::State::kConnecting;
   co_await post_connection_resources(s);
@@ -407,7 +405,6 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
     co_await cleanup(s);
     throw SocketError(SockErr::kRefused, "connection refused");
   }
-  s->established = true;
   s->state = Sock::State::kConnected;
   if (tracer_.enabled()) {
     tracer_.complete(trk_, t0, eng_->now() - t0, "connect",
@@ -444,13 +441,11 @@ sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
   child->peer_data = req->data_tag;
   child->peer_ctrl = req->ctrl_tag;
   child->peer_rend = req->rend_tag;
-  child->peer_buffer_bytes = req->buffer_bytes;
   child->send_credits = req->credits;
   child->owns_tags = false;  // tags live in the initiator's space
   child->my_data = req->srv_data_tag;
   child->my_ctrl = req->srv_ctrl_tag;
   child->my_rend = req->srv_rend_tag;
-  child->established = true;
   child->state = Sock::State::kConnected;
   co_await post_connection_resources(child);
   // No reply message: the initiator already completed its connect on
@@ -760,7 +755,7 @@ sim::Task<void> EmpSocketStack::cleanup(const SockPtr& s) {
   release_arena(std::move(s->dg_staging));
   if (s->owns_tags && s->my_data != 0) {
     free_tags(s->my_data);
-    free_tags(s->remote_base);
+    free_tags(s->peer_data);
     s->my_data = 0;
   }
   s->state = Sock::State::kClosed;
@@ -1001,10 +996,11 @@ sim::Task<void> EmpSocketStack::acquire_credit(const SockPtr& s) {
 
 sim::Task<std::size_t> EmpSocketStack::eager_write(
     const SockPtr& s, std::span<const std::uint8_t> in) {
-  // One credit buys one message of up to the peer's temporary-buffer size.
+  // One credit buys one message of up to the peer's temporary-buffer size,
+  // which the initiator set equal to its own (§5.1).
   co_await acquire_credit(s);
 
-  std::size_t n = std::min<std::size_t>(in.size(), s->peer_buffer_bytes);
+  std::size_t n = std::min<std::size_t>(in.size(), s->cfg.buffer_bytes);
   const std::size_t slot_bytes = s->cfg.buffer_bytes + kDataHeaderBytes;
   const std::uint8_t* slot =
       s->send_staging.data() + s->staging_next * slot_bytes;

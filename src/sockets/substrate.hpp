@@ -129,7 +129,6 @@ class EmpSocketStack final : public os::SocketApi {
     emp::NodeId peer_node = 0;
     emp::Tag my_data = 0, my_ctrl = 0, my_rend = 0;
     emp::Tag peer_data = 0, peer_ctrl = 0, peer_rend = 0;
-    std::uint32_t peer_buffer_bytes = 0;
     std::uint32_t send_credits = 0;
     std::uint32_t consumed_unacked = 0;
     std::uint32_t next_rend_id = 1;
@@ -147,9 +146,8 @@ class EmpSocketStack final : public os::SocketApi {
     std::uint64_t data_msgs_consumed = 0;  // fully read (or truncated)
     std::uint64_t peer_msgs_total = 0;     // carried by the Close message
     bool ctrl_drain_busy = false;  // re-entrancy guard across co_awaits
-    bool owns_tags = false;  // this side allocated the connection's tags
-    emp::Tag remote_base = 0;  // the peer-side triple we allocated (if any)
-    bool established = false;
+    // This side allocated both tag triples (my_data's and peer_data's).
+    bool owns_tags = false;
     bool peer_closed = false;
     bool local_closed = false;
     bool terminated = false;  // pump exited, resources reclaimed

@@ -57,23 +57,6 @@ void build_header(const Segment& s, std::uint8_t* hdr) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_segment(const Segment& s) {
-  std::vector<std::uint8_t> out;
-  encode_segment_into(s, out);
-  return out;
-}
-
-void encode_segment_into(const Segment& s, std::vector<std::uint8_t>& out) {
-  // Assemble the header on the stack, then append header and payload as
-  // two bulk ranges: one capacity check per range instead of one per byte.
-  std::uint8_t hdr[kSegmentHeaderBytes];
-  build_header(s, hdr);
-  out.clear();
-  out.reserve(kSegmentHeaderBytes + s.payload.size());
-  out.insert(out.end(), hdr, hdr + kSegmentHeaderBytes);
-  out.insert(out.end(), s.payload.begin(), s.payload.end());
-}
-
 void encode_segment_header_into(const Segment& s,
                                 std::vector<std::uint8_t>& out) {
   // Written in place: a pooled frame's payload keeps its capacity, so this
@@ -102,8 +85,8 @@ std::optional<Segment> decode_segment(std::span<const std::uint8_t> p) {
 }
 
 std::optional<Segment> decode_segment_frame(const net::Frame& f) {
-  // The header is always in the inline region (sliced frames carry exactly
-  // the 40 header bytes there); the payload may be inline, sliced, or both.
+  // The header is always in the inline region; the payload may be inline,
+  // in the body, or both.
   if (f.payload.size() < kSegmentHeaderBytes) return std::nullopt;
   auto s = decode_segment(
       std::span<const std::uint8_t>(f.payload.data(), kSegmentHeaderBytes));

@@ -37,6 +37,8 @@ struct Segment {
   std::uint64_t ack = 0;
   std::uint32_t window = 0;  // receive window advertisement, bytes
   Flags flags;
+  /// Filled by decoding.  The send path passes its payload beside the
+  /// header instead (TcpStack::transmit).
   std::vector<std::uint8_t> payload;
 };
 
@@ -57,19 +59,15 @@ static_assert(sizeof(Segment::src_node) + sizeof(Segment::dst_node) +
 /// Standard Ethernet MSS for a 1500-byte MTU.
 inline constexpr std::uint32_t kMss = 1460;
 
-[[nodiscard]] std::vector<std::uint8_t> encode_segment(const Segment& s);
-/// Same, but into `out` (cleared first) — reuses pooled frame payload
-/// capacity.
-void encode_segment_into(const Segment& s, std::vector<std::uint8_t>& out);
-/// Zero-copy encode: only the 40-byte header goes into `out` (cleared
-/// first); the payload rides as a frame slice instead of inline bytes.
+/// Write the 40-byte header into `out` (resized to exactly that).  The
+/// payload never goes here: it rides the frame's body slice.
 void encode_segment_header_into(const Segment& s,
                                 std::vector<std::uint8_t>& out);
 [[nodiscard]] std::optional<Segment> decode_segment(
     std::span<const std::uint8_t> payload);
 /// Decode from a wire frame, gathering the payload across the inline
-/// region and any scatter-gather slices: data segments arrive sliced,
-/// control segments (and hand-built test frames) all-inline.
+/// region and the body: data segments carry it in the body, hand-built
+/// test frames may carry it inline.
 [[nodiscard]] std::optional<Segment> decode_segment_frame(
     const net::Frame& f);
 

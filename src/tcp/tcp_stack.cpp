@@ -288,7 +288,7 @@ std::uint32_t TcpStack::advertised_window(const Conn& c) const {
 }
 
 void TcpStack::emit(const ConnPtr& c, Flags flags, std::uint64_t seq,
-                    std::vector<std::uint8_t> payload, bool retransmit) {
+                    std::span<const std::uint8_t> payload, bool retransmit) {
   Segment seg;
   seg.src_node = c->local.node;
   seg.dst_node = c->remote.node;
@@ -298,35 +298,31 @@ void TcpStack::emit(const ConnPtr& c, Flags flags, std::uint64_t seq,
   seg.ack = c->rcv_nxt;
   seg.window = advertised_window(*c);
   seg.flags = flags;
-  seg.payload = std::move(payload);
 
   ++ctr_.segments_tx;
-  ctr_.bytes_tx += seg.payload.size();
+  ctr_.bytes_tx += payload.size();
   if (retransmit) ++ctr_.retransmits;
-  if (flags.ack && seg.payload.empty() && !flags.syn && !flags.fin) {
+  if (flags.ack && payload.empty() && !flags.syn && !flags.fin) {
     ++ctr_.pure_acks_tx;
   }
   if (flags.ack) {
     c->pending_ack_segments = 0;  // this segment carries the ack
     c->last_advertised = seg.window;
   }
-  transmit(std::move(seg));
+  transmit(seg, payload);
 }
 
-void TcpStack::transmit(Segment seg) {
-  // The pooled frame is encoded once here and moved stage to stage.
-  std::uint64_t wire_bytes = seg.payload.size() + kSegmentHeaderBytes;
+void TcpStack::transmit(const Segment& seg,
+                        std::span<const std::uint8_t> payload) {
+  // The pooled frame is encoded once here and moved stage to stage: 40
+  // header bytes inline, the payload pinned into the NIC's slice pool.
+  std::uint64_t wire_bytes = payload.size() + kSegmentHeaderBytes;
   net::FramePtr frame = nic_.frame_pool().acquire();
   frame->dst = net::MacAddress::for_host(seg.dst_node);
   frame->src = nic_.mac();
   frame->type = net::EtherType::kIpv4;
-  if (seg.payload.empty()) {
-    encode_segment_into(seg, frame->payload);
-  } else {
-    // Zero-copy: 40 header bytes inline, payload handed off as a slice.
-    encode_segment_header_into(seg, frame->payload);
-    frame->slices.push_back(net::PayloadSlice::adopt(std::move(seg.payload)));
-  }
+  encode_segment_header_into(seg, frame->payload);
+  if (!payload.empty()) frame->body = nic_.slice_pool().copy_in(payload);
   host_.cpu().run(
       model_.tcp.tx_segment_ns + model_.tcp.driver_tx_ns,
       [this, f = std::move(frame), wire_bytes]() mutable {
@@ -354,7 +350,7 @@ void TcpStack::send_rst(const Segment& to) {
   seg.seq = to.ack;
   seg.ack = to.seq + 1;
   seg.flags = Flags{.ack = true, .rst = true};
-  transmit(std::move(seg));
+  transmit(seg, {});
 }
 
 void TcpStack::try_output(const ConnPtr& c) {
@@ -374,10 +370,9 @@ void TcpStack::try_output(const ConnPtr& c) {
         std::min<std::uint64_t>({sendable_data, kMss, wnd - inflight});
     // Nagle: hold sub-MSS segments while data is in flight.
     if (len < kMss && !c->nodelay && inflight > 0 && !c->fin_queued) break;
-    const std::uint8_t* base = c->snd_buf.data() + inflight;
-    std::vector<std::uint8_t> payload(base, base + len);
     *bytes_copied_ += len;
-    emit(c, Flags{.ack = true}, c->snd_nxt, std::move(payload));
+    emit(c, Flags{.ack = true}, c->snd_nxt,
+         c->snd_buf.span().subspan(inflight, len));
     c->snd_nxt += len;
     arm_rto(c);
   }
@@ -449,18 +444,16 @@ void TcpStack::rto_fire(const ConnPtr& c) {
       std::uint64_t len = std::min<std::uint64_t>(
           {kMss, c->snd_buf.size(), c->snd_nxt - c->snd_una});
       if (len > 0) {
-        std::vector<std::uint8_t> payload(c->snd_buf.data(),
-                                          c->snd_buf.data() + len);
         *bytes_copied_ += len;
-        emit(c, Flags{.ack = true}, c->snd_una, std::move(payload),
+        emit(c, Flags{.ack = true}, c->snd_una, c->snd_buf.span().first(len),
              /*retransmit=*/true);
       }
     }
   } else {
     // Zero-window probe: push the first unsent byte past the window.
     ++ctr_.window_probes;
-    std::vector<std::uint8_t> probe{c->snd_buf[in_flight(*c)]};
-    emit(c, Flags{.ack = true}, c->snd_nxt, std::move(probe));
+    emit(c, Flags{.ack = true}, c->snd_nxt,
+         c->snd_buf.span().subspan(in_flight(*c), 1));
     c->snd_nxt += 1;
   }
   arm_rto(c);

@@ -22,10 +22,10 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "net/payload_slice.hpp"
 #include "nic/nic_device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
@@ -154,10 +154,11 @@ class TcpStack final : public os::SocketApi {
   void handle_ack_advance(const ConnPtr& c, const Segment& seg);
   void try_output(const ConnPtr& c);
   void emit(const ConnPtr& c, Flags flags, std::uint64_t seq,
-            std::vector<std::uint8_t> payload, bool retransmit = false);
+            std::span<const std::uint8_t> payload, bool retransmit = false);
   /// Kernel output processing, then the stock NIC firmware path, for
-  /// every segment this host sends.
-  void transmit(Segment seg);
+  /// every segment this host sends.  `payload` is pinned into the NIC's
+  /// slice pool before this returns.
+  void transmit(const Segment& seg, std::span<const std::uint8_t> payload);
   void send_pure_ack(const ConnPtr& c);
   void send_rst(const Segment& to);
   void maybe_send_window_update(const ConnPtr& c);

@@ -284,9 +284,9 @@ TEST(Determinism, SlicingDoesNotChangeEventOrderUnderLossyStress) {
   expect_pinned(echo_pin("lossy stress"));
 }
 
-// Kernel TCP's segment path (header inline, payload adopted as a slice)
-// must be behaviour-neutral too, including under loss (retransmits
-// re-slice from the ByteRing).
+// Kernel TCP's segment path (header inline, payload pinned into the NIC's
+// slice pool) must be behaviour-neutral too, including under loss
+// (retransmits pin again from the ByteRing).
 TEST(Determinism, SlicingDoesNotChangeEventOrderOverTcp) {
   expect_pinned(echo_pin("tcp loss 0.005"));
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -194,8 +195,8 @@ TEST(Link, CrossShardTransmitHandsOverTheSameFrame) {
   // runs as an event on the source shard.
   group.shard(0).schedule_at(0, [&] {
     FramePtr f = frames.acquire();
-    f->slices.push_back(slices.copy_in(body));
-    sent = f->slices[0].data();
+    f->body = slices.copy_in(body);
+    sent = f->body.data();
     link.transmit(Link::Side::kA, std::move(f));
     outstanding_after_transmit = frames.outstanding();
   });
@@ -204,8 +205,7 @@ TEST(Link, CrossShardTransmitHandsOverTheSameFrame) {
   EXPECT_EQ(outstanding_after_transmit, 1u)
       << "the crossing frame must stay charged to its own pool";
   ASSERT_EQ(rx.frames.size(), 1u);
-  ASSERT_EQ(rx.frames[0].second->slices.size(), 1u);
-  EXPECT_EQ(rx.frames[0].second->slices[0].data(), sent)
+  EXPECT_EQ(rx.frames[0].second->body.data(), sent)
       << "the sink must receive the sent slice, not a copy";
   rx.frames.clear();
   EXPECT_EQ(frames.outstanding(), 0u)
@@ -310,8 +310,12 @@ TEST(BackToBack, ConnectsTwoHostsDirectly) {
 // FramePool
 // ---------------------------------------------------------------------------
 
+// Frames move only as FramePtr.
+static_assert(!std::is_copy_constructible_v<Frame>);
+
 TEST(FramePool, RecyclesStorageAndClearsStaleState) {
   FramePool pool;
+  SlicePool slices;
   Frame* first;
   std::size_t warm_capacity;
   {
@@ -320,8 +324,8 @@ TEST(FramePool, RecyclesStorageAndClearsStaleState) {
     f->dst = MacAddress::for_host(3);
     f->src = MacAddress::for_host(4);
     f->type = EtherType::kIpv4;
-    f->wire_id = 99;
     f->payload.assign(1500, 0xab);
+    f->body = slices.copy_in(std::vector<std::uint8_t>(64, 0xcd));
     warm_capacity = f->payload.capacity();
   }  // deleter returns the frame to the pool
   EXPECT_EQ(pool.outstanding(), 0u);
@@ -335,7 +339,10 @@ TEST(FramePool, RecyclesStorageAndClearsStaleState) {
   EXPECT_EQ(g->dst, MacAddress{});
   EXPECT_EQ(g->src, MacAddress{});
   EXPECT_EQ(g->type, EtherType::kEmp);
-  EXPECT_EQ(g->wire_id, 0u);
+  EXPECT_TRUE(g->body.empty());
+  EXPECT_EQ(g->payload_bytes(), 0u);
+  EXPECT_EQ(slices.outstanding(), 0u)
+      << "acquire must drop the previous life's body";
   // ... but the payload capacity stays warm — the point of the pool.
   EXPECT_GE(g->payload.capacity(), warm_capacity);
 }
@@ -376,10 +383,8 @@ TEST(FramePool, CopiesAreIndependentOfPoolMembership) {
   FramePool pool;
   FramePtr original = pool.acquire();
   original->payload.assign(100, 0x11);
-  original->wire_id = 7;
   FramePtr copy = pool.acquire_copy(*original);
   EXPECT_EQ(copy->payload, original->payload);
-  EXPECT_EQ(copy->wire_id, 7u);
   copy->payload[0] = 0x22;
   EXPECT_EQ(original->payload[0], 0x11);
 }
@@ -473,29 +478,23 @@ TEST(SlicePool, SlicesSafelyOutliveTheirPool) {
   straggler = PayloadSlice{};  // must not touch the dead pool (ASan gate)
 }
 
-TEST(PayloadSlice, AdoptWrapsAVectorWithoutAPool) {
-  std::vector<std::uint8_t> bytes{9, 8, 7};
-  PayloadSlice s = PayloadSlice::adopt(std::move(bytes));
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.data()[0], 9);
-  PayloadSlice t = s;
-  EXPECT_EQ(s.use_count(), 2u);
-}
-
 TEST(Frame, PayloadBytesAndCopyPayloadSpanInlineAndSlices) {
   SlicePool pool;
   Frame f(MacAddress::for_host(1), MacAddress::for_host(2), EtherType::kEmp,
           std::vector<std::uint8_t>{10, 11, 12});  // inline header region
   std::vector<std::uint8_t> body{20, 21, 22, 23};
-  f.slices.push_back(pool.copy_in(body));
-  std::vector<std::uint8_t> tail{30, 31};
-  f.slices.push_back(pool.copy_in(tail));
+  f.body = pool.copy_in(body);
 
-  EXPECT_EQ(f.payload_bytes(), 9u);
-  // Gather across the inline/slice boundary at an offset.
-  std::vector<std::uint8_t> out(6);
-  f.copy_payload(2, out);
-  EXPECT_EQ(out, (std::vector<std::uint8_t>{12, 20, 21, 22, 23, 30}));
+  EXPECT_EQ(f.payload_bytes(), 7u);
+  // Gather across the inline/body boundary at an offset, into a span that
+  // ends inside the body.
+  std::vector<std::uint8_t> out(4);
+  EXPECT_EQ(f.copy_payload(2, out), 4u);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{12, 20, 21, 22}));
+  // An offset past the inline region reads the body alone.
+  std::vector<std::uint8_t> tail(2);
+  EXPECT_EQ(f.copy_payload(5, tail), 2u);
+  EXPECT_EQ(tail, (std::vector<std::uint8_t>{22, 23}));
 }
 
 TEST(FramePool, AcquireCopySharesSlicesInsteadOfDeepCopying) {
@@ -504,13 +503,12 @@ TEST(FramePool, AcquireCopySharesSlicesInsteadOfDeepCopying) {
   FramePtr original = frames.acquire();
   original->payload.assign(20, 0x42);
   std::vector<std::uint8_t> body(1000, 0x33);
-  original->slices.push_back(slices.copy_in(body));
+  original->body = slices.copy_in(body);
 
   FramePtr copy = frames.acquire_copy(*original);
-  ASSERT_EQ(copy->slices.size(), 1u);
-  EXPECT_EQ(copy->slices[0].data(), original->slices[0].data())
+  EXPECT_EQ(copy->body.data(), original->body.data())
       << "flood copies must share the payload buffer, not duplicate it";
-  EXPECT_EQ(original->slices[0].use_count(), 2u);
+  EXPECT_EQ(original->body.use_count(), 2u);
   EXPECT_EQ(slices.outstanding(), 1u);
   EXPECT_EQ(copy->payload_bytes(), original->payload_bytes());
 }

@@ -266,15 +266,6 @@ TEST(Stats, OnlineStatsMoments) {
   EXPECT_DOUBLE_EQ(st.max(), 9.0);
 }
 
-TEST(Stats, SeriesPercentiles) {
-  Series s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.median(), 50.5, 0.6);  // nearest-rank, either side is fine
-  EXPECT_NEAR(s.percentile(0.99), 99.0, 1.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-}
-
 TEST(Stats, ResultTableFormatting) {
   ResultTable t({"size", "latency_us"});
   t.add_row({"4", ResultTable::num(28.5, 1)});

@@ -23,6 +23,16 @@ using os::SocketError;
 using sim::Engine;
 using sim::Task;
 
+// A forged wire payload: the header with the segment's payload appended
+// inline.  Real data segments carry the payload in the frame's body; the
+// receive path reads both alike.
+std::vector<std::uint8_t> forge_payload(const Segment& s) {
+  std::vector<std::uint8_t> out;
+  encode_segment_header_into(s, out);
+  out.insert(out.end(), s.payload.begin(), s.payload.end());
+  return out;
+}
+
 TEST(Segment, RoundTrip) {
   Segment s;
   s.src_node = 1;
@@ -34,7 +44,7 @@ TEST(Segment, RoundTrip) {
   s.window = 65'000;
   s.flags = Flags{.syn = true, .ack = true};
   s.payload = {1, 2, 3, 4, 5};
-  auto bytes = encode_segment(s);
+  auto bytes = forge_payload(s);
   EXPECT_EQ(bytes.size(), kSegmentHeaderBytes + 5);
   auto d = decode_segment(bytes);
   ASSERT_TRUE(d.has_value());
@@ -548,7 +558,7 @@ TEST(ByteRing, InterleavedAppendPopKeepsLinearMoves) {
 }
 
 // decode_segment_frame must gather identically from an all-inline frame
-// and from a header+slice frame (the sliced TX path's wire form).
+// and from a header+body frame (the TX path's wire form).
 TEST(Segment, FrameDecodeGathersInlineAndSlicedIdentically) {
   Segment s;
   s.src_node = 1;
@@ -563,12 +573,13 @@ TEST(Segment, FrameDecodeGathersInlineAndSlicedIdentically) {
   std::iota(s.payload.begin(), s.payload.end(), 0);
 
   net::Frame inline_frame;
-  encode_segment_into(s, inline_frame.payload);
+  inline_frame.payload = forge_payload(s);
 
+  net::SlicePool pool;
   net::Frame sliced_frame;
   encode_segment_header_into(s, sliced_frame.payload);
   EXPECT_EQ(sliced_frame.payload.size(), kSegmentHeaderBytes);
-  sliced_frame.slices.push_back(net::PayloadSlice::adopt(s.payload));
+  sliced_frame.body = pool.copy_in(s.payload);
 
   EXPECT_EQ(inline_frame.payload_bytes(), sliced_frame.payload_bytes());
   auto a = decode_segment_frame(inline_frame);
