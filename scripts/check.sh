@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Pre-merge gate for ulsocks (see DESIGN.md "Correctness tooling"):
 #   1. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer,
-#      full ctest suite (protocol invariant checkers are always on).
+#      full ctest suite (protocol invariant checkers are always on).  Every
+#      heap block starts filled with 0xa5, not just its first 4 KiB, so a
+#      read of bytes nothing wrote (registered buffers are not zero-filled)
+#      moves a pinned digest instead of reading a fresh page's zeros.
 #   2. clang-tidy over src/ with the repo's .clang-tidy profile.
 #   3. ulsan, the repo-specific static-analysis suite (python3 -m ulsan
 #      src): determinism, shard affinity, coroutine lifetime, layering,
@@ -48,8 +51,11 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DULSOCKS_SANITIZE=address,undefined
 cmake --build "$BUILD_DIR" -j "$JOBS"
-# halt_on_error makes any sanitizer report fail the test that produced it.
-ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
+# halt_on_error makes any sanitizer report fail the test that produced it;
+# malloc_fill_byte with an unbounded max_malloc_fill_size poisons the whole
+# of every fresh heap block.
+ASAN_OPTIONS=halt_on_error=1:malloc_fill_byte=165:max_malloc_fill_size=2147483647 \
+  UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 if command -v clang-tidy >/dev/null 2>&1; then

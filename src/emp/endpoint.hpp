@@ -73,6 +73,26 @@ inline constexpr std::size_t kCompletedHistory = 16384;
 /// rather than absorbed by unexpected buffers.
 inline constexpr Tag kUnexpectedMaxTag = 0x7fff;
 
+/// Allocator for registered memory: value-construction (`v(n)`, `resize`)
+/// default-initializes, so a byte buffer comes back as untouched pages.
+/// Construction from a value still copies it (std::construct_at).
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// A simulated registered (pinned) region: the substrate's arenas and
+/// staging rings, and EMP's unexpected-queue buffers.  Allocating one
+/// writes nothing, so the OS commits a page only when EMP or a copy first
+/// writes into it.  Every read of such a buffer follows a write of the
+/// same bytes (a delivered fragment, a claimed message); DESIGN.md §5
+/// lists them.
+using RegisteredBytes =
+    std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
+
 struct RecvResult {
   NodeId src = 0;
   Tag tag = 0;
@@ -364,7 +384,7 @@ class EmpEndpoint {
   };
 
   struct UnexpectedEntry {
-    std::vector<std::uint8_t> buffer;
+    RegisteredBytes buffer;
     Reassembly msg;
     bool ready = false;  // complete, waiting to be claimed or delivered
     std::uint32_t pos = 0;  // index in the pool: its place in the walk

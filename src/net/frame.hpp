@@ -10,9 +10,9 @@
 //
 // Allocation model: a FramePtr is a unique_ptr with a custom deleter.  A
 // frame acquired from a FramePool (a net::Recycler) goes back onto the
-// pool's free list, payload capacity included, when its last owner drops
-// it, so the NIC -> link -> switch -> NIC hop chain allocates nothing in
-// steady state.
+// pool's free list, payload capacity included and body slice dropped, when
+// its last owner drops it, so the NIC -> link -> switch -> NIC hop chain
+// allocates nothing in steady state.
 #pragma once
 
 #include <algorithm>
@@ -90,8 +90,13 @@ struct Frame : Recyclable<Frame> {
   }
 };
 
+/// Drops the body before the frame goes back to its pool, so an idle
+/// pooled frame never holds its sender's pinned buffer outstanding.
 struct FrameDeleter {
-  void operator()(Frame* f) const noexcept { Recycler<Frame>::give_back(f); }
+  void operator()(Frame* f) const noexcept {
+    f->body = PayloadSlice{};
+    Recycler<Frame>::give_back(f);
+  }
 };
 
 using FramePtr = std::unique_ptr<Frame, FrameDeleter>;
@@ -106,15 +111,15 @@ template <class... Args>
 /// or for the switch's flood copies.
 class FramePool : public Recycler<Frame> {
  public:
-  /// A blank frame: cleared header fields and body, empty payload with
-  /// whatever capacity its previous life left behind.
+  /// A blank frame: cleared header fields, empty payload with whatever
+  /// capacity its previous life left behind, and no body (FrameDeleter
+  /// dropped it).
   [[nodiscard]] FramePtr acquire() {
     Frame* f = take();
     f->dst = MacAddress{};
     f->src = MacAddress{};
     f->type = EtherType::kEmp;
     f->payload.clear();  // keeps capacity — the point of the pool
-    f->body = PayloadSlice{};  // drops the previous life's slice ref
     return FramePtr(f);
   }
 

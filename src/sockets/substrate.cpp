@@ -88,8 +88,8 @@ void EmpSocketStack::on_recv_completed(const emp::RecvState* r) {
 }
 
 void EmpSocketStack::check_invariants() const {
-  for (const SockPtr& s : socks_) {
-    if (!s || s->state != Sock::State::kConnected || s->terminated) continue;
+  for (const Sock* s : live_) {
+    if (s->state != Sock::State::kConnected || s->terminated) continue;
     const int sd = s->sd;
     // Credit conservation (§6.1): the peer only returns credits for
     // messages it consumed, so the credits we hold can never exceed the
@@ -130,46 +130,66 @@ void EmpSocketStack::check_invariants() const {
   }
 }
 
+EmpSocketStack::SockPtr* EmpSocketStack::sock_entry(int sd) const {
+  if (sd <= 0) return nullptr;
+  const auto n = static_cast<std::size_t>(sd);
+  if (n / kSdsPerPage >= sock_pages_.size()) return nullptr;
+  const auto& page = sock_pages_[n / kSdsPerPage];
+  return page ? &page->socks[n % kSdsPerPage] : nullptr;
+}
+
 EmpSocketStack::SockPtr EmpSocketStack::sock(int sd) const {
-  if (find_sock(sd) == nullptr) {
+  const SockPtr* entry = sock_entry(sd);
+  if (entry == nullptr || !*entry) {
     throw SocketError(SockErr::kInvalid, "bad socket descriptor");
   }
-  return socks_[static_cast<std::size_t>(sd) - 1];
+  return *entry;
 }
 
 const EmpSocketStack::Sock* EmpSocketStack::find_sock(int sd) const {
-  if (sd <= 0 || static_cast<std::size_t>(sd) > socks_.size()) return nullptr;
-  return socks_[static_cast<std::size_t>(sd) - 1].get();
+  const SockPtr* entry = sock_entry(sd);
+  return entry == nullptr ? nullptr : entry->get();
 }
 
 void EmpSocketStack::add_sock(SockPtr s) {
-  // Sds are handed out in order from 1 and never reused, so each new
-  // socket extends the table by exactly one entry.
-  ULSOCKS_INVARIANT(static_cast<std::size_t>(s->sd) == socks_.size() + 1,
+  // Sds are handed out in increasing order, so appending keeps live_ in sd
+  // order.
+  ULSOCKS_INVARIANT(live_.empty() || live_.back()->sd < s->sd,
                     "socket table out of step with sd allocation");
-  socks_.push_back(std::move(s));
-  ++live_socks_;
+  const std::size_t page_no = static_cast<std::size_t>(s->sd) / kSdsPerPage;
+  if (page_no >= sock_pages_.size()) sock_pages_.resize(page_no + 1);
+  auto& page = sock_pages_[page_no];
+  if (!page) page = std::make_unique<SockPage>();
+  live_.push_back(s.get());
+  page->socks[static_cast<std::size_t>(s->sd) % kSdsPerPage] = std::move(s);
+  ++page->live;
 }
 
 void EmpSocketStack::drop_sock(int sd) {
-  SockPtr& entry = socks_[static_cast<std::size_t>(sd) - 1];
-  if (entry) {
-    entry.reset();
-    --live_socks_;
-  }
+  SockPtr* entry = sock_entry(sd);
+  if (entry == nullptr || !*entry) return;
+  live_.erase(std::lower_bound(
+      live_.begin(), live_.end(), sd,
+      [](const Sock* s, int key) { return s->sd < key; }));
+  entry->reset();
+  const std::size_t page_no = static_cast<std::size_t>(sd) / kSdsPerPage;
+  auto& page = sock_pages_[page_no];
+  const bool all_handed_out =
+      static_cast<std::size_t>(next_sd_) >= (page_no + 1) * kSdsPerPage;
+  if (--page->live == 0 && all_handed_out) page.reset();
 }
 
-std::vector<std::uint8_t> EmpSocketStack::get_arena(std::size_t bytes) {
+emp::RegisteredBytes EmpSocketStack::get_arena(std::size_t bytes) {
   auto& bucket = arena_pool_[bytes];
   if (!bucket.empty()) {
     auto arena = std::move(bucket.back());
     bucket.pop_back();
     return arena;
   }
-  return std::vector<std::uint8_t>(bytes);
+  return emp::RegisteredBytes(bytes);
 }
 
-void EmpSocketStack::release_arena(std::vector<std::uint8_t> arena) {
+void EmpSocketStack::release_arena(emp::RegisteredBytes arena) {
   if (arena.empty()) return;
   arena_pool_[arena.size()].push_back(std::move(arena));
 }
@@ -256,8 +276,8 @@ sim::Task<void> EmpSocketStack::bind(int sd, SockAddr local) {
   if (s->state != Sock::State::kFresh) {
     throw SocketError(SockErr::kInvalid, "bind on active socket");
   }
-  for (const SockPtr& other : socks_) {
-    if (other && other->state == Sock::State::kListening &&
+  for (const Sock* other : live_) {
+    if (other->state == Sock::State::kListening &&
         other->local.port == local.port) {
       throw SocketError(SockErr::kInUse, "port already bound");
     }
@@ -415,8 +435,11 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
 
 sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
                                                Slot& slot, SockAddr* peer) {
-  // Head-of-backlog connection request (§5.1).
-  auto req = decode_conn_request(slot.buffer);
+  // Head-of-backlog connection request (§5.1), decoded from the bytes that
+  // arrived only: a short request is malformed, never completed with what
+  // the slot held before.
+  auto req =
+      decode_conn_request(slot.buffer.first(slot.handle->result.bytes));
   // Recycle the descriptor so the backlog depth is maintained.  The repost
   // parks, and until it returns `handle` still tests complete: mark the
   // slot so a pass that overlaps this one does not accept the same
@@ -738,7 +761,7 @@ sim::Task<void> EmpSocketStack::cleanup(const SockPtr& s) {
   // Drain messages that already reached the unexpected queue so they do
   // not linger in the pool after the tags are retired.
   if (s->cfg.unexpected_queue_acks && s->my_ctrl != 0) {
-    std::vector<std::uint8_t> buf(kDgEagerLimit);
+    emp::RegisteredBytes buf(kDgEagerLimit);
     for (;;) {
       auto r = co_await ep_.try_claim_unexpected(s->peer_node, s->my_ctrl,
                                                  buf);

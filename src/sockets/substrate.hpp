@@ -18,6 +18,7 @@
 //     garbage collection), returning tags to a free list.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -74,7 +75,7 @@ class EmpSocketStack final : public os::SocketApi {
   /// Active-socket-table size (§5.3); sockets leave the table only when
   /// both sides have closed and every descriptor has been reclaimed.
   [[nodiscard]] std::size_t active_socket_count() const {
-    return live_socks_;
+    return live_.size();
   }
   [[nodiscard]] emp::EmpEndpoint& endpoint() noexcept { return ep_; }
 
@@ -122,10 +123,10 @@ class EmpSocketStack final : public os::SocketApi {
     std::size_t conn_ready = 0;
 
     // Connection state.
-    std::vector<std::uint8_t> arena;  // backing store for every slot buffer
-    std::vector<std::uint8_t> send_staging;  // ring of per-credit slots
-    std::uint32_t staging_next = 0;          // next ring slot to use
-    std::vector<std::uint8_t> dg_staging;    // datagram claim/truncate path
+    emp::RegisteredBytes arena;         // backing store for every slot buffer
+    emp::RegisteredBytes send_staging;  // ring of per-credit slots
+    std::uint32_t staging_next = 0;     // next ring slot to use
+    emp::RegisteredBytes dg_staging;    // datagram claim/truncate path
     emp::NodeId peer_node = 0;
     emp::Tag my_data = 0, my_ctrl = 0, my_rend = 0;
     emp::Tag peer_data = 0, peer_ctrl = 0, peer_rend = 0;
@@ -156,9 +157,13 @@ class EmpSocketStack final : public os::SocketApi {
   using SockPtr = std::shared_ptr<Sock>;
 
   // The active-socket table is indexed by sd.  sock() returns an owner, not
-  // a reference into the table, which moves when the table grows.
+  // a reference into the table, so a call keeps its socket alive after
+  // close() drops the entry.
   [[nodiscard]] SockPtr sock(int sd) const;
   [[nodiscard]] const Sock* find_sock(int sd) const;
+  /// The table entry for `sd` (empty once closed), or null when no page
+  /// holds it.
+  [[nodiscard]] SockPtr* sock_entry(int sd) const;
   void add_sock(SockPtr s);
   void drop_sock(int sd);
 
@@ -269,11 +274,20 @@ class EmpSocketStack final : public os::SocketApi {
 
   int next_sd_ = 1;
   std::uint16_t next_ephemeral_ = 40'000;
-  // The active socket table (§5.3): entry sd - 1 holds socket sd.  Sds
-  // are never reused, so a closed socket leaves a null entry; live_socks_
-  // counts the rest.
-  std::vector<SockPtr> socks_;
-  std::size_t live_socks_ = 0;
+  // The active socket table (§5.3).  Sds are handed out in order and never
+  // reused.  live_ holds the live sockets in sd order (a new socket is
+  // appended), so the invariant sweep and bind()'s port scan visit live
+  // sockets only, in a contiguous array.  sock_pages_ owns them, indexed by
+  // sd in pages of kSdsPerPage: a lookup is two loads, and a page is freed
+  // once every sd in it was handed out and closed, so a closed socket
+  // leaves no entry behind (the directory keeps one pointer per page).
+  static constexpr std::size_t kSdsPerPage = 256;
+  struct SockPage {
+    std::array<SockPtr, kSdsPerPage> socks;
+    std::size_t live = 0;
+  };
+  std::vector<std::unique_ptr<SockPage>> sock_pages_;
+  std::vector<Sock*> live_;
   // Pending data and connection descriptors, by the RecvState EMP hands to
   // the completion hook.  An entry lives from the post until the
   // descriptor completes or its socket tears the slot down.
@@ -292,9 +306,9 @@ class EmpSocketStack final : public os::SocketApi {
   // only the first connection of a given geometry pays the pin syscall —
   // later posts hit the EMP translation cache.  Without this, per-
   // connection registration would dominate the web-server experiment.
-  [[nodiscard]] std::vector<std::uint8_t> get_arena(std::size_t bytes);
-  void release_arena(std::vector<std::uint8_t> arena);
-  std::map<std::size_t, std::vector<std::vector<std::uint8_t>>> arena_pool_;
+  [[nodiscard]] emp::RegisteredBytes get_arena(std::size_t bytes);
+  void release_arena(emp::RegisteredBytes arena);
+  std::map<std::size_t, std::vector<emp::RegisteredBytes>> arena_pool_;
 
   // Control-message staging: every transient encode (ctrl messages,
   // connection requests) is copied here before post_send so the EMP
@@ -302,7 +316,7 @@ class EmpSocketStack final : public os::SocketApi {
   // short-lived heap block whose address depends on host allocator reuse.
   // post_send captures the payload synchronously, so one buffer is enough.
   // Pre-reserved so it never reallocates (the address must stay put).
-  std::vector<std::uint8_t> ctrl_staging_;
+  emp::RegisteredBytes ctrl_staging_;
   [[nodiscard]] std::span<const std::uint8_t> stage_ctrl(
       std::vector<std::uint8_t> encoded);
 

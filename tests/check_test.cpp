@@ -210,6 +210,62 @@ TEST(ProtocolCorruption, ForgedCreditAckTripsConservationChecker) {
   }
 }
 
+// The substrate's sweep walks live sockets only.  After 200 connections
+// came and went on the pair, a forged credit ack on the one live
+// connection must still be caught.
+TEST(ProtocolCorruption, ForgedCreditAckTripsCheckerAfterConnectionChurn) {
+  constexpr int kCycles = 200;
+  Engine eng;
+  eng.set_check_interval(1);
+  Cluster cluster(eng, sim::calibrated_cost_model(), 2);
+
+  auto server = [](Cluster& c) -> Task<void> {
+    auto& api = c.node(1).socks;
+    int ls = co_await api.socket();
+    co_await api.bind(ls, SockAddr{1, 9102});
+    co_await api.listen(ls, 2);
+    for (int i = 0; i < kCycles; ++i) {
+      int sd = co_await api.accept(ls, nullptr);
+      co_await api.close(sd);
+    }
+    int sd = co_await api.accept(ls, nullptr);
+    (void)sd;
+    // Each connect() takes the client's next fresh local tag triple from
+    // base 16, so the live connection's control channel is one above base
+    // 16 + 3 * kCycles.
+    sockets::CtrlMsg forged;
+    forged.type = sockets::CtrlType::kCreditAck;
+    forged.a = 1000;
+    auto h = co_await c.node(1).emp.post_send(
+        0, static_cast<emp::Tag>(16 + 3 * kCycles + 1),
+        sockets::encode_ctrl(forged));
+    (void)h;
+  };
+  auto client = [](Cluster& c) -> Task<void> {
+    auto& api = c.node(0).socks;
+    for (int i = 0; i < kCycles; ++i) {
+      int sd = co_await api.socket();
+      co_await api.connect(sd, SockAddr{1, 9102});
+      co_await api.close(sd);
+    }
+    int sd = co_await api.socket();
+    co_await api.connect(sd, SockAddr{1, 9102});
+    std::vector<std::uint8_t> buf(64);
+    (void)co_await api.read(sd, buf);
+  };
+  eng.spawn(server(cluster));
+  eng.spawn(client(cluster));
+
+  try {
+    eng.run();
+    FAIL() << "expected InvariantError from the credit checker";
+  } catch (const InvariantError& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("sockets.substrate"), std::string::npos) << what;
+    EXPECT_NE(what.find("credit conservation"), std::string::npos) << what;
+  }
+}
+
 // A rogue peer grants a piggy-backed credit return on a data message the
 // receiver never paid a credit for.  Same conservation law, different
 // protocol path (§6.1 piggy-backed returns ride the data header).

@@ -347,6 +347,29 @@ TEST(FramePool, RecyclesStorageAndClearsStaleState) {
   EXPECT_GE(g->payload.capacity(), warm_capacity);
 }
 
+TEST(FramePool, GivingAFrameBackDropsItsBody) {
+  // One 64 KiB send pinned once and sliced into 1,480-byte fragments, as
+  // EMP frames a message.  Once every frame is back on the pool's free
+  // list, none may still hold the sender's pinned buffer.
+  FramePool pool;
+  SlicePool slices;
+  constexpr std::size_t kFragment = 1480;
+  PayloadSlice pinned =
+      slices.copy_in(std::vector<std::uint8_t>(65'536, 0x3c));
+  std::vector<FramePtr> frames;
+  for (std::size_t i = 0; i < 44; ++i) {
+    FramePtr f = pool.acquire();
+    f->body = pinned.subslice(i * kFragment, kFragment);
+    frames.push_back(std::move(f));
+  }
+  pinned = PayloadSlice{};
+  EXPECT_EQ(slices.outstanding(), 1u);
+  frames.clear();
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(slices.outstanding(), 0u)
+      << "an idle pooled frame still holds its sender's pinned buffer";
+}
+
 TEST(FramePool, HighWaterMarkReportsPeakThroughGauge) {
   FramePool pool;
   obs::Registry reg;

@@ -3,7 +3,10 @@
 // the unexpected-queue option, resource reclamation and select().
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/cluster.hpp"
@@ -28,6 +31,36 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
     v[i] = static_cast<std::uint8_t>(seed + i * 11);
   }
   return v;
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAddressSanitizer = true;
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+
+/// This process's resident set size in KiB, or -1 where /proc has none.
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+/// Whether the kernel backs anonymous memory with huge pages unasked.
+bool transparent_huge_pages_always() {
+  std::ifstream mode("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(mode, line);
+  return line.find("[always]") != std::string::npos;
 }
 
 TEST(ControlWire, CtrlRoundTrip) {
@@ -528,6 +561,128 @@ TEST_F(SubstrateTest, OverlappingAcceptPassesAcceptOneRequestOnce) {
   EXPECT_EQ(stack(0).active_socket_count(), 0u);
   EXPECT_EQ(stack(1).active_socket_count(), 0u);
   EXPECT_EQ(cluster_.node(1).emp.posted_descriptor_count(), 0u);
+}
+
+TEST_F(SubstrateTest, ShortConnectionRequestIsDropped) {
+  // A message shorter than a connection request lands in the backlog
+  // descriptor that the first accept reposted.  It is malformed and must be
+  // dropped; decoding the whole slot would complete it with the previous
+  // request's bytes and build a phantom child with that connection's tags.
+  bool runt_landed = false;
+  std::size_t accepted = 0;
+  std::size_t server_sockets = 0;
+  std::vector<std::uint8_t> echo(4);
+  auto server = [&]() -> Task<void> {
+    int ls = co_await stack(1).socket();
+    co_await stack(1).bind(ls, SockAddr{1, 80});
+    co_await stack(1).listen(ls, 1);
+    int cs = co_await stack(1).accept(ls, nullptr);
+    while (!runt_landed) co_await eng_.delay(100'000);
+    std::vector<int> fds;
+    accepted = co_await stack(1).accept_many(ls, 4, fds);
+    server_sockets = stack(1).active_socket_count();
+    std::vector<std::uint8_t> buf(4);
+    co_await stack(1).read_exact(cs, buf);
+    co_await stack(1).write_all(cs, buf);
+    co_await stack(1).close(cs);
+    co_await stack(1).close(ls);
+  };
+  auto client = [&]() -> Task<void> {
+    co_await eng_.delay(1000);
+    int s = co_await stack(0).socket();
+    co_await stack(0).connect(s, SockAddr{1, 80});
+    // 10 bytes straight to the listener's connection tag (0x8000 | port).
+    // Its EMP ack means the backlog descriptor holds it.
+    std::vector<std::uint8_t> runt(10, 0x5a);
+    auto h = co_await cluster_.node(0).emp.post_send(1, 0x8000 | 80, runt);
+    co_await cluster_.node(0).emp.wait_send_acked(h);
+    runt_landed = true;
+    co_await stack(0).write_all(s, pattern(4));
+    co_await stack(0).read_exact(s, echo);
+    co_await stack(0).close(s);
+  };
+  eng_.spawn(server());
+  eng_.spawn(client());
+  eng_.run();
+
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_EQ(server_sockets, 2u);  // the listener and the first connection
+  EXPECT_EQ(echo, pattern(4));
+  EXPECT_EQ(eng_.metrics().snapshot().at("h1/sockets/connections_accepted"),
+            1);
+}
+
+TEST_F(SubstrateTest, RegisteredBuffersCommitOnlyWhatIsWritten) {
+  // Each default connection reserves a receive arena and a send-staging
+  // ring of `credits` 64 KiB slots per side.  Allocating them writes
+  // nothing, and a 4-byte echo is delivered as NIC slices, so 16 open
+  // connections must leave most of those pages uncommitted.
+  if (kAddressSanitizer) {
+    GTEST_SKIP() << "AddressSanitizer's allocator writes every block it "
+                    "hands out";
+  }
+  if (transparent_huge_pages_always()) {
+    GTEST_SKIP() << "transparent huge pages set to always: a first write "
+                    "may commit a whole 2 MiB page";
+  }
+  const long before_kib = resident_kib();
+  if (before_kib < 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+
+  constexpr int kConns = 16;
+  long open_kib = -1;
+  int echoed = 0;
+  auto server = [&]() -> Task<void> {
+    int ls = co_await stack(1).socket();
+    co_await stack(1).bind(ls, SockAddr{1, 80});
+    co_await stack(1).listen(ls, kConns);
+    std::vector<int> conns;
+    for (int i = 0; i < kConns; ++i) {
+      conns.push_back(co_await stack(1).accept(ls, nullptr));
+    }
+    std::vector<std::uint8_t> buf(4);
+    for (int cs : conns) {
+      co_await stack(1).read_exact(cs, buf);
+      co_await stack(1).write_all(cs, buf);
+    }
+    for (int cs : conns) {
+      std::size_t n = co_await stack(1).read(cs, buf);
+      EXPECT_EQ(n, 0u);  // the client's close
+      co_await stack(1).close(cs);
+    }
+    co_await stack(1).close(ls);
+  };
+  auto client = [&]() -> Task<void> {
+    co_await eng_.delay(1000);
+    std::vector<int> conns;
+    for (int i = 0; i < kConns; ++i) {
+      int s = co_await stack(0).socket();
+      co_await stack(0).connect(s, SockAddr{1, 80});
+      conns.push_back(s);
+    }
+    for (int s : conns) {
+      co_await stack(0).write_all(s, pattern(4, static_cast<std::uint8_t>(s)));
+      std::vector<std::uint8_t> echo(4);
+      co_await stack(0).read_exact(s, echo);
+      if (echo == pattern(4, static_cast<std::uint8_t>(s))) ++echoed;
+    }
+    open_kib = resident_kib();
+    for (int s : conns) co_await stack(0).close(s);
+  };
+  eng_.spawn(server());
+  eng_.spawn(client());
+  eng_.run();
+
+  ASSERT_EQ(echoed, kConns);
+  const SubstrateConfig cfg;
+  const std::size_t ring_bytes =
+      std::size_t{cfg.credits} * (cfg.buffer_bytes + kDataHeaderBytes);
+  // Both sides of every connection hold one arena and one staging ring.
+  const std::size_t reserved = std::size_t{2} * kConns * 2 * ring_bytes;
+  const std::size_t grown =
+      static_cast<std::size_t>(std::max(0L, open_kib - before_kib)) * 1024;
+  EXPECT_LT(grown, reserved / 4)
+      << "resident set grew by " << grown << " bytes for " << reserved
+      << " bytes of registered buffers";
 }
 
 TEST_F(SubstrateTest, BlockedAcceptThrowsWhenListenerCloses) {
