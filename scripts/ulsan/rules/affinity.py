@@ -21,11 +21,12 @@ Three shapes are flagged:
 
 3. A lambda handed to ``post_remote`` that smuggles shard-local state:
    any by-reference or ``this`` capture, or a capture whose name looks
-   like a pool or engine handle.  The callback runs later, on the
-   destination shard's engine, so such a capture reaches into the source
-   shard's state or bypasses the mailbox.  This check applies *inside*
-   the sanctioned files too — the cross-shard transmit path must stay
-   clean (value captures of the destination sink and the frame only).
+   like a pool or engine handle.  ``post_remote`` schedules the callback
+   straight into the destination shard's engine, and it runs there in a
+   later epoch, so such a capture reaches into the source shard's state
+   from another shard's event.  This check applies *inside* the
+   sanctioned files too — the cross-shard transmit path must stay clean
+   (value captures of the destination sink and the frame only).
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                 findings.append(_finding(
                     sf, lam.start(),
                     f"capture '{bad}' in a post_remote callback smuggles a "
-                    f"shard-local handle across the engine boundary — "
-                    f"cross-shard effects go through the mailbox "
-                    f"(DESIGN.md §11)"))
+                    f"shard-local handle across the engine boundary — the "
+                    f"callback runs later on the destination shard's "
+                    f"engine (DESIGN.md §11)"))
     return findings

@@ -4,12 +4,12 @@
 // Each side of a link is attached to an engine.  When both sides share one
 // engine the arrival is scheduled locally (the classic serial path, byte
 // for byte).  When the sides live on different shards of a
-// sim::ShardGroup, transmit() posts the same frame through the group's
-// cross-shard mailbox instead — the link's serialization + propagation
-// delay is exactly the lookahead that makes the conservative-parallel
-// schedule safe (see sim/shard.hpp).  Every shard runs on one thread, so
-// the frame crosses by move and returns to its own NIC's pool on whichever
-// shard drops it.
+// sim::ShardGroup, transmit() posts the same frame into the far side's
+// engine through ShardGroup::post_remote() instead — the link's
+// serialization + propagation delay is exactly the lookahead that makes
+// the conservative-parallel schedule safe (see sim/shard.hpp).  Every
+// shard runs on one thread, so the frame crosses by move and returns to
+// its own NIC's pool on whichever shard drops it.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +66,7 @@ class Link {
 
   /// Attach a sink together with the engine its side runs on.  With a
   /// shard group installed, a transmit whose two sides resolve to
-  /// different shards takes the mailbox path.  The moment both sides
+  /// different shards goes through post_remote().  The moment both sides
   /// resolve to distinct shards, the link registers its per-direction
   /// lookahead (min-frame serialization + this link's propagation) with
   /// the group — forming a cross-shard edge IS the registration.
@@ -78,9 +78,9 @@ class Link {
     maybe_register_lookahead();
   }
 
-  /// Route cross-engine transmits through `group`'s mailboxes.  Call after
-  /// construction, before (or between) attach() calls; shard indices of
-  /// already-attached sides are resolved immediately.
+  /// Route cross-engine transmits through `group`'s post_remote().  Call
+  /// after construction, before (or between) attach() calls; shard indices
+  /// of already-attached sides are resolved immediately.
   void set_shard_group(sim::ShardGroup& group) {
     group_ = &group;
     resolve_shard(end_[0]);

@@ -38,12 +38,13 @@ class StarNetwork {
   }
 
   /// Sharded variant: the switch — and the switch side of every link —
-  /// lives on shard 0 of `group`; each link routes cross-engine transmits
-  /// through the group's mailboxes.  The host side of a link binds to its
-  /// host's shard when the NIC attaches with its engine, so host placement
-  /// is decided by whoever constructs the hosts (see apps::Cluster).  With
-  /// a one-shard group every transmit resolves to the local path and the
-  /// topology is byte-identical to the serial constructor.
+  /// lives on shard 0 of `group`; each link posts cross-engine transmits
+  /// through the group's post_remote().  The host side of a link binds to
+  /// its host's shard when the NIC attaches with its engine, so host
+  /// placement is decided by whoever constructs the hosts (see
+  /// apps::Cluster).  With a one-shard group every transmit resolves to
+  /// the local path and the topology is byte-identical to the serial
+  /// constructor.
   StarNetwork(sim::ShardGroup& group, const sim::WireCosts& wire,
               std::size_t host_count,
               std::vector<sim::Duration> per_host_propagation = {})

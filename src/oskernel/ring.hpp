@@ -111,9 +111,7 @@ class OpRing {
                                                  std::size_t max);
 
   /// SQEs submitted and not yet completed (started or awaiting readiness).
-  [[nodiscard]] std::size_t inflight() const noexcept {
-    return pending_.size();
-  }
+  [[nodiscard]] std::size_t inflight() const noexcept { return inflight_; }
 
  private:
   struct Sqe {
@@ -128,39 +126,41 @@ class OpRing {
   struct Op {
     Sqe sqe;
     std::uint64_t seq = 0;
-    bool started = false;
   };
+  using OpPtr = std::unique_ptr<Op>;
 
   void push(Sqe sqe);
-  [[nodiscard]] bool has_unstarted() const noexcept;
-  /// Scan pending unstarted SQEs in seq order and start every one whose
+  /// Walk the waiting SQEs in seq order and start every one whose
   /// readiness probe says the stack call completes without parking.
   void start_ready();
-  void start_op(Op* op);
+  /// Keep `driver`'s frame and run it inline until it first parks.
+  void start(sim::Task<void> driver);
   void ensure_pump();
-  /// Complete `op` (erases it from pending_) and wake reapers.
-  void finish(Op* op, std::int64_t result, SockAddr peer = {});
-  void fail(Op* op, SockErr error);
-  /// Cancel unstarted pending SQEs on `sd` (except `except_seq` and other
-  /// closes) with failed/kClosed CQEs.
-  void cancel_unstarted(int sd, std::uint64_t except_seq);
+  /// Emit `op`'s CQE and wake reapers.
+  void finish(const Op& op, std::int64_t result, SockAddr peer = {});
+  void fail(const Op& op, SockErr error);
+  /// Cancel waiting SQEs on `sd` (except `except_seq` and other closes)
+  /// with failed/kClosed CQEs.
+  void cancel_waiting(int sd, std::uint64_t except_seq);
   void prune_drivers();
 
-  /// Per-SQE driver: run the blocking stack call, emit the CQE.
-  sim::Task<void> drive(Op* op);
+  /// Per-SQE driver: owns its op, runs the blocking stack call, emits the
+  /// CQE.
+  sim::Task<void> drive(OpPtr op);
   /// Batched accepts: one accept_many pass completes up to ops.size()
-  /// SQEs; the remainder revert to pending-unstarted.
-  sim::Task<void> drive_accepts(int sd, std::vector<Op*> ops);
+  /// SQEs; the rest go back to waiting_.
+  sim::Task<void> drive_accepts(int sd, std::vector<OpPtr> ops);
   /// The single parked waiter: wakes on stack activity, starts whatever
-  /// became ready, exits when no unstarted SQE remains.
+  /// became ready, exits when no SQE is waiting.
   sim::Task<void> pump();
 
   sim::Engine& eng_;
   SocketApi& stack_;
   sim::CondVar cqe_cv_;
 
-  std::vector<std::unique_ptr<Op>> staged_;          // push order == seq order
-  std::map<std::uint64_t, std::unique_ptr<Op>> pending_;  // by seq
+  std::vector<OpPtr> staged_;               // push order == seq order
+  std::map<std::uint64_t, OpPtr> waiting_;  // submitted, not started; by seq
+  std::size_t inflight_ = 0;                // submitted, not completed
   std::vector<Cqe> ready_;
   std::vector<sim::Task<void>> drivers_;  // frames owned until done
   sim::Task<void> pump_task_;

@@ -1,17 +1,17 @@
-// Per-thread size-class block pool for the simulator's short-lived heap
-// objects: coroutine frames (sim/task.hpp) and EventFn captures too big for
-// the inline buffer (sim/inline_function.hpp).
+// Size-class block pool for the simulator's short-lived heap objects:
+// coroutine frames (sim/task.hpp) and EventFn captures too big for the
+// inline buffer (sim/inline_function.hpp).
 //
 // A many-connection run creates and destroys thousands of frames per
 // response, 64-640 B each.  Recycling them through per-class free lists
 // keeps malloc off the hot path.  The rules:
+//   - The simulator runs on one thread (DESIGN.md §11), so one process-wide
+//     pool serves every engine and needs no lock.
 //   - Classes are multiples of kBlockGrain up to kMaxPooledBytes; larger
 //     requests go straight to ::operator new/delete.
-//   - Every block is its own ::operator new allocation.  A block freed on a
-//     thread other than the one that allocated it just joins the freeing
-//     thread's list, and is returned to the allocator from there.
-//   - Each thread keeps at most kBlockFreeMax blocks per class and frees the
-//     rest; its lists are released when the thread exits.
+//   - Every block is its own ::operator new allocation.  The pool keeps at
+//     most kBlockFreeMax free blocks per class, frees the rest, and
+//     releases its lists at exit.
 //   - Free-listed blocks are poisoned for AddressSanitizer, so touching a
 //     destroyed frame is still reported.  The macros are no-ops in other
 //     builds, so every build runs the same code.
@@ -32,8 +32,8 @@ class BlockPool {
   ~BlockPool() {
     for (std::size_t c = 0; c < kBlockClasses; ++c) {
       while (lists_[c].head != nullptr) ::operator delete(pop(c));
-      // Objects that outlive the pool on this thread (statics destroyed
-      // after thread-locals) then free straight to the allocator.
+      // Objects that outlive the pool (statics destroyed after it) then
+      // free straight to the allocator.
       lists_[c].count = kBlockFreeMax;
     }
   }
@@ -65,7 +65,7 @@ class BlockPool {
   static constexpr std::size_t kBlockGrain = 64;
   static constexpr std::size_t kBlockClasses = 10;
   static constexpr std::size_t kMaxPooledBytes = kBlockGrain * kBlockClasses;
-  static constexpr std::size_t kBlockFreeMax = 4096;  // per class and thread
+  static constexpr std::size_t kBlockFreeMax = 4096;  // per class
 
   struct Block {
     Block* next;
@@ -94,8 +94,7 @@ class BlockPool {
   List lists_[kBlockClasses];
 };
 
-/// The calling thread's pool.  Thread-local, so engines stepped on
-/// different threads never share a free list and the pool needs no lock.
-inline thread_local BlockPool block_pool;
+/// The process's pool.
+inline BlockPool block_pool;
 
 }  // namespace ulsocks::sim::detail

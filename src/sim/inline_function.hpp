@@ -7,9 +7,9 @@
 // millions of events per second that allocation *is* the simulator's
 // profile.  InlineFunction stores captures up to `Capacity` bytes inline
 // in the event object itself; bigger ("spilled") captures come from the
-// thread's size-class block pool (sim/block_pool.hpp), the same pool that
-// serves coroutine frames, so even the overflow path is allocation-free at
-// steady state.
+// size-class block pool (sim/block_pool.hpp), the same pool that serves
+// coroutine frames, so even the overflow path is allocation-free at steady
+// state.
 //
 // Unlike std::function, InlineFunction is move-only and accepts move-only
 // captures.  That is a feature: frames and payload vectors can be moved
@@ -66,11 +66,6 @@ class InlineFunction {
       ops_->destroy(obj_);
       ops_ = nullptr;
     }
-  }
-
-  /// True when the wrapped callable lives in the inline buffer (tests).
-  [[nodiscard]] bool is_inline() const noexcept {
-    return ops_ != nullptr && obj_ == static_cast<const void*>(buf_);
   }
 
  private:

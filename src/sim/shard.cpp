@@ -18,7 +18,6 @@ ShardGroup::ShardGroup(std::size_t shards, Duration lookahead,
   for (std::size_t i = 0; i < shards; ++i) {
     engines_.push_back(std::make_unique<Engine>(seed + i));
   }
-  mail_.resize(shards * shards);
   edges_.assign(shards * shards, kUnreachable);
   dist_.assign(shards * shards, kUnreachable);
   bounds_.assign(shards, kNoBound);
@@ -28,19 +27,8 @@ ShardGroup::ShardGroup(std::size_t shards, Duration lookahead,
   // them (as zeros) even for runs that never cross a barrier.
   epoch_ns_hist_ = &metrics_.histogram("shard/epoch_ns");
   (void)metrics_.counter("shard/epochs");
-  (void)metrics_.counter("shard/barrier_skips");
   (void)metrics_.counter("shard/remote_events");
   (void)metrics_.gauge("shard/imbalance");
-  checks_.add("sim.shard.mailbox_conservation", [this] {
-    std::uint64_t posted = 0;
-    for (const Mailbox& b : mail_) posted += b.next_seq;
-    ULSOCKS_INVARIANT(
-        posted == delivered_,
-        check::msgf("cross-shard mailboxes leaked events: posted=%llu "
-                    "delivered=%llu",
-                    static_cast<unsigned long long>(posted),
-                    static_cast<unsigned long long>(delivered_)));
-  });
 }
 
 std::uint32_t ShardGroup::index_of(const Engine& eng) const {
@@ -141,8 +129,17 @@ void ShardGroup::post_remote(std::uint32_t src, std::uint32_t dst, Time t,
                   static_cast<unsigned long long>(t),
                   static_cast<unsigned long long>(engines_[src]->now()), src,
                   dst, static_cast<unsigned long long>(w)));
-  Mailbox& b = box(src, dst);
-  b.entries.push_back(MailEntry{t, b.next_seq++, src, std::move(fn)});
+  // The induction, checked per post: nothing may land inside the window
+  // its destination runs (or has run) this epoch.  A post that names the
+  // wrong source shard passes the check above and fails here.
+  ULSOCKS_INVARIANT(
+      bounds_[dst] == kNoBound || t >= bounds_[dst],
+      check::msgf("cross-shard post lands inside its destination's window: "
+                  "t=%llu < bound[%u]=%llu (src=%u)",
+                  static_cast<unsigned long long>(t), dst,
+                  static_cast<unsigned long long>(bounds_[dst]), src));
+  engines_[dst]->schedule_at(t, std::move(fn));
+  ++delivered_;
 }
 
 bool ShardGroup::begin_epoch() {
@@ -164,9 +161,9 @@ bool ShardGroup::begin_epoch() {
   // Soundness: every event executed this epoch on shard j has t < bound_j
   // <= T_j' for any later T_j', and every post it makes toward i carries
   // t >= now_j + W[j][i] >= T_j + D[j][i] >= bound_i — strictly beyond
-  // everything i executes this epoch (the debug check in
-  // deliver_mailboxes() pins this per delivery).  Progress: all D entries
-  // are >= 1, so the shard owning the global minimum always has
+  // everything i executes this epoch, whether i's window runs before or
+  // after j's (post_remote() checks this per post).  Progress: all D
+  // entries are >= 1, so the shard owning the global minimum always has
   // bound > T and executes at least one event.
   const std::size_t n = engines_.size();
   if (dist_dirty_) refresh_dist();
@@ -179,7 +176,7 @@ bool ShardGroup::begin_epoch() {
   if (gmin == kNoBound) return false;
   // Simulated global-clock advance per barrier round; gmin strictly
   // increases between rounds (every executed window moves its shard's T
-  // past the old gmin, and delivered mail honours the edge lookahead).
+  // past the old gmin, and every post honours the edge lookahead).
   if (have_gmin_) epoch_ns_hist_->observe(gmin - last_gmin_);
   last_gmin_ = gmin;
   have_gmin_ = true;
@@ -205,139 +202,32 @@ bool ShardGroup::begin_epoch() {
 
 std::vector<Time> ShardGroup::plan_bounds() {
   if (!begin_epoch()) return {};
-  return bounds_;
-}
-
-std::size_t ShardGroup::single_runnable() const {
-  std::size_t lone = kNone;
-  for (std::size_t i = 0; i < runnable_.size(); ++i) {
-    if (!runnable_[i]) continue;
-    if (lone != kNone) return kNone;
-    lone = i;
-  }
-  return lone;
-}
-
-bool ShardGroup::outbox_empty(std::size_t src) const {
-  const std::size_t n = engines_.size();
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    if (!mail_[src * n + dst].entries.empty()) return false;
-  }
-  return true;
-}
-
-std::size_t ShardGroup::coalesce_single(std::size_t i) {
-  // Sole-runnable streak: every other shard stays non-runnable while only
-  // T_i advances (their bounds are monotone in T_i), so the next window's
-  // bound for i needs no full replan — the contributions from the others,
-  //
-  //   other_min = min_{j != i} (T_j + D[j][i]),
-  //
-  // are frozen, and only i's own reflection term T_i' + D[i][i] moves.
-  // Each micro-window here is exactly the window a full barrier replan
-  // would have produced, so epochs() stays a pure function of the
-  // workload; what the streak skips is the O(n^2) replan and the barrier
-  // bookkeeping — not any window the schedule owes.  The streak breaks as
-  // soon as i posts cross-shard mail (delivery needs the barrier), drains,
-  // stops being the constraint, or exhausts the stride cap that keeps
-  // checker cadence and mailbox latency bounded.
-  const std::size_t n = engines_.size();
-  const Duration self = n == 1 ? kUnreachable : dist(i, i);
-  Time other_min = kNoBound;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == i) continue;
-    const Time via = sat_add(tnext_[j], dist(j, i));
-    if (via < other_min) other_min = via;
-  }
-  std::size_t strides = 0;
-  for (;;) {
-    run_shard(i);
-    ++strides;
-    ++epochs_;
-    if (!outbox_empty(i) || strides >= kMaxCoalesceStride) break;
-    const std::optional<Time> t = engines_[i]->next_event_time();
-    if (!t) break;  // drained
-    const Time nb = std::min(other_min, sat_add(*t, self));
-    if (*t >= nb) break;  // no longer the sole constraint
-    bounds_[i] = nb;
-  }
-  return strides;
+  // Hand the plan out and keep bounds_ at kNoBound: post_remote() checks
+  // against the windows of a running epoch only.
+  std::vector<Time> planned(engines_.size(), kNoBound);
+  planned.swap(bounds_);
+  return planned;
 }
 
 void ShardGroup::run_shard(std::size_t i) {
   if (bounds_[i] == kNoBound) {
     // One-shard groups and shards no reachable peer can affect: run to
-    // drain (their posts, if any, still wait for the barrier).
+    // drain.
     engines_[i]->run();
   } else {
     engines_[i]->run_before(bounds_[i]);
   }
 }
 
-void ShardGroup::finish_epoch() {
-  deliver_mailboxes();
-  // Coalesced streaks advance epochs_ by more than one between barriers;
-  // compare against the last sweep instead of a modulus.
-  if (epochs_ - last_check_epoch_ >= kCheckEpochInterval) {
-    last_check_epoch_ = epochs_;
-    checks_.run_all();
-  }
-}
-
-void ShardGroup::deliver_mailboxes() {
-  const std::size_t n = engines_.size();
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    scratch_.clear();
-    for (std::size_t src = 0; src < n; ++src) {
-      if (src == dst) continue;
-      Mailbox& b = box(static_cast<std::uint32_t>(src),
-                       static_cast<std::uint32_t>(dst));
-      for (MailEntry& e : b.entries) scratch_.push_back(std::move(e));
-      b.entries.clear();
-    }
-    if (scratch_.empty()) continue;
-    // (t, seq, src) is a strict total order — seq is unique per (src, dst)
-    // box — so the destination engine numbers these events identically no
-    // matter in which order the sources' windows ran.
-    std::sort(scratch_.begin(), scratch_.end(),
-              [](const MailEntry& a, const MailEntry& b) {
-                if (a.t != b.t) return a.t < b.t;
-                if (a.seq != b.seq) return a.seq < b.seq;
-                return a.src < b.src;
-              });
-    for (MailEntry& e : scratch_) {
-#ifndef NDEBUG
-      // The matrix-soundness induction, checked per delivery: nothing may
-      // land inside the window its destination just executed.
-      ULSOCKS_INVARIANT(
-          bounds_[dst] == kNoBound || e.t >= bounds_[dst],
-          check::msgf("delivered mailbox entry violates W[src][dst]: "
-                      "t=%llu < bound[%llu]=%llu (src=%u)",
-                      static_cast<unsigned long long>(e.t),
-                      static_cast<unsigned long long>(dst),
-                      static_cast<unsigned long long>(bounds_[dst]), e.src));
-#endif
-      engines_[dst]->schedule_at(e.t, std::move(e.fn));
-      ++delivered_;
-    }
-    scratch_.clear();
-  }
-}
-
 void ShardGroup::run(unsigned /*threads*/) {
   while (begin_epoch()) {
-    const std::size_t lone = single_runnable();
-    if (lone != kNone) {
-      barrier_skips_ += coalesce_single(lone);
-    } else {
-      for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (runnable_[i]) run_shard(i);
-      }
-      ++epochs_;
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+      if (runnable_[i]) run_shard(i);
     }
-    finish_epoch();
+    if (++epochs_ % kCheckEpochInterval == 0) checks_.run_all();
   }
-  // Quiesced: every queue drained, every mailbox delivered.
+  // Quiesced: every queue drained.
+  std::fill(bounds_.begin(), bounds_.end(), kNoBound);
   checks_.run_all();
   flush_metrics();
 }
@@ -345,8 +235,6 @@ void ShardGroup::run(unsigned /*threads*/) {
 void ShardGroup::flush_metrics() {
   metrics_.counter("shard/epochs").inc(epochs_ - epochs_flushed_);
   epochs_flushed_ = epochs_;
-  metrics_.counter("shard/barrier_skips").inc(barrier_skips_ - skips_flushed_);
-  skips_flushed_ = barrier_skips_;
   metrics_.counter("shard/remote_events")
       .inc(delivered_ - delivered_flushed_);
   delivered_flushed_ = delivered_;

@@ -23,17 +23,17 @@
 // reflection-path caveat (D[i][i] is exactly the term that bounds a shard
 // against echoes of its own future output).
 //
-// Cross-shard events travel through per-(src, dst) mailboxes written only
-// by the source shard during its window and drained only at the epoch
-// barrier, sorted by (t, seq, src_shard).  The seq is a per-mailbox push
-// ordinal, so the drain order — and therefore the destination engine's
-// sequence numbering — is a pure function of each source shard's own
-// deterministic execution, never of the order the windows ran in.
+// post_remote() schedules a cross-shard event straight into its
+// destination engine.  The induction above puts every post at or beyond
+// its destination's current window bound, so the destination never runs
+// it in the epoch it was posted, whichever of the two windows runs first;
+// post_remote() checks this on every post.
 //
-// Every window runs on the calling thread, in shard order.  At the ~1 us
-// gigabit lookahead an epoch holds a handful of events, far less host time
-// than handing windows to other threads and joining them again
-// (DESIGN.md §11 "Scheduling and cost").
+// Every window runs on the calling thread, in shard order, which is what
+// makes direct scheduling deterministic: the destination numbers each
+// posted event when it is posted, a pure function of the workload and the
+// partition.  If windows ever run on threads again, posts must wait for
+// the barrier again (DESIGN.md §11 "Scheduling and cost").
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,6 @@ class ShardGroup {
   /// Sentinel lookahead meaning "no path": the pair never interacts, so
   /// it contributes no epoch constraint.
   static constexpr Duration kUnreachable = ~Duration{0};
-  static constexpr std::size_t kNone = ~std::size_t{0};
 
   /// `lookahead` is the default lower bound on the simulated latency of
   /// every cross-shard interaction; post_remote() enforces it per post.
@@ -100,18 +99,18 @@ class ShardGroup {
   /// shard — the reflection bound.
   [[nodiscard]] Duration path_lookahead(std::uint32_t src, std::uint32_t dst);
 
-  /// Post `fn` to run at absolute time `t` on shard `dst`.  Must be called
-  /// by shard `src` during its window (or at the barrier); `t` must honour
-  /// edge_lookahead(src, dst) relative to src's clock.  Entries are
-  /// delivered at the next epoch barrier in (t, seq, src) order.
+  /// Schedule `fn` at absolute time `t` on shard `dst`.  Must be called by
+  /// shard `src` during its window; `t` must honour edge_lookahead(src, dst)
+  /// relative to src's clock, and during run() it must not fall inside
+  /// dst's current window.  Same-time posts run in post order.
   void post_remote(std::uint32_t src, std::uint32_t dst, Time t, EventFn fn);
 
-  /// Run all shards to completion on the calling thread: each epoch steps
-  /// every runnable shard's window in shard order, then drains the
-  /// mailboxes at the barrier.  The unnamed thread budget is ignored; it
-  /// stays so callers that still pass one keep compiling.  An event that
-  /// throws propagates straight out of run(); since windows run in shard
-  /// order, it is the failure of the lowest-indexed failing shard.
+  /// Run all shards to completion on the calling thread: each epoch plans
+  /// every bound, then steps every runnable shard's window in shard order.
+  /// The unnamed thread budget is ignored; it stays so callers that still
+  /// pass one keep compiling.  An event that throws propagates straight
+  /// out of run(); since windows run in shard order, it is the failure of
+  /// the lowest-indexed failing shard.
   void run(unsigned /*threads*/ = 0);
 
   /// Per-shard ordered digests folded in fixed shard order.  For a
@@ -128,27 +127,19 @@ class ShardGroup {
   /// Latest shard clock (the simulated end time of the run).
   [[nodiscard]] Time now() const;
 
-  /// Epoch windows executed so far (coalesced micro-epochs count
-  /// individually; this is the number the epoch-count bench gate tracks).
+  /// Epochs executed so far, one per planned set of windows.
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
 
-  /// Epochs whose runnable set was a single shard: consecutive quiet ones
-  /// coalesce without re-deriving the full bound vector.  A pure function
-  /// of the workload and partition.
-  [[nodiscard]] std::uint64_t barrier_skips() const noexcept {
-    return barrier_skips_;
-  }
-
-  /// Cross-shard events delivered so far (equals total posted when
-  /// quiesced — enforced by the built-in mailbox-conservation checker).
+  /// Cross-shard events posted so far; each lands on its destination's
+  /// queue the moment it is posted.
   [[nodiscard]] std::uint64_t remote_delivered() const noexcept {
     return delivered_;
   }
 
   /// Group-level scheduler metrics, distinct from any shard's registry:
   /// `shard/epoch_ns` (histogram of simulated global-clock advance per
-  /// epoch), `shard/epochs`, `shard/barrier_skips`, `shard/remote_events`,
-  /// `shard/imbalance` (final max/min per-shard executed events, permille).
+  /// epoch), `shard/epochs`, `shard/remote_events`, `shard/imbalance`
+  /// (final max/min per-shard executed events, permille).
   /// Flushed at the end of every run(); safe to snapshot when quiesced.
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
 
@@ -161,8 +152,8 @@ class ShardGroup {
   /// Introspection/testing: compute the next epoch's per-shard bounds
   /// (and the runnable set, see planned_runnable()) from the current
   /// queues without executing anything.  Empty when every queue is
-  /// drained.  run() recomputes from scratch, so interleaving this with
-  /// runs is safe.
+  /// drained.  run() recomputes from scratch, and post_remote() checks
+  /// only run()'s own windows, so interleaving this with runs is safe.
   [[nodiscard]] std::vector<Time> plan_bounds();
 
   /// The runnable flags of the most recent plan_bounds()/epoch: shard i
@@ -172,22 +163,6 @@ class ShardGroup {
   }
 
  private:
-  struct MailEntry {
-    Time t;
-    std::uint64_t seq;  // push ordinal within the (src, dst) mailbox
-    std::uint32_t src;
-    EventFn fn;
-  };
-  // One mailbox per (src, dst) pair, written only during src's window.
-  struct Mailbox {
-    std::vector<MailEntry> entries;
-    std::uint64_t next_seq = 0;  // total ever posted through this box
-  };
-
-  [[nodiscard]] Mailbox& box(std::uint32_t src, std::uint32_t dst) {
-    return mail_[static_cast<std::size_t>(src) * engines_.size() + dst];
-  }
-
   /// a + b with kNoBound/kUnreachable as an absorbing infinity.
   [[nodiscard]] static constexpr Time sat_add(Time a, Duration b) noexcept {
     return a >= kNoBound - b ? kNoBound : a + b;
@@ -207,54 +182,36 @@ class ShardGroup {
   void refresh_dist();
 
   /// Compute every shard's epoch bound and runnable flag from the current
-  /// queues.  Returns false when all queues are drained (mailboxes are
-  /// always empty here — they are drained right after each window).
+  /// queues.  Returns false when all queues are drained.
   bool begin_epoch();
-  /// Index of the only runnable shard, or kNone if zero or several.
-  [[nodiscard]] std::size_t single_runnable() const;
-  /// True when shard `src` has posted nothing into any mailbox.
-  [[nodiscard]] bool outbox_empty(std::size_t src) const;
-  /// Run shard `i` through consecutive windows while it stays the sole
-  /// runnable shard and posts no mail, bounded by kMaxCoalesceStride.
-  /// Returns windows executed (>= 1); epochs_ advances per window.
-  std::size_t coalesce_single(std::size_t i);
   /// Execute shard i's window up to bounds_[i] (to drain under kNoBound).
   void run_shard(std::size_t i);
-  /// Drain mailboxes, sweep group checkers.
-  void finish_epoch();
-  void deliver_mailboxes();
   void flush_metrics();
 
-  /// Windows a quiet single-shard streak may run before forcing a full
-  /// barrier round-trip (bookkeeping, checker cadence, fresh bounds).
-  static constexpr std::size_t kMaxCoalesceStride = 64;
-  /// Epoch windows between group checker sweeps; a quiesced run() also
-  /// sweeps once at its end.
+  /// Epochs between group checker sweeps; a quiesced run() also sweeps
+  /// once at its end.
   static constexpr std::uint64_t kCheckEpochInterval = 256;
 
   Duration lookahead_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<Mailbox> mail_;      // mail_[src * size() + dst]
   std::vector<Duration> edges_;    // direct-edge lookahead matrix W
   std::vector<Duration> dist_;     // shortest-path closure D of W
   bool any_registered_ = false;    // edges_ in force (vs. scalar default)
   bool dist_dirty_ = true;
-  std::vector<Time> bounds_;       // per-shard epoch bound (kNoBound = drain)
+  // Per-shard bound of the running epoch (kNoBound = drain); all kNoBound
+  // outside run().
+  std::vector<Time> bounds_;
   std::vector<Time> tnext_;        // per-shard next event time this epoch
   std::vector<std::uint8_t> runnable_;
-  std::vector<MailEntry> scratch_;  // barrier-only delivery sort buffer
   check::Registry checks_;
   obs::Registry metrics_;
   obs::Histogram* epoch_ns_hist_ = nullptr;
   Time last_gmin_ = 0;
   bool have_gmin_ = false;
   std::uint64_t epochs_ = 0;
-  std::uint64_t barrier_skips_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t epochs_flushed_ = 0;
-  std::uint64_t skips_flushed_ = 0;
   std::uint64_t delivered_flushed_ = 0;
-  std::uint64_t last_check_epoch_ = 0;
 };
 
 }  // namespace ulsocks::sim

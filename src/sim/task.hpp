@@ -33,7 +33,7 @@ namespace detail {
 // gate runs.  Instead awaiters *post* the next coroutine to the innermost
 // active chain slot and this loop resumes it, making stack safety a
 // runtime property rather than an optimizer one.
-inline thread_local std::coroutine_handle<>* active_chain = nullptr;
+inline std::coroutine_handle<>* active_chain = nullptr;
 
 inline void resume_chain(std::coroutine_handle<> first) {
   std::coroutine_handle<> next{};
@@ -67,9 +67,9 @@ struct PromiseBase {
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
 
-  // Every coroutine frame comes from the thread's block pool
-  // (sim/block_pool.hpp).  The sized delete receives the frame size the
-  // matching new was asked for, which selects the same size class.
+  // Every coroutine frame comes from the block pool (sim/block_pool.hpp).
+  // The sized delete receives the frame size the matching new was asked
+  // for, which selects the same size class.
   static void* operator new(std::size_t bytes) {
     return block_pool.allocate(bytes);
   }

@@ -100,97 +100,76 @@ void OpRing::submit() {
   if (staged_.empty()) return;
   batch_size_.observe(staged_.size());
 
-  // Move the batch into the pending map (staged_ is already in seq order)
-  // and remember which closes it carried.
+  // Move the batch into waiting_ (staged_ is already in seq order) and
+  // remember which closes it carried.
   std::vector<std::pair<int, std::uint64_t>> closes;  // (sd, seq)
   for (auto& op : staged_) {
     if (op->sqe.op == OpKind::kClose) closes.emplace_back(op->sqe.sd, op->seq);
-    std::uint64_t seq = op->seq;
-    pending_.emplace(seq, std::move(op));
+    const std::uint64_t seq = op->seq;
+    waiting_.emplace(seq, std::move(op));
   }
+  inflight_ += staged_.size();
   staged_.clear();
-  if (static_cast<std::int64_t>(pending_.size()) > sqe_inflight_.value()) {
-    sqe_inflight_.set(static_cast<std::int64_t>(pending_.size()));
+  if (static_cast<std::int64_t>(inflight_) > sqe_inflight_.value()) {
+    sqe_inflight_.set(static_cast<std::int64_t>(inflight_));
   }
 
   // A close SQE cancels every not-yet-started SQE on the same descriptor
   // (io_uring's -ECANCELED on ring teardown, scoped per fd): they complete
   // with failed/kClosed at the doorbell timestamp, before the close runs.
-  for (const auto& [sd, seq] : closes) cancel_unstarted(sd, seq);
+  for (const auto& [sd, seq] : closes) cancel_waiting(sd, seq);
 
   start_ready();
   ensure_pump();
   prune_drivers();
 }
 
-bool OpRing::has_unstarted() const noexcept {
-  for (const auto& [seq, op] : pending_) {
-    if (!op->started) return true;
-  }
-  return false;
-}
-
 void OpRing::start_ready() {
-  // Snapshot the unstarted seqs: drivers started below may erase pending_
-  // entries (inline completion) before the scan finishes.
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(pending_.size());
-  for (const auto& [seq, op] : pending_) {
-    if (!op->started) seqs.push_back(seq);
-  }
-  for (std::uint64_t seq : seqs) {
-    auto it = pending_.find(seq);
-    if (it == pending_.end() || it->second->started) continue;
-    Op* op = it->second.get();
-    switch (op->sqe.op) {
-      case OpKind::kAccept: {
-        if (!stack_.readable(op->sqe.sd)) continue;
-        // Group every unstarted accept on this listener (op is the
-        // earliest: the scan runs in seq order) into one accept_many pass
-        // over the pre-posted connection descriptors.
-        std::vector<Op*> group;
-        for (std::uint64_t s2 : seqs) {
-          if (s2 < seq) continue;
-          auto it2 = pending_.find(s2);
-          if (it2 == pending_.end() || it2->second->started) continue;
-          Op* o2 = it2->second.get();
-          if (o2->sqe.op != OpKind::kAccept || o2->sqe.sd != op->sqe.sd) {
-            continue;
-          }
-          o2->started = true;
-          group.push_back(o2);
-        }
-        int sd = op->sqe.sd;
-        drivers_.push_back(drive_accepts(sd, std::move(group)));
-        sim::detail::resume_chain(drivers_.back().handle());
-        break;
-      }
-      case OpKind::kRead:
-      case OpKind::kReadView:
-        if (!stack_.readable(op->sqe.sd)) continue;
-        start_op(op);
-        break;
-      case OpKind::kWrite:
-        if (!stack_.writable(op->sqe.sd)) continue;
-        start_op(op);
-        break;
-      case OpKind::kClose:
-        // close() never waits for readiness; it is the wake-up that
-        // resolves everything else parked on this descriptor.
-        start_op(op);
-        break;
+  // Drivers run inline and may complete, cancel, or hand accepts back to
+  // waiting_ before start() returns, so after each start the walk resumes
+  // past the seq it started.
+  auto it = waiting_.begin();
+  while (it != waiting_.end()) {
+    const std::uint64_t seq = it->first;
+    const OpKind kind = it->second->sqe.op;
+    const int sd = it->second->sqe.sd;
+    // close() never waits for readiness; it is the wake-up that resolves
+    // everything else parked on this descriptor.
+    const bool ready = kind == OpKind::kClose ||
+                       (kind == OpKind::kWrite ? stack_.writable(sd)
+                                               : stack_.readable(sd));
+    if (!ready) {
+      ++it;
+      continue;
     }
+    if (kind == OpKind::kAccept) {
+      // Group every waiting accept on this listener (this one is the
+      // earliest: the walk runs in seq order) into one accept_many pass
+      // over the pre-posted connection descriptors.
+      std::vector<OpPtr> group;
+      while (it != waiting_.end()) {
+        const Sqe& other = it->second->sqe;
+        if (other.op == OpKind::kAccept && other.sd == sd) {
+          group.push_back(std::move(waiting_.extract(it++).mapped()));
+        } else {
+          ++it;
+        }
+      }
+      start(drive_accepts(sd, std::move(group)));
+    } else {
+      start(drive(std::move(waiting_.extract(it).mapped())));
+    }
+    it = waiting_.upper_bound(seq);
   }
 }
 
-void OpRing::start_op(Op* op) {
-  op->started = true;
-  drivers_.push_back(drive(op));
+void OpRing::start(sim::Task<void> driver) {
+  drivers_.push_back(std::move(driver));
   sim::detail::resume_chain(drivers_.back().handle());
 }
 
 void OpRing::ensure_pump() {
-  if (pump_running_ || !has_unstarted()) return;
+  if (pump_running_ || waiting_.empty()) return;
   pump_task_ = pump();  // any previous pump frame is done; safe to replace
   pump_running_ = true;
   sim::detail::resume_chain(pump_task_.handle());
@@ -203,114 +182,116 @@ void OpRing::prune_drivers() {
 
 // --- Completion-side helpers ----------------------------------------------
 
-void OpRing::finish(Op* op, std::int64_t result, SockAddr peer) {
+void OpRing::finish(const Op& op, std::int64_t result, SockAddr peer) {
   Cqe c;
-  c.user_data = op->sqe.user_data;
-  c.op = op->sqe.op;
-  c.sd = op->sqe.sd;
+  c.user_data = op.sqe.user_data;
+  c.op = op.sqe.op;
+  c.sd = op.sqe.sd;
   c.result = result;
   c.completion_time = eng_.now();
-  c.seq = op->seq;
+  c.seq = op.seq;
   c.peer = peer;
-  pending_.erase(op->seq);  // destroys *op
+  --inflight_;
   ready_.push_back(c);
   cqe_cv_.notify_all();
 }
 
-void OpRing::fail(Op* op, SockErr error) {
+void OpRing::fail(const Op& op, SockErr error) {
   Cqe c;
-  c.user_data = op->sqe.user_data;
-  c.op = op->sqe.op;
-  c.sd = op->sqe.sd;
+  c.user_data = op.sqe.user_data;
+  c.op = op.sqe.op;
+  c.sd = op.sqe.sd;
   c.result = -1;
   c.error = error;
   c.failed = true;
   c.completion_time = eng_.now();
-  c.seq = op->seq;
-  pending_.erase(op->seq);  // destroys *op
+  c.seq = op.seq;
+  --inflight_;
   ready_.push_back(c);
   cqe_cv_.notify_all();
 }
 
-void OpRing::cancel_unstarted(int sd, std::uint64_t except_seq) {
-  std::vector<Op*> victims;
-  for (const auto& [seq, op] : pending_) {
-    if (seq == except_seq || op->started) continue;
-    if (op->sqe.sd != sd || op->sqe.op == OpKind::kClose) continue;
-    victims.push_back(op.get());
+void OpRing::cancel_waiting(int sd, std::uint64_t except_seq) {
+  for (auto it = waiting_.begin(); it != waiting_.end();) {
+    const Op& op = *it->second;
+    if (op.seq != except_seq && op.sqe.sd == sd &&
+        op.sqe.op != OpKind::kClose) {
+      fail(op, SockErr::kClosed);
+      it = waiting_.erase(it);
+    } else {
+      ++it;
+    }
   }
-  for (Op* op : victims) fail(op, SockErr::kClosed);
 }
 
 // --- Drivers --------------------------------------------------------------
 
-sim::Task<void> OpRing::drive(Op* op) {
-  // Cache what the post-completion path needs: finish()/fail() destroy *op.
-  const OpKind kind = op->sqe.op;
+sim::Task<void> OpRing::drive(OpPtr op) {
   const int sd = op->sqe.sd;
   try {
-    switch (kind) {
+    switch (op->sqe.op) {
       case OpKind::kRead: {
         std::size_t n = co_await stack_.read(sd, op->sqe.read_buf);
-        finish(op, static_cast<std::int64_t>(n));
+        finish(*op, static_cast<std::int64_t>(n));
         break;
       }
       case OpKind::kReadView: {
         std::size_t n =
             co_await stack_.read_view(sd, *op->sqe.view, op->sqe.max_bytes);
-        finish(op, static_cast<std::int64_t>(n));
+        finish(*op, static_cast<std::int64_t>(n));
         break;
       }
       case OpKind::kWrite: {
         std::size_t n = co_await stack_.write(sd, op->sqe.write_buf);
-        finish(op, static_cast<std::int64_t>(n));
+        finish(*op, static_cast<std::int64_t>(n));
         break;
       }
       case OpKind::kClose: {
         co_await stack_.close(sd);
-        finish(op, 0);
-        // Post-close sweep: SQEs that reverted to unstarted while the
+        finish(*op, 0);
+        // Post-close sweep: SQEs that went back to waiting_ while the
         // close ran (e.g. an accept batch cut short) can never become
         // ready now; cancel them rather than leaving them parked forever.
-        cancel_unstarted(sd, ~std::uint64_t{0});
+        cancel_waiting(sd, ~std::uint64_t{0});
         break;
       }
       case OpKind::kAccept:
         // Accepts always go through drive_accepts().
-        fail(op, SockErr::kInvalid);
+        fail(*op, SockErr::kInvalid);
         break;
     }
   } catch (const SocketError& e) {
-    fail(op, e.code());
+    fail(*op, e.code());
   } catch (...) {
     // Invariant violations and other non-socket errors must not vanish
     // into a detached frame: surface them at the next submit()/reap().
     fatal_ = std::current_exception();
-    fail(op, SockErr::kInvalid);
+    fail(*op, SockErr::kInvalid);
   }
 }
 
-sim::Task<void> OpRing::drive_accepts(int sd, std::vector<Op*> ops) {
+sim::Task<void> OpRing::drive_accepts(int sd, std::vector<OpPtr> ops) {
   std::vector<int> fds;
   std::vector<SockAddr> peers;
   try {
     co_await stack_.accept_many(sd, ops.size(), fds, &peers);
   } catch (const SocketError& e) {
-    for (Op* op : ops) fail(op, e.code());
+    for (const OpPtr& op : ops) fail(*op, e.code());
     co_return;
   } catch (...) {
     fatal_ = std::current_exception();
-    for (Op* op : ops) fail(op, SockErr::kInvalid);
+    for (const OpPtr& op : ops) fail(*op, SockErr::kInvalid);
     co_return;
   }
-  // Completed accepts map to SQEs in submission order; the rest revert to
-  // pending-unstarted and wait for the next readiness round (or for a
-  // close to cancel them).
+  // Completed accepts map to SQEs in submission order; the rest go back
+  // to waiting_ for the next readiness round (or for a close to cancel
+  // them).
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (i < fds.size()) {
-      finish(ops[i], fds[i], i < peers.size() ? peers[i] : SockAddr{});
+      finish(*ops[i], fds[i], i < peers.size() ? peers[i] : SockAddr{});
     } else {
-      ops[i]->started = false;
+      const std::uint64_t seq = ops[i]->seq;
+      waiting_.emplace(seq, std::move(ops[i]));
     }
   }
   if (fds.size() < ops.size()) ensure_pump();
@@ -319,12 +300,13 @@ sim::Task<void> OpRing::drive_accepts(int sd, std::vector<Op*> ops) {
 sim::Task<void> OpRing::pump() {
   // The ring's only standing waiter on the stack: one scheduler event per
   // stack state change, independent of how many SQEs are outstanding.
-  // Scan BEFORE the first park: readiness may have arrived while no pump
+  // Walk BEFORE the first park: readiness may have arrived while no pump
   // was listening (e.g. while an accept batch was in flight and its
-  // leftovers had not yet reverted), and that notification is gone.
+  // leftovers had not yet gone back to waiting_), and that notification
+  // is gone.
   while (!fatal_) {
     start_ready();
-    if (!has_unstarted()) break;
+    if (waiting_.empty()) break;
     co_await stack_.activity().wait();
   }
   pump_running_ = false;
@@ -336,7 +318,7 @@ sim::Task<std::vector<Cqe>> OpRing::reap(std::size_t min, std::size_t max) {
   if (fatal_) std::rethrow_exception(fatal_);
   min = std::min(min, max);
   const sim::Time t0 = eng_.now();
-  while (ready_.size() < min && !pending_.empty()) {
+  while (ready_.size() < min && inflight_ != 0) {
     co_await cqe_cv_.wait();
     if (fatal_) std::rethrow_exception(fatal_);
   }

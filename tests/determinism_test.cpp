@@ -437,8 +437,8 @@ int drive_bounded(Engine& eng, Lcg& drive_rng) {
 // engines synchronized by link-latency lookahead.  The contract, from
 // weakest to strongest coupling:
 //   - a one-shard group is byte-identical to a plain Engine (same digest);
-//   - for a fixed shard count, the schedule is pinned: per-shard digests,
-//     epoch and coalesced-window counts match recorded literals;
+//   - for a fixed shard count, the schedule is pinned: per-shard digests
+//     and epoch counts match recorded literals;
 //   - across shard counts, the simulated outcome is invariant: the same
 //     events fire at the same times (causal digest, event count, end time)
 //     and the application sees the same bytes.  The seq-folded digest is
@@ -501,16 +501,6 @@ ShardEchoOptions heterogeneous_links_options() {
   ShardEchoOptions opt;
   opt.per_host_propagation = {200, 5000};
   return opt;
-}
-
-/// Scheduler-side observables of a sharded run.
-struct GroupStats {
-  std::uint64_t epochs = 0;
-  std::uint64_t barrier_skips = 0;
-};
-
-GroupStats group_stats(const sim::ShardGroup& group) {
-  return {group.epochs(), group.barrier_skips()};
 }
 
 Task<void> shard_echo_server(os::SocketApi& api) {
@@ -595,7 +585,7 @@ ShardSignature run_plain_echo(const ShardEchoOptions& opt = {}) {
 
 ShardSignature run_sharded_echo(std::size_t shards,
                                 const ShardEchoOptions& opt = {},
-                                GroupStats* stats = nullptr) {
+                                std::uint64_t* epochs = nullptr) {
   const sim::CostModel model = sim::calibrated_cost_model();
   sim::ShardGroup group(shards, echo_lookahead(model, opt), opt.seed);
   Cluster cl(group, model, 2, opt.cfg, true, opt.per_host_propagation);
@@ -606,7 +596,7 @@ ShardSignature run_sharded_echo(std::size_t shards,
       shard_echo_api(cl, 0, opt.use_tcp), opt.seed ^ 0xabcdefull, opt.rounds,
       &echoed));
   group.run();
-  if (stats != nullptr) *stats = group_stats(group);
+  if (epochs != nullptr) *epochs = group.epochs();
   return {group.digest(), group.causal_digest(), group.events_executed(),
           group.now(), echoed};
 }
@@ -656,10 +646,11 @@ TEST(Sharding, LossyStressOutcomeInvariantAcrossShardCounts) {
 
 // The schedule itself, pinned to literal values: the 4-shard echo on the
 // default, lossy-stress and heterogeneous-link configs.  The seq-folded
-// digest pins every event's position in its engine; epochs and coalesced
-// windows pin where the barriers fall.  A change to which windows run, in
-// what order, or where a streak breaks moves one of these numbers, so any
-// edit to the epoch loop must leave them intact.
+// digest pins every event's position in its engine, including where each
+// cross-shard post lands in its destination's numbering; epochs pin where
+// the barriers fall.  A change to which windows run, or in what order,
+// moves one of these numbers, so any edit to the epoch loop must leave
+// them intact.
 TEST(Sharding, ScheduleMatchesPinnedValues) {
   struct Pin {
     const char* name;
@@ -667,31 +658,28 @@ TEST(Sharding, ScheduleMatchesPinnedValues) {
     std::uint64_t digest;
     std::uint64_t causal_digest;
     std::uint64_t epochs;
-    std::uint64_t barrier_skips;
   };
   const Pin pins[] = {
-      {"default", {}, 0x3bbf43cc90b68071ull, 0xa7b71b2f21421617ull, 1271,
-       1024},
-      {"lossy stress", lossy_stress_options(), 0xb6a9690e59e0e152ull,
-       0x0d43f20568ae5cc4ull, 2557, 1898},
+      {"default", {}, 0xb4136b2e9cfe7d75ull, 0xa7b71b2f21421617ull, 1154},
+      {"lossy stress", lossy_stress_options(), 0x0124390c6f30387cull,
+       0x0d43f20568ae5cc4ull, 2322},
       {"heterogeneous links", heterogeneous_links_options(),
-       0xa3a6019539b130d5ull, 0x5610033c8c00a3bbull, 1033, 735},
+       0xb5d447f2a985eb5dull, 0x5610033c8c00a3bbull, 984},
   };
   for (const Pin& pin : pins) {
-    GroupStats stats;
-    const ShardSignature sig = run_sharded_echo(4, pin.opt, &stats);
+    std::uint64_t epochs = 0;
+    const ShardSignature sig = run_sharded_echo(4, pin.opt, &epochs);
     EXPECT_EQ(sig.group_digest, pin.digest) << pin.name;
     EXPECT_EQ(sig.causal_digest, pin.causal_digest) << pin.name;
-    EXPECT_EQ(stats.epochs, pin.epochs) << pin.name;
-    EXPECT_EQ(stats.barrier_skips, pin.barrier_skips) << pin.name;
+    EXPECT_EQ(epochs, pin.epochs) << pin.name;
   }
 }
 
 // An event that throws surfaces from run(), whether its window runs in an
-// epoch with several runnable shards or inside a coalesced sole-runnable
-// streak, and so does a failing root coroutine.  When two windows of one
-// epoch fail, the lower shard's failure is the one run() reports.
-TEST(Sharding, FailureInDispatchedWindowRethrowsAndJoinsWorkers) {
+// epoch with several runnable shards or as the only runnable window, and
+// so does a failing root coroutine.  When two windows of one epoch fail,
+// the lower shard's failure is the one run() reports.
+TEST(Sharding, FailureInDispatchedWindowRethrows) {
   {
     // Every shard fills one epoch; shards 2 and 3 both throw midway.
     sim::ShardGroup group(4, /*lookahead=*/1'000'000);
@@ -710,21 +698,20 @@ TEST(Sharding, FailureInDispatchedWindowRethrowsAndJoinsWorkers) {
     EXPECT_THROW(group.run(), std::runtime_error);
   }
   {
-    // Shard 0 alone, one event per lookahead: a sole-runnable streak of
-    // two-event windows ([0, 2000), [2000, 4000), ...), the fifth of which
-    // throws.
+    // Shard 0 alone, one event per lookahead: a run of two-event windows
+    // ([0, 2000), [2000, 4000), ...), the fifth of which throws.
     sim::ShardGroup group(4, /*lookahead=*/1'000);
     for (sim::Time t = 0; t < 20'000; t += 1'000) {
       group.shard(0).schedule_at(t, [] {});
     }
     group.shard(0).schedule_at(9'500, [] {
-      throw std::runtime_error("coalesced window failure");
+      throw std::runtime_error("sole window failure");
     });
     ASSERT_FALSE(group.plan_bounds().empty());
     EXPECT_EQ(group.planned_runnable(),
               (std::vector<std::uint8_t>{1, 0, 0, 0}));
     EXPECT_THROW(group.run(), std::runtime_error);
-    EXPECT_GE(group.epochs(), 4u) << "the streak never reached the failure";
+    EXPECT_GE(group.epochs(), 4u) << "the run never reached the failure";
   }
   {
     // A root coroutine on shard 2 fails at t = 5000 while shard 1 still has
@@ -763,33 +750,47 @@ TEST(Sharding, TcpOverLossOutcomeInvariantAcrossShardCounts) {
   EXPECT_EQ(four, one) << "tcp-over-loss diverged at 4 shards";
 }
 
-// Cross-shard frames arriving within one epoch window must drain in strict
-// (t, seq, src_shard) order at the barrier, regardless of the order the
-// mailboxes were filled: seq orders same-time posts from one source, the
-// source shard index breaks cross-source ties.
-TEST(Sharding, MailboxDrainsInTimeSeqSrcOrder) {
+// Cross-shard posts run on their destination in (t, post order): a post
+// takes its destination's next sequence number when it is made, and the
+// sources' windows run in shard order, so same-time posts run in the order
+// they were made and lower source shards come first.
+TEST(Sharding, SameTimePostsRunInPostOrderSourcesInShardOrder) {
   sim::ShardGroup group(3, /*lookahead=*/100);
   std::vector<int> order;
   auto post = [&](std::uint32_t src, sim::Time t, int id) {
     group.post_remote(src, 0, t, [&order, id] { order.push_back(id); });
   };
   // Both source shards post at t=0, inside one window, timestamps
-  // deliberately scrambled relative to push order.
+  // deliberately scrambled relative to post order.
   group.shard(1).schedule_at(0, [&] {
-    post(1, 150, 0);  // (t=150, seq=0, src=1)
-    post(1, 120, 1);  // (t=120, seq=1, src=1)
+    post(1, 150, 0);  // 1st post
+    post(1, 120, 1);  // 2nd
   });
   group.shard(2).schedule_at(0, [&] {
-    post(2, 150, 2);  // (t=150, seq=0, src=2)
-    post(2, 120, 3);  // (t=120, seq=1, src=2)
-    post(2, 150, 4);  // (t=150, seq=2, src=2)
+    post(2, 150, 2);  // 3rd: shard 2's window runs after shard 1's
+    post(2, 120, 3);  // 4th
+    post(2, 150, 4);  // 5th
   });
   group.run();
-  // t=120 first (seq ties, src 1 < 2); then t=150 by (seq, src): seq 0 of
-  // src 1, seq 0 of src 2, seq 2 of src 2.
+  // t=120 first (shard 1 posted before shard 2); then t=150 in post order:
+  // shard 1's, then shard 2's two.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2, 4}));
   EXPECT_EQ(group.remote_delivered(), 5u);
   EXPECT_GE(group.epochs(), 2u);
+}
+
+// post_remote() checks each post against its destination's current window,
+// not only against the source's clock.  Here shard 1 posts while naming
+// idle shard 0 as the source, so the edge check (t >= now_0 + W) passes,
+// but t = 1000 falls inside shard 2's window (bound 6000), where the
+// lookahead induction says no post can land.
+TEST(Sharding, PostInsideTheDestinationsWindowThrows) {
+  sim::ShardGroup group(3, /*lookahead=*/1'000);
+  group.shard(2).schedule_at(5'500, [] {});
+  group.shard(1).schedule_at(5'000, [&group] {
+    group.post_remote(0, 2, 1'000, [] {});
+  });
+  EXPECT_THROW(group.run(), check::InvariantError);
 }
 
 // The per-edge lookahead machinery, exercised directly.  Registered edges
@@ -851,9 +852,8 @@ TEST(Sharding, DrainSentinelWhenNoPathConstrains) {
 }
 
 // Idle shards (no events) and far-future shards are excluded from the
-// runnable set, and a sole-runnable shard proceeds through coalesced
-// micro-epochs — counted by barrier_skips() and mirrored into the group's
-// metrics registry.
+// runnable set; the epochs a sole-runnable shard runs are counted by
+// epochs() and mirrored into the group's metrics registry.
 TEST(Sharding, IdleShardSkipLeavesItNonRunnable) {
   sim::ShardGroup group(3, /*lookahead=*/100);
   // Uniform default edges: D[i][j] = 100 off-diagonal, every cycle 200.
@@ -868,13 +868,10 @@ TEST(Sharding, IdleShardSkipLeavesItNonRunnable) {
   EXPECT_EQ(group.planned_runnable(),
             (std::vector<std::uint8_t>{1, 0, 0}));
   group.run();
-  EXPECT_GE(group.barrier_skips(), 2u);  // both windows ran solo
   EXPECT_GE(group.epochs(), 2u);
   const auto snap = group.metrics().snapshot();
   EXPECT_EQ(snap.at("shard/epochs"),
             static_cast<std::int64_t>(group.epochs()));
-  EXPECT_EQ(snap.at("shard/barrier_skips"),
-            static_cast<std::int64_t>(group.barrier_skips()));
 }
 
 // Heterogeneous cables (heterogeneous_links_options): the registered

@@ -191,8 +191,8 @@ TEST(Link, CrossShardTransmitHandsOverTheSameFrame) {
   const std::vector<std::uint8_t> body(1000, 0x33);
   const std::uint8_t* sent = nullptr;
   std::uint64_t outstanding_after_transmit = 0;
-  // A post made outside any window is never delivered, so the transmit
-  // runs as an event on the source shard.
+  // The transmit runs as an event on the source shard, as every link
+  // transmit does inside a run.
   group.shard(0).schedule_at(0, [&] {
     FramePtr f = frames.acquire();
     f->body = slices.copy_in(body);
