@@ -44,16 +44,15 @@ os::SocketApi& pick(Cluster& cl, std::size_t node, const StackChoice& stack) {
   return cl.stack(node, cluster_kind(stack));
 }
 
-/// Configure a TCP socket per the StackChoice.
+/// Configure a TCP socket per the StackChoice.  Every measurement turns
+/// Nagle off; the substrate accepts (and charges) the calls as no-ops.
 Task<void> apply_tcp_options(os::SocketApi& api, int sd,
                              const StackChoice& stack) {
   if (stack.tcp_sockbuf() > 0) {
     co_await api.set_option(sd, os::SockOpt::kSndBuf, stack.tcp_sockbuf());
     co_await api.set_option(sd, os::SockOpt::kRcvBuf, stack.tcp_sockbuf());
   }
-  if (stack.tcp_nodelay()) {
-    co_await api.set_option(sd, os::SockOpt::kNoDelay, 1);
-  }
+  co_await api.set_option(sd, os::SockOpt::kNoDelay, 1);
 }
 
 /// The listening and the accepted descriptor of accept_one().

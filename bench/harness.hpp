@@ -57,13 +57,11 @@ class StackChoice {
     return cfg_;
   }
   [[nodiscard]] int tcp_sockbuf() const noexcept { return tcp_sockbuf_; }
-  [[nodiscard]] bool tcp_nodelay() const noexcept { return tcp_nodelay_; }
 
  private:
   Kind kind_ = Kind::kSubstrate;
   sockets::SubstrateConfig cfg_{};
   int tcp_sockbuf_ = 0;  // 0: kernel default (16 KB)
-  bool tcp_nodelay_ = true;
   std::string name_ = "substrate";
   std::string label_;
 };

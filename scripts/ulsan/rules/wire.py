@@ -2,11 +2,12 @@
 static_assert.
 
 Every struct defined in the wire-format translation units — EMP's frame
-header (``src/emp/wire.hpp``/``.cpp``) and TCP-lite's segment
-(``src/tcp/segment.hpp``/``.cpp``) — must be followed, within a few
-lines, by a ``static_assert`` that mentions the struct by name (typically
-``sizeof(Name)`` or a per-field size sum against the wire-header
-constant).  Growing one of these structs without consciously revisiting
+header (``src/emp/wire.hpp``/``.cpp``), TCP-lite's segment
+(``src/tcp/segment.hpp``/``.cpp``) and the substrate's control message,
+connection request and data header (``src/sockets/control.hpp``/``.cpp``)
+— must be followed, within a few lines, by a ``static_assert`` that
+mentions the struct by name (typically ``sizeof(Name)`` or a per-field
+size sum against the wire-header constant).  Growing one of these structs without consciously revisiting
 the encoder is exactly how a wire format drifts: the assert turns the
 silent drift into a compile error at the definition site.
 """
@@ -19,7 +20,7 @@ from ..framework import Finding, RunContext, rule
 from ..source import SourceFile, matching_brace
 
 # (parent directory, file stem) pairs this rule applies to.
-WIRE_FILES = {("emp", "wire"), ("tcp", "segment")}
+WIRE_FILES = {("emp", "wire"), ("tcp", "segment"), ("sockets", "control")}
 
 STRUCT_DEF = re.compile(r"\bstruct\s+([A-Za-z_]\w*)\s*(?:final\s*)?"
                         r"(?::[^{;]*)?\{")

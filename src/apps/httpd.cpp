@@ -3,6 +3,7 @@
 #include <map>
 #include <vector>
 
+#include "net/byte_order.hpp"
 #include "oskernel/ring.hpp"
 #include "oskernel/socket_api.hpp"
 
@@ -16,23 +17,14 @@ using sim::Task;
 // 16-byte request: magic, requested response size, request ordinal, pad.
 void encode_request(std::uint32_t bytes, std::uint32_t ordinal,
                     std::uint8_t* out) {
-  auto put32 = [](std::uint8_t* p, std::uint32_t v) {
-    p[0] = static_cast<std::uint8_t>(v);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-    p[2] = static_cast<std::uint8_t>(v >> 16);
-    p[3] = static_cast<std::uint8_t>(v >> 24);
-  };
-  put32(out, 0x75485454u);  // "uHTT"
-  put32(out + 4, bytes);
-  put32(out + 8, ordinal);
-  put32(out + 12, 0);
+  net::store_le32(out, 0x75485454u);  // "uHTT"
+  net::store_le32(out + 4, bytes);
+  net::store_le32(out + 8, ordinal);
+  net::store_le32(out + 12, 0);
 }
 
 std::uint32_t decode_request_bytes(const std::uint8_t* in) {
-  return static_cast<std::uint32_t>(in[4]) |
-         (static_cast<std::uint32_t>(in[5]) << 8) |
-         (static_cast<std::uint32_t>(in[6]) << 16) |
-         (static_cast<std::uint32_t>(in[7]) << 24);
+  return net::load_le32(in + 4);
 }
 
 }  // namespace

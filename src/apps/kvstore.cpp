@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "net/byte_order.hpp"
 #include "oskernel/socket_api.hpp"
 
 namespace ulsocks::apps {
@@ -13,23 +14,6 @@ using sim::Task;
 
 constexpr std::size_t kReqHeader = 7;
 constexpr std::size_t kRespHeader = 5;
-
-void put16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-void put32(std::uint8_t* p, std::uint32_t v) {
-  put16(p, static_cast<std::uint16_t>(v));
-  put16(p + 2, static_cast<std::uint16_t>(v >> 16));
-}
-std::uint16_t get16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
-}
-std::uint32_t get32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(get16(p)) |
-         (static_cast<std::uint32_t>(get16(p + 2)) << 16);
-}
 
 Task<void> serve_connection(os::Process& proc, int fd,
                             std::unordered_map<std::string,
@@ -46,8 +30,8 @@ Task<void> serve_connection(os::Process& proc, int fd,
       break;  // orderly end of the connection
     }
     auto op = static_cast<KvOp>(header[0]);
-    std::uint16_t keylen = get16(header.data() + 1);
-    std::uint32_t vallen = get32(header.data() + 3);
+    std::uint16_t keylen = net::load_le16(header.data() + 1);
+    std::uint32_t vallen = net::load_le32(header.data() + 3);
     key_buf.resize(keylen);
     if (keylen > 0) co_await proc.read_exact(fd, key_buf);
     val_buf.resize(vallen);
@@ -84,7 +68,7 @@ Task<void> serve_connection(os::Process& proc, int fd,
         reply_val ? static_cast<std::uint32_t>(reply_val->size()) : 0;
     response.resize(kRespHeader + out_len);
     response[0] = static_cast<std::uint8_t>(status);
-    put32(response.data() + 1, out_len);
+    net::store_le32(response.data() + 1, out_len);
     if (reply_val != nullptr) {
       std::memcpy(response.data() + kRespHeader, reply_val->data(), out_len);
     }
@@ -119,8 +103,8 @@ sim::Task<void> KvClient::send_request(KvOp op, const std::string& key,
                                        std::span<const std::uint8_t> value) {
   std::vector<std::uint8_t> msg(kReqHeader + key.size() + value.size());
   msg[0] = static_cast<std::uint8_t>(op);
-  put16(msg.data() + 1, static_cast<std::uint16_t>(key.size()));
-  put32(msg.data() + 3, static_cast<std::uint32_t>(value.size()));
+  net::store_le16(msg.data() + 1, static_cast<std::uint16_t>(key.size()));
+  net::store_le32(msg.data() + 3, static_cast<std::uint32_t>(value.size()));
   std::memcpy(msg.data() + kReqHeader, key.data(), key.size());
   if (!value.empty()) {
     std::memcpy(msg.data() + kReqHeader + key.size(), value.data(),
@@ -134,7 +118,7 @@ KvClient::read_response() {
   std::vector<std::uint8_t> header(kRespHeader);
   co_await proc_.read_exact(fd_, header);
   auto status = static_cast<KvStatus>(header[0]);
-  std::uint32_t len = get32(header.data() + 1);
+  std::uint32_t len = net::load_le32(header.data() + 1);
   std::vector<std::uint8_t> value(len);
   if (len > 0) co_await proc_.read_exact(fd_, value);
   co_return std::make_pair(status, std::move(value));

@@ -1,8 +1,8 @@
 #include "apps/matmul.hpp"
 
-#include <cstring>
 #include <map>
 
+#include "net/byte_order.hpp"
 #include "oskernel/socket_api.hpp"
 
 namespace ulsocks::apps {
@@ -20,17 +20,15 @@ struct JobHeader {
 constexpr std::size_t kJobHeaderBytes = 12;
 
 void encode_header(const JobHeader& h, std::uint8_t* out) {
-  std::memcpy(out, &h.n, 4);
-  std::memcpy(out + 4, &h.row_start, 4);
-  std::memcpy(out + 8, &h.row_count, 4);
+  net::store_le32(out, h.n);
+  net::store_le32(out + 4, h.row_start);
+  net::store_le32(out + 8, h.row_count);
 }
 
 JobHeader decode_header(const std::uint8_t* in) {
-  JobHeader h;
-  std::memcpy(&h.n, in, 4);
-  std::memcpy(&h.row_start, in + 4, 4);
-  std::memcpy(&h.row_count, in + 8, 4);
-  return h;
+  return JobHeader{.n = net::load_le32(in),
+                   .row_start = net::load_le32(in + 4),
+                   .row_count = net::load_le32(in + 8)};
 }
 
 std::span<const std::uint8_t> as_bytes(const double* p, std::size_t count) {

@@ -1,13 +1,28 @@
 #include "emp/endpoint.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "check/invariant.hpp"
 
 namespace ulsocks::emp {
 
 namespace {
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAddressSanitizer = true;
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
 
 /// One message may not exceed what total_frames (16-bit) can describe.
 constexpr std::uint32_t kMaxFramesPerMessage = 65'535;
@@ -34,6 +49,22 @@ std::string uq_args(NodeId from, Tag tag, std::uint32_t bytes) {
 }
 
 }  // namespace
+
+void* map_registered(std::size_t bytes) {
+  if (kAddressSanitizer) return ::operator new(bytes);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void unmap_registered(void* p, std::size_t bytes) noexcept {
+  if (kAddressSanitizer) {
+    ::operator delete(p);
+  } else {
+    ::munmap(p, bytes);
+  }
+}
 
 EmpEndpoint::Instruments::Instruments(obs::Scope scope)
     : sends_posted(scope.counter("sends_posted")),

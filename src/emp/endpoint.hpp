@@ -73,11 +73,41 @@ inline constexpr std::size_t kCompletedHistory = 16384;
 /// rather than absorbed by unexpected buffers.
 inline constexpr Tag kUnexpectedMaxTag = 0x7fff;
 
+/// Registered regions of at least this many bytes get their own anonymous
+/// mapping; smaller ones share heap pages.
+inline constexpr std::size_t kRegisteredMapBytes = 64 * 1024;
+
+/// One registered region of `bytes` as its own mapping, and its release.
+/// Under AddressSanitizer both use the heap instead, so the sanitized
+/// gate's malloc fill byte still exposes reads of bytes nothing wrote
+/// (DESIGN.md §7).
+[[nodiscard]] void* map_registered(std::size_t bytes);
+void unmap_registered(void* p, std::size_t bytes) noexcept;
+
 /// Allocator for registered memory: value-construction (`v(n)`, `resize`)
 /// default-initializes, so a byte buffer comes back as untouched pages.
-/// Construction from a value still copies it (std::construct_at).
+/// Construction from a value still copies it (std::construct_at).  A
+/// region of kRegisteredMapBytes or more is mapped on its own, as pinned
+/// memory is page-granular: the pages resident in it are the ones written
+/// since it was allocated, and releasing it returns them.  Carved from the
+/// heap instead, it would reuse whatever blocks earlier frees left, with
+/// whichever of their pages happened to be resident, so the resident set
+/// would follow the heap's layout rather than what the simulation wrote.
 template <class T>
-struct DefaultInitAllocator : std::allocator<T> {
+struct RegisteredAllocator : std::allocator<T> {
+  [[nodiscard]] T* allocate(std::size_t n) {
+    if (n * sizeof(T) < kRegisteredMapBytes) {
+      return std::allocator<T>::allocate(n);
+    }
+    return static_cast<T*>(map_registered(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (n * sizeof(T) < kRegisteredMapBytes) {
+      std::allocator<T>::deallocate(p, n);
+    } else {
+      unmap_registered(p, n * sizeof(T));
+    }
+  }
   template <class U>
   void construct(U* p) noexcept {
     ::new (static_cast<void*>(p)) U;
@@ -91,7 +121,7 @@ struct DefaultInitAllocator : std::allocator<T> {
 /// same bytes (a delivered fragment, a claimed message); DESIGN.md §5
 /// lists them.
 using RegisteredBytes =
-    std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
+    std::vector<std::uint8_t, RegisteredAllocator<std::uint8_t>>;
 
 struct RecvResult {
   NodeId src = 0;

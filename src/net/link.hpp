@@ -111,12 +111,6 @@ class Link {
   /// direction becomes free (senders may use it for pacing).
   sim::Time transmit(Side side, FramePtr frame);
 
-  /// True while the given direction is still serializing earlier frames.
-  [[nodiscard]] bool busy(Side side) const {
-    const Endpoint& e = end_[static_cast<int>(side)];
-    return e.busy_until > e.eng->now();
-  }
-
   [[nodiscard]] std::uint64_t frames_sent(Side side) const {
     return end_[static_cast<int>(side)].sent;
   }

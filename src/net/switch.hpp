@@ -33,10 +33,6 @@ class EthernetSwitch {
   /// for frames arriving at that side.
   void connect(std::size_t port, Link& link, Link::Side side);
 
-  [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
-  [[nodiscard]] std::uint64_t frames_forwarded() const {
-    return forwarded_.value();
-  }
   [[nodiscard]] std::uint64_t frames_flooded() const {
     return flooded_.value();
   }

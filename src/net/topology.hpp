@@ -62,7 +62,6 @@ class StarNetwork {
 
   [[nodiscard]] Link& host_link(std::size_t host) { return *links_.at(host); }
   [[nodiscard]] EthernetSwitch& fabric() { return switch_; }
-  [[nodiscard]] std::size_t host_count() const { return links_.size(); }
 
  private:
   [[nodiscard]] static sim::WireCosts host_wire(

@@ -81,14 +81,6 @@ sim::Task<void> Process::set_option(int fd, SockOpt opt, int value) {
   co_await e.api->set_option(e.sd, opt, value);
 }
 
-sim::Task<int> Process::get_option(int fd, SockOpt opt) {
-  auto& e = entry(fd);
-  if (e.kind != FdEntry::Kind::kSocket) {
-    throw SocketError(SockErr::kInvalid, "getsockopt on non-socket");
-  }
-  co_return co_await e.api->get_option(e.sd, opt);
-}
-
 sim::Task<std::size_t> Process::read(int fd, std::span<std::uint8_t> out) {
   auto& e = entry(fd);
   if (e.kind == FdEntry::Kind::kFile) {
@@ -136,6 +128,9 @@ sim::Task<void> Process::read_exact(int fd, std::span<std::uint8_t> out) {
 }
 
 sim::Task<std::vector<int>> Process::select(std::vector<int> fds) {
+  if (fds.empty()) {
+    throw SocketError(SockErr::kInvalid, "select on an empty fd set");
+  }
   co_await host_.syscall();
   for (;;) {
     std::vector<int> ready;

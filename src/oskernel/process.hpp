@@ -42,7 +42,6 @@ class Process {
   [[nodiscard]] sim::Task<int> accept(int fd, SockAddr* peer = nullptr);
   [[nodiscard]] sim::Task<void> connect(int fd, SockAddr remote);
   [[nodiscard]] sim::Task<void> set_option(int fd, SockOpt opt, int value);
-  [[nodiscard]] sim::Task<int> get_option(int fd, SockOpt opt);
 
   // ---- generic calls (the overloaded name-space of §4.3) ----
   [[nodiscard]] sim::Task<std::size_t> read(int fd,
@@ -57,7 +56,8 @@ class Process {
                                            std::span<std::uint8_t> out);
 
   /// Block until at least one of `fds` is readable; returns the readable
-  /// subset.  Regular files are always readable (POSIX).
+  /// subset.  Regular files are always readable (POSIX).  An empty set
+  /// could never become ready: it throws SocketError(kInvalid).
   [[nodiscard]] sim::Task<std::vector<int>> select(std::vector<int> fds);
 
   [[nodiscard]] std::size_t open_fd_count() const { return fds_.size(); }

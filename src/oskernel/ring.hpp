@@ -25,12 +25,12 @@
 // timestamps, so `Engine::digest()` is byte-identical across reap batch
 // sizes (tests/ring_test.cpp proves this; DESIGN.md §13 has the argument).
 //
-// Lifetime rules: the caller keeps SQE buffers (`read`/`write` spans,
-// `RecvView` targets) alive until the matching CQE is reaped, and drains
-// the ring (every submitted SQE reaped) before destroying it — an SQE on a
-// descriptor that never becomes ready and is never closed would otherwise
-// leave its driver parked in the stack forever, exactly like a blocking
-// read on a silent peer.
+// Lifetime rules: the caller keeps SQE buffers (`read`/`write` spans)
+// alive until the matching CQE is reaped, and drains the ring (every
+// submitted SQE reaped) before destroying it — an SQE on a descriptor that
+// never becomes ready and is never closed would otherwise leave its driver
+// parked in the stack forever, exactly like a blocking read on a silent
+// peer.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +49,7 @@
 
 namespace ulsocks::os {
 
-enum class OpKind : std::uint8_t { kAccept, kRead, kReadView, kWrite, kClose };
+enum class OpKind : std::uint8_t { kAccept, kRead, kWrite, kClose };
 
 /// Completion-queue entry.  `seq` is the submission sequence number (ring-
 /// global, assigned at push time); reap() orders CQEs by
@@ -90,8 +90,6 @@ class OpRing {
   // --- Submission queue -----------------------------------------------
   void push_accept(int sd, std::uint64_t user_data);
   void push_read(int sd, std::span<std::uint8_t> buf, std::uint64_t user_data);
-  void push_read_view(int sd, RecvView& view, std::size_t max_bytes,
-                      std::uint64_t user_data);
   void push_write(int sd, std::span<const std::uint8_t> buf,
                   std::uint64_t user_data);
   void push_close(int sd, std::uint64_t user_data);
@@ -118,10 +116,8 @@ class OpRing {
     OpKind op = OpKind::kRead;
     int sd = -1;
     std::uint64_t user_data = 0;
-    std::span<std::uint8_t> read_buf;
-    std::span<const std::uint8_t> write_buf;
-    RecvView* view = nullptr;
-    std::size_t max_bytes = 0;
+    std::span<std::uint8_t> read_buf{};
+    std::span<const std::uint8_t> write_buf{};
   };
   struct Op {
     Sqe sqe;
@@ -138,6 +134,7 @@ class OpRing {
   void ensure_pump();
   /// Emit `op`'s CQE and wake reapers.
   void finish(const Op& op, std::int64_t result, SockAddr peer = {});
+  /// finish() with result -1 and the CQE marked failed with `error`.
   void fail(const Op& op, SockErr error);
   /// Cancel waiting SQEs on `sd` (except `except_seq` and other closes)
   /// with failed/kClosed CQEs.

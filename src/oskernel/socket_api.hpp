@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/payload_slice.hpp"
+#include "obs/metrics.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -47,12 +48,13 @@ class SocketError : public std::runtime_error {
 };
 
 /// Socket options understood by the stacks (each stack ignores options that
-/// do not apply to it).
+/// do not apply to it).  The substrate's credit count is not an option: it
+/// comes from the stack's SubstrateConfig and travels in the connection
+/// request.
 enum class SockOpt : std::uint8_t {
   kSndBuf,        // kernel TCP send-buffer bytes
   kRcvBuf,        // kernel TCP receive-buffer bytes
   kNoDelay,       // disable Nagle (kernel TCP)
-  kCredits,       // substrate: credit count N (posts 2N descriptors)
   kDatagram,      // substrate: disable data streaming (paper §6.2), 0/1
 };
 
@@ -71,11 +73,6 @@ struct RecvView {
     parts.clear();
     keepalive.clear();
   }
-  [[nodiscard]] std::size_t total_bytes() const noexcept {
-    std::size_t n = 0;
-    for (const auto& p : parts) n += p.size();
-    return n;
-  }
 };
 
 /// Scratch allocations above this are treated as one-off spikes: the next
@@ -86,9 +83,9 @@ struct RecvView {
 inline constexpr std::size_t kRecvScratchHighWater = 64 * 1024;
 
 /// Size `view.scratch` for a `max_bytes` receive, capping retained growth
-/// at kRecvScratchHighWater.  Returns the scratch size in bytes, which the
-/// stack reports through note_recv_scratch() (the "host/recv_scratch_hwm"
-/// gauge).  Host-side memory management only: no simulated cost, no
+/// at kRecvScratchHighWater.  Returns the scratch size in bytes, which
+/// SocketApi::note_recv_scratch() reports to the "host/recv_scratch_hwm"
+/// gauge.  Host-side memory management only: no simulated cost, no
 /// digest impact.
 inline std::size_t ensure_recv_scratch(RecvView& view, std::size_t max_bytes) {
   if (view.scratch.size() < max_bytes) {
@@ -106,6 +103,10 @@ inline std::size_t ensure_recv_scratch(RecvView& view, std::size_t max_bytes) {
 /// simulated time; errors are reported as SocketError.
 class SocketApi {
  public:
+  /// `recv_scratch_hwm` is the engine-wide "host/recv_scratch_hwm" gauge
+  /// that read_view() raises to the largest scratch buffer it sized.
+  explicit SocketApi(obs::Gauge& recv_scratch_hwm)
+      : recv_scratch_hwm_(recv_scratch_hwm) {}
   virtual ~SocketApi() = default;
 
   /// Create a socket; returns the stack-local descriptor.
@@ -156,15 +157,13 @@ class SocketApi {
 
   /// Option semantics are ignore-unsupported, matching setsockopt() use in
   /// portable applications: set_option() silently accepts options the stack
-  /// has no equivalent for (e.g. kNoDelay on the substrate, kCredits on
-  /// kernel TCP), and get_option() returns 0 for them.  Options a stack
-  /// does understand round-trip: get_option() after set_option() returns
-  /// the effective value.  Both throw SocketError(kInvalid) only for a bad
-  /// descriptor or a state in which a supported option can no longer be
-  /// changed (e.g. substrate credits after connect).
+  /// has no equivalent for (kNoDelay and the buffer sizes on the substrate,
+  /// kDatagram on kernel TCP), though it still charges the call.  It throws
+  /// SocketError(kInvalid) only for a bad descriptor or a state in which a
+  /// supported option can no longer be changed (the substrate's mode after
+  /// connect).
   [[nodiscard]] virtual sim::Task<void> set_option(int sd, SockOpt opt,
                                                    int value) = 0;
-  [[nodiscard]] virtual sim::Task<int> get_option(int sd, SockOpt opt) = 0;
 
   /// select()/ring support: non-blocking readiness probes plus a condition
   /// variable notified on any socket state change in this stack.
@@ -223,10 +222,15 @@ class SocketApi {
   }
 
  protected:
-  /// Scratch-size report from the read_view path; stacks override to feed
-  /// the "host/recv_scratch_hwm" gauge (the interface itself has no
-  /// metrics registry to write to).
-  virtual void note_recv_scratch(std::size_t /*bytes*/) {}
+  /// Raise the "host/recv_scratch_hwm" gauge to `bytes`, the scratch size
+  /// ensure_recv_scratch() returned on a read_view() path.
+  void note_recv_scratch(std::size_t bytes) {
+    const auto b = static_cast<std::int64_t>(bytes);
+    if (b > recv_scratch_hwm_.value()) recv_scratch_hwm_.set(b);
+  }
+
+ private:
+  obs::Gauge& recv_scratch_hwm_;
 };
 
 }  // namespace ulsocks::os

@@ -200,8 +200,8 @@ class Engine {
 
   /// Cross-layer invariant checkers (see check/registry.hpp).  Protocol
   /// objects register themselves here; the engine sweeps the registry
-  /// every `check_interval()` events and lets violations propagate out of
-  /// run() as check::InvariantError.
+  /// every set_check_interval() events and lets violations propagate out
+  /// of run() as check::InvariantError.
   [[nodiscard]] check::Registry& checks() noexcept { return checks_; }
 
   /// The run's metrics registry (see obs/metrics.hpp).  Protocol layers
@@ -221,9 +221,6 @@ class Engine {
   void set_check_interval(std::uint64_t every_n_events) noexcept {
     check_interval_ = every_n_events;
     check_countdown_ = every_n_events;
-  }
-  [[nodiscard]] std::uint64_t check_interval() const noexcept {
-    return check_interval_;
   }
 
   // splitmix64 finalizer: cheap, well-mixed fold for the event digest.

@@ -132,7 +132,6 @@ class [[nodiscard]] Task {
   Task& operator=(const Task&) = delete;
   ~Task() { destroy(); }
 
-  [[nodiscard]] bool valid() const noexcept { return bool(handle_); }
   [[nodiscard]] bool done() const noexcept { return handle_ && handle_.done(); }
 
   /// Release ownership of the coroutine frame (caller must destroy it).

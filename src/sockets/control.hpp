@@ -6,10 +6,12 @@
 // rendezvous request/grant) flows over a per-connection control tag.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
+
+#include "net/byte_order.hpp"
 
 namespace ulsocks::sockets {
 
@@ -28,6 +30,13 @@ struct CtrlMsg {
 };
 
 inline constexpr std::size_t kCtrlBytes = 16;
+
+// Layout pin: the type, a reserved half-word (the struct's padding) and
+// three words.  Growing CtrlMsg must fail here until kCtrlBytes,
+// encode_ctrl and decode_ctrl are revised together.
+static_assert(sizeof(CtrlMsg) == kCtrlBytes,
+              "CtrlMsg layout drifted: revise kCtrlBytes, encode_ctrl and "
+              "decode_ctrl together");
 
 struct ConnRequest {
   std::uint16_t client_node = 0;
@@ -51,12 +60,17 @@ struct ConnRequest {
 
 inline constexpr std::size_t kConnRequestBytes = 24;
 
-/// Pack/unpack three 16-bit tags into CtrlMsg::a plus the low half of c.
-[[nodiscard]] std::vector<std::uint8_t> encode_ctrl(const CtrlMsg& m);
+// Layout pin: eight half-words and two words, no padding.
+static_assert(sizeof(ConnRequest) == kConnRequestBytes,
+              "ConnRequest layout drifted: revise kConnRequestBytes, "
+              "encode_conn_request and decode_conn_request together");
+
+[[nodiscard]] std::array<std::uint8_t, kCtrlBytes> encode_ctrl(
+    const CtrlMsg& m);
 [[nodiscard]] std::optional<CtrlMsg> decode_ctrl(
     std::span<const std::uint8_t> bytes);
 
-[[nodiscard]] std::vector<std::uint8_t> encode_conn_request(
+[[nodiscard]] std::array<std::uint8_t, kConnRequestBytes> encode_conn_request(
     const ConnRequest& r);
 [[nodiscard]] std::optional<ConnRequest> decode_conn_request(
     std::span<const std::uint8_t> bytes);
@@ -70,23 +84,18 @@ struct DataHeader {
   std::uint16_t msg_no = 0;
 };
 inline constexpr std::size_t kDataHeaderBytes = 4;
+static_assert(sizeof(DataHeader) == kDataHeaderBytes,
+              "DataHeader layout drifted: revise kDataHeaderBytes, "
+              "encode_data_header and decode_data_header together");
 
-inline void encode_data_header(const DataHeader& h,
-                                             std::uint8_t* out) {
-  out[0] = static_cast<std::uint8_t>(h.piggyback_credits);
-  out[1] = static_cast<std::uint8_t>(h.piggyback_credits >> 8);
-  out[2] = static_cast<std::uint8_t>(h.msg_no);
-  out[3] = static_cast<std::uint8_t>(h.msg_no >> 8);
+inline void encode_data_header(const DataHeader& h, std::uint8_t* out) {
+  net::store_le16(out, h.piggyback_credits);
+  net::store_le16(out + 2, h.msg_no);
 }
 
 [[nodiscard]] inline DataHeader decode_data_header(const std::uint8_t* in) {
-  DataHeader h;
-  h.piggyback_credits =
-      static_cast<std::uint16_t>(in[0] | (static_cast<std::uint16_t>(in[1])
-                                          << 8));
-  h.msg_no = static_cast<std::uint16_t>(
-      in[2] | (static_cast<std::uint16_t>(in[3]) << 8));
-  return h;
+  return DataHeader{.piggyback_credits = net::load_le16(in),
+                    .msg_no = net::load_le16(in + 2)};
 }
 
 }  // namespace ulsocks::sockets

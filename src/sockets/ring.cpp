@@ -47,50 +47,23 @@ void OpRing::push(Sqe sqe) {
 }
 
 void OpRing::push_accept(int sd, std::uint64_t user_data) {
-  Sqe s;
-  s.op = OpKind::kAccept;
-  s.sd = sd;
-  s.user_data = user_data;
-  push(s);
+  push({.op = OpKind::kAccept, .sd = sd, .user_data = user_data});
 }
 
 void OpRing::push_read(int sd, std::span<std::uint8_t> buf,
                        std::uint64_t user_data) {
-  Sqe s;
-  s.op = OpKind::kRead;
-  s.sd = sd;
-  s.user_data = user_data;
-  s.read_buf = buf;
-  push(s);
-}
-
-void OpRing::push_read_view(int sd, RecvView& view, std::size_t max_bytes,
-                            std::uint64_t user_data) {
-  Sqe s;
-  s.op = OpKind::kReadView;
-  s.sd = sd;
-  s.user_data = user_data;
-  s.view = &view;
-  s.max_bytes = max_bytes;
-  push(s);
+  push({.op = OpKind::kRead, .sd = sd, .user_data = user_data,
+        .read_buf = buf});
 }
 
 void OpRing::push_write(int sd, std::span<const std::uint8_t> buf,
                         std::uint64_t user_data) {
-  Sqe s;
-  s.op = OpKind::kWrite;
-  s.sd = sd;
-  s.user_data = user_data;
-  s.write_buf = buf;
-  push(s);
+  push({.op = OpKind::kWrite, .sd = sd, .user_data = user_data,
+        .write_buf = buf});
 }
 
 void OpRing::push_close(int sd, std::uint64_t user_data) {
-  Sqe s;
-  s.op = OpKind::kClose;
-  s.sd = sd;
-  s.user_data = user_data;
-  push(s);
+  push({.op = OpKind::kClose, .sd = sd, .user_data = user_data});
 }
 
 // --- Doorbell -------------------------------------------------------------
@@ -197,18 +170,12 @@ void OpRing::finish(const Op& op, std::int64_t result, SockAddr peer) {
 }
 
 void OpRing::fail(const Op& op, SockErr error) {
-  Cqe c;
-  c.user_data = op.sqe.user_data;
-  c.op = op.sqe.op;
-  c.sd = op.sqe.sd;
-  c.result = -1;
+  finish(op, -1);
+  // notify_all() only schedules the reapers' wake-ups, so the CQE is
+  // complete before any of them looks at it.
+  Cqe& c = ready_.back();
   c.error = error;
   c.failed = true;
-  c.completion_time = eng_.now();
-  c.seq = op.seq;
-  --inflight_;
-  ready_.push_back(c);
-  cqe_cv_.notify_all();
 }
 
 void OpRing::cancel_waiting(int sd, std::uint64_t except_seq) {
@@ -232,12 +199,6 @@ sim::Task<void> OpRing::drive(OpPtr op) {
     switch (op->sqe.op) {
       case OpKind::kRead: {
         std::size_t n = co_await stack_.read(sd, op->sqe.read_buf);
-        finish(*op, static_cast<std::int64_t>(n));
-        break;
-      }
-      case OpKind::kReadView: {
-        std::size_t n =
-            co_await stack_.read_view(sd, *op->sqe.view, op->sqe.max_bytes);
         finish(*op, static_cast<std::int64_t>(n));
         break;
       }

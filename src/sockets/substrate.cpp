@@ -53,7 +53,8 @@ EmpSocketStack::Instruments::Instruments(obs::Scope scope)
 EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
                                os::Host& host, emp::EmpEndpoint& ep,
                                SubstrateConfig default_config)
-    : eng_(&eng),
+    : os::SocketApi(eng.metrics().gauge("host/recv_scratch_hwm")),
+      eng_(&eng),
       model_(model),
       host_(host),
       ep_(ep),
@@ -62,7 +63,6 @@ EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
       ctr_(obs::Scope(eng.metrics(),
                       obs::host_label(ep.node_id(), "/sockets"))),
       bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
-      recv_scratch_hwm_(&eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
       trk_(eng.tracer().track(obs::host_label(ep.node_id()), "sockets")),
       inv_check_(eng.checks(), "sockets.substrate",
@@ -130,53 +130,34 @@ void EmpSocketStack::check_invariants() const {
   }
 }
 
-EmpSocketStack::SockPtr* EmpSocketStack::sock_entry(int sd) const {
-  if (sd <= 0) return nullptr;
-  const auto n = static_cast<std::size_t>(sd);
-  if (n / kSdsPerPage >= sock_pages_.size()) return nullptr;
-  const auto& page = sock_pages_[n / kSdsPerPage];
-  return page ? &page->socks[n % kSdsPerPage] : nullptr;
-}
-
 EmpSocketStack::SockPtr EmpSocketStack::sock(int sd) const {
-  const SockPtr* entry = sock_entry(sd);
-  if (entry == nullptr || !*entry) {
+  if (find_sock(sd) == nullptr) {
     throw SocketError(SockErr::kInvalid, "bad socket descriptor");
   }
-  return *entry;
+  return socks_[static_cast<std::size_t>(sd) - 1];
 }
 
 const EmpSocketStack::Sock* EmpSocketStack::find_sock(int sd) const {
-  const SockPtr* entry = sock_entry(sd);
-  return entry == nullptr ? nullptr : entry->get();
+  if (sd <= 0 || static_cast<std::size_t>(sd) > socks_.size()) return nullptr;
+  return socks_[static_cast<std::size_t>(sd) - 1].get();
 }
 
 void EmpSocketStack::add_sock(SockPtr s) {
-  // Sds are handed out in increasing order, so appending keeps live_ in sd
-  // order.
-  ULSOCKS_INVARIANT(live_.empty() || live_.back()->sd < s->sd,
+  // Sds are handed out in increasing order and each is added as soon as it
+  // is handed out, so appending keeps both arrays in sd order.
+  ULSOCKS_INVARIANT(static_cast<std::size_t>(s->sd) == socks_.size() + 1,
                     "socket table out of step with sd allocation");
-  const std::size_t page_no = static_cast<std::size_t>(s->sd) / kSdsPerPage;
-  if (page_no >= sock_pages_.size()) sock_pages_.resize(page_no + 1);
-  auto& page = sock_pages_[page_no];
-  if (!page) page = std::make_unique<SockPage>();
   live_.push_back(s.get());
-  page->socks[static_cast<std::size_t>(s->sd) % kSdsPerPage] = std::move(s);
-  ++page->live;
+  socks_.push_back(std::move(s));
 }
 
 void EmpSocketStack::drop_sock(int sd) {
-  SockPtr* entry = sock_entry(sd);
-  if (entry == nullptr || !*entry) return;
+  SockPtr& entry = socks_[static_cast<std::size_t>(sd) - 1];
+  if (!entry) return;
   live_.erase(std::lower_bound(
       live_.begin(), live_.end(), sd,
       [](const Sock* s, int key) { return s->sd < key; }));
-  entry->reset();
-  const std::size_t page_no = static_cast<std::size_t>(sd) / kSdsPerPage;
-  auto& page = sock_pages_[page_no];
-  const bool all_handed_out =
-      static_cast<std::size_t>(next_sd_) >= (page_no + 1) * kSdsPerPage;
-  if (--page->live == 0 && all_handed_out) page.reset();
+  entry.reset();
 }
 
 emp::RegisteredBytes EmpSocketStack::get_arena(std::size_t bytes) {
@@ -195,7 +176,7 @@ void EmpSocketStack::release_arena(emp::RegisteredBytes arena) {
 }
 
 std::span<const std::uint8_t> EmpSocketStack::stage_ctrl(
-    std::vector<std::uint8_t> encoded) {
+    std::span<const std::uint8_t> encoded) {
   if (ctrl_staging_.capacity() < 256) ctrl_staging_.reserve(256);
   ULSOCKS_INVARIANT(encoded.size() <= ctrl_staging_.capacity(),
                     "control message exceeds the staging reservation");
@@ -570,12 +551,6 @@ sim::Task<void> EmpSocketStack::set_option(int sd, os::SockOpt opt,
                       s->state == Sock::State::kBound ||
                       s->state == Sock::State::kListening;
   switch (opt) {
-    case os::SockOpt::kCredits:
-      if (!configurable) {
-        throw SocketError(SockErr::kInvalid, "credits fixed after connect");
-      }
-      s->cfg.credits = static_cast<std::uint32_t>(std::max(value, 1));
-      break;
     case os::SockOpt::kDatagram:
       if (!configurable) {
         throw SocketError(SockErr::kInvalid, "mode fixed after connect");
@@ -585,25 +560,6 @@ sim::Task<void> EmpSocketStack::set_option(int sd, os::SockOpt opt,
     default:
       break;  // kernel-TCP options are no-ops here
   }
-}
-
-sim::Task<int> EmpSocketStack::get_option(int sd, os::SockOpt opt) {
-  co_await host_.cpu().use(model_.host.desc_build_ns);
-  auto s = sock(sd);
-  switch (opt) {
-    case os::SockOpt::kCredits:
-      co_return static_cast<int>(s->cfg.credits);
-    case os::SockOpt::kDatagram:
-      co_return s->cfg.data_streaming ? 0 : 1;
-    case os::SockOpt::kSndBuf:
-    case os::SockOpt::kRcvBuf:
-      // One value serves both directions: the connection's pre-posted
-      // receive arena is the only buffering the substrate has.
-      co_return static_cast<int>(s->cfg.buffer_bytes);
-    case os::SockOpt::kNoDelay:
-      co_return 0;  // unsupported here (see socket_api.hpp)
-  }
-  co_return 0;
 }
 
 // ---------------------------------------------------------------------------

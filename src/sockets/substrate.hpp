@@ -18,7 +18,6 @@
 //     garbage collection), returning tags to a free list.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -61,7 +60,6 @@ class EmpSocketStack final : public os::SocketApi {
                                    std::size_t max_bytes) override;
   sim::Task<void> close(int sd) override;
   sim::Task<void> set_option(int sd, os::SockOpt opt, int value) override;
-  sim::Task<int> get_option(int sd, os::SockOpt opt) override;
   [[nodiscard]] bool readable(int sd) const override;
   [[nodiscard]] bool writable(int sd) const override;
   [[nodiscard]] sim::CondVar& activity() override { return activity_; }
@@ -77,7 +75,6 @@ class EmpSocketStack final : public os::SocketApi {
   [[nodiscard]] std::size_t active_socket_count() const {
     return live_.size();
   }
-  [[nodiscard]] emp::EmpEndpoint& endpoint() noexcept { return ep_; }
 
   /// Cross-layer invariants (§6.1 credit conservation, descriptor-count
   /// bounds, close accounting).  Registered with the engine's checker
@@ -161,9 +158,6 @@ class EmpSocketStack final : public os::SocketApi {
   // close() drops the entry.
   [[nodiscard]] SockPtr sock(int sd) const;
   [[nodiscard]] const Sock* find_sock(int sd) const;
-  /// The table entry for `sd` (empty once closed), or null when no page
-  /// holds it.
-  [[nodiscard]] SockPtr* sock_entry(int sd) const;
   void add_sock(SockPtr s);
   void drop_sock(int sd);
 
@@ -268,25 +262,17 @@ class EmpSocketStack final : public os::SocketApi {
   sim::CondVar activity_;
   Instruments ctr_;
   obs::Counter* bytes_copied_;  // engine-wide "host/bytes_copied"
-  obs::Gauge* recv_scratch_hwm_;  // engine-wide "host/recv_scratch_hwm"
   obs::Tracer& tracer_;
   std::uint32_t trk_;  // ("h<N>", "sockets") timeline track
 
   int next_sd_ = 1;
   std::uint16_t next_ephemeral_ = 40'000;
   // The active socket table (§5.3).  Sds are handed out in order and never
-  // reused.  live_ holds the live sockets in sd order (a new socket is
-  // appended), so the invariant sweep and bind()'s port scan visit live
-  // sockets only, in a contiguous array.  sock_pages_ owns them, indexed by
-  // sd in pages of kSdsPerPage: a lookup is two loads, and a page is freed
-  // once every sd in it was handed out and closed, so a closed socket
-  // leaves no entry behind (the directory keeps one pointer per page).
-  static constexpr std::size_t kSdsPerPage = 256;
-  struct SockPage {
-    std::array<SockPtr, kSdsPerPage> socks;
-    std::size_t live = 0;
-  };
-  std::vector<std::unique_ptr<SockPage>> sock_pages_;
+  // reused.  socks_ owns the sockets, indexed by sd - 1; a closed socket
+  // leaves a null entry.  live_ holds the live sockets in sd order (a new
+  // socket is appended), so the invariant sweep and bind()'s port scan
+  // visit live sockets only, in a contiguous array.
+  std::vector<SockPtr> socks_;
   std::vector<Sock*> live_;
   // Pending data and connection descriptors, by the RecvState EMP hands to
   // the completion hook.  An entry lives from the post until the
@@ -318,15 +304,7 @@ class EmpSocketStack final : public os::SocketApi {
   // Pre-reserved so it never reallocates (the address must stay put).
   emp::RegisteredBytes ctrl_staging_;
   [[nodiscard]] std::span<const std::uint8_t> stage_ctrl(
-      std::vector<std::uint8_t> encoded);
-
-  // SocketApi hook: fold scratch sizes into the engine-global
-  // "host/recv_scratch_hwm" high-water gauge.
-  void note_recv_scratch(std::size_t bytes) override {
-    if (static_cast<std::int64_t>(bytes) > recv_scratch_hwm_->value()) {
-      recv_scratch_hwm_->set(static_cast<std::int64_t>(bytes));
-    }
-  }
+      std::span<const std::uint8_t> encoded);
 
   // Last member: deregisters before the state it inspects is torn down.
   check::ScopedChecker inv_check_;

@@ -2,51 +2,23 @@
 
 #include <algorithm>
 
+#include "net/byte_order.hpp"
+
 namespace ulsocks::tcp {
 
 namespace {
-
-void store16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-void store32(std::uint8_t* p, std::uint32_t v) {
-  store16(p, static_cast<std::uint16_t>(v));
-  store16(p + 2, static_cast<std::uint16_t>(v >> 16));
-}
-
-void store64(std::uint8_t* p, std::uint64_t v) {
-  store32(p, static_cast<std::uint32_t>(v));
-  store32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint16_t get16(std::span<const std::uint8_t> in, std::size_t at) {
-  return static_cast<std::uint16_t>(
-      in[at] | (static_cast<std::uint16_t>(in[at + 1]) << 8));
-}
-
-std::uint32_t get32(std::span<const std::uint8_t> in, std::size_t at) {
-  return static_cast<std::uint32_t>(get16(in, at)) |
-         (static_cast<std::uint32_t>(get16(in, at + 2)) << 16);
-}
-
-std::uint64_t get64(std::span<const std::uint8_t> in, std::size_t at) {
-  return static_cast<std::uint64_t>(get32(in, at)) |
-         (static_cast<std::uint64_t>(get32(in, at + 4)) << 32);
-}
 
 void build_header(const Segment& s, std::uint8_t* hdr) {
   // Zero-fill first so the pad to the nominal IP+TCP header size (honest
   // wire timing) needs no trailing loop.
   std::fill_n(hdr, kSegmentHeaderBytes, std::uint8_t{0});
-  store16(hdr + 0, s.src_node);
-  store16(hdr + 2, s.dst_node);
-  store16(hdr + 4, s.src_port);
-  store16(hdr + 6, s.dst_port);
-  store64(hdr + 8, s.seq);
-  store64(hdr + 16, s.ack);
-  store32(hdr + 24, s.window);
+  net::store_le16(hdr + 0, s.src_node);
+  net::store_le16(hdr + 2, s.dst_node);
+  net::store_le16(hdr + 4, s.src_port);
+  net::store_le16(hdr + 6, s.dst_port);
+  net::store_le64(hdr + 8, s.seq);
+  net::store_le64(hdr + 16, s.ack);
+  net::store_le32(hdr + 24, s.window);
   std::uint8_t flags = 0;
   if (s.flags.syn) flags |= 1;
   if (s.flags.ack) flags |= 2;
@@ -67,14 +39,15 @@ void encode_segment_header_into(const Segment& s,
 
 std::optional<Segment> decode_segment(std::span<const std::uint8_t> p) {
   if (p.size() < kSegmentHeaderBytes) return std::nullopt;
+  const std::uint8_t* b = p.data();
   Segment s;
-  s.src_node = get16(p, 0);
-  s.dst_node = get16(p, 2);
-  s.src_port = get16(p, 4);
-  s.dst_port = get16(p, 6);
-  s.seq = get64(p, 8);
-  s.ack = get64(p, 16);
-  s.window = get32(p, 24);
+  s.src_node = net::load_le16(b + 0);
+  s.dst_node = net::load_le16(b + 2);
+  s.src_port = net::load_le16(b + 4);
+  s.dst_port = net::load_le16(b + 6);
+  s.seq = net::load_le64(b + 8);
+  s.ack = net::load_le64(b + 16);
+  s.window = net::load_le32(b + 24);
   std::uint8_t flags = p[28];
   s.flags.syn = flags & 1;
   s.flags.ack = flags & 2;

@@ -25,7 +25,8 @@ TcpStack::Instruments::Instruments(obs::Scope scope)
 
 TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
                    os::Host& host, nic::NicDevice& nic)
-    : eng_(&eng),
+    : os::SocketApi(eng.metrics().gauge("host/recv_scratch_hwm")),
+      eng_(&eng),
       model_(model),
       host_(host),
       nic_(nic),
@@ -33,7 +34,6 @@ TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
       activity_(eng),
       ctr_(obs::Scope(eng.metrics(), obs::host_label(host.id(), "/tcp"))),
       bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
-      recv_scratch_hwm_(&eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
       trk_(eng.tracer().track(obs::host_label(host.id()), "tcp")) {
   nic_.set_rx_handler(net::EtherType::kIpv4,
@@ -235,21 +235,6 @@ sim::Task<void> TcpStack::set_option(int sd, os::SockOpt opt, int value) {
       break;
     default:
       break;  // substrate-only options are ignored by the kernel stack
-  }
-}
-
-sim::Task<int> TcpStack::get_option(int sd, os::SockOpt opt) {
-  co_await host_.syscall();
-  auto& c = conn(sd);
-  switch (opt) {
-    case os::SockOpt::kSndBuf:
-      co_return static_cast<int>(c->snd_buf_limit);
-    case os::SockOpt::kRcvBuf:
-      co_return static_cast<int>(c->rcv_buf_limit);
-    case os::SockOpt::kNoDelay:
-      co_return c->nodelay ? 1 : 0;
-    default:
-      co_return 0;  // substrate-only options (see socket_api.hpp)
   }
 }
 

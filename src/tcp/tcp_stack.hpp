@@ -67,7 +67,6 @@ class TcpStack final : public os::SocketApi {
                                std::span<const std::uint8_t> in) override;
   sim::Task<void> close(int sd) override;
   sim::Task<void> set_option(int sd, os::SockOpt opt, int value) override;
-  sim::Task<int> get_option(int sd, os::SockOpt opt) override;
   [[nodiscard]] bool readable(int sd) const override;
   [[nodiscard]] bool writable(int sd) const override;
   [[nodiscard]] sim::CondVar& activity() override { return activity_; }
@@ -196,14 +195,6 @@ class TcpStack final : public os::SocketApi {
   sim::CondVar activity_;
   Instruments ctr_;
   obs::Counter* bytes_copied_;  // global host/bytes_copied tally
-  obs::Gauge* recv_scratch_hwm_;  // global "host/recv_scratch_hwm" HWM
-
-  // SocketApi hook: the default read_view() reports its scratch size here.
-  void note_recv_scratch(std::size_t bytes) override {
-    if (static_cast<std::int64_t>(bytes) > recv_scratch_hwm_->value()) {
-      recv_scratch_hwm_->set(static_cast<std::int64_t>(bytes));
-    }
-  }
   obs::Tracer& tracer_;
   std::uint32_t trk_;  // ("h<N>", "tcp") timeline track
 

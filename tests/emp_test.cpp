@@ -71,6 +71,43 @@ TEST(Wire, HeaderRoundTripAck) {
   EXPECT_EQ(decoded->ack_value, 12u);
 }
 
+// Golden bytes: every field little-endian at its fixed offset.  A codec
+// change that moves any byte fails here, not in a simulated digest.
+TEST(Wire, DataHeaderBytesArePinned) {
+  EmpHeader h;
+  h.kind = FrameKind::kData;
+  h.src_node = 0x0102;
+  h.dst_node = 0x0304;
+  h.tag = 0xbeef;
+  h.msg_id = 0x0a0b0c0d;
+  h.frame_index = 0x0011;
+  h.total_frames = 0x0022;
+  h.msg_bytes = 0x00fedcba;
+  std::vector<std::uint8_t> bytes;
+  encode_header_into(h, bytes);
+  const std::vector<std::uint8_t> golden{
+      0x01, 0x00, 0x02, 0x01, 0x04, 0x03, 0xef, 0xbe, 0x0d, 0x0c,
+      0x0b, 0x0a, 0x11, 0x00, 0x22, 0x00, 0xba, 0xdc, 0xfe, 0x00};
+  EXPECT_EQ(bytes, golden);
+}
+
+TEST(Wire, AckHeaderBytesArePinned) {
+  EmpHeader h;
+  h.kind = FrameKind::kAck;
+  h.src_node = 2;
+  h.dst_node = 0;
+  h.tag = 0x1234;
+  h.msg_id = 99;
+  h.msg_bytes = 0x7777;  // not on the wire: acks carry ack_value there
+  h.ack_value = 0x01020304;
+  std::vector<std::uint8_t> bytes;
+  encode_header_into(h, bytes);
+  const std::vector<std::uint8_t> golden{
+      0x02, 0x00, 0x02, 0x00, 0x00, 0x00, 0x34, 0x12, 0x63, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(bytes, golden);
+}
+
 TEST(Wire, RejectsMalformed) {
   EXPECT_FALSE(decode_header(std::vector<std::uint8_t>(5)).has_value());
   std::vector<std::uint8_t> junk(kHeaderBytes, 0xff);

@@ -179,6 +179,32 @@ TEST_F(HostTest, SelectIncludesRegularFilesImmediately) {
   EXPECT_EQ(ready.size(), 1u);
 }
 
+TEST(Process, SelectOnEmptySetThrows) {
+  // Nothing in an empty set can become ready, so select() refuses it
+  // before charging the syscall instead of polling forever.  run_until
+  // bounds the run in case it does poll.
+  Engine eng;
+  Host host(eng, sim::calibrated_cost_model(), 0);
+  bool threw = false;
+  bool returned = false;
+  sim::Time threw_at = 1;
+  auto proc = [&]() -> Task<void> {
+    Process p(host);
+    try {
+      (void)co_await p.select({});
+      returned = true;
+    } catch (const SocketError& e) {
+      threw = e.code() == SockErr::kInvalid;
+      threw_at = eng.now();
+    }
+  };
+  eng.spawn(proc());
+  eng.run_until(1'000'000);
+  EXPECT_TRUE(threw);
+  EXPECT_FALSE(returned);
+  EXPECT_EQ(threw_at, 0);
+}
+
 TEST_F(HostTest, SelectAcrossBothStacks) {
   // A heterogeneous fd set (kernel TCP + substrate) must still wake when
   // either becomes readable; Process::select falls back to polling.

@@ -660,43 +660,50 @@ TEST(RecvScratch, EnsureCapsRetainedGrowthAtHighWater) {
 }
 
 TEST(RecvScratch, ReadViewReportsHighWaterGauge) {
-  Engine eng(7);
-  Cluster cl(eng, sim::calibrated_cost_model(), 2);
-  auto server = [&]() -> Task<void> {
-    auto& api = cl.node(0).socks;
-    int ls = co_await api.socket();
-    co_await api.bind(ls, SockAddr{0, 80});
-    co_await api.listen(ls, 4);
-    int cs = co_await api.accept(ls, nullptr);
-    os::RecvView view;
-    std::size_t n = co_await api.read_view(cs, view, 70'000);
-    EXPECT_GT(n, 0u);
-    while (n < 100) n += co_await api.read_view(cs, view, 70'000);
-    // The spike was reported to the gauge, and a smaller follow-up read
-    // releases the retained scratch back under the high-water mark.
-    (void)co_await api.read_view(cs, view, 128);
-    EXPECT_LE(view.scratch.size(), os::kRecvScratchHighWater);
-    co_await api.close(cs);
-    co_await api.close(ls);
-  };
-  auto client = [&]() -> Task<void> {
-    co_await eng.delay(1'000);
-    auto& api = cl.node(1).socks;
-    int fd = co_await api.socket();
-    co_await api.connect(fd, SockAddr{0, 80});
-    std::vector<std::uint8_t> payload(200, 0x5a);
-    co_await api.write_all(fd, payload);
-    std::vector<std::uint8_t> buf(16);
-    try {
-      (void)co_await api.read(fd, buf);
-    } catch (const os::SocketError&) {
-    }
-    co_await api.close(fd);
-  };
-  eng.spawn(server());
-  eng.spawn(client());
-  eng.run();
-  EXPECT_GE(eng.metrics().gauge("host/recv_scratch_hwm").value(), 70'000);
+  // The substrate's own read_view() and kernel TCP's inherited default
+  // both report their scratch size to the engine-wide gauge.
+  for (const auto kind :
+       {Cluster::StackKind::kSubstrate, Cluster::StackKind::kTcp}) {
+    SCOPED_TRACE(kind == Cluster::StackKind::kTcp ? "tcp" : "substrate");
+    Engine eng(7);
+    Cluster cl(eng, sim::calibrated_cost_model(), 2);
+    bool released = false;
+    auto server = [&]() -> Task<void> {
+      auto& api = cl.stack(0, kind);
+      int ls = co_await api.socket();
+      co_await api.bind(ls, SockAddr{0, 80});
+      co_await api.listen(ls, 4);
+      int cs = co_await api.accept(ls, nullptr);
+      os::RecvView view;
+      std::size_t n = co_await api.read_view(cs, view, 70'000);
+      EXPECT_GT(n, 0u);
+      while (n < 100) n += co_await api.read_view(cs, view, 70'000);
+      // The spike was reported to the gauge, and a smaller follow-up read
+      // (the rest of the stream, or 0 at its end) releases the retained
+      // scratch back under the high-water mark.
+      (void)co_await api.read_view(cs, view, 128);
+      EXPECT_LE(view.scratch.size(), os::kRecvScratchHighWater);
+      released = true;
+      co_await api.close(cs);
+      co_await api.close(ls);
+    };
+    auto client = [&]() -> Task<void> {
+      co_await eng.delay(1'000);
+      auto& api = cl.stack(1, kind);
+      int fd = co_await api.socket();
+      co_await api.connect(fd, SockAddr{0, 80});
+      std::vector<std::uint8_t> payload(200, 0x5a);
+      co_await api.write_all(fd, payload);
+      // Closing lets the server's last read return (0 at end of stream)
+      // on either stack.
+      co_await api.close(fd);
+    };
+    eng.spawn(server());
+    eng.spawn(client());
+    eng.run();
+    EXPECT_TRUE(released);
+    EXPECT_GE(eng.metrics().gauge("host/recv_scratch_hwm").value(), 70'000);
+  }
 }
 
 }  // namespace

@@ -105,6 +105,51 @@ TEST(ControlWire, DataHeaderRoundTrip) {
   EXPECT_EQ(d.msg_no, 7);
 }
 
+// Golden bytes for the three substrate formats: little-endian fields at
+// fixed offsets.  A codec change that moves any byte fails here.
+TEST(ControlWire, CtrlBytesArePinned) {
+  CtrlMsg m;
+  m.type = CtrlType::kRendReq;
+  m.a = 0x01020304;
+  m.b = 0x05060708;
+  m.c = 0xdeadbeef;
+  const auto bytes = encode_ctrl(m);
+  const std::vector<std::uint8_t> golden{
+      0x03, 0x00, 0x00, 0x00, 0x04, 0x03, 0x02, 0x01,
+      0x08, 0x07, 0x06, 0x05, 0xef, 0xbe, 0xad, 0xde};
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), golden);
+}
+
+TEST(ControlWire, ConnRequestBytesArePinned) {
+  ConnRequest r;
+  r.client_node = 3;
+  r.client_port = 40001;
+  r.data_tag = 0x13;
+  r.ctrl_tag = 0x14;
+  r.rend_tag = 0x15;
+  r.srv_data_tag = 0x4000;
+  r.srv_ctrl_tag = 0x4001;
+  r.srv_rend_tag = 0x4002;
+  r.credits = 32;
+  r.buffer_bytes = 0x00010203;
+  const auto bytes = encode_conn_request(r);
+  const std::vector<std::uint8_t> golden{
+      0x03, 0x00, 0x41, 0x9c, 0x13, 0x00, 0x14, 0x00, 0x15, 0x00, 0x00, 0x40,
+      0x01, 0x40, 0x02, 0x40, 0x20, 0x00, 0x00, 0x00, 0x03, 0x02, 0x01, 0x00};
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), golden);
+}
+
+TEST(ControlWire, DataHeaderBytesArePinned) {
+  DataHeader h;
+  h.piggyback_credits = 0x0201;
+  h.msg_no = 0x1234;
+  std::uint8_t buf[kDataHeaderBytes] = {};
+  encode_data_header(h, buf);
+  const std::vector<std::uint8_t> golden{0x01, 0x02, 0x34, 0x12};
+  EXPECT_EQ(std::vector<std::uint8_t>(std::begin(buf), std::end(buf)),
+            golden);
+}
+
 TEST(Config, PresetsMatchPaperLabels) {
   auto ds = preset("ds").cfg;
   EXPECT_FALSE(ds.delayed_acks);

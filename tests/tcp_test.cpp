@@ -56,6 +56,29 @@ TEST(Segment, RoundTrip) {
   EXPECT_EQ(d->payload, s.payload);
 }
 
+// Golden bytes: the address quad, seq/ack, window and flags little-endian
+// at fixed offsets, zero-padded to the nominal 40-byte header.
+TEST(Segment, HeaderBytesArePinned) {
+  Segment s;
+  s.src_node = 0x0102;
+  s.dst_node = 0x0304;
+  s.src_port = 5000;
+  s.dst_port = 80;
+  s.seq = 0x0102030405060708ull;
+  s.ack = 0x1112131415161718ull;
+  s.window = 65'000;
+  s.flags = Flags{.syn = true, .ack = true, .fin = true, .rst = true};
+  std::vector<std::uint8_t> bytes;
+  encode_segment_header_into(s, bytes);
+  std::vector<std::uint8_t> golden{
+      0x02, 0x01, 0x04, 0x03, 0x88, 0x13, 0x50, 0x00,  // nodes, ports
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // seq
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // ack
+      0xe8, 0xfd, 0x00, 0x00, 0x0f};                   // window, flags
+  golden.resize(kSegmentHeaderBytes, 0x00);
+  EXPECT_EQ(bytes, golden);
+}
+
 TEST(Segment, RejectsShort) {
   EXPECT_FALSE(decode_segment(std::vector<std::uint8_t>(10)).has_value());
 }
