@@ -6,9 +6,13 @@ it has returned.  Three rules cover the use-after-free shapes the type
 system cannot:
 
 * **ulsan-coro-schedule-capture** — a lambda with by-reference captures
-  passed to ``schedule_at``/``schedule_after``.  The callback fires from
-  the event queue long after the scheduling frame returned; a reference
-  capture of a stack variable dangles by then.
+  passed to an entry point that defers it through the event queue:
+  ``Engine::schedule_at`` (the serial-stream overload too) and
+  ``schedule_after``, ``SerialResource::run``, ``NicDevice::fw_tx``,
+  ``fw_rx`` and ``dma_transfer``, and ``ShardGroup::post_remote``.  The
+  callback fires long after the scheduling frame returned; a reference
+  capture of a stack variable dangles by then.  ``run`` is matched only
+  as a member call (``.run(`` or ``->run(``).
 
 * **ulsan-coro-iife-capture** — an immediately-invoked lambda coroutine
   (body contains ``co_await``/``co_return``/``co_yield``) with any
@@ -36,7 +40,12 @@ from ..framework import Finding, RunContext, rule
 from ..source import (SourceFile, has_ref_capture, matching_brace,
                       matching_paren, LAMBDA_INTRO)
 
-SCHEDULE_CALL = re.compile(r"\b(schedule_at|schedule_after)\s*\(")
+# Entry points that defer a callable through the event queue.  `run` is
+# SerialResource::run; only the member-call form is matched, so a free
+# function or Engine::run() (which takes no callable) stays out of scope.
+SCHEDULE_CALL = re.compile(
+    r"(?:\b(?P<name>schedule_at|schedule_after|fw_tx|fw_rx|dma_transfer"
+    r"|post_remote)|(?:\.|->)\s*(?P<member>run))\s*\(")
 CORO_KEYWORD = re.compile(r"\bco_(await|return|yield)\b")
 CO_AWAIT = re.compile(r"\bco_await\b")
 
@@ -64,7 +73,7 @@ def _finding(sf: SourceFile, rule_name: str, idx: int,
 
 @rule(
     "coro-schedule-capture",
-    "by-reference lambda capture passed to schedule_at/schedule_after",
+    "by-reference lambda capture passed to a deferred-callback entry point",
     __doc__,
 )
 def check_schedule(sf: SourceFile, ctx: RunContext) -> list[Finding]:
@@ -80,7 +89,8 @@ def check_schedule(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                     sf, "coro-schedule-capture",
                     open_paren + lam.start(),
                     f"lambda with by-reference capture passed to "
-                    f"{call.group(1)}() — the callback outlives the "
+                    f"{call.group('name') or call.group('member')}() — "
+                    f"the callback outlives the "
                     f"scheduling frame (use-after-free across suspension "
                     f"points)"))
     return findings

@@ -10,12 +10,20 @@
 // Coroutine integration: `spawn()` adopts a detached `Task<void>` (a
 // simulated process) and starts it through the queue; `delay()`, and the
 // primitives in sync.hpp, suspend coroutines and resume them via scheduled
-// events, never inline, so causality always follows queue order.
+// events, never inline, so causality always follows queue order.  A resume
+// is a queue entry that holds the coroutine frame itself
+// (schedule_resume()), not a callable.
+//
+// Serial streams: a serially-occupied resource (sim/resource.hpp) completes
+// its jobs in (time, seq) order, so the engine keeps each resource's
+// completions in a FIFO of its own and puts only the front in the heaps
+// (see open_stream()).
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,36 +62,8 @@ class Engine {
   /// `fn` is an EventFn (sim/inline_function.hpp): move-only, and captures
   /// up to its inline capacity cost no heap allocation.
   void schedule_at(Time t, EventFn fn) {
-    ULSOCKS_INVARIANT(
-        t >= now_,
-        check::msgf("schedule_at in the past: t=%llu < now=%llu",
-                    static_cast<unsigned long long>(t),
-                    static_cast<unsigned long long>(now_)));
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = slot_count_++;
-      if ((slot & (kSlotPageSize - 1)) == 0) {
-        slot_pages_.push_back(std::make_unique<EventFn[]>(kSlotPageSize));
-      }
-    }
-    slot_ref(slot) = std::move(fn);
-    const HeapItem item{t, next_seq_++, slot};
-    // Same-instant events (wake-ups, yields) skip the heaps: a FIFO keeps
-    // their seq order for free.  pop_next() explains why this stays exact.
-    // The rest use a two-level queue: events inside the near horizon go to
-    // the small hot heap, far-future ones (retransmit timers, mostly) to
-    // the far heap.  The strict `t < horizon_` split keeps min(near) <
-    // horizon_ <= min(far), so the near heap's top is always the heaps'
-    // minimum and the pop order — and therefore the digest — is identical
-    // to a single queue's.
-    if (t == now_) {
-      lane_.push_back(item);
-    } else {
-      heap_push(t < horizon_ ? heap_ : far_, item);
-    }
+    check_not_past(t);
+    enqueue(Entry{t, next_seq_++, store(std::move(fn))});
   }
 
   /// Schedule `fn` to run `dt` from now.
@@ -91,13 +71,52 @@ class Engine {
     schedule_at(now_ + dt, std::move(fn));
   }
 
+  /// Schedule a resume of the suspended coroutine `h` at absolute time `t`
+  /// (>= now()).  The queue entry holds the frame address itself, so a
+  /// wake-up costs no EventFn slot: step() hands the frame straight to the
+  /// resume trampoline.  It draws a sequence number like any event.
+  void schedule_resume(Time t, std::coroutine_handle<> h) {
+    check_not_past(t);
+    enqueue(Entry{t, next_seq_++, frame_ref(h)});
+  }
+
+  /// Handle of a serial stream (see open_stream()).
+  enum class StreamId : std::uint32_t {};
+
+  /// Open a serial stream: a FIFO of events that the caller promises to
+  /// schedule in non-decreasing time order (sim::SerialResource's
+  /// completions, whose busy_until never decreases).  Sequence numbers are
+  /// drawn at schedule time, so the stream is in (t, seq) order and only its
+  /// front has to sit in the heaps, as a marker carrying that front's own
+  /// (t, seq); a backlog of completions costs no heap sifting.  Each event
+  /// keeps its time and sequence number, so the pop order is exactly the
+  /// one plain schedule_at() calls would give.  The engine owns every
+  /// stream, so a resource destroyed with completions still queued leaves
+  /// them to run.
+  [[nodiscard]] StreamId open_stream() {
+    streams_.emplace_back();
+    return static_cast<StreamId>(streams_.size() - 1);
+  }
+
+  /// schedule_at() through stream `s`.  Pre: `t` is no earlier than the
+  /// time of any event still queued in `s` (an always-on invariant).
+  void schedule_at(StreamId s, Time t, EventFn fn) {
+    check_not_past(t);
+    enqueue(s, Entry{t, next_seq_++, store(std::move(fn))});
+  }
+
+  /// schedule_resume() through stream `s`, under the same precondition.
+  void schedule_resume(StreamId s, Time t, std::coroutine_handle<> h) {
+    check_not_past(t);
+    enqueue(s, Entry{t, next_seq_++, frame_ref(h)});
+  }
+
   /// Adopt a detached simulated process.  The process is started through
   /// the event queue at the current time; uncaught exceptions stop the run
   /// and are rethrown from run().
   void spawn(Task<void> process) {
     roots_.push_back(wrap_root(std::move(process)));
-    auto h = roots_.back().handle();
-    schedule_at(now_, [h] { detail::resume_chain(h); });
+    schedule_resume(now_, roots_.back().handle());
     maybe_reap();
   }
 
@@ -108,7 +127,7 @@ class Engine {
       Duration dt;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) const {
-        eng->schedule_after(dt, [h] { detail::resume_chain(h); });
+        eng->schedule_resume(eng->now() + dt, h);
       }
       void await_resume() const noexcept {}
     };
@@ -234,24 +253,38 @@ class Engine {
   }
 
  private:
-  // The heap orders trivially-copyable 24-byte nodes; the (potentially
-  // 100-byte) callable lives in a stable slot in `slots_`.  Heap sift
+  // A queue entry is a trivially-copyable 24-byte node; the (potentially
+  // 100-byte) callable lives in a stable slot in `slot_pages_`.  Heap sift
   // moves are then plain POD copies the compiler turns into memmoves —
   // profiling showed sifting full fat events (inline-capture relocation
   // through an indirect call per move) dominated the hot loop.
-  struct HeapItem {
+  //
+  // `ref` is a tagged reference, told apart by its two low bits:
+  //   - kFrameTag: a coroutine frame address to resume (frames come from
+  //     the block pool or ::operator new, both at least 16-byte aligned,
+  //     so the tag bits of an address are clear; frame_ref() checks);
+  //   - kSlotTag: an EventFn slot index, shifted past the tag;
+  //   - kStreamTag: a serial stream index, shifted past the tag.  Such an
+  //     entry is a stream's marker and carries its front's (t, seq).
+  struct Entry {
     Time t;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t ref;
   };
-  static_assert(std::is_trivially_copyable_v<HeapItem>);
-  static_assert(sizeof(HeapItem) == 24);
+  static_assert(std::is_trivially_copyable_v<Entry>);
+  static_assert(sizeof(Entry) == 24);
+  static constexpr std::uint64_t kFrameTag = 0;
+  static constexpr std::uint64_t kSlotTag = 1;
+  static constexpr std::uint64_t kStreamTag = 2;
+  static constexpr unsigned kTagBits = 2;
+  static constexpr std::uint64_t kTagMask = (1u << kTagBits) - 1;
+
   // Orders the heap so the front element is the minimum (t, seq).  (t, seq)
   // is a strict total order — seq is unique — so any valid heap over the
   // same pending set pops in exactly one order, which is why the digest is
   // insensitive to the heap's internal layout (binary vs. 4-ary, and any
   // sift implementation).
-  static bool before(const HeapItem& a, const HeapItem& b) noexcept {
+  static bool before(const Entry& a, const Entry& b) noexcept {
     return a.t < b.t || (a.t == b.t && a.seq < b.seq);
   }
 
@@ -260,7 +293,7 @@ class Engine {
   // queue sifting is the simulator's single hottest loop.  Sift-up and
   // sift-down move a hole instead of swapping, so each level costs one
   // 24-byte copy.
-  static void heap_push(std::vector<HeapItem>& h, HeapItem it) {
+  static void heap_push(std::vector<Entry>& h, Entry it) {
     std::size_t i = h.size();
     h.push_back(it);  // reserve the leaf; overwritten below
     while (i > 0) {
@@ -272,9 +305,9 @@ class Engine {
     h[i] = it;
   }
 
-  static HeapItem heap_pop(std::vector<HeapItem>& h) {
-    HeapItem top = h[0];
-    HeapItem last = h.back();
+  static Entry heap_pop(std::vector<Entry>& h) {
+    Entry top = h[0];
+    Entry last = h.back();
     h.pop_back();
     std::size_t n = h.size();
     if (n != 0) {
@@ -294,6 +327,91 @@ class Engine {
       h[i] = last;
     }
     return top;
+  }
+
+  // A serial stream: its entries in (t, seq) order.  A deque frees blocks
+  // as the front advances, so a backlog holds about the memory of its live
+  // entries.
+  using Stream = std::deque<Entry>;
+
+  void check_not_past(Time t) const {
+    ULSOCKS_INVARIANT(
+        t >= now_,
+        check::msgf("schedule_at in the past: t=%llu < now=%llu",
+                    static_cast<unsigned long long>(t),
+                    static_cast<unsigned long long>(now_)));
+  }
+
+  /// Park `fn` in a free slot and return its tagged reference.
+  [[nodiscard]] std::uint64_t store(EventFn&& fn) {
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slot = slot_count_++;
+      if ((slot & (kSlotPageSize - 1)) == 0) {
+        slot_pages_.push_back(std::make_unique<EventFn[]>(kSlotPageSize));
+      }
+    }
+    slot_ref(slot) = std::move(fn);
+    return (std::uint64_t{slot} << kTagBits) | kSlotTag;
+  }
+
+  [[nodiscard]] static std::uint64_t frame_ref(std::coroutine_handle<> h) {
+    const auto ref = reinterpret_cast<std::uintptr_t>(h.address());
+    ULSOCKS_INVARIANT(ref != 0 && (ref & kTagMask) == kFrameTag,
+                      "coroutine frame address is null or sets a tag bit");
+    return ref;
+  }
+
+  /// Queue an entry.  Same-instant events (wake-ups, yields) skip the
+  /// heaps: a FIFO keeps their seq order for free.  pop_next() explains
+  /// why this stays exact.  The rest use a two-level queue: events inside
+  /// the near horizon go to the small hot heap, far-future ones
+  /// (retransmit timers, mostly) to the far heap.  The strict
+  /// `t < horizon_` split keeps min(near) < horizon_ <= min(far), so the
+  /// near heap's top is always the heaps' minimum and the pop order — and
+  /// therefore the digest — is identical to a single queue's.
+  void enqueue(const Entry& e) {
+    if (e.t == now_) {
+      lane_.push_back(e);
+    } else {
+      heap_push(e.t < horizon_ ? heap_ : far_, e);
+    }
+  }
+
+  /// Queue an entry through stream `id`.  An entry due now takes the lane
+  /// like any other, so every entry a stream holds was scheduled before
+  /// its time was reached.  Only an empty stream arms a marker; a non-empty
+  /// one already has its front's marker queued.
+  void enqueue(StreamId id, const Entry& e) {
+    if (e.t == now_) {
+      lane_.push_back(e);
+      return;
+    }
+    const auto index = static_cast<std::uint32_t>(id);
+    Stream& s = streams_[index];
+    if (s.empty()) {
+      arm(e, index);
+    } else {
+      ULSOCKS_INVARIANT(
+          e.t >= s.back().t,
+          check::msgf("serial stream %u out of order: t=%llu < %llu", index,
+                      static_cast<unsigned long long>(e.t),
+                      static_cast<unsigned long long>(s.back().t)));
+    }
+    s.push_back(e);
+  }
+
+  /// Queue stream `index`'s marker for its front `front`.  A marker never
+  /// takes the lane, even at t == now_: the front was scheduled before
+  /// now_ was reached, so its seq is below every lane entry's and it must
+  /// pop before them, from the heap.
+  void arm(const Entry& front, std::uint32_t index) {
+    heap_push(front.t < horizon_ ? heap_ : far_,
+              Entry{front.t, front.seq,
+                    (std::uint64_t{index} << kTagBits) | kStreamTag});
   }
 
   // pop_next() clears the lane when it drains, so a non-empty lane always
@@ -324,7 +442,7 @@ class Engine {
   }
 
   /// Remove and return the next event in (t, seq) order.  Pre: pending().
-  HeapItem pop_next() {
+  Entry pop_next() {
     // Every lane entry has t == now_, and a heap entry at now_ was scheduled
     // before now_ was reached, so its seq is below every lane entry's.  Heap
     // entries at now_ therefore pop first, then the lane, which is exactly
@@ -332,7 +450,7 @@ class Engine {
     // at now_, because now_ only ever reaches a time that was below the
     // horizon (or that nothing was queued at).
     if (lane_pending() && (heap_.empty() || heap_[0].t != now_)) {
-      const HeapItem ev = lane_[lane_head_++];
+      const Entry ev = lane_[lane_head_++];
       if (lane_head_ == lane_.size()) {
         lane_.clear();
         lane_head_ = 0;
@@ -346,7 +464,7 @@ class Engine {
   }
 
   void step() {
-    const HeapItem ev = pop_next();
+    Entry ev = pop_next();
     ULSOCKS_INVARIANT(
         ev.t >= now_,
         check::msgf("event time went backwards: t=%llu < now=%llu",
@@ -357,15 +475,31 @@ class Engine {
     digest_ = mix64(digest_ ^ ev.t);
     digest_ = mix64(digest_ ^ ev.seq);
     causal_digest_ += mix64(ev.t);
-    // Execute in place: slot pages are address-stable (the page directory
-    // may grow during fn(), the pages never move), so no relocating move of
-    // the inline capture is needed per event.  The slot is recycled only
-    // after fn() returns, so an event scheduling new events can never be
-    // handed its own still-running slot.
-    EventFn& fn = slot_ref(ev.slot);
-    fn();
-    fn.reset();
-    free_slots_.push_back(ev.slot);
+    if ((ev.ref & kTagMask) == kStreamTag) {
+      // A marker: run its stream's front, which has the same (t, seq).
+      // The next front is armed first, so an event that schedules into
+      // this stream finds the marker invariant intact.
+      const auto index = static_cast<std::uint32_t>(ev.ref >> kTagBits);
+      Stream& s = streams_[index];
+      ev = s.front();
+      s.pop_front();
+      if (!s.empty()) arm(s.front(), index);
+    }
+    if ((ev.ref & kTagMask) == kFrameTag) {
+      detail::resume_chain(std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(static_cast<std::uintptr_t>(ev.ref))));
+    } else {
+      // Execute in place: slot pages are address-stable (the page
+      // directory may grow during fn(), the pages never move), so no
+      // relocating move of the inline capture is needed per event.  The
+      // slot is recycled only after fn() returns, so an event scheduling
+      // new events can never be handed its own still-running slot.
+      const auto slot = static_cast<std::uint32_t>(ev.ref >> kTagBits);
+      EventFn& fn = slot_ref(slot);
+      fn();
+      fn.reset();
+      free_slots_.push_back(slot);
+    }
     // Countdown instead of `events_executed_ % interval`: one decrement
     // and branch per event, no integer division in the hot loop.
     if (check_countdown_ != 0 && --check_countdown_ == 0) {
@@ -419,11 +553,12 @@ class Engine {
   static constexpr Duration kNearWindow = 65536;
 
   bool stop_ = false;
-  std::vector<HeapItem> heap_;  // near 4-ary min-heap keyed on (t, seq)
-  std::vector<HeapItem> far_;   // far 4-ary min-heap (t >= horizon_)
+  std::vector<Entry> heap_;     // near 4-ary min-heap keyed on (t, seq)
+  std::vector<Entry> far_;      // far 4-ary min-heap (t >= horizon_)
   Time horizon_ = 0;            // strict upper bound on near-heap times
-  std::vector<HeapItem> lane_;  // FIFO of events scheduled at t == now_
+  std::vector<Entry> lane_;     // FIFO of events scheduled at t == now_
   std::size_t lane_head_ = 0;   // next lane entry; lane_ clears on drain
+  std::vector<Stream> streams_;  // serial streams, indexed by StreamId
   std::vector<std::unique_ptr<EventFn[]>> slot_pages_;
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   std::uint32_t slot_count_ = 0;           // slots ever created

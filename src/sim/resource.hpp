@@ -1,6 +1,12 @@
 // A serially-occupied hardware resource (a firmware CPU, a DMA engine, a
 // host CPU).  Work is FIFO: each job begins when all earlier jobs finish,
 // occupies the resource for its cost, then runs its completion action.
+//
+// Completions go through the resource's serial stream (Engine::open_stream):
+// busy_until_ never decreases and sequence numbers are drawn at schedule
+// time, so they arrive in (time, seq) order and only the earliest one sits
+// in the engine's heaps.  The engine owns the stream, so completions still
+// queued when the resource is destroyed run as scheduled.
 #pragma once
 
 #include <coroutine>
@@ -13,7 +19,8 @@ namespace ulsocks::sim {
 
 class SerialResource {
  public:
-  explicit SerialResource(Engine& eng) : eng_(&eng) {}
+  explicit SerialResource(Engine& eng)
+      : eng_(&eng), stream_(eng.open_stream()) {}
   SerialResource(const SerialResource&) = delete;
   SerialResource& operator=(const SerialResource&) = delete;
 
@@ -22,7 +29,7 @@ class SerialResource {
   Time run(Duration cost, EventFn done = {}) {
     Time start = busy_until_ > eng_->now() ? busy_until_ : eng_->now();
     busy_until_ = start + cost;
-    if (done) eng_->schedule_at(busy_until_, std::move(done));
+    if (done) eng_->schedule_at(stream_, busy_until_, std::move(done));
     return busy_until_;
   }
 
@@ -36,8 +43,7 @@ class SerialResource {
       Duration cost;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) const {
-        res->eng_->schedule_at(res->run(cost),
-                               [h] { detail::resume_chain(h); });
+        res->eng_->schedule_resume(res->stream_, res->run(cost), h);
       }
       void await_resume() const noexcept {}
     };
@@ -46,6 +52,7 @@ class SerialResource {
 
  private:
   Engine* eng_;
+  Engine::StreamId stream_;
   Time busy_until_ = 0;
 };
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 
 namespace ulsocks::sim {
 
@@ -39,9 +38,7 @@ class CondVar {
   }
 
   void notify_all() {
-    for (auto h : waiters_) {
-      eng_->schedule_at(eng_->now(), [h] { detail::resume_chain(h); });
-    }
+    for (auto h : waiters_) eng_->schedule_resume(eng_->now(), h);
     waiters_.clear();
   }
 
@@ -59,8 +56,19 @@ class ManualEvent {
  public:
   explicit ManualEvent(Engine& eng) : cv_(eng) {}
 
-  [[nodiscard]] Task<void> wait() {
-    while (!set_) co_await cv_.wait();
+  /// Awaitable: ready once the flag is set, otherwise park on the condition
+  /// variable until set() wakes it, one resume event at the set's instant.
+  /// An awaiter rather than a Task, so a wait allocates no coroutine frame.
+  [[nodiscard]] auto wait() {
+    struct Awaiter {
+      ManualEvent* ev;
+      bool await_ready() const noexcept { return ev->set_; }
+      void await_suspend(std::coroutine_handle<> h) {
+        ev->cv_.wait().await_suspend(h);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this};
   }
 
   void set() {

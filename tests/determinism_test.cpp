@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -21,6 +22,7 @@
 #include "net/link.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/resource.hpp"
 #include "sim/shard.hpp"
 #include "sockets/config.hpp"
 
@@ -310,8 +312,11 @@ TEST(HostCopies, SlicingCutsBytesCopiedAtLeast3x) {
 // exactly the strict (time, sequence) order.  The oracle is a deliberately
 // naive scheduler — an unordered vector popped by linear min-scan — driven
 // through the same randomized self-spawning workload and folded through the
-// same digest function.  Any ordering bug in the heap, the slot arena, or
-// the near/far horizon split shows up as a digest or count mismatch.
+// same digest function.  The workload reaches every kind of queue entry:
+// callbacks, coroutine resumes, and completions routed through three
+// SerialResources' serial streams, both `run` callbacks and `use` resumes.
+// Any ordering bug in the heap, the slot arena, the near/far horizon split
+// or a stream's marker shows up as a digest or count mismatch.
 // ---------------------------------------------------------------------------
 
 // The engine's digest fold (splitmix64 finalizer), replicated here so the
@@ -337,7 +342,8 @@ struct Lcg {
 
 // Delta distribution exercising every queue regime: same-timestamp events
 // (seq tiebreak), short deltas (near heap), and deltas past the 64 us near
-// window (far heap + horizon refills).
+// window (far heap + horizon refills).  Resource costs use it too, so jobs
+// of cost 0 queue behind busy ones and complete at the same instant.
 sim::Duration random_delta(Lcg& rng) {
   const std::uint64_t r = rng.next();
   switch (r % 4) {
@@ -347,6 +353,16 @@ sim::Duration random_delta(Lcg& rng) {
     default: return static_cast<sim::Duration>(70'000 + r % 200'000);
   }
 }
+
+// How a child node is scheduled.
+enum ChildKind : std::uint64_t {
+  kCallback,    // schedule_after(delta, Spawner)
+  kResume,      // schedule_resume(now + delta, fresh coroutine frame)
+  kRunOnRes,    // SerialResource::run(cost, Spawner)
+  kUseOnRes,    // a coroutine that awaits SerialResource::use(cost)
+  kChildKinds,
+};
+constexpr std::size_t kResources = 3;
 
 struct NaiveScheduler {
   struct Ev {
@@ -359,6 +375,9 @@ struct NaiveScheduler {
   std::uint64_t next_seq = 0;
   std::uint64_t digest = kRefDigestInit;
   std::uint64_t executed = 0;
+  // SerialResource's rule: a job starts when the resource frees up (or now)
+  // and completes `cost` later.
+  std::array<sim::Time, kResources> busy_until{};
 
   void schedule(sim::Time t, int depth) {
     pending.push_back(Ev{t, next_seq++, depth});
@@ -377,44 +396,112 @@ struct NaiveScheduler {
       ++executed;
       digest = ref_mix64(digest ^ static_cast<std::uint64_t>(ev.t));
       digest = ref_mix64(digest ^ ev.seq);
-      if (ev.depth > 0) {
-        const std::uint64_t kids = rng.next() % 3;
-        for (std::uint64_t k = 0; k < kids; ++k) {
+      if (ev.depth <= 0) continue;
+      const std::uint64_t kids = rng.next() % 3;
+      for (std::uint64_t k = 0; k < kids; ++k) {
+        const std::uint64_t kind = rng.next() % kChildKinds;
+        if (kind == kCallback || kind == kResume) {
           schedule(now + random_delta(rng), ev.depth - 1);
+          continue;
         }
+        sim::Time& busy = busy_until[rng.next() % kResources];
+        busy = std::max(busy, now) + random_delta(rng);
+        schedule(busy, ev.depth - 1);
       }
     }
   }
 };
 
-// Self-spawning event for the real engine, mirroring NaiveScheduler's
-// execution body draw-for-draw.  With `stops` set it also fires
-// request_stop() from inside some events, drawing from its own generator so
-// the mirrored draws stay aligned.
-struct Spawner {
+// Engine side of the workload: everything a node touches.  Each node's
+// body mirrors NaiveScheduler's draw-for-draw.  With `stops` set it also
+// fires request_stop() from inside some nodes, drawing from its own
+// generator so the mirrored draws stay aligned.
+struct SpawnCtx {
   Engine* eng;
   Lcg* rng;
+  Lcg* stops;
+  std::array<sim::SerialResource*, kResources> res;
+  std::vector<Task<void>> frames{};  // owns every coroutine node
+  std::array<int, kChildKinds> scheduled{};  // children per kind
+  // Set by the bounded drive when it returns with an event due at now();
+  // the next node to run then records whether that event came through a
+  // serial stream.
+  bool watch = false;
+  int stream_front_returns = 0;
+
+  void body(int depth, bool via_stream);
+};
+
+// Callback node (kCallback, kRunOnRes and the roots).
+struct Spawner {
+  SpawnCtx* ctx;
   int depth;
-  Lcg* stops = nullptr;
-  void operator()() const {
-    if (stops != nullptr && stops->next() % 8 == 0) eng->request_stop();
-    if (depth <= 0) return;
-    const std::uint64_t kids = rng->next() % 3;
-    for (std::uint64_t k = 0; k < kids; ++k) {
-      eng->schedule_after(random_delta(*rng),
-                          Spawner{eng, rng, depth - 1, stops});
+  bool via_stream = false;
+  void operator()() const { ctx->body(depth, via_stream); }
+};
+
+// kResume: a lazy frame whose first resume, scheduled directly, runs it.
+Task<void> resumed_node(SpawnCtx* ctx, int depth) {
+  ctx->body(depth, false);
+  co_return;
+}
+
+// kUseOnRes: started inline by its parent, so it charges the resource at
+// the parent's instant; the stream resumes it at completion.
+Task<void> charged_node(SpawnCtx* ctx, sim::SerialResource* res,
+                        sim::Duration cost, int depth) {
+  co_await res->use(cost);
+  ctx->body(depth, true);
+}
+
+void SpawnCtx::body(int depth, bool via_stream) {
+  if (watch) {
+    if (via_stream) ++stream_front_returns;
+    watch = false;
+  }
+  if (stops != nullptr && stops->next() % 8 == 0) eng->request_stop();
+  if (depth <= 0) return;
+  const std::uint64_t kids = rng->next() % 3;
+  for (std::uint64_t k = 0; k < kids; ++k) {
+    const std::uint64_t kind = rng->next() % kChildKinds;
+    ++scheduled[kind];
+    switch (kind) {
+      case kCallback:
+        eng->schedule_after(random_delta(*rng), Spawner{this, depth - 1});
+        break;
+      case kResume: {
+        const auto h = frames.emplace_back(resumed_node(this, depth - 1))
+                           .handle();
+        eng->schedule_resume(eng->now() + random_delta(*rng), h);
+        break;
+      }
+      case kRunOnRes: {
+        sim::SerialResource* r = res[rng->next() % kResources];
+        r->run(random_delta(*rng), Spawner{this, depth - 1, true});
+        break;
+      }
+      default: {
+        sim::SerialResource* r = res[rng->next() % kResources];
+        const sim::Duration cost = random_delta(*rng);
+        sim::detail::resume_chain(
+            frames.emplace_back(charged_node(this, r, cost, depth - 1))
+                .handle());
+        break;
+      }
     }
   }
-};
+}
 
 // How the queue-order test steps the engine: one run(), or random
 // run_until/run_before bounds with request_stop() fired from inside events.
-// A stop returns from run() with same-instant lane entries still queued.
+// A stop returns from run() with same-instant entries still queued: lane
+// entries, or a stream's front re-armed at now().
 enum class Drive { kRun, kBoundedWithStops };
 
-// Steps `eng` to completion through random bounds.  Returns how many times
-// a bounded call returned with events still due at now().
-int drive_bounded(Engine& eng, Lcg& drive_rng) {
+// Steps `ctx.eng` to completion through random bounds.  Returns how many
+// times a bounded call returned with events still due at now().
+int drive_bounded(SpawnCtx& ctx, Lcg& drive_rng) {
+  Engine& eng = *ctx.eng;
   int mid_instant_returns = 0;
   while (eng.has_pending()) {
     eng.clear_stop();
@@ -427,6 +514,7 @@ int drive_bounded(Engine& eng, Lcg& drive_rng) {
     }
     if (eng.has_pending() && eng.next_event_time() == eng.now()) {
       ++mid_instant_returns;
+      ctx.watch = true;
     }
   }
   return mid_instant_returns;
@@ -894,27 +982,32 @@ TEST(QueueOrder, RandomInterleavingsMatchNaiveReference) {
   for (const Drive drive : {Drive::kRun, Drive::kBoundedWithStops}) {
     const char* mode = drive == Drive::kRun ? "run" : "bounded+stops";
     int mid_instant_returns = 0;
+    int stream_front_returns = 0;
+    std::array<int, kChildKinds> scheduled{};
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       Engine eng;
+      sim::SerialResource r0(eng), r1(eng), r2(eng);
       Lcg eng_rng{seed};
       Lcg stop_rng{seed * 31};
       Lcg drive_rng{seed * 131};
       NaiveScheduler ref;
       Lcg ref_rng{seed};
-      Lcg* stops = drive == Drive::kRun ? nullptr : &stop_rng;
+      SpawnCtx ctx{&eng, &eng_rng,
+                   drive == Drive::kRun ? nullptr : &stop_rng,
+                   {&r0, &r1, &r2}};
 
       Lcg root_rng{seed * 977};
       for (int i = 0; i < 64; ++i) {
         // Coarse root times force same-timestamp collisions.
         const sim::Time t =
             static_cast<sim::Time>((root_rng.next() % 32) * 512);
-        eng.schedule_at(t, Spawner{&eng, &eng_rng, 4, stops});
+        eng.schedule_at(t, Spawner{&ctx, 4});
         ref.schedule(t, 4);
       }
       if (drive == Drive::kRun) {
         eng.run();
       } else {
-        mid_instant_returns += drive_bounded(eng, drive_rng);
+        mid_instant_returns += drive_bounded(ctx, drive_rng);
       }
       ref.run(ref_rng);
 
@@ -923,9 +1016,18 @@ TEST(QueueOrder, RandomInterleavingsMatchNaiveReference) {
       EXPECT_EQ(eng.now(), ref.now) << mode << " seed " << seed;
       EXPECT_EQ(eng.digest(), ref.digest) << mode << " seed " << seed;
       EXPECT_GT(ref.executed, 64u) << mode << " seed " << seed;  // spawned
+      stream_front_returns += ctx.stream_front_returns;
+      for (std::size_t k = 0; k < kChildKinds; ++k) {
+        scheduled[k] += ctx.scheduled[k];
+      }
+    }
+    for (std::size_t k = 0; k < kChildKinds; ++k) {
+      EXPECT_GT(scheduled[k], 0) << mode << ": no child of kind " << k;
     }
     if (drive == Drive::kBoundedWithStops) {
       EXPECT_GT(mid_instant_returns, 0) << "no return left events at now()";
+      EXPECT_GT(stream_front_returns, 0)
+          << "no return left a stream front due at now()";
     }
   }
 }

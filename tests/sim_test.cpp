@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/resource.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -254,6 +255,39 @@ TEST(ManualEvent, WaitAfterSetDoesNotBlock) {
   eng.spawn(waiter(eng, ev, at));
   eng.run();
   EXPECT_EQ(at, 0u);
+}
+
+TEST(ManualEvent, WaitBeforeSetResumesAtTheSetAfterOneEvent) {
+  Engine eng;
+  ManualEvent ev(eng);
+  Time at = 0;
+  auto waiter = [](Engine& e, ManualEvent& m, Time& t) -> Task<void> {
+    co_await m.wait();
+    t = e.now();
+  };
+  eng.spawn(waiter(eng, ev, at));
+  eng.run();  // the start event parks the waiter
+  ASSERT_EQ(eng.events_executed(), 1u);
+  eng.schedule_at(40, [&ev] { ev.set(); });
+  eng.run();
+  EXPECT_EQ(at, 40u);
+  // The set, then one resume at the set's instant.
+  EXPECT_EQ(eng.events_executed(), 3u);
+}
+
+// The engine owns a resource's completion stream, so completions queued
+// when the resource is destroyed still run, in order.
+TEST(SerialResource, CompletionsOutliveTheResource) {
+  Engine eng;
+  std::vector<int> order;
+  {
+    SerialResource res(eng);
+    res.run(10, [&order] { order.push_back(1); });
+    res.run(5, [&order] { order.push_back(2); });
+  }
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(eng.now(), 15u);
 }
 
 TEST(Stats, OnlineStatsMoments) {

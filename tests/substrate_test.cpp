@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -165,10 +166,21 @@ TEST(Config, PresetsMatchPaperLabels) {
   EXPECT_FALSE(dg.data_streaming);
 }
 
-class SubstratePair : public ::testing::TestWithParam<SubstrateConfig> {
+// A SubstratePair parameter.  Its name is both the test-name suffix and
+// what gtest prints for GetParam(), so the ctest names hold no raw struct
+// bytes (SubstrateConfig's padding differs between builds).
+struct NamedConfig {
+  const char* name;
+  SubstrateConfig cfg;
+  friend void PrintTo(const NamedConfig& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
+class SubstratePair : public ::testing::TestWithParam<NamedConfig> {
  protected:
   SubstratePair() : cluster_(eng_, sim::calibrated_cost_model(), 2,
-                             GetParam()) {}
+                             GetParam().cfg) {}
 
   EmpSocketStack& stack(int i) { return cluster_.node(static_cast<std::size_t>(i)).socks; }
 
@@ -239,9 +251,15 @@ SubstrateConfig small_credit_cfg() {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperConfigs, SubstratePair,
-    ::testing::Values(preset("ds").cfg, preset("ds_da").cfg,
-                      preset("ds_da_uq").cfg, preset("dg").cfg,
-                      rendezvous_cfg(), small_credit_cfg()));
+    ::testing::Values(NamedConfig{"ds", preset("ds").cfg},
+                      NamedConfig{"ds_da", preset("ds_da").cfg},
+                      NamedConfig{"ds_da_uq", preset("ds_da_uq").cfg},
+                      NamedConfig{"dg", preset("dg").cfg},
+                      NamedConfig{"rendezvous", rendezvous_cfg()},
+                      NamedConfig{"small_credit", small_credit_cfg()}),
+    [](const ::testing::TestParamInfo<NamedConfig>& info) {
+      return std::string(info.param.name);
+    });
 
 class SubstrateTest : public ::testing::Test {
  protected:
