@@ -6,24 +6,20 @@ cross-shard transmit path, which hands the frame itself to
 ``ShardGroup::post_remote``; the frame returns to its own pool on whichever
 shard drops it.
 
-Three shapes are flagged:
+Two shapes are flagged:
 
 1. The cross-shard primitive ``post_remote(`` anywhere outside the
    cross-shard transmit path (``src/net/link.cpp``) and the shard runtime
    itself (``src/sim/shard.hpp``/``.cpp``).  New cross-shard edges must be
-   designed, not sprinkled.
+   designed, not sprinkled: each post must land at least the group's
+   lookahead after its source's clock, and a link's wire costs are what
+   make that true.
 
-2. Writes to the group's lookahead matrix —
-   ``register_edge_lookahead(`` — outside the same sanctioned set.  Epoch
-   soundness rests on every registered edge being a true lower bound on
-   that link's latency; ``net::Link`` derives it from its own wire costs
-   when a cross-shard edge forms, and nothing else may invent one.
-
-3. A lambda handed to ``post_remote`` that smuggles shard-local state:
+2. A lambda handed to ``post_remote`` that smuggles shard-local state:
    any by-reference or ``this`` capture, or a capture whose name looks
    like a pool or engine handle.  ``post_remote`` schedules the callback
    straight into the destination shard's engine, and it runs there in a
-   later epoch, so such a capture reaches into the source shard's state
+   later step, so such a capture reaches into the source shard's state
    from another shard's event.  This check applies *inside* the
    sanctioned files too — the cross-shard transmit path must stay clean
    (value captures of the destination sink and the frame only).
@@ -40,7 +36,6 @@ from ..source import (SourceFile, capture_items, has_ref_capture,
 ALLOWED_SUFFIXES = ("src/net/link.cpp", "src/sim/shard.hpp",
                     "src/sim/shard.cpp")
 POST_REMOTE = re.compile(r"\bpost_remote\s*\(")
-REGISTER = re.compile(r"\bregister_edge_lookahead\s*\(")
 HANDLE_NAME = re.compile(r"(?:^|_)(?:pool|eng|engine)s?_?$|pool_?$",
                          re.IGNORECASE)
 
@@ -81,13 +76,6 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                 "post_remote() outside net::Link's cross-shard transmit path "
                 "— cross-shard edges are designed in src/net/link.cpp, "
                 "nowhere else"))
-        for m in REGISTER.finditer(text):
-            findings.append(_finding(
-                sf, m.start(),
-                "register_edge_lookahead() outside net::Link — edge "
-                "lookaheads are derived from a link's own wire costs when "
-                "a cross-shard edge forms; a hand-written entry that "
-                "overstates a latency silently unsounds every epoch bound"))
 
     # Capture hygiene on every post_remote callback, sanctioned or not.
     for call in POST_REMOTE.finditer(text):

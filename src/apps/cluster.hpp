@@ -44,15 +44,10 @@ class Cluster {
     sockets::EmpSocketStack socks;
   };
 
-  /// `per_host_propagation` (when non-empty) gives host i's cable a
-  /// propagation delay of per_host_propagation[i % size()] ns instead of
-  /// the model's uniform wire — see net::StarNetwork.
   Cluster(sim::Engine& eng, const sim::CostModel& model,
           std::size_t node_count, sockets::SubstrateConfig cfg = {},
-          bool dual_cpu_nic = true,
-          std::vector<sim::Duration> per_host_propagation = {})
-      : eng_(eng), model_(model),
-        net_(eng, model.wire, node_count, std::move(per_host_propagation)) {
+          bool dual_cpu_nic = true)
+      : eng_(eng), model_(model), net_(eng, model.wire, node_count) {
     nodes_.reserve(node_count);
     for (std::size_t i = 0; i < node_count; ++i) {
       nodes_.push_back(std::make_unique<Node>(
@@ -64,14 +59,13 @@ class Cluster {
   /// Sharded testbed: the switch fabric runs on shard 0 and node i runs on
   /// shard `shard_of_node(i, group.size())`.  Per-shard protocol checkers
   /// keep sweeping on their own engines; a group-level checker asserts
-  /// cross-shard frame conservation at epoch barriers.  With a one-shard
+  /// cross-shard frame conservation between steps.  With a one-shard
   /// group this is byte-identical to the serial constructor above.
   Cluster(sim::ShardGroup& group, const sim::CostModel& model,
           std::size_t node_count, sockets::SubstrateConfig cfg = {},
-          bool dual_cpu_nic = true,
-          std::vector<sim::Duration> per_host_propagation = {})
+          bool dual_cpu_nic = true)
       : eng_(group.shard(0)), model_(model),
-        net_(group, model.wire, node_count, std::move(per_host_propagation)) {
+        net_(group, model.wire, node_count) {
     nodes_.reserve(node_count);
     for (std::size_t i = 0; i < node_count; ++i) {
       nodes_.push_back(std::make_unique<Node>(
@@ -82,7 +76,7 @@ class Cluster {
     // Frames the switch pushed toward host i either arrived at its NIC
     // (counted received or filtered) or are still in flight — never more
     // arrivals than the link carried.  The two sides of the inequality
-    // live on different shards, so this can only be read at a barrier.
+    // live on different shards, so this can only be read between steps.
     group.checks().add("net.cross_shard_frame_conservation", [this] {
       for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const net::Link& l = net_.host_link(i);

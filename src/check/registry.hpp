@@ -71,37 +71,16 @@ class Registry {
 /// outlives every protocol object attached to it).
 class ScopedChecker {
  public:
-  ScopedChecker() = default;
   ScopedChecker(Registry& registry, std::string name, Registry::Checker fn)
-      : registry_(&registry), id_(registry.add(std::move(name),
-                                               std::move(fn))) {}
+      : registry_(registry), id_(registry.add(std::move(name),
+                                              std::move(fn))) {}
   ScopedChecker(const ScopedChecker&) = delete;
   ScopedChecker& operator=(const ScopedChecker&) = delete;
-  ScopedChecker(ScopedChecker&& other) noexcept
-      : registry_(other.registry_), id_(other.id_) {
-    other.registry_ = nullptr;
-  }
-  ScopedChecker& operator=(ScopedChecker&& other) noexcept {
-    if (this != &other) {
-      reset();
-      registry_ = other.registry_;
-      id_ = other.id_;
-      other.registry_ = nullptr;
-    }
-    return *this;
-  }
-  ~ScopedChecker() { reset(); }
-
-  void reset() {
-    if (registry_ != nullptr) {
-      registry_->remove(id_);
-      registry_ = nullptr;
-    }
-  }
+  ~ScopedChecker() { registry_.remove(id_); }
 
  private:
-  Registry* registry_ = nullptr;
-  Registry::Id id_ = 0;
+  Registry& registry_;
+  Registry::Id id_;
 };
 
 }  // namespace ulsocks::check

@@ -35,20 +35,6 @@ sim::Duration shard_lookahead(const sim::WireCosts& wire) {
 void Link::resolve_shard(Endpoint& e) {
   if (group_ != nullptr && e.eng != nullptr) {
     e.shard = group_->index_of(*e.eng);
-    e.resolved = true;
-  }
-}
-
-void Link::maybe_register_lookahead() {
-  // Both directions share the wire costs, so a cross-shard link
-  // contributes a symmetric pair of edges.  Registration is
-  // min-accumulating in the group, so re-attachment and parallel links
-  // between the same shard pair are harmless.
-  if (end_[0].resolved && end_[1].resolved && end_[0].shard != end_[1].shard) {
-    group_->register_edge_lookahead(end_[0].shard, end_[1].shard,
-                                    min_latency());
-    group_->register_edge_lookahead(end_[1].shard, end_[0].shard,
-                                    min_latency());
   }
 }
 
@@ -75,8 +61,7 @@ sim::Time Link::transmit(Side side, FramePtr frame) {
                           });
   } else {
     // Cross-shard: arrival >= now + serialization(min frame) + propagation
-    // = now + min_latency(), which is exactly the edge lookahead this link
-    // registered — the invariant post_remote demands.
+    // = now + shard_lookahead(wire), the bound post_remote checks.
     group_->post_remote(from.shard, to.shard, arrival,
                         [sink = to.sink, f = std::move(frame)]() mutable {
                           if (sink) sink->frame_arrived(std::move(f));

@@ -5,11 +5,11 @@
 // engine the arrival is scheduled locally (the classic serial path, byte
 // for byte).  When the sides live on different shards of a
 // sim::ShardGroup, transmit() posts the same frame into the far side's
-// engine through ShardGroup::post_remote() instead — the link's
-// serialization + propagation delay is exactly the lookahead that makes
-// the conservative-parallel schedule safe (see sim/shard.hpp).  Every
-// shard runs on one thread, so the frame crosses by move and returns to
-// its own NIC's pool on whichever shard drops it.
+// engine through ShardGroup::post_remote() instead — no frame arrives
+// sooner than a minimum frame's serialization plus propagation
+// (shard_lookahead()), which is the lookahead the group checks (see
+// sim/shard.hpp).  Every shard runs on one thread, so the frame crosses by
+// move and returns to its own NIC's pool on whichever shard drops it.
 #pragma once
 
 #include <cstdint>
@@ -66,16 +66,12 @@ class Link {
 
   /// Attach a sink together with the engine its side runs on.  With a
   /// shard group installed, a transmit whose two sides resolve to
-  /// different shards goes through post_remote().  The moment both sides
-  /// resolve to distinct shards, the link registers its per-direction
-  /// lookahead (min-frame serialization + this link's propagation) with
-  /// the group — forming a cross-shard edge IS the registration.
+  /// different shards goes through post_remote().
   void attach(Side side, FrameSink* sink, sim::Engine& eng) {
     Endpoint& e = end_[static_cast<int>(side)];
     e.sink = sink;
     e.eng = &eng;
     resolve_shard(e);
-    maybe_register_lookahead();
   }
 
   /// Route cross-engine transmits through `group`'s post_remote().  Call
@@ -85,14 +81,6 @@ class Link {
     group_ = &group;
     resolve_shard(end_[0]);
     resolve_shard(end_[1]);
-    maybe_register_lookahead();
-  }
-
-  /// Minimum simulated latency of any frame this link can deliver — what
-  /// it registers as its cross-shard edge lookahead.
-  [[nodiscard]] sim::Duration min_latency() const {
-    return sim::serialization_ns(Frame{}.wire_bytes(), bps_) +
-           propagation_ns_;
   }
 
   /// Install a drop policy on the direction *transmitting from* `side`.
@@ -123,7 +111,6 @@ class Link {
     FrameSink* sink = nullptr;   // receiver of frames sent *to* this side
     sim::Engine* eng = nullptr;  // engine this side's component runs on
     std::uint32_t shard = 0;     // shard index of `eng` (when grouped)
-    bool resolved = false;       // shard index is known (group + engine set)
     DropPolicy drop;             // applied to frames sent *from* this side
     sim::Time busy_until = 0;    // wire-free time for this direction
     std::uint64_t sent = 0;
@@ -131,7 +118,6 @@ class Link {
   };
 
   void resolve_shard(Endpoint& e);
-  void maybe_register_lookahead();
 
   std::uint64_t bps_;
   sim::Duration propagation_ns_;

@@ -17,22 +17,12 @@ namespace ulsocks::net {
 /// their link; side B belongs to the switch.
 class StarNetwork {
  public:
-  /// `per_host_propagation` (when non-empty) overrides the wire's
-  /// propagation delay per host link — host i's cable is
-  /// per_host_propagation[i % size()] ns long.  Serial and sharded
-  /// constructors accept the same overrides so the topology under
-  /// comparison is identical; in a sharded run a longer cable becomes a
-  /// proportionally larger cross-shard edge lookahead (the link registers
-  /// its true latency), which is exactly where the per-edge matrix beats
-  /// the scalar bound.
   StarNetwork(sim::Engine& eng, const sim::WireCosts& wire,
-              std::size_t host_count,
-              std::vector<sim::Duration> per_host_propagation = {})
+              std::size_t host_count)
       : switch_(eng, wire, host_count) {
     links_.reserve(host_count);
     for (std::size_t i = 0; i < host_count; ++i) {
-      links_.push_back(std::make_unique<Link>(
-          eng, host_wire(wire, per_host_propagation, i)));
+      links_.push_back(std::make_unique<Link>(eng, wire));
       switch_.connect(i, *links_.back(), Link::Side::kB);
     }
   }
@@ -46,13 +36,11 @@ class StarNetwork {
   /// the local path and the topology is byte-identical to the serial
   /// constructor.
   StarNetwork(sim::ShardGroup& group, const sim::WireCosts& wire,
-              std::size_t host_count,
-              std::vector<sim::Duration> per_host_propagation = {})
+              std::size_t host_count)
       : switch_(group.shard(0), wire, host_count) {
     links_.reserve(host_count);
     for (std::size_t i = 0; i < host_count; ++i) {
-      links_.push_back(std::make_unique<Link>(
-          group.shard(0), host_wire(wire, per_host_propagation, i)));
+      links_.push_back(std::make_unique<Link>(group.shard(0), wire));
       links_.back()->set_shard_group(group);
       switch_.connect(i, *links_.back(), Link::Side::kB);
     }
@@ -64,15 +52,6 @@ class StarNetwork {
   [[nodiscard]] EthernetSwitch& fabric() { return switch_; }
 
  private:
-  [[nodiscard]] static sim::WireCosts host_wire(
-      sim::WireCosts wire, const std::vector<sim::Duration>& overrides,
-      std::size_t host) {
-    if (!overrides.empty()) {
-      wire.propagation_ns = overrides[host % overrides.size()];
-    }
-    return wire;
-  }
-
   EthernetSwitch switch_;
   std::vector<std::unique_ptr<Link>> links_;
 };

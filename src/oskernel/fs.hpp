@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/cost_model.hpp"
-#include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "sim/task.hpp"
 
@@ -36,9 +35,8 @@ struct OpenFile {
 
 class RamDiskFs {
  public:
-  RamDiskFs(sim::Engine& eng, const sim::CostModel& model,
-            sim::SerialResource& cpu)
-      : eng_(&eng), model_(model), cpu_(cpu) {}
+  RamDiskFs(const sim::CostModel& model, sim::SerialResource& cpu)
+      : model_(model), cpu_(cpu) {}
 
   /// Instantly create a file (test/bench fixture setup; charges no time).
   void install(const std::string& path, std::vector<std::uint8_t> data) {
@@ -110,7 +108,6 @@ class RamDiskFs {
   }
 
  private:
-  sim::Engine* eng_;
   sim::CostModel model_;
   sim::SerialResource& cpu_;
   std::map<std::string, std::vector<std::uint8_t>> files_;

@@ -21,7 +21,7 @@ class Host {
         model_(model),
         id_(id),
         cpu_(eng),
-        fs_(eng, model, cpu_) {}
+        fs_(model, cpu_) {}
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;

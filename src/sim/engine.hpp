@@ -151,24 +151,6 @@ class Engine {
     }
   }
 
-  /// Run every event with t strictly below `bound`, then return without
-  /// advancing now() to the bound.  This is the epoch primitive of the
-  /// sharded engine (sim/shard.hpp): leaving now() at the last executed
-  /// event keeps `schedule_at(arrival >= bound)` legal for cross-shard
-  /// deliveries, and an idle epoch leaves the engine byte-identical to not
-  /// having run at all.  Returns true if the queue drained.
-  bool run_before(Time bound) {
-    while (!stop_ && pending() && next_time() < bound) {
-      step();
-      if (root_error_) {
-        auto err = root_error_;
-        root_error_ = nullptr;
-        std::rethrow_exception(err);
-      }
-    }
-    return !pending();
-  }
-
   /// Run until simulated time would exceed `deadline` (events at exactly
   /// `deadline` still run).  Returns true if the queue drained.
   bool run_until(Time deadline) {
@@ -208,7 +190,7 @@ class Engine {
   }
 
   /// Timestamp of the earliest queued event, or nothing if the queue is
-  /// empty.  The shard scheduler uses this to compute each epoch's bound.
+  /// empty.  The shard scheduler uses this to pick the earliest shard.
   [[nodiscard]] std::optional<Time> next_event_time() {
     if (!pending()) return std::nullopt;
     return next_time();

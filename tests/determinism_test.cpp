@@ -493,7 +493,7 @@ void SpawnCtx::body(int depth, bool via_stream) {
 }
 
 // How the queue-order test steps the engine: one run(), or random
-// run_until/run_before bounds with request_stop() fired from inside events.
+// run_until bounds with request_stop() fired from inside events.
 // A stop returns from run() with same-instant entries still queued: lane
 // entries, or a stream's front re-armed at now().
 enum class Drive { kRun, kBoundedWithStops };
@@ -507,10 +507,10 @@ int drive_bounded(SpawnCtx& ctx, Lcg& drive_rng) {
     eng.clear_stop();
     const std::uint64_t r = drive_rng.next();
     const sim::Time bound = eng.now() + random_delta(drive_rng);
-    switch (r % 3) {
-      case 0: eng.run(); break;
-      case 1: eng.run_until(bound); break;
-      default: eng.run_before(bound); break;
+    if (r % 2 == 0) {
+      eng.run();
+    } else {
+      eng.run_until(bound);
     }
     if (eng.has_pending() && eng.next_event_time() == eng.now()) {
       ++mid_instant_returns;
@@ -522,11 +522,11 @@ int drive_bounded(SpawnCtx& ctx, Lcg& drive_rng) {
 
 // ---------------------------------------------------------------------------
 // Sharded engine (sim/shard.hpp): a ShardGroup partitions the hosts across
-// engines synchronized by link-latency lookahead.  The contract, from
-// weakest to strongest coupling:
+// engines stepped earliest-first.  The contract, from weakest to strongest
+// coupling:
 //   - a one-shard group is byte-identical to a plain Engine (same digest);
 //   - for a fixed shard count, the schedule is pinned: per-shard digests
-//     and epoch counts match recorded literals;
+//     match recorded literals;
 //   - across shard counts, the simulated outcome is invariant: the same
 //     events fire at the same times (causal digest, event count, end time)
 //     and the application sees the same bytes.  The seq-folded digest is
@@ -568,9 +568,6 @@ struct ShardEchoOptions {
   double loss = 0.0;
   int rounds = 20;
   std::uint64_t seed = 42;
-  // Per-host cable propagation overrides (ns), cycled over hosts; empty
-  // keeps the calibrated model's uniform wire.
-  std::vector<sim::Duration> per_host_propagation = {};
 };
 
 /// Loss, tiny credits and tiny staging buffers: retransmits, credit stalls
@@ -581,13 +578,6 @@ ShardEchoOptions lossy_stress_options() {
   opt.cfg.credits = 2;
   opt.cfg.buffer_bytes = 2048;
   opt.loss = 0.01;
-  return opt;
-}
-
-/// Host 0 on a short (200 ns) cable, host 1 on a long (5000 ns) one.
-ShardEchoOptions heterogeneous_links_options() {
-  ShardEchoOptions opt;
-  opt.per_host_propagation = {200, 5000};
   return opt;
 }
 
@@ -644,23 +634,9 @@ void shard_echo_losses(Cluster& cl, const ShardEchoOptions& opt) {
   }
 }
 
-/// The group's default lookahead: a lower bound on every link's latency,
-/// so the minimum over the heterogeneous cables in play.
-sim::Duration echo_lookahead(const sim::CostModel& model,
-                             const ShardEchoOptions& opt) {
-  sim::WireCosts wire = model.wire;
-  sim::Duration la = net::shard_lookahead(wire);
-  for (sim::Duration p : opt.per_host_propagation) {
-    wire.propagation_ns = p;
-    la = std::min(la, net::shard_lookahead(wire));
-  }
-  return la;
-}
-
 ShardSignature run_plain_echo(const ShardEchoOptions& opt = {}) {
   Engine eng(opt.seed);
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, opt.cfg, true,
-             opt.per_host_propagation);
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, opt.cfg);
   shard_echo_losses(cl, opt);
   std::uint64_t echoed = 0;
   eng.spawn(shard_echo_server(shard_echo_api(cl, 1, opt.use_tcp)));
@@ -671,12 +647,11 @@ ShardSignature run_plain_echo(const ShardEchoOptions& opt = {}) {
           echoed};
 }
 
-ShardSignature run_sharded_echo(std::size_t shards,
-                                const ShardEchoOptions& opt = {},
-                                std::uint64_t* epochs = nullptr) {
+ShardSignature run_echo_sharded(std::size_t shards,
+                                const ShardEchoOptions& opt = {}) {
   const sim::CostModel model = sim::calibrated_cost_model();
-  sim::ShardGroup group(shards, echo_lookahead(model, opt), opt.seed);
-  Cluster cl(group, model, 2, opt.cfg, true, opt.per_host_propagation);
+  sim::ShardGroup group(shards, net::shard_lookahead(model.wire), opt.seed);
+  Cluster cl(group, model, 2, opt.cfg);
   shard_echo_losses(cl, opt);
   std::uint64_t echoed = 0;
   cl.node_engine(1).spawn(shard_echo_server(shard_echo_api(cl, 1, opt.use_tcp)));
@@ -684,7 +659,6 @@ ShardSignature run_sharded_echo(std::size_t shards,
       shard_echo_api(cl, 0, opt.use_tcp), opt.seed ^ 0xabcdefull, opt.rounds,
       &echoed));
   group.run();
-  if (epochs != nullptr) *epochs = group.epochs();
   return {group.digest(), group.causal_digest(), group.events_executed(),
           group.now(), echoed};
 }
@@ -697,7 +671,7 @@ TEST(Sharding, GroupOfOneIsByteIdenticalToPlainEngine) {
     ShardEchoOptions opt;
     opt.cfg = p.cfg;
     ShardSignature plain = run_plain_echo(opt);
-    ShardSignature one = run_sharded_echo(1, opt);
+    ShardSignature one = run_echo_sharded(1, opt);
     EXPECT_EQ(one, plain) << "preset " << p.name << ": group-of-one digest "
                           << one.group_digest << " vs plain "
                           << plain.group_digest;
@@ -712,9 +686,9 @@ TEST(Sharding, OutcomeInvariantAcrossShardCountsOnEveryPreset) {
   for (const sockets::Preset& p : sockets::presets()) {
     ShardEchoOptions opt;
     opt.cfg = p.cfg;
-    CausalSignature one = causal_part(run_sharded_echo(1, opt));
-    CausalSignature two = causal_part(run_sharded_echo(2, opt));
-    CausalSignature four = causal_part(run_sharded_echo(4, opt));
+    CausalSignature one = causal_part(run_echo_sharded(1, opt));
+    CausalSignature two = causal_part(run_echo_sharded(2, opt));
+    CausalSignature four = causal_part(run_echo_sharded(4, opt));
     EXPECT_EQ(two, one) << "preset " << p.name << " diverged at 2 shards";
     EXPECT_EQ(four, one) << "preset " << p.name << " diverged at 4 shards";
     EXPECT_GT(one.bytes_echoed, 0u) << "preset " << p.name;
@@ -725,81 +699,75 @@ TEST(Sharding, OutcomeInvariantAcrossShardCountsOnEveryPreset) {
 // partition-invariant.
 TEST(Sharding, LossyStressOutcomeInvariantAcrossShardCounts) {
   const ShardEchoOptions opt = lossy_stress_options();
-  CausalSignature one = causal_part(run_sharded_echo(1, opt));
-  CausalSignature two = causal_part(run_sharded_echo(2, opt));
-  CausalSignature four = causal_part(run_sharded_echo(4, opt));
+  CausalSignature one = causal_part(run_echo_sharded(1, opt));
+  CausalSignature two = causal_part(run_echo_sharded(2, opt));
+  CausalSignature four = causal_part(run_echo_sharded(4, opt));
   EXPECT_EQ(two, one) << "lossy stress diverged at 2 shards";
   EXPECT_EQ(four, one) << "lossy stress diverged at 4 shards";
 }
 
 // The schedule itself, pinned to literal values: the 4-shard echo on the
-// default, lossy-stress and heterogeneous-link configs.  The seq-folded
-// digest pins every event's position in its engine, including where each
-// cross-shard post lands in its destination's numbering; epochs pin where
-// the barriers fall.  A change to which windows run, or in what order,
-// moves one of these numbers, so any edit to the epoch loop must leave
-// them intact.
+// default and lossy-stress configs.  The seq-folded digest pins every
+// event's position in its engine, including where each cross-shard post
+// lands in its destination's numbering.  A change to which shard steps
+// next, or how far, moves one of these numbers, so any edit to the step
+// loop must leave them intact.
 TEST(Sharding, ScheduleMatchesPinnedValues) {
   struct Pin {
     const char* name;
     ShardEchoOptions opt;
     std::uint64_t digest;
     std::uint64_t causal_digest;
-    std::uint64_t epochs;
   };
   const Pin pins[] = {
-      {"default", {}, 0xb4136b2e9cfe7d75ull, 0xa7b71b2f21421617ull, 1154},
-      {"lossy stress", lossy_stress_options(), 0x0124390c6f30387cull,
-       0x0d43f20568ae5cc4ull, 2322},
-      {"heterogeneous links", heterogeneous_links_options(),
-       0xb5d447f2a985eb5dull, 0x5610033c8c00a3bbull, 984},
+      {"default", {}, 0xcd0bb89f973b5c20ull, 0xa7b71b2f21421617ull},
+      {"lossy stress", lossy_stress_options(), 0x347d118f7d6eea56ull,
+       0x0d43f20568ae5cc4ull},
   };
   for (const Pin& pin : pins) {
-    std::uint64_t epochs = 0;
-    const ShardSignature sig = run_sharded_echo(4, pin.opt, &epochs);
+    const ShardSignature sig = run_echo_sharded(4, pin.opt);
     EXPECT_EQ(sig.group_digest, pin.digest) << pin.name;
     EXPECT_EQ(sig.causal_digest, pin.causal_digest) << pin.name;
-    EXPECT_EQ(epochs, pin.epochs) << pin.name;
   }
 }
 
-// An event that throws surfaces from run(), whether its window runs in an
-// epoch with several runnable shards or as the only runnable window, and
-// so does a failing root coroutine.  When two windows of one epoch fail,
-// the lower shard's failure is the one run() reports.
+// An event that throws surfaces from run(), whether several shards are
+// busy or one runs alone, and so does a failing root coroutine.  Events run
+// in time order, so when two shards fail, the earlier failure in simulated
+// time is the one run() reports.
 TEST(Sharding, FailureInDispatchedWindowRethrows) {
   {
-    // Every shard fills one epoch; shards 2 and 3 both throw midway.
+    // Every shard is busy through t = 199; shard 2 throws at t = 100 and
+    // shard 3 at t = 50.
     sim::ShardGroup group(4, /*lookahead=*/1'000'000);
     for (std::size_t i = 0; i < group.size(); ++i) {
       for (sim::Time t = 0; t < 200; ++t) group.shard(i).schedule_at(t, [] {});
     }
     group.shard(2).schedule_at(100, [] {
-      throw std::runtime_error("shard 2 window failure");
+      throw std::runtime_error("shard 2 failure");
     });
     group.shard(3).schedule_at(50, [] {
-      throw std::logic_error("shard 3 window failure");
+      throw std::logic_error("shard 3 failure");
     });
-    ASSERT_FALSE(group.plan_bounds().empty());
-    EXPECT_EQ(group.planned_runnable(),
-              (std::vector<std::uint8_t>{1, 1, 1, 1}));
-    EXPECT_THROW(group.run(), std::runtime_error);
+    try {
+      group.run();
+      ADD_FAILURE() << "run() returned without a failure";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "shard 3 failure");
+    }
+    EXPECT_EQ(group.shard(3).now(), 50u);
   }
   {
-    // Shard 0 alone, one event per lookahead: a run of two-event windows
-    // ([0, 2000), [2000, 4000), ...), the fifth of which throws.
+    // Shard 0 alone, one event per microsecond; the one at t = 9500 throws.
     sim::ShardGroup group(4, /*lookahead=*/1'000);
     for (sim::Time t = 0; t < 20'000; t += 1'000) {
       group.shard(0).schedule_at(t, [] {});
     }
     group.shard(0).schedule_at(9'500, [] {
-      throw std::runtime_error("sole window failure");
+      throw std::runtime_error("sole shard failure");
     });
-    ASSERT_FALSE(group.plan_bounds().empty());
-    EXPECT_EQ(group.planned_runnable(),
-              (std::vector<std::uint8_t>{1, 0, 0, 0}));
     EXPECT_THROW(group.run(), std::runtime_error);
-    EXPECT_GE(group.epochs(), 4u) << "the run never reached the failure";
+    EXPECT_EQ(group.shard(0).now(), 9'500u);
   }
   {
     // A root coroutine on shard 2 fails at t = 5000 while shard 1 still has
@@ -831,31 +799,31 @@ TEST(Sharding, TcpOverLossOutcomeInvariantAcrossShardCounts) {
   ShardEchoOptions opt;
   opt.use_tcp = true;
   opt.loss = 0.005;
-  CausalSignature one = causal_part(run_sharded_echo(1, opt));
-  CausalSignature two = causal_part(run_sharded_echo(2, opt));
-  CausalSignature four = causal_part(run_sharded_echo(4, opt));
+  CausalSignature one = causal_part(run_echo_sharded(1, opt));
+  CausalSignature two = causal_part(run_echo_sharded(2, opt));
+  CausalSignature four = causal_part(run_echo_sharded(4, opt));
   EXPECT_EQ(two, one) << "tcp-over-loss diverged at 2 shards";
   EXPECT_EQ(four, one) << "tcp-over-loss diverged at 4 shards";
 }
 
 // Cross-shard posts run on their destination in (t, post order): a post
-// takes its destination's next sequence number when it is made, and the
-// sources' windows run in shard order, so same-time posts run in the order
-// they were made and lower source shards come first.
+// takes its destination's next sequence number when it is made, and shards
+// due at the same instant step in shard order, so same-time posts run in
+// the order they were made and lower source shards come first.
 TEST(Sharding, SameTimePostsRunInPostOrderSourcesInShardOrder) {
   sim::ShardGroup group(3, /*lookahead=*/100);
   std::vector<int> order;
   auto post = [&](std::uint32_t src, sim::Time t, int id) {
     group.post_remote(src, 0, t, [&order, id] { order.push_back(id); });
   };
-  // Both source shards post at t=0, inside one window, timestamps
-  // deliberately scrambled relative to post order.
+  // Both source shards post at t=0, timestamps deliberately scrambled
+  // relative to post order.
   group.shard(1).schedule_at(0, [&] {
     post(1, 150, 0);  // 1st post
     post(1, 120, 1);  // 2nd
   });
   group.shard(2).schedule_at(0, [&] {
-    post(2, 150, 2);  // 3rd: shard 2's window runs after shard 1's
+    post(2, 150, 2);  // 3rd: shard 2 steps after shard 1
     post(2, 120, 3);  // 4th
     post(2, 150, 4);  // 5th
   });
@@ -864,118 +832,35 @@ TEST(Sharding, SameTimePostsRunInPostOrderSourcesInShardOrder) {
   // shard 1's, then shard 2's two.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2, 4}));
   EXPECT_EQ(group.remote_delivered(), 5u);
-  EXPECT_GE(group.epochs(), 2u);
 }
 
-// post_remote() checks each post against its destination's current window,
-// not only against the source's clock.  Here shard 1 posts while naming
-// idle shard 0 as the source, so the edge check (t >= now_0 + W) passes,
-// but t = 1000 falls inside shard 2's window (bound 6000), where the
-// lookahead induction says no post can land.
-TEST(Sharding, PostInsideTheDestinationsWindowThrows) {
-  sim::ShardGroup group(3, /*lookahead=*/1'000);
-  group.shard(2).schedule_at(5'500, [] {});
-  group.shard(1).schedule_at(5'000, [&group] {
-    group.post_remote(0, 2, 1'000, [] {});
-  });
-  EXPECT_THROW(group.run(), check::InvariantError);
-}
-
-// The per-edge lookahead machinery, exercised directly.  Registered edges
-// 0->1=1000, 1->0=200, 1->2=3000, 2->1=50 give the closure
-//   D[0][2] = 4000 (via 1),  D[2][0] = 250 (via 1),
-//   D[0][0] = D[1][1] = 1200 (cycle 0->1->0),  D[2][2] = 3050,
-// and with next events T = {100, 200, 300} the per-shard bounds are
-//   bound_0 = T_1 + D[1][0] = 400,  bound_1 = T_2 + D[2][1] = 350,
-//   bound_2 = T_1 + D[1][2] = 3200.
-TEST(Sharding, AsymmetricMatrixBoundsFollowTheClosure) {
-  sim::ShardGroup group(3, /*lookahead=*/10);
-  // Before any registration every pair carries the constructor default.
-  EXPECT_EQ(group.edge_lookahead(0, 2), 10u);
-  group.register_edge_lookahead(0, 1, 1000);
-  group.register_edge_lookahead(1, 0, 200);
-  group.register_edge_lookahead(1, 2, 3000);
-  group.register_edge_lookahead(2, 1, 50);
-  // Registration flips the group to registered-edges-only...
-  EXPECT_EQ(group.edge_lookahead(0, 2), sim::ShardGroup::kUnreachable);
-  // ...and accumulates the minimum per pair.
-  group.register_edge_lookahead(0, 1, 5000);
-  EXPECT_EQ(group.edge_lookahead(0, 1), 1000u);
-
-  EXPECT_EQ(group.path_lookahead(0, 2), 4000u);
-  EXPECT_EQ(group.path_lookahead(2, 0), 250u);
-  EXPECT_EQ(group.path_lookahead(0, 0), 1200u);
-  EXPECT_EQ(group.path_lookahead(1, 1), 1200u);
-  EXPECT_EQ(group.path_lookahead(2, 2), 3050u);
-
-  group.shard(0).schedule_at(100, [] {});
-  group.shard(1).schedule_at(200, [] {});
-  group.shard(2).schedule_at(300, [] {});
-  EXPECT_EQ(group.plan_bounds(),
-            (std::vector<sim::Time>{400, 350, 3200}));
-  // Every next event sits below its bound here, so all three run.
-  EXPECT_EQ(group.planned_runnable(),
-            (std::vector<std::uint8_t>{1, 1, 1}));
-
-  // Posting over a pair nobody registered is an invariant violation, not a
-  // silent unsound schedule.
-  EXPECT_THROW(group.post_remote(0, 2, 100'000, [] {}),
-               check::InvariantError);
-}
-
-// A shard no reachable peer can affect gets the drain sentinel: with only
-// the edge 0->1 registered, nothing constrains shard 0 (no incoming path,
-// no cycle), while shard 1 is bounded by T_0 + W[0][1].
-TEST(Sharding, DrainSentinelWhenNoPathConstrains) {
-  sim::ShardGroup group(2, /*lookahead=*/10);
-  group.register_edge_lookahead(0, 1, 500);
-  EXPECT_EQ(group.path_lookahead(1, 0), sim::ShardGroup::kUnreachable);
-  group.shard(0).schedule_at(100, [] {});
-  group.shard(1).schedule_at(50, [] {});
-  EXPECT_EQ(group.plan_bounds(),
-            (std::vector<sim::Time>{sim::ShardGroup::kNoBound, 600}));
-  // A drained group plans nothing at all.
-  group.run();
-  EXPECT_TRUE(group.plan_bounds().empty());
-}
-
-// Idle shards (no events) and far-future shards are excluded from the
-// runnable set; the epochs a sole-runnable shard runs are counted by
-// epochs() and mirrored into the group's metrics registry.
-TEST(Sharding, IdleShardSkipLeavesItNonRunnable) {
-  sim::ShardGroup group(3, /*lookahead=*/100);
-  // Uniform default edges: D[i][j] = 100 off-diagonal, every cycle 200.
-  for (sim::Time t = 0; t < 100; t += 10) {
-    group.shard(0).schedule_at(t, [] {});
+// post_remote() checks every post against its source's clock: a post at
+// exactly now + lookahead is accepted, one nanosecond closer throws.
+TEST(Sharding, PostCloserThanLookaheadThrows) {
+  {
+    sim::ShardGroup group(2, /*lookahead=*/1'000);
+    bool ran = false;
+    group.shard(0).schedule_at(5'000, [&] {
+      group.post_remote(0, 1, 6'000, [&ran] { ran = true; });
+    });
+    group.run();
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(group.shard(1).now(), 6'000u);
   }
-  group.shard(1).schedule_at(500, [] {});
-  // Shard 2 stays idle.
-  ASSERT_FALSE(group.plan_bounds().empty());
-  // bound_0 = min(0+200, 500+100) = 200 > T_0; bound_1 = 0+100 <= 500;
-  // shard 2 has no event at all.
-  EXPECT_EQ(group.planned_runnable(),
-            (std::vector<std::uint8_t>{1, 0, 0}));
-  group.run();
-  EXPECT_GE(group.epochs(), 2u);
-  const auto snap = group.metrics().snapshot();
-  EXPECT_EQ(snap.at("shard/epochs"),
-            static_cast<std::int64_t>(group.epochs()));
-}
-
-// Heterogeneous cables (heterogeneous_links_options): the registered
-// per-link edges differ per direction pair, the serial engine must agree
-// with a one-shard group byte-for-byte, and the outcome must stay
-// invariant across shard counts.
-TEST(Sharding, HeterogeneousLinksOutcomeInvariantAcrossShardCounts) {
-  const ShardEchoOptions opt = heterogeneous_links_options();
-  ShardSignature plain = run_plain_echo(opt);
-  ShardSignature one = run_sharded_echo(1, opt);
-  EXPECT_EQ(one, plain) << "heterogeneous group-of-one diverged from plain";
-  CausalSignature two = causal_part(run_sharded_echo(2, opt));
-  CausalSignature four = causal_part(run_sharded_echo(4, opt));
-  EXPECT_EQ(two, causal_part(one)) << "heterogeneous diverged at 2 shards";
-  EXPECT_EQ(four, causal_part(one)) << "heterogeneous diverged at 4 shards";
-  EXPECT_GT(one.bytes_echoed, 0u);
+  {
+    sim::ShardGroup group(2, /*lookahead=*/1'000);
+    group.shard(0).schedule_at(5'000, [&group] {
+      group.post_remote(0, 1, 5'999, [] {});
+    });
+    try {
+      group.run();
+      ADD_FAILURE() << "a post closer than the lookahead was accepted";
+    } catch (const check::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("violates lookahead"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(QueueOrder, RandomInterleavingsMatchNaiveReference) {

@@ -8,7 +8,3 @@ void bad_hop(ShardGroup& group, FramePool& pool, Frame& frame) {
   group.post_remote(0, 1, 100, [&frame] { (void)frame; });
   group.post_remote(0, 1, 200, [&pool] { (void)pool; });  // NOLINT(ulsan-shard-affinity)
 }
-
-void bad_edge(ShardGroup& group) {
-  group.register_edge_lookahead(0, 1, 7);  // NOLINT(ulsan-shard-affinity)
-}

@@ -851,6 +851,58 @@ TEST_F(SubstrateTest, ManySequentialConnectionsDoNotLeak) {
   EXPECT_EQ(cluster_.node(1).emp.pending_send_count(), 0u);
 }
 
+// Tag recycling: the initiator hands out fresh tag triples first (5,455
+// local and 5,461 remote bases), then reuses freed ones, oldest first.
+// Connections past the fresh ranges can only connect over recycled
+// triples, and each must echo its own bytes, never a stale neighbour's.
+TEST(SubstrateTags, RecycledTagTriplesCarryIntactEchoes) {
+  constexpr int kConns = 5'600;
+  SubstrateConfig cfg = preset("ds_da_uq").cfg;
+  cfg.credits = 1;
+  cfg.buffer_bytes = 64;
+  Engine eng;
+  Cluster cluster(eng, sim::calibrated_cost_model(), 2, cfg);
+  EmpSocketStack& client_stack = cluster.node(0).socks;
+  EmpSocketStack& server_stack = cluster.node(1).socks;
+  int served = 0;
+  int intact = 0;
+  auto server = [&]() -> Task<void> {
+    int ls = co_await server_stack.socket();
+    co_await server_stack.bind(ls, SockAddr{1, 80});
+    co_await server_stack.listen(ls, 4);
+    std::vector<std::uint8_t> buf(64);
+    for (int i = 0; i < kConns; ++i) {
+      int cs = co_await server_stack.accept(ls, nullptr);
+      std::size_t n = co_await server_stack.read(cs, buf);
+      co_await server_stack.write_all(
+          cs, std::span<const std::uint8_t>(buf).first(n));
+      co_await server_stack.close(cs);
+      ++served;
+    }
+    co_await server_stack.close(ls);
+  };
+  auto client = [&]() -> Task<void> {
+    std::vector<std::uint8_t> echo(32);
+    for (int i = 0; i < kConns; ++i) {
+      int s = co_await client_stack.socket();
+      co_await client_stack.connect(s, SockAddr{1, 80});
+      const auto msg = pattern(32, static_cast<std::uint8_t>(i));
+      co_await client_stack.write_all(s, msg);
+      co_await client_stack.read_exact(s, echo);
+      if (echo == msg) ++intact;
+      co_await client_stack.close(s);
+    }
+  };
+  eng.spawn(server());
+  eng.spawn(client());
+  eng.run();
+
+  EXPECT_EQ(served, kConns);
+  EXPECT_EQ(intact, kConns);
+  EXPECT_EQ(client_stack.active_socket_count(), 0u);
+  EXPECT_EQ(server_stack.active_socket_count(), 0u);
+}
+
 TEST_F(SubstrateTest, WriteAfterPeerCloseThrows) {
   bool threw = false;
   auto server = [&]() -> Task<void> {
