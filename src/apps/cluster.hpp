@@ -65,7 +65,7 @@ class Cluster {
           std::size_t node_count, sockets::SubstrateConfig cfg = {},
           bool dual_cpu_nic = true)
       : eng_(group.shard(0)), model_(model),
-        net_(group, model.wire, node_count) {
+        net_(group.shard(0), model.wire, node_count) {
     nodes_.reserve(node_count);
     for (std::size_t i = 0; i < node_count; ++i) {
       nodes_.push_back(std::make_unique<Node>(

@@ -1,9 +1,11 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "check/invariant.hpp"
 #include "sim/shard.hpp"
 
 namespace ulsocks::net {
@@ -32,42 +34,34 @@ sim::Duration shard_lookahead(const sim::WireCosts& wire) {
          wire.propagation_ns;
 }
 
-void Link::resolve_shard(Endpoint& e) {
-  if (group_ != nullptr && e.eng != nullptr) {
-    e.shard = group_->index_of(*e.eng);
-  }
-}
-
-sim::Time Link::transmit(Side side, FramePtr frame) {
+void Link::transmit(Side side, FramePtr frame) {
   auto& from = end_[static_cast<int>(side)];
   auto& to = end_[1 - static_cast<int>(side)];
   ++from.sent;
-
-  sim::Time start = std::max(from.eng->now(), from.busy_until);
-  sim::Duration ser = serialization_time(*frame);
-  from.busy_until = start + ser;
-
   if (from.drop && from.drop(*frame)) {
     ++from.dropped;
-    return from.busy_until;  // the wire time is spent even for lost frames
+    return;
   }
 
-  sim::Time arrival = from.busy_until + propagation_ns_;
+  const sim::Time arrival =
+      from.eng->now() + serialization_time(*frame) + propagation_ns_;
   // EventFn is move-only, so the frame travels in the event itself.
   if (to.eng == from.eng) {
     from.eng->schedule_at(arrival,
                           [sink = to.sink, f = std::move(frame)]() mutable {
                             if (sink) sink->frame_arrived(std::move(f));
                           });
-  } else {
-    // Cross-shard: arrival >= now + serialization(min frame) + propagation
-    // = now + shard_lookahead(wire), the bound post_remote checks.
-    group_->post_remote(from.shard, to.shard, arrival,
-                        [sink = to.sink, f = std::move(frame)]() mutable {
-                          if (sink) sink->frame_arrived(std::move(f));
-                        });
+    return;
   }
-  return from.busy_until;
+  sim::ShardGroup* group = from.eng->shard_group();
+  ULSOCKS_INVARIANT(group != nullptr && group == to.eng->shard_group(),
+                    "link joins two engines of no common shard group");
+  // Cross-shard: arrival >= now + serialization(min frame) + propagation
+  // = now + shard_lookahead(wire), the bound post_remote checks.
+  group->post_remote(from.eng->shard_index(), to.eng->shard_index(), arrival,
+                     [sink = to.sink, f = std::move(frame)]() mutable {
+                       if (sink) sink->frame_arrived(std::move(f));
+                     });
 }
 
 }  // namespace ulsocks::net

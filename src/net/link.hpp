@@ -1,29 +1,26 @@
-// Full-duplex point-to-point link with serialization, propagation delay and
-// fault injection.
+// Full-duplex point-to-point link: a delay line with fault injection.
 //
-// Each side of a link is attached to an engine.  When both sides share one
-// engine the arrival is scheduled locally (the classic serial path, byte
-// for byte).  When the sides live on different shards of a
-// sim::ShardGroup, transmit() posts the same frame into the far side's
-// engine through ShardGroup::post_remote() instead — no frame arrives
-// sooner than a minimum frame's serialization plus propagation
-// (shard_lookahead()), which is the lookahead the group checks (see
-// sim/shard.hpp).  Every shard runs on one thread, so the frame crosses by
-// move and returns to its own NIC's pool on whichever shard drops it.
+// A frame handed to transmit() arrives at the far side's sink after its
+// serialization plus propagation.  The link keeps no wire queue: its
+// senders (the NIC's MAC queue, the switch's egress queues) already hand it
+// one frame per serialization time.  Each side is attached to an engine.
+// When both sides share one engine the arrival is scheduled locally; when
+// they are shards of one sim::ShardGroup (Engine::shard_group()), the same
+// frame is posted into the far side's engine through
+// ShardGroup::post_remote() instead.  No frame arrives sooner than a
+// minimum frame's serialization plus propagation (shard_lookahead()), which
+// is the lookahead the group checks (see sim/shard.hpp).  Every shard runs
+// on one thread, so the frame crosses by move and returns to its own NIC's
+// pool on whichever shard drops it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
+#include <vector>
 
 #include "net/frame.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
-
-namespace ulsocks::sim {
-class ShardGroup;
-}  // namespace ulsocks::sim
 
 namespace ulsocks::net {
 
@@ -64,23 +61,13 @@ class Link {
     end_[static_cast<int>(side)].sink = sink;
   }
 
-  /// Attach a sink together with the engine its side runs on.  With a
-  /// shard group installed, a transmit whose two sides resolve to
-  /// different shards goes through post_remote().
+  /// Attach a sink together with the engine its side runs on.  A transmit
+  /// between sides on different engines goes through their shard group's
+  /// post_remote().
   void attach(Side side, FrameSink* sink, sim::Engine& eng) {
     Endpoint& e = end_[static_cast<int>(side)];
     e.sink = sink;
     e.eng = &eng;
-    resolve_shard(e);
-  }
-
-  /// Route cross-engine transmits through `group`'s post_remote().  Call
-  /// after construction, before (or between) attach() calls; shard indices
-  /// of already-attached sides are resolved immediately.
-  void set_shard_group(sim::ShardGroup& group) {
-    group_ = &group;
-    resolve_shard(end_[0]);
-    resolve_shard(end_[1]);
   }
 
   /// Install a drop policy on the direction *transmitting from* `side`.
@@ -93,11 +80,12 @@ class Link {
     return sim::serialization_ns(frame.wire_bytes(), bps_);
   }
 
-  /// Queue `frame` for transmission from `side`.  The link serializes
-  /// frames FIFO; the frame arrives at the far sink after serialization
-  /// plus propagation.  Returns the time at which the wire in this
-  /// direction becomes free (senders may use it for pacing).
-  sim::Time transmit(Side side, FramePtr frame);
+  /// Put `frame` on the wire from `side` now: unless this direction's drop
+  /// policy takes it, it arrives at the far sink after serialization plus
+  /// propagation.  The sender paces its frames one serialization apart.
+  /// Pre: the two sides share an engine or a shard group (an always-on
+  /// invariant).
+  void transmit(Side side, FramePtr frame);
 
   [[nodiscard]] std::uint64_t frames_sent(Side side) const {
     return end_[static_cast<int>(side)].sent;
@@ -110,18 +98,13 @@ class Link {
   struct Endpoint {
     FrameSink* sink = nullptr;   // receiver of frames sent *to* this side
     sim::Engine* eng = nullptr;  // engine this side's component runs on
-    std::uint32_t shard = 0;     // shard index of `eng` (when grouped)
     DropPolicy drop;             // applied to frames sent *from* this side
-    sim::Time busy_until = 0;    // wire-free time for this direction
     std::uint64_t sent = 0;
     std::uint64_t dropped = 0;
   };
 
-  void resolve_shard(Endpoint& e);
-
   std::uint64_t bps_;
   sim::Duration propagation_ns_;
-  sim::ShardGroup* group_ = nullptr;
   Endpoint end_[2];
 };
 

@@ -41,6 +41,8 @@
 
 namespace ulsocks::sim {
 
+class ShardGroup;
+
 class Engine {
  public:
   explicit Engine(std::uint64_t seed = 1) : rng_(seed) {}
@@ -85,7 +87,7 @@ class Engine {
 
   /// Open a serial stream: a FIFO of events that the caller promises to
   /// schedule in non-decreasing time order (sim::SerialResource's
-  /// completions, whose busy_until never decreases).  Sequence numbers are
+  /// completions, whose free_at_ never decreases).  Sequence numbers are
   /// drawn at schedule time, so the stream is in (t, seq) order and only its
   /// front has to sit in the heaps, as a marker carrying that front's own
   /// (t, seq); a backlog of completions costs no heap sifting.  Each event
@@ -171,6 +173,14 @@ class Engine {
   /// Stop run() after the current event.
   void request_stop() noexcept { stop_ = true; }
   void clear_stop() noexcept { stop_ = false; }
+  [[nodiscard]] bool stop_requested() const noexcept { return stop_; }
+
+  /// The ShardGroup this engine is a shard of (null for a standalone
+  /// engine) and its index there; set once by the group's constructor.
+  [[nodiscard]] ShardGroup* shard_group() const noexcept { return group_; }
+  [[nodiscard]] std::uint32_t shard_index() const noexcept {
+    return shard_index_;
+  }
 
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
@@ -548,6 +558,10 @@ class Engine {
   std::size_t reap_watermark_ = 64;
   std::exception_ptr root_error_;
   Rng rng_;
+  ShardGroup* group_ = nullptr;
+  std::uint32_t shard_index_ = 0;
+
+  friend class ShardGroup;
 };
 
 }  // namespace ulsocks::sim

@@ -3,7 +3,7 @@
 // occupies the resource for its cost, then runs its completion action.
 //
 // Completions go through the resource's serial stream (Engine::open_stream):
-// busy_until_ never decreases and sequence numbers are drawn at schedule
+// free_at_ never decreases and sequence numbers are drawn at schedule
 // time, so they arrive in (time, seq) order and only the earliest one sits
 // in the engine's heaps.  The engine owns the stream, so completions still
 // queued when the resource is destroyed run as scheduled.
@@ -27,10 +27,10 @@ class SerialResource {
   /// Enqueue a job costing `cost`; `done` (optional) runs at completion.
   /// Returns the completion time.
   Time run(Duration cost, EventFn done = {}) {
-    Time start = busy_until_ > eng_->now() ? busy_until_ : eng_->now();
-    busy_until_ = start + cost;
-    if (done) eng_->schedule_at(stream_, busy_until_, std::move(done));
-    return busy_until_;
+    Time start = free_at_ > eng_->now() ? free_at_ : eng_->now();
+    free_at_ = start + cost;
+    if (done) eng_->schedule_at(stream_, free_at_, std::move(done));
+    return free_at_;
   }
 
   /// Coroutine flavour: occupy the resource for `cost`, resuming the caller
@@ -53,7 +53,7 @@ class SerialResource {
  private:
   Engine* eng_;
   Engine::StreamId stream_;
-  Time busy_until_ = 0;
+  Time free_at_ = 0;
 };
 
 }  // namespace ulsocks::sim

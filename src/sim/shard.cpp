@@ -17,19 +17,13 @@ ShardGroup::ShardGroup(std::size_t shards, Duration lookahead,
   engines_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     engines_.push_back(std::make_unique<Engine>(seed + i));
+    engines_.back()->group_ = this;
+    engines_.back()->shard_index_ = static_cast<std::uint32_t>(i);
   }
   // Register the scheduler instruments up front so quiesced snapshots carry
   // them (as zeros) even for runs that never post across shards.
   (void)metrics_.counter("shard/remote_events");
   (void)metrics_.gauge("shard/imbalance");
-}
-
-std::uint32_t ShardGroup::index_of(const Engine& eng) const {
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    if (engines_[i].get() == &eng) return static_cast<std::uint32_t>(i);
-  }
-  ULSOCKS_INVARIANT(false, "engine does not belong to this ShardGroup");
-  return 0;  // unreachable
 }
 
 void ShardGroup::post_remote(std::uint32_t src, std::uint32_t dst, Time t,
@@ -67,6 +61,7 @@ void ShardGroup::run(unsigned /*threads*/) {
     }
     if (next == nullptr) break;
     next->run_until(t);
+    if (next->stop_requested()) break;
     if (steps % kCheckStepInterval == 0) checks_.run_all();
   }
   checks_.run_all();

@@ -37,7 +37,8 @@ class ShardGroup {
   /// `lookahead` (>= 1 ns) is a lower bound on the simulated latency of
   /// every cross-shard interaction; post_remote() enforces it per post.
   /// Shard i is seeded `seed + i`, so shard 0 of a one-shard group is
-  /// byte-identical to a plain `Engine(seed)`.
+  /// byte-identical to a plain `Engine(seed)`.  Each shard's engine learns
+  /// its group and index here (Engine::shard_group(), shard_index()).
   ShardGroup(std::size_t shards, Duration lookahead, std::uint64_t seed = 1);
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
@@ -46,19 +47,18 @@ class ShardGroup {
   [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
   [[nodiscard]] Engine& shard(std::size_t i) { return *engines_[i]; }
 
-  /// Index of `eng` within this group.  Pre: the engine belongs to it.
-  [[nodiscard]] std::uint32_t index_of(const Engine& eng) const;
-
   /// Schedule `fn` at absolute time `t` on shard `dst`.  Must be called by
   /// shard `src` while it runs, with `t >= now(src) + lookahead()`.
   /// Same-time posts run in post order.
   void post_remote(std::uint32_t src, std::uint32_t dst, Time t, EventFn fn);
 
   /// Run all shards to completion on the calling thread, earliest shard
-  /// first.  The unnamed thread budget is ignored; it stays so callers
-  /// that still pass one keep compiling.  An event that throws propagates
-  /// straight out of run(); since events run in time order, it is the
-  /// earliest failure in simulated time.
+  /// first, or until a step leaves its shard's engine stopped
+  /// (Engine::request_stop()), as Engine::run() returns.  The unnamed
+  /// thread budget is ignored; it stays so callers that still pass one
+  /// keep compiling.  An event that throws propagates straight out of
+  /// run(); since events run in time order, it is the earliest failure in
+  /// simulated time.
   void run(unsigned /*threads*/ = 0);
 
   /// Per-shard ordered digests folded in fixed shard order.  For a

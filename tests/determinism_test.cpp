@@ -377,7 +377,7 @@ struct NaiveScheduler {
   std::uint64_t executed = 0;
   // SerialResource's rule: a job starts when the resource frees up (or now)
   // and completes `cost` later.
-  std::array<sim::Time, kResources> busy_until{};
+  std::array<sim::Time, kResources> free_at{};
 
   void schedule(sim::Time t, int depth) {
     pending.push_back(Ev{t, next_seq++, depth});
@@ -404,7 +404,7 @@ struct NaiveScheduler {
           schedule(now + random_delta(rng), ev.depth - 1);
           continue;
         }
-        sim::Time& busy = busy_until[rng.next() % kResources];
+        sim::Time& busy = free_at[rng.next() % kResources];
         busy = std::max(busy, now) + random_delta(rng);
         schedule(busy, ev.depth - 1);
       }
@@ -832,6 +832,20 @@ TEST(Sharding, SameTimePostsRunInPostOrderSourcesInShardOrder) {
   // shard 1's, then shard 2's two.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2, 4}));
   EXPECT_EQ(group.remote_delivered(), 5u);
+}
+
+// request_stop() on a shard ends the group's run as it ends Engine::run():
+// after the current event, with the rest of that shard's queue left
+// pending.
+TEST(Sharding, StopRequestOnAShardEndsTheRun) {
+  sim::ShardGroup group(2, /*lookahead=*/1'000);
+  bool late_ran = false;
+  group.shard(0).schedule_at(0, [&group] { group.shard(0).request_stop(); });
+  group.shard(0).schedule_at(10, [&late_ran] { late_ran = true; });
+  group.run();
+  EXPECT_FALSE(late_ran);
+  EXPECT_TRUE(group.shard(0).has_pending());
+  EXPECT_EQ(group.shard(0).now(), 0u);
 }
 
 // post_remote() checks every post against its source's clock: a post at

@@ -744,6 +744,73 @@ TEST_F(EmpPair, TranslationCacheAvoidsRepinning) {
   EXPECT_EQ(emp_counter(1, "pin_hits"), 9);
 }
 
+// Regions 0 and 1 are touched, 1 again, then 1,023 fresh regions: the
+// 1,025th distinct region evicts the least recently used one, region 0,
+// while region 1, touched more recently, still hits.
+TEST_F(EmpPair, TranslationCacheEvictsLeastRecentlyUsedRegion) {
+  constexpr std::size_t kRegion = 64;
+  std::vector<std::uint8_t> mem(kRegion * (kTranslationCacheCapacity + 1));
+  std::vector<std::size_t> order{0, 1, 1};
+  for (std::size_t r = 2; r <= kTranslationCacheCapacity; ++r) {
+    order.push_back(r);
+  }
+  order.push_back(1);
+  order.push_back(0);
+  auto proc = [&]() -> Task<void> {
+    for (const std::size_t r : order) {
+      auto h = co_await ep_[1]->post_recv(
+          NodeId{0}, 5, std::span(mem).subspan(r * kRegion, kRegion));
+      bool ok = co_await ep_[1]->unpost_recv(h);
+      EXPECT_TRUE(ok);
+    }
+  };
+  eng_.spawn(proc());
+  eng_.run();
+  EXPECT_EQ(emp_counter(1, "pin_misses"), 1026);
+  EXPECT_EQ(emp_counter(1, "pin_hits"), 2);
+}
+
+// The NIC's receive entry drops a frame it cannot decode and one whose
+// header names another node, counting each; neither reaches the data path
+// or the posted receive.
+TEST_F(EmpPair, UndecodableAndMisroutedFramesAreDroppedAndCounted) {
+  std::vector<std::uint8_t> buf(64, 0xaa);
+  RecvHandle posted;
+  auto receiver = [&]() -> Task<void> {
+    posted = co_await ep_[1]->post_recv(NodeId{0}, 3, buf);
+  };
+  auto inject = [&](std::vector<std::uint8_t> payload) {
+    nic_[1]->frame_arrived(net::make_frame_ptr(
+        net::MacAddress::for_host(1), net::MacAddress::for_host(0),
+        net::EtherType::kEmp, std::move(payload)));
+  };
+  auto forger = [&]() -> Task<void> {
+    co_await eng_.delay(100'000);  // the descriptor is filed by now
+    inject(std::vector<std::uint8_t>(5, 0x01));
+    EmpHeader h;
+    h.src_node = 0;
+    h.dst_node = 2;
+    h.tag = 3;
+    h.msg_id = 1;
+    h.frame_index = 0;
+    h.total_frames = 1;
+    h.msg_bytes = 16;
+    inject(forge_payload(h, pattern(16)));
+  };
+  eng_.spawn(receiver());
+  eng_.spawn(forger());
+  eng_.run();
+
+  EXPECT_EQ(emp_counter(1, "malformed_frames"), 1);
+  EXPECT_EQ(emp_counter(1, "misrouted_frames"), 1);
+  EXPECT_EQ(emp_counter(1, "data_frames_rx"), 0);
+  ASSERT_NE(posted, nullptr);
+  EXPECT_FALSE(ep_[1]->test_recv(posted));
+  EXPECT_EQ(ep_[1]->posted_descriptor_count(), 1u);
+  EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                          [](std::uint8_t b) { return b == 0xaa; }));
+}
+
 TEST_F(EmpPair, AcksFollowWindow) {
   // 10 frames with ack window 4 -> acks at 4, 8, 10 = 3 acks.
   auto data = pattern(1480 * 10);

@@ -1,15 +1,18 @@
-// Unit tests for links, the learning switch and topologies.
+// Unit tests for links, the NIC's MAC pacing, the learning switch and
+// topologies.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <type_traits>
 #include <vector>
 
+#include "check/invariant.hpp"
 #include "net/frame.hpp"
 #include "net/link.hpp"
 #include "net/payload_slice.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
+#include "nic/nic_device.hpp"
 #include "sim/engine.hpp"
 #include "sim/shard.hpp"
 
@@ -99,21 +102,29 @@ TEST(Link, PayloadBytesSurviveTransit) {
   EXPECT_EQ(rx.frames[0].second->payload, body);
 }
 
-TEST(Link, BackToBackFramesAreSerializedFifo) {
+// The sender paces the wire: frames queued at the NIC's MAC together leave
+// one serialization apart and arrive in order.
+TEST(NicMac, BackToBackFramesAreSerializedFifo) {
   Engine eng;
-  auto wire = test_wire();
-  Link link(eng, wire);
+  sim::CostModel model;
+  model.wire = test_wire();
+  Link link(eng, model.wire);
   Recorder rx;
   rx.eng = &eng;
   link.attach(Link::Side::kB, &rx);
+  nic::NicDevice nic(eng, model, link, Link::Side::kA,
+                     MacAddress::for_host(0));
 
-  for (int i = 0; i < 3; ++i) link.transmit(Link::Side::kA, make_frame(0, 1, 1500));
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    nic.mac_send(make_frame(0, 1, 1500, i));
+  }
   eng.run();
 
   ASSERT_EQ(rx.frames.size(), 3u);
-  sim::Duration ser = sim::serialization_ns(1538, wire.link_bps);
+  sim::Duration ser = sim::serialization_ns(1538, model.wire.link_bps);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(rx.frames[i].first, ser * (i + 1) + wire.propagation_ns);
+    EXPECT_EQ(rx.frames[i].first, ser * (i + 1) + model.wire.propagation_ns);
+    EXPECT_EQ(rx.frames[i].second->payload[0], i);
   }
 }
 
@@ -180,7 +191,6 @@ TEST(Link, RandomDropPolicyIsSeedDeterministic) {
 TEST(Link, CrossShardTransmitHandsOverTheSameFrame) {
   sim::ShardGroup group(2, shard_lookahead(test_wire()));
   Link link(group.shard(0), test_wire());
-  link.set_shard_group(group);
   Recorder rx;
   rx.eng = &group.shard(1);
   link.attach(Link::Side::kA, nullptr, group.shard(0));
@@ -210,6 +220,24 @@ TEST(Link, CrossShardTransmitHandsOverTheSameFrame) {
   rx.frames.clear();
   EXPECT_EQ(frames.outstanding(), 0u)
       << "the frame returns to its pool on the shard that drops it";
+}
+
+// A link between engines that share no shard group has no way across:
+// the transmit fails an invariant instead of dereferencing a missing group.
+TEST(Link, TransmitBetweenEnginesOfNoCommonGroupThrows) {
+  Engine plain;
+  sim::ShardGroup one(1, shard_lookahead(test_wire()));
+  sim::ShardGroup other(1, shard_lookahead(test_wire()));
+  Engine* const far_sides[] = {&plain, &other.shard(0)};
+  for (Engine* far : far_sides) {
+    Link link(one.shard(0), test_wire());
+    Recorder rx;
+    rx.eng = far;
+    link.attach(Link::Side::kB, &rx, *far);
+    EXPECT_THROW(link.transmit(Link::Side::kA, make_frame(0, 1, 64)),
+                 check::InvariantError);
+    EXPECT_TRUE(rx.frames.empty());
+  }
 }
 
 class SwitchTest : public ::testing::Test {
@@ -268,6 +296,43 @@ TEST_F(SwitchTest, StoreAndForwardTiming) {
   EXPECT_EQ(rx_[1].frames[0].first, expected);
 }
 
+// A source address that shows up on a new port takes its table entry
+// there, and the port it left forgets its learn cache: when the host moves
+// back, that port learns it again.  Unicasts follow each move, whatever
+// route the sender's port had memoised, and the table never grows a
+// second entry for the host.
+TEST_F(SwitchTest, MovedSourceIsRelearnedOnItsNewPort) {
+  send(1, 0, 64);  // host 1 learned on port 1
+  send(0, 1, 64);  // host 0 learned on port 0; port 0 memoises 1 -> 1
+  eng_.run();
+  ASSERT_EQ(net_.fabric().learned_macs(), 2u);
+
+  auto unicast_lands_on = [this](std::size_t port) {
+    const std::size_t before[3] = {rx_[0].frames.size(), rx_[1].frames.size(),
+                                   rx_[2].frames.size()};
+    send(0, 1, 100);
+    eng_.run();
+    for (std::size_t p = 1; p < 3; ++p) {
+      EXPECT_EQ(rx_[p].frames.size() - before[p], p == port ? 1u : 0u)
+          << "port " << p;
+    }
+  };
+  unicast_lands_on(1);
+
+  // Host 1's address now speaks from port 2.
+  net_.host_link(2).transmit(StarNetwork::kHostSide, make_frame(1, 0, 64));
+  eng_.run();
+  unicast_lands_on(2);
+  EXPECT_EQ(net_.fabric().learned_macs(), 2u);
+
+  // And back to port 1, whose learn cache must not still claim host 1.
+  send(1, 0, 64);
+  eng_.run();
+  unicast_lands_on(1);
+  EXPECT_EQ(net_.fabric().learned_macs(), 2u);
+  EXPECT_EQ(net_.fabric().frames_flooded(), 0u);
+}
+
 TEST_F(SwitchTest, BroadcastReachesAllOtherPorts) {
   net_.host_link(0).transmit(
       StarNetwork::kHostSide,
@@ -285,25 +350,19 @@ TEST_F(SwitchTest, EgressOverloadDropsTail) {
   send(1, 0, 64);  // learn host 1
   eng_.run();
   const int kFrames = 400;  // 400 * 1538B ~ 615 KB >> 256 KB buffer
+  // Each host sends at line rate: one frame per serialization, as its
+  // MAC queue would pace them.
+  const sim::Duration ser = sim::serialization_ns(1538, test_wire().link_bps);
   for (int i = 0; i < kFrames; ++i) {
-    send(0, 1, 1500);
-    send(2, 1, 1500);
+    eng_.schedule_after(ser * static_cast<sim::Duration>(i), [this] {
+      send(0, 1, 1500);
+      send(2, 1, 1500);
+    });
   }
   eng_.run();
   EXPECT_GT(net_.fabric().frames_dropped(), 0u);
   EXPECT_LT(rx_[1].frames.size(), static_cast<std::size_t>(2 * kFrames));
   EXPECT_GT(rx_[1].frames.size(), static_cast<std::size_t>(kFrames / 2));
-}
-
-TEST(BackToBack, ConnectsTwoHostsDirectly) {
-  Engine eng;
-  BackToBack b2b(eng, test_wire());
-  Recorder rx;
-  rx.eng = &eng;
-  b2b.link().attach(b2b.side_of(1), &rx);
-  b2b.link().transmit(b2b.side_of(0), make_frame(0, 1, 200));
-  eng.run();
-  EXPECT_EQ(rx.frames.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
