@@ -10,8 +10,9 @@
 #      src): determinism, shard affinity, coroutine lifetime, layering,
 #      wire hygiene.  Fails on any unsuppressed finding or an unused
 #      suppression (DESIGN.md §12).
-#   4. Bench smoke: a short fig11_latency run must emit a BENCH_*.json
-#      that passes scripts/validate_bench_json.py.
+#   4. Bench smoke: every bench/ binary (one per bench/*.cpp except the
+#      harness) runs at --iters 3 and must emit its BENCH_<name>.json, and
+#      every one must pass scripts/validate_bench_json.py.
 #   5. Benchmark smoke and seed-1 pins: python3 benchmark/run.py --smoke
 #      builds the Release benchmark drivers, runs all five workloads at 1%
 #      size (every payload byte is verified) and checks the result schema
@@ -83,8 +84,18 @@ PYTHONPATH="$PWD/scripts${PYTHONPATH:+:$PYTHONPATH}" python3 -m ulsan src
 echo "==> [4/$TOTAL] bench smoke + results-schema validation"
 SMOKE_DIR="$BUILD_DIR/bench-smoke"
 mkdir -p "$SMOKE_DIR"
-"$BUILD_DIR/bench/fig11_latency" --iters 3 --out "$SMOKE_DIR" >/dev/null
+rm -f "$SMOKE_DIR"/BENCH_*.json
+BENCHES=0
+for src in bench/*.cpp; do
+  name="$(basename "$src" .cpp)"
+  [ "$name" = harness ] && continue
+  "$BUILD_DIR/bench/$name" --iters 3 --out "$SMOKE_DIR" >/dev/null
+  [ -f "$SMOKE_DIR/BENCH_$name.json" ] ||
+    { echo "ERROR: bench/$name wrote no BENCH_$name.json" >&2; exit 1; }
+  BENCHES=$((BENCHES + 1))
+done
 python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
+echo "bench smoke: $BENCHES binaries, every BENCH_*.json valid"
 
 echo "==> [5/$TOTAL] benchmark smoke (Release drivers, payload checks, result schema) and seed-1 pins"
 # Exits non-zero on a build failure, a failed payload check or a result

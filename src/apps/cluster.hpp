@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "check/invariant.hpp"
+#include "check/registry.hpp"
 #include "emp/endpoint.hpp"
 #include "net/topology.hpp"
 #include "nic/nic_device.hpp"
@@ -44,60 +45,27 @@ class Cluster {
     sockets::EmpSocketStack socks;
   };
 
+  /// Serial testbed: the switch and every node on `eng`.
   Cluster(sim::Engine& eng, const sim::CostModel& model,
           std::size_t node_count, sockets::SubstrateConfig cfg = {},
           bool dual_cpu_nic = true)
-      : eng_(eng), model_(model), net_(eng, model.wire, node_count) {
-    nodes_.reserve(node_count);
-    for (std::size_t i = 0; i < node_count; ++i) {
-      nodes_.push_back(std::make_unique<Node>(
-          eng, model, static_cast<std::uint16_t>(i), net_.host_link(i), cfg,
-          dual_cpu_nic));
-    }
-  }
+      : Cluster(eng, model, node_count, cfg, dual_cpu_nic,
+                [&eng](std::size_t) -> sim::Engine& { return eng; }) {}
 
   /// Sharded testbed: the switch fabric runs on shard 0 and node i runs on
-  /// shard `shard_of_node(i, group.size())`.  Per-shard protocol checkers
-  /// keep sweeping on their own engines; a group-level checker asserts
-  /// cross-shard frame conservation between steps.  With a one-shard
-  /// group this is byte-identical to the serial constructor above.
+  /// shard `shard_of_node(i, group.size())`.  With a one-shard group this
+  /// is byte-identical to the serial constructor above.
   Cluster(sim::ShardGroup& group, const sim::CostModel& model,
           std::size_t node_count, sockets::SubstrateConfig cfg = {},
           bool dual_cpu_nic = true)
-      : eng_(group.shard(0)), model_(model),
-        net_(group.shard(0), model.wire, node_count) {
-    nodes_.reserve(node_count);
-    for (std::size_t i = 0; i < node_count; ++i) {
-      nodes_.push_back(std::make_unique<Node>(
-          group.shard(shard_of_node(i, group.size())), model,
-          static_cast<std::uint16_t>(i), net_.host_link(i), cfg,
-          dual_cpu_nic));
-    }
-    // Frames the switch pushed toward host i either arrived at its NIC
-    // (counted received or filtered) or are still in flight — never more
-    // arrivals than the link carried.  The two sides of the inequality
-    // live on different shards, so this can only be read between steps.
-    group.checks().add("net.cross_shard_frame_conservation", [this] {
-      for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const net::Link& l = net_.host_link(i);
-        const std::uint64_t carried =
-            l.frames_sent(net::Link::Side::kB) -
-            l.frames_dropped(net::Link::Side::kB);
-        const std::uint64_t arrived =
-            nodes_[i]->nic.frames_rx() + nodes_[i]->nic.frames_filtered();
-        ULSOCKS_INVARIANT(
-            arrived <= carried,
-            check::msgf("host %zu NIC saw %llu frames but its link only "
-                        "carried %llu",
-                        i, static_cast<unsigned long long>(arrived),
-                        static_cast<unsigned long long>(carried)));
-      }
-    });
-  }
+      : Cluster(group.shard(0), model, node_count, cfg, dual_cpu_nic,
+                [&group](std::size_t i) -> sim::Engine& {
+                  return group.shard(shard_of_node(i, group.size()));
+                }) {}
 
   /// Host-to-shard placement of the sharded constructor: the switch owns
   /// shard 0, so node i goes to shard (i + 1) % shards — node 0 (the
-  /// server in the web workloads) never shares a core with the fabric.
+  /// server in the web workloads) never shares an engine with the fabric.
   [[nodiscard]] static std::size_t shard_of_node(std::size_t node,
                                                 std::size_t shards) {
     return shards <= 1 ? 0 : (node + 1) % shards;
@@ -128,10 +96,48 @@ class Cluster {
   }
 
  private:
+  /// The one build path: the switch fabric on `fabric`, node i on
+  /// `engine_of(i)`.
+  template <typename EngineOf>
+  Cluster(sim::Engine& fabric, const sim::CostModel& model,
+          std::size_t node_count, const sockets::SubstrateConfig& cfg,
+          bool dual_cpu_nic, EngineOf engine_of)
+      : eng_(fabric), model_(model), net_(fabric, model.wire, node_count),
+        frame_check_(fabric.checks(), "net.frame_conservation",
+                     [this] { check_frame_conservation(); }) {
+    nodes_.reserve(node_count);
+    for (std::size_t i = 0; i < node_count; ++i) {
+      nodes_.push_back(std::make_unique<Node>(
+          engine_of(i), model, static_cast<std::uint16_t>(i),
+          net_.host_link(i), cfg, dual_cpu_nic));
+    }
+  }
+
+  /// Frames the switch pushed toward host i either arrived at its NIC
+  /// (counted received or filtered) or are still in flight: never more
+  /// arrivals than the link carried.  Every shard steps on one thread, so
+  /// the fabric's sweep may read a NIC on any shard.
+  void check_frame_conservation() {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      const net::Link& l = net_.host_link(i);
+      const std::uint64_t carried = l.frames_sent(net::Link::Side::kB) -
+                                    l.frames_dropped(net::Link::Side::kB);
+      const std::uint64_t arrived =
+          nodes_[i]->nic.frames_rx() + nodes_[i]->nic.frames_filtered();
+      ULSOCKS_INVARIANT(
+          arrived <= carried,
+          check::msgf("host %zu NIC saw %llu frames but its link only "
+                      "carried %llu",
+                      i, static_cast<unsigned long long>(arrived),
+                      static_cast<unsigned long long>(carried)));
+    }
+  }
+
   sim::Engine& eng_;
   sim::CostModel model_;
   net::StarNetwork net_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  check::ScopedChecker frame_check_;  // last: deregisters first
 };
 
 }  // namespace ulsocks::apps

@@ -64,38 +64,25 @@ bool parse_port_arg(const std::string& arg, SockAddr* out) {
   return true;
 }
 
-/// Stream a RAM-disk file into a socket: the paper's §5.4 scenario of a
-/// file read and a socket write through the same generic interface.
-Task<std::uint64_t> send_file(os::Process& proc, int file_fd, int sock_fd,
-                              std::size_t chunk_bytes) {
-  std::vector<std::uint8_t> chunk(chunk_bytes);
+/// Transfers move the file in chunks of this size, on both sides.
+constexpr std::size_t kChunkBytes = 65'536;
+
+/// Copy `from` into `to` until `from` reads end of file: a RAM-disk file
+/// into a socket or a socket into a file, the paper's §5.4 scenario of
+/// file and socket calls through the same generic interface.
+Task<std::uint64_t> copy_fd(os::Process& proc, int from, int to) {
+  std::vector<std::uint8_t> chunk(kChunkBytes);
   std::uint64_t total = 0;
   for (;;) {
-    std::size_t n = co_await proc.read(file_fd, chunk);
+    std::size_t n = co_await proc.read(from, chunk);
     if (n == 0) break;
-    co_await proc.write_all(
-        sock_fd, std::span<const std::uint8_t>(chunk).first(n));
+    co_await proc.write_all(to, std::span<const std::uint8_t>(chunk).first(n));
     total += n;
   }
   co_return total;
 }
 
-Task<std::uint64_t> receive_file(os::Process& proc, int sock_fd, int file_fd,
-                                 std::size_t chunk_bytes) {
-  std::vector<std::uint8_t> chunk(chunk_bytes);
-  std::uint64_t total = 0;
-  for (;;) {
-    std::size_t n = co_await proc.read(sock_fd, chunk);
-    if (n == 0) break;
-    co_await proc.write(file_fd,
-                        std::span<const std::uint8_t>(chunk).first(n));
-    total += n;
-  }
-  co_return total;
-}
-
-Task<void> serve_session(os::Process& proc, os::SocketApi& stack, int ctrl,
-                         const FtpServerOptions& options) {
+Task<void> serve_session(os::Process& proc, os::SocketApi& stack, int ctrl) {
   co_await write_line(proc, ctrl, "220 ulsocks ftp ready");
   SockAddr data_addr{};
   bool have_port = false;
@@ -129,15 +116,10 @@ Task<void> serve_session(os::Process& proc, os::SocketApi& stack, int ctrl,
       co_await proc.set_option(data, os::SockOpt::kSndBuf, 131'072);
       co_await proc.set_option(data, os::SockOpt::kRcvBuf, 131'072);
       co_await proc.connect(data, data_addr);
-      if (retr) {
-        int file = co_await proc.open(arg, os::OpenMode::kRead);
-        co_await send_file(proc, file, data, options.chunk_bytes);
-        co_await proc.close(file);
-      } else {
-        int file = co_await proc.open(arg, os::OpenMode::kWrite);
-        co_await receive_file(proc, data, file, options.chunk_bytes);
-        co_await proc.close(file);
-      }
+      int file = co_await proc.open(
+          arg, retr ? os::OpenMode::kRead : os::OpenMode::kWrite);
+      co_await copy_fd(proc, retr ? file : data, retr ? data : file);
+      co_await proc.close(file);
       co_await proc.close(data);
       co_await write_line(proc, ctrl, "226 transfer complete");
       have_port = false;
@@ -172,7 +154,7 @@ sim::Task<void> ftp_server(os::Process& proc, os::SocketApi& stack,
   while (options.max_sessions == 0 || sessions < options.max_sessions) {
     int ctrl = co_await proc.accept(ls);
     // One session at a time: the paper's experiment is single-client.
-    co_await serve_session(proc, stack, ctrl, options);
+    co_await serve_session(proc, stack, ctrl);
     ++sessions;
   }
   co_await proc.close(ls);
@@ -186,34 +168,16 @@ sim::Task<void> FtpClient::connect(std::uint16_t control_port) {
 
 sim::Task<FtpTransfer> FtpClient::get(std::string remote_path,
                                       std::string local_path) {
-  sim::Time t0 = proc_.host().engine().now();
-  std::uint16_t port = next_data_port_++;
-  int dls = co_await proc_.socket(stack_);
-  co_await proc_.bind(dls, SockAddr{0, port});
-  co_await proc_.listen(dls, 1);
-
-  std::uint16_t self = proc_.host().id();
-  co_await write_line(proc_, control_fd_,
-                      "PORT " + std::to_string(self) + " " +
-                          std::to_string(port));
-  co_await expect_reply(proc_, control_fd_, reply_pending_, "200");
-  co_await write_line(proc_, control_fd_, "RETR " + remote_path);
-  co_await expect_reply(proc_, control_fd_, reply_pending_, "150");
-
-  int data = co_await proc_.accept(dls);
-  co_await proc_.set_option(data, os::SockOpt::kSndBuf, 131'072);
-  co_await proc_.set_option(data, os::SockOpt::kRcvBuf, 131'072);
-  int file = co_await proc_.open(local_path, os::OpenMode::kWrite);
-  std::uint64_t bytes = co_await receive_file(proc_, data, file, 65'536);
-  co_await proc_.close(file);
-  co_await proc_.close(data);
-  co_await proc_.close(dls);
-  co_await expect_reply(proc_, control_fd_, reply_pending_, "226");
-  co_return FtpTransfer{bytes, proc_.host().engine().now() - t0};
+  return transfer(true, std::move(remote_path), std::move(local_path));
 }
 
 sim::Task<FtpTransfer> FtpClient::put(std::string local_path,
                                       std::string remote_path) {
+  return transfer(false, std::move(remote_path), std::move(local_path));
+}
+
+sim::Task<FtpTransfer> FtpClient::transfer(bool retr, std::string remote_path,
+                                           std::string local_path) {
   sim::Time t0 = proc_.host().engine().now();
   std::uint16_t port = next_data_port_++;
   int dls = co_await proc_.socket(stack_);
@@ -225,14 +189,17 @@ sim::Task<FtpTransfer> FtpClient::put(std::string local_path,
                       "PORT " + std::to_string(self) + " " +
                           std::to_string(port));
   co_await expect_reply(proc_, control_fd_, reply_pending_, "200");
-  co_await write_line(proc_, control_fd_, "STOR " + remote_path);
+  co_await write_line(proc_, control_fd_,
+                      (retr ? "RETR " : "STOR ") + remote_path);
   co_await expect_reply(proc_, control_fd_, reply_pending_, "150");
 
   int data = co_await proc_.accept(dls);
   co_await proc_.set_option(data, os::SockOpt::kSndBuf, 131'072);
   co_await proc_.set_option(data, os::SockOpt::kRcvBuf, 131'072);
-  int file = co_await proc_.open(local_path, os::OpenMode::kRead);
-  std::uint64_t bytes = co_await send_file(proc_, file, data, 65'536);
+  int file = co_await proc_.open(
+      local_path, retr ? os::OpenMode::kWrite : os::OpenMode::kRead);
+  std::uint64_t bytes =
+      co_await copy_fd(proc_, retr ? data : file, retr ? file : data);
   co_await proc_.close(file);
   co_await proc_.close(data);
   co_await proc_.close(dls);

@@ -28,7 +28,6 @@ struct FtpServerOptions {
   std::uint16_t control_port = kFtpControlPort;
   /// Serve this many sessions, then stop (0 = forever).
   std::size_t max_sessions = 0;
-  std::size_t chunk_bytes = 65'536;
 };
 
 /// Run an ftp server on `proc` using `stack`.  Serves sessions until
@@ -71,6 +70,12 @@ class FtpClient {
   [[nodiscard]] sim::Task<void> quit();
 
  private:
+  /// RETR (`retr`) into or STOR from `local_path` over a fresh
+  /// active-mode data connection.
+  [[nodiscard]] sim::Task<FtpTransfer> transfer(bool retr,
+                                                std::string remote_path,
+                                                std::string local_path);
+
   os::Process& proc_;
   os::SocketApi& stack_;
   std::uint16_t server_node_;

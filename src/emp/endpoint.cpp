@@ -275,7 +275,6 @@ sim::Task<RecvHandle> EmpEndpoint::post_recv(std::optional<NodeId> src,
   // depends on.
   nic_.fw_rx(model_.nic.fw_rx_post_ns, [this, r] {
     if (r->unposted || r->completed) return;
-    r->filed = true;
     r->walk_slot = walk_.size();
     walk_.push_back(r);
     live_slots_.push_live();

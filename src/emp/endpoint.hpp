@@ -216,7 +216,6 @@ struct RecvState {
   Reassembly msg;  // bound when the first frame of a message matches
   bool completed = false;
   bool unposted = false;
-  bool filed = false;  // descriptor reached the NIC walk list
   // Index of this descriptor in the endpoint's walk list while filed;
   // makes removal a single O(1) tombstone write (see walk_remove).
   std::size_t walk_slot = ~std::size_t{0};

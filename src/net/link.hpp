@@ -8,8 +8,8 @@
 // they are shards of one sim::ShardGroup (Engine::shard_group()), the same
 // frame is posted into the far side's engine through
 // ShardGroup::post_remote() instead.  No frame arrives sooner than a
-// minimum frame's serialization plus propagation (shard_lookahead()), which
-// is the lookahead the group checks (see sim/shard.hpp).  Every shard runs
+// minimum frame's serialization plus propagation (shard_lookahead()), the
+// lookahead post_remote() enforces (see sim/shard.hpp).  Every shard runs
 // on one thread, so the frame crosses by move and returns to its own NIC's
 // pool on whichever shard drops it.
 #pragma once

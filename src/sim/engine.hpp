@@ -225,7 +225,9 @@ class Engine {
 
   /// The run's span-based timeline tracer (see obs/timeline.hpp).  Disabled
   /// by default; enable before run() to export a Chrome trace afterwards.
-  [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
+  /// Every shard of a ShardGroup returns the group's one tracer, so a
+  /// sharded run records one trace.
+  [[nodiscard]] obs::Tracer& tracer() noexcept { return *tracer_; }
 
   /// Events between checker sweeps; 0 disables sweeping entirely.  Tests
   /// set 1 to catch corruption on the very next event.
@@ -527,7 +529,8 @@ class Engine {
   std::uint64_t check_countdown_ = 1024;
   check::Registry checks_;
   obs::Registry metrics_;
-  obs::Tracer tracer_;
+  obs::Tracer own_tracer_;
+  obs::Tracer* tracer_ = &own_tracer_;  // the group's tracer on a shard
   // Callable storage: fixed-size pages so slot addresses stay stable while
   // events run (a std::vector<EventFn> could reallocate under a running
   // event that schedules).  kSlotPageSize is a power of two so slot_ref()

@@ -9,7 +9,8 @@ namespace ulsocks::sim {
 
 ShardGroup::ShardGroup(std::size_t shards, Duration lookahead,
                        std::uint64_t seed)
-    : lookahead_(lookahead) {
+    : lookahead_(lookahead),
+      remote_events_(metrics_.counter("shard/remote_events")) {
   ULSOCKS_INVARIANT(shards >= 1, "ShardGroup needs at least one shard");
   ULSOCKS_INVARIANT(lookahead >= 1,
                     "zero lookahead admits same-instant cross-shard "
@@ -19,10 +20,9 @@ ShardGroup::ShardGroup(std::size_t shards, Duration lookahead,
     engines_.push_back(std::make_unique<Engine>(seed + i));
     engines_.back()->group_ = this;
     engines_.back()->shard_index_ = static_cast<std::uint32_t>(i);
+    engines_.back()->tracer_ = &tracer_;
   }
-  // Register the scheduler instruments up front so quiesced snapshots carry
-  // them (as zeros) even for runs that never post across shards.
-  (void)metrics_.counter("shard/remote_events");
+  // Registered up front so a snapshot taken before run() carries it too.
   (void)metrics_.gauge("shard/imbalance");
 }
 
@@ -41,7 +41,7 @@ void ShardGroup::post_remote(std::uint32_t src, std::uint32_t dst, Time t,
                   static_cast<unsigned long long>(engines_[src]->now()),
                   static_cast<unsigned long long>(lookahead_), src, dst));
   engines_[dst]->schedule_at(t, std::move(fn));
-  ++delivered_;
+  ++remote_events_;
 }
 
 void ShardGroup::run(unsigned /*threads*/) {
@@ -49,7 +49,7 @@ void ShardGroup::run(unsigned /*threads*/) {
   // in non-decreasing time across the group.  A post lands at least the
   // lookahead past its source's clock, and every other clock is at or
   // below that one, so it always lands in its destination's future.
-  for (std::uint64_t steps = 1;; ++steps) {
+  for (;;) {
     Engine* next = nullptr;
     Time t = 0;
     for (const auto& e : engines_) {
@@ -62,16 +62,7 @@ void ShardGroup::run(unsigned /*threads*/) {
     if (next == nullptr) break;
     next->run_until(t);
     if (next->stop_requested()) break;
-    if (steps % kCheckStepInterval == 0) checks_.run_all();
   }
-  checks_.run_all();
-  flush_metrics();
-}
-
-void ShardGroup::flush_metrics() {
-  metrics_.counter("shard/remote_events")
-      .inc(delivered_ - delivered_flushed_);
-  delivered_flushed_ = delivered_;
   // Load skew of the static placement: max/min per-shard executed events,
   // in permille (1000 = perfectly balanced).
   std::uint64_t lo = ~std::uint64_t{0};

@@ -17,16 +17,17 @@
 // post_remote() schedules a cross-shard event straight into its
 // destination engine, which numbers it when it is posted.  Every step runs
 // on the calling thread, so that numbering is a pure function of the
-// workload and the partition.  If shards ever run on threads again, posts
-// must wait for a barrier again (DESIGN.md §11 "Scheduling and cost").
+// workload and the partition, and a checker on any shard may read state on
+// every other.  If shards ever run on threads again, posts must wait for a
+// barrier again (DESIGN.md §11 "Scheduling and cost").
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "check/registry.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -38,17 +39,17 @@ class ShardGroup {
   /// every cross-shard interaction; post_remote() enforces it per post.
   /// Shard i is seeded `seed + i`, so shard 0 of a one-shard group is
   /// byte-identical to a plain `Engine(seed)`.  Each shard's engine learns
-  /// its group and index here (Engine::shard_group(), shard_index()).
+  /// its group and index here (Engine::shard_group(), shard_index()), and
+  /// records spans into the group's one tracer (Engine::tracer()).
   ShardGroup(std::size_t shards, Duration lookahead, std::uint64_t seed = 1);
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return engines_.size(); }
-  [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
   [[nodiscard]] Engine& shard(std::size_t i) { return *engines_[i]; }
 
   /// Schedule `fn` at absolute time `t` on shard `dst`.  Must be called by
-  /// shard `src` while it runs, with `t >= now(src) + lookahead()`.
+  /// shard `src` while it runs, with `t >= now(src) + lookahead`.
   /// Same-time posts run in post order.
   void post_remote(std::uint32_t src, std::uint32_t dst, Time t, EventFn fn);
 
@@ -75,37 +76,18 @@ class ShardGroup {
   /// Latest shard clock (the simulated end time of the run).
   [[nodiscard]] Time now() const;
 
-  /// Cross-shard events posted so far; each lands on its destination's
-  /// queue the moment it is posted.
-  [[nodiscard]] std::uint64_t remote_delivered() const noexcept {
-    return delivered_;
-  }
-
   /// Group-level scheduler metrics, distinct from any shard's registry:
-  /// `shard/remote_events` and `shard/imbalance` (final max/min per-shard
-  /// executed events, permille).  Flushed at the end of every run(); safe
-  /// to snapshot when quiesced.
+  /// `shard/remote_events` (cross-shard posts so far) and
+  /// `shard/imbalance` (max/min per-shard executed events, permille, set
+  /// at the end of every run()).
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
 
-  /// Group-level checkers, swept between steps, when no shard is mid-event
-  /// — the only safe place to read state across shards.  Cross-shard
-  /// conservation laws register here; per-shard protocol checkers stay on
-  /// their own engine's registry.
-  [[nodiscard]] check::Registry& checks() noexcept { return checks_; }
-
  private:
-  void flush_metrics();
-
-  /// Steps between group checker sweeps; a quiesced run() also sweeps
-  /// once at its end.
-  static constexpr std::uint64_t kCheckStepInterval = 256;
-
   Duration lookahead_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-  check::Registry checks_;
+  obs::Tracer tracer_;
   obs::Registry metrics_;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t delivered_flushed_ = 0;
+  obs::Counter& remote_events_;
+  std::vector<std::unique_ptr<Engine>> engines_;
 };
 
 }  // namespace ulsocks::sim

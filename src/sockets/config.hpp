@@ -41,10 +41,9 @@ struct SubstrateConfig {
   /// NIC walks during tag matching.
   bool delayed_acks = true;
   /// Keep acknowledgment buffers on the EMP unexpected queue (§6.4) so
-  /// data descriptors are matched first.
+  /// data descriptors are matched first.  Streaming sockets with this set
+  /// also piggy-back credit returns on reverse-direction data (§6.1).
   bool unexpected_queue_acks = true;
-  /// Piggy-back credit returns on reverse-direction data (§6.1).
-  bool piggyback_acks = true;
 
   /// Messages the receiver consumes between explicit credit acks.
   [[nodiscard]] std::uint32_t ack_every() const {
@@ -75,7 +74,6 @@ namespace detail {
   SubstrateConfig c;
   c.delayed_acks = false;
   c.unexpected_queue_acks = false;
-  c.piggyback_acks = false;
   return c;
 }
 [[nodiscard]] constexpr SubstrateConfig make_ds_da() {
@@ -86,13 +84,11 @@ namespace detail {
 [[nodiscard]] constexpr SubstrateConfig make_ds_da_uq() {
   SubstrateConfig c = make_ds_da();
   c.unexpected_queue_acks = true;
-  c.piggyback_acks = true;
   return c;
 }
 [[nodiscard]] constexpr SubstrateConfig make_dg() {
   SubstrateConfig c = make_ds_da_uq();
   c.data_streaming = false;
-  c.piggyback_acks = false;  // datagrams carry no substrate header
   return c;
 }
 

@@ -985,7 +985,7 @@ sim::Task<std::size_t> EmpSocketStack::eager_write(
       s->send_staging.data() + s->staging_next * slot_bytes;
   s->staging_next = (s->staging_next + 1) % s->cfg.credits;
   DataHeader h;
-  if (s->cfg.piggyback_acks && s->consumed_unacked > 0) {
+  if (s->cfg.unexpected_queue_acks && s->consumed_unacked > 0) {
     h.piggyback_credits =
         static_cast<std::uint16_t>(std::min<std::uint32_t>(
             s->consumed_unacked, 0xffff));

@@ -10,8 +10,11 @@
 #include "apps/cluster.hpp"
 #include "check/invariant.hpp"
 #include "check/registry.hpp"
+#include "net/frame.hpp"
+#include "net/link.hpp"
 #include "net/switch.hpp"
 #include "sim/engine.hpp"
+#include "sim/shard.hpp"
 #include "sockets/control.hpp"
 #include "sockets/substrate.hpp"
 
@@ -158,6 +161,57 @@ TEST(SwitchInvariants, ConnectToOutOfRangePortThrows) {
   net::EthernetSwitch sw(eng, model.wire, 2);
   net::Link link(eng, model.wire);
   EXPECT_THROW(sw.connect(5, link, net::Link::Side::kA), InvariantError);
+}
+
+// ---------------------------------------------------------------------------
+// Cluster invariants: frame conservation on every cluster, serial or sharded
+// ---------------------------------------------------------------------------
+
+// A frame handed straight to a NIC, as a link that skipped its accounting
+// would deliver it, is an arrival no link carried: the cluster's
+// conservation checker on the fabric engine catches it within one sweep.
+TEST(ClusterInvariants, NicFrameItsLinkNeverCarriedTripsConservation) {
+  Engine eng;
+  eng.set_check_interval(1);
+  Cluster cluster(eng, sim::calibrated_cost_model(), 2);
+  eng.schedule_at(1'000, [&cluster] {
+    // Addressed to host 0, so host 1's MAC filter counts and drops it.
+    cluster.node(1).nic.frame_arrived(net::make_frame_ptr(
+        net::MacAddress::for_host(0), net::MacAddress::for_host(0),
+        net::EtherType::kEmp, std::vector<std::uint8_t>(46)));
+  });
+  try {
+    eng.run();
+    FAIL() << "expected InvariantError from the conservation checker";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("net.frame_conservation"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("host 1 NIC saw 1 frames"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(eng.now(), 1'000u);
+}
+
+// A sharded cluster's checkers go with it.  A group that runs on after its
+// cluster is destroyed sweeps only live state (a checker left behind would
+// read the dead cluster, which ASan reports).
+TEST(ClusterInvariants, ShardedClusterDestroyedBeforeItsGroupLeavesNoChecker) {
+  const sim::CostModel model = sim::calibrated_cost_model();
+  sim::ShardGroup group(3, net::shard_lookahead(model.wire));
+  {
+    Cluster cluster(group, model, 4);
+    EXPECT_GT(group.shard(0).checks().size(), 0u);
+  }
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    EXPECT_EQ(group.shard(i).checks().size(), 0u) << "shard " << i;
+    group.shard(i).set_check_interval(1);
+    group.shard(i).schedule_at(1'000 * (i + 1), [] {});
+  }
+  group.run();
+  EXPECT_EQ(group.events_executed(), 3u);
+  EXPECT_EQ(group.now(), 3'000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -831,7 +831,7 @@ TEST(Sharding, SameTimePostsRunInPostOrderSourcesInShardOrder) {
   // t=120 first (shard 1 posted before shard 2); then t=150 in post order:
   // shard 1's, then shard 2's two.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2, 4}));
-  EXPECT_EQ(group.remote_delivered(), 5u);
+  EXPECT_EQ(group.metrics().snapshot().at("shard/remote_events"), 5);
 }
 
 // request_stop() on a shard ends the group's run as it ends Engine::run():

@@ -15,15 +15,19 @@
 // causal_digest().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/cluster.hpp"
 #include "apps/httpd.hpp"
+#include "net/link.hpp"
 #include "net/topology.hpp"
+#include "obs/timeline.hpp"
 #include "oskernel/process.hpp"
 #include "oskernel/ring.hpp"
 #include "sim/engine.hpp"
@@ -324,13 +328,28 @@ Counters fold_shard_counters(sim::ShardGroup& group) {
   return out;
 }
 
+/// One trace event, comparable and ordered by (track, ts, dur, name, args).
+using TraceKey = std::tuple<std::uint32_t, sim::Time, sim::Duration,
+                            std::string, std::string, obs::TraceEvent::Phase>;
+
 /// Runs the web workload on a `shards`-way group; `counters`, when given,
-/// receives fold_shard_counters() of the finished run.
+/// receives fold_shard_counters() of the finished run, and `trace` the
+/// group's trace, sorted.  Loss draws from a seeded policy per link, so
+/// every partition drops the same frames.
 WebSignature run_web_sharded(std::size_t shards, const WebRunOptions& opt,
-                             Counters* counters = nullptr) {
+                             Counters* counters = nullptr,
+                             std::vector<TraceKey>* trace = nullptr) {
   const sim::CostModel model = sim::calibrated_cost_model();
   sim::ShardGroup group(shards, net::shard_lookahead(model.wire), opt.seed);
   Cluster cl(group, model, opt.client_nodes + 1, opt.cfg);
+  if (opt.loss > 0.0) {
+    for (std::size_t i = 0; i <= opt.client_nodes; ++i) {
+      cl.network().host_link(i).set_drop_policy(
+          net::StarNetwork::kHostSide,
+          net::random_drop_policy(opt.seed * 1000003 + i, opt.loss));
+    }
+  }
+  if (trace != nullptr) group.shard(0).tracer().set_enabled(true);
   const std::size_t total_connections = opt.client_nodes *
                                         opt.clients_per_node *
                                         opt.connections_per_client;
@@ -348,6 +367,12 @@ WebSignature run_web_sharded(std::size_t shards, const WebRunOptions& opt,
                    group.events_executed(), group.now(), 0};
   for (const auto& s : stats) sig.responses += s.count();
   if (counters != nullptr) *counters = fold_shard_counters(group);
+  if (trace != nullptr) {
+    for (const obs::TraceEvent& e : group.shard(0).tracer().events()) {
+      trace->emplace_back(e.track, e.ts, e.dur, e.name, e.args, e.phase);
+    }
+    std::sort(trace->begin(), trace->end());
+  }
   return sig;
 }
 
@@ -385,6 +410,37 @@ TEST(RingSharded, CausallyInvariantAcrossShardCounts) {
     EXPECT_FALSE(c1.empty()) << c.name;
     EXPECT_EQ(c2, c1) << c.name << " per-host counters diverged at 2 shards";
     EXPECT_EQ(c4, c1) << c.name << " per-host counters diverged at 4 shards";
+  }
+}
+
+// Every shard records into its group's one tracer, so a sharded run is one
+// trace, and it holds the events a serial run records: the 8-host web run
+// on 1, 2 and 4 shards, lossless and at 2% loss.  Shards record
+// same-instant events in shard order, so only the order differs.
+TEST(RingSharded, TraceIdenticalAcrossShardCounts) {
+  WebRunOptions web8;
+  web8.ring_server = false;
+  web8.client_nodes = 7;
+  web8.clients_per_node = 1;
+  for (const double loss : {0.0, 0.02}) {
+    web8.loss = loss;
+    std::vector<TraceKey> traces[3];
+    const std::size_t shard_counts[3] = {1, 2, 4};
+    for (std::size_t k = 0; k < 3; ++k) {
+      const WebSignature sig =
+          run_web_sharded(shard_counts[k], web8, nullptr, &traces[k]);
+      EXPECT_EQ(sig.responses, 7u * 2u * 2u) << "loss " << loss;
+    }
+    ASSERT_FALSE(traces[0].empty());
+    for (std::size_t k = 1; k < 3; ++k) {
+      const auto [a, b] = std::mismatch(traces[0].begin(), traces[0].end(),
+                                        traces[k].begin(), traces[k].end());
+      EXPECT_TRUE(a == traces[0].end() && b == traces[k].end())
+          << "loss " << loss << ": " << shard_counts[k] << "-shard trace ("
+          << traces[k].size() << " events) differs from the 1-shard trace ("
+          << traces[0].size() << ") at sorted index "
+          << (a - traces[0].begin());
+    }
   }
 }
 

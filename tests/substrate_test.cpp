@@ -936,7 +936,6 @@ TEST_F(SubstrateTest, DelayedAcksReduceExplicitAckTraffic) {
   auto run_with = [&](bool delayed) {
     SubstrateConfig cfg = preset("ds").cfg;
     cfg.delayed_acks = delayed;
-    cfg.piggyback_acks = false;
     cfg.credits = 8;
     cfg.buffer_bytes = 1024;
     Engine eng;
