@@ -7,19 +7,15 @@
 //
 // The paper rejected the communication thread on measurement and kept the
 // other two as user-selectable; this bench reproduces why.
-#include <cstdio>
 #include <iterator>
 
 #include "harness.hpp"
-#include "sim/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace ulsocks;
   using namespace ulsocks::bench;
 
   const BenchOptions opt = parse_bench_args(argc, argv);
-  const int iters = opt.iters_or(50);
-  const std::size_t total = opt.iters > 0 ? (1ul << 20) : (16ul << 20);
 
   auto eager = sockets::preset("ds_da_uq").cfg;
   auto rend = eager;
@@ -35,34 +31,19 @@ int main(int argc, char** argv) {
   const char* series[] = {"eager_credits", "rendezvous", "comm_thread"};
 
   BenchResults results("ablation_flowcontrol",
-                       "Flow-control alternatives (§5.2)");
-  std::printf("Ablation: flow-control alternatives (§5.2)\n\n");
-  std::printf("one-way latency (us):\n");
-  sim::ResultTable lat({"size", "eager_credits", "rendezvous",
-                        "comm_thread"});
+                       "Flow-control alternatives (§5.2)", "size");
   for (std::size_t size : {4ul, 1024ul, 4096ul}) {
-    std::vector<std::string> row{size_label(size)};
     for (std::size_t s = 0; s < std::size(stacks); ++s) {
-      double us = measure_latency_us(stacks[s], size, iters);
-      results.add(series[s], stacks[s], size_label(size), us, "us");
-      row.push_back(sim::ResultTable::num(us, 1));
+      results.add(series[s], stacks[s], size_label(size),
+                  measure_latency_us(stacks[s], size), "us");
     }
-    lat.add_row(row);
   }
-  lat.print();
-
-  std::printf("\nstreaming bandwidth (Mb/s), 64 KB writes:\n");
-  sim::ResultTable bw({"scheme", "mbps"});
+  // Streaming bandwidth: 16 MB in 64 KB writes.
   for (std::size_t s = 0; s < std::size(stacks); ++s) {
-    double mbps = measure_bandwidth_mbps(stacks[s], 65536, total);
-    results.add(std::string("bw_") + series[s], stacks[s], "64K", mbps,
+    results.add(std::string("bw_") + series[s], stacks[s], "64K",
+                measure_bandwidth_mbps(stacks[s], 65536, 16ul << 20),
                 "mbps");
-    bw.add_row({series[s], sim::ResultTable::num(mbps, 0)});
   }
-  bw.print();
-  std::printf(
-      "\npaper: the comm thread's ~20 us synchronization kills latency; "
-      "rendezvous\nadds a round trip per message; eager-with-credits wins\n");
   results.write(opt.out_dir);
   return 0;
 }

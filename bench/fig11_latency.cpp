@@ -9,22 +9,15 @@
 //
 // Paper reference points at 4 bytes: EMP ~28 us, DG ~28.5 us, DS_DA_UQ
 // ~37 us, with plain DS clearly above DS_DA above DS_DA_UQ.
-#include <cstdio>
 #include <iterator>
-#include <vector>
 
 #include "harness.hpp"
-#include "sim/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace ulsocks;
   using namespace ulsocks::bench;
 
   const BenchOptions opt = parse_bench_args(argc, argv);
-  const int iters = opt.iters_or(50);
-
-  std::printf("Figure 11: substrate latency by enhancement (one-way, us)\n");
-  std::printf("credits=32, 64KB temporary buffers, 4-node-testbed model\n\n");
 
   const StackChoice stacks[] = {
       StackChoice::substrate(sockets::preset("ds")),
@@ -36,22 +29,14 @@ int main(int argc, char** argv) {
   const char* series[] = {"DS", "DS_DA", "DS_DA_UQ", "DG", "raw_EMP"};
 
   BenchResults results("fig11_latency",
-                       "Substrate latency by enhancement (one-way, us)");
-  const std::size_t sizes[] = {4, 64, 256, 1024, 4096};
-  sim::ResultTable table(
-      {"size", "DS", "DS_DA", "DS_DA_UQ", "DG", "raw_EMP"});
-  for (std::size_t size : sizes) {
-    std::vector<std::string> row{size_label(size)};
+                       "Substrate latency by enhancement (one-way, us)",
+                       "size");
+  for (std::size_t size : {4ul, 64ul, 256ul, 1024ul, 4096ul}) {
     for (std::size_t s = 0; s < std::size(stacks); ++s) {
-      double us = measure_latency_us(stacks[s], size, iters);
+      double us = measure_latency_us(stacks[s], size);
       results.add(series[s], stacks[s], size_label(size), us, "us");
-      row.push_back(sim::ResultTable::num(us, 1));
     }
-    table.add_row(row);
   }
-  table.print();
-  std::printf(
-      "\npaper (4B): DS > DS_DA > DS_DA_UQ ~= 37, DG ~= 28.5, EMP ~= 28\n");
   results.write(opt.out_dir);
   return 0;
 }

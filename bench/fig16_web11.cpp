@@ -3,23 +3,13 @@
 //
 // HTTP/1.1 exists to amortize TCP's expensive connection setup; the paper
 // shows the substrate still wins even after that amortization.
-#include <cstdio>
-
 #include "harness.hpp"
-#include "sim/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace ulsocks;
   using namespace ulsocks::bench;
 
   const BenchOptions opt = parse_bench_args(argc, argv);
-  const std::size_t requests = opt.iters > 0
-                                   ? static_cast<std::size_t>(opt.iters)
-                                   : 32;
-
-  std::printf(
-      "Figure 16: web server avg response time, HTTP/1.1 (us)\n"
-      "up to 8 requests per connection, substrate credits=4\n\n");
 
   auto cfg = sockets::preset("ds_da_uq").cfg;
   cfg.credits = 4;
@@ -27,22 +17,15 @@ int main(int argc, char** argv) {
   const auto tcp = StackChoice::tcp();
 
   BenchResults results("fig16_web11",
-                       "Web server avg response time, HTTP/1.1 (us)");
-  sim::ResultTable table({"reply_bytes", "Substrate", "TCP", "TCP/Sub"});
+                       "Web server avg response time, HTTP/1.1 (us)",
+                       "reply");
+  results.ratio("TCP/Sub", "TCP", "Substrate");
   for (std::uint32_t s : {4u, 64u, 256u, 1024u, 4096u, 8192u}) {
-    double us_sub = measure_web_response_us(sub, s, 8, requests);
-    results.add("Substrate", sub, size_label(s), us_sub, "us");
-    double us_tcp = measure_web_response_us(tcp, s, 8, requests);
-    results.add("TCP", tcp, size_label(s), us_tcp, "us");
-    table.add_row({size_label(s), sim::ResultTable::num(us_sub, 0),
-                   sim::ResultTable::num(us_tcp, 0),
-                   sim::ResultTable::num(us_tcp / us_sub, 1)});
+    results.add("Substrate", sub, size_label(s),
+                measure_web_response_us(sub, s, 8, 32), "us");
+    results.add("TCP", tcp, size_label(s),
+                measure_web_response_us(tcp, s, 8, 32), "us");
   }
-  table.print();
-  std::printf(
-      "\npaper: amortization narrows TCP's gap but the substrate stays "
-      "ahead;\nwith infinite requests per connection this degenerates to "
-      "the latency test\n");
   results.write(opt.out_dir);
   return 0;
 }

@@ -11,6 +11,7 @@
 #include "apps/httpd.hpp"
 #include "apps/matmul.hpp"
 #include "obs/timeline.hpp"
+#include "sim/stats.hpp"
 
 namespace ulsocks::bench {
 
@@ -20,6 +21,9 @@ using os::SockAddr;
 using sim::Engine;
 
 constexpr std::uint16_t kPort = 5001;
+// Ping-pong rounds of every latency point, after kWarmup unmeasured ones.
+constexpr int kIters = 50;
+constexpr int kWarmup = 5;
 
 // Observability state of the run scope: the registry snapshot of the last
 // run, and the armed trace path.
@@ -85,8 +89,8 @@ Task<int> connect_one(os::SocketApi& api, const StackChoice& stack) {
 /// > 0 the server first pre-posts that many unrelated descriptors ahead of
 /// the measurement channel: the NIC walks them (550 ns each) on every
 /// incoming data frame.
-double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
-                          bool dual_cpu, std::size_t extra_descriptors) {
+double raw_emp_latency_us(std::size_t msg_bytes, bool dual_cpu,
+                          std::size_t extra_descriptors) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, dual_cpu);
   auto msg = payload(msg_bytes);
@@ -101,7 +105,7 @@ double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
     for (std::size_t i = 0; i < extra_descriptors; ++i) {
       fillers.push_back(co_await ep.post_recv(emp::NodeId{0}, 999, dummy));
     }
-    for (int i = 0; i < warmup + iters; ++i) {
+    for (int i = 0; i < kWarmup + kIters; ++i) {
       auto h = co_await ep.post_recv(emp::NodeId{0}, 1, b1);
       co_await ep.wait_recv(h);
       auto s = co_await ep.post_send(0, 2, msg);
@@ -117,14 +121,14 @@ double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
     // With fillers, start late enough that every one is posted first.
     co_await eng.delay(extra_descriptors > 0 ? 500'000 : 10'000);
     sim::Time t0 = 0;
-    for (int i = 0; i < warmup + iters; ++i) {
-      if (i == warmup) t0 = eng.now();
+    for (int i = 0; i < kWarmup + kIters; ++i) {
+      if (i == kWarmup) t0 = eng.now();
       auto h = co_await ep.post_recv(emp::NodeId{1}, 2, b0);
       auto s = co_await ep.post_send(1, 1, msg);
       co_await ep.wait_recv(h);
       (void)s;
     }
-    one_way_us = sim::to_us(eng.now() - t0) / (2.0 * iters);
+    one_way_us = sim::to_us(eng.now() - t0) / (2.0 * kIters);
   };
   eng.spawn(server());
   eng.spawn(client());
@@ -133,7 +137,7 @@ double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
 }
 
 double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
-                         int iters, int warmup, bool dual_cpu) {
+                         bool dual_cpu) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), dual_cpu);
   auto msg = payload(msg_bytes);
@@ -143,7 +147,7 @@ double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
     auto& api = pick(cl, 1, stack);
     const Accepted a = co_await accept_one(api, stack);
     std::vector<std::uint8_t> buf(msg_bytes);
-    for (int i = 0; i < warmup + iters; ++i) {
+    for (int i = 0; i < kWarmup + kIters; ++i) {
       co_await api.read_exact(a.conn, buf);
       co_await api.write_all(a.conn, buf);
     }
@@ -156,12 +160,12 @@ double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
     const int s = co_await connect_one(api, stack);
     std::vector<std::uint8_t> buf = msg;
     sim::Time t0 = 0;
-    for (int i = 0; i < warmup + iters; ++i) {
-      if (i == warmup) t0 = eng.now();
+    for (int i = 0; i < kWarmup + kIters; ++i) {
+      if (i == kWarmup) t0 = eng.now();
       co_await api.write_all(s, buf);
       co_await api.read_exact(s, buf);
     }
-    one_way_us = sim::to_us(eng.now() - t0) / (2.0 * iters);
+    one_way_us = sim::to_us(eng.now() - t0) / (2.0 * kIters);
     co_await api.close(s);
   };
   eng.spawn(server());
@@ -270,6 +274,18 @@ void append_number(std::string& out, double v) {
   out += buf;
 }
 
+/// A table cell: `v` with `decimals` digits after the point.
+std::string cell(double v, int decimals) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  return buf;
+}
+
+/// Append `v` to `seen` unless it is already there (first-seen order).
+void add_unique(std::vector<std::string_view>& seen, std::string_view v) {
+  if (std::find(seen.begin(), seen.end(), v) == seen.end()) seen.push_back(v);
+}
+
 }  // namespace
 
 StackChoice StackChoice::substrate(const sockets::Preset& preset) {
@@ -321,15 +337,13 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--iters") {
-      opt.iters = std::atoi(value());
-    } else if (arg == "--trace") {
+    if (arg == "--trace") {
       opt.trace_path = value();
     } else if (arg == "--out") {
       opt.out_dir = value();
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
-                   "usage: %s [--iters N] [--trace FILE] [--out DIR]\n",
+                   "usage: %s [--trace FILE] [--out DIR]\n",
                    argv[0]);
       std::exit(0);
     } else {
@@ -342,8 +356,11 @@ BenchOptions parse_bench_args(int argc, char** argv) {
   return opt;
 }
 
-BenchResults::BenchResults(std::string figure, std::string title)
-    : figure_(std::move(figure)), title_(std::move(title)) {}
+BenchResults::BenchResults(std::string figure, std::string title,
+                           std::string x_name)
+    : figure_(std::move(figure)),
+      title_(std::move(title)),
+      x_name_(std::move(x_name)) {}
 
 void BenchResults::add(std::string_view series, const StackChoice& stack,
                        std::string_view x, double value,
@@ -365,7 +382,68 @@ void BenchResults::add(std::string_view series, std::string_view stack_name,
   points_.push_back(std::move(p));
 }
 
+void BenchResults::ratio(std::string name, std::string numerator,
+                         std::string denominator) {
+  ratios_.push_back(
+      {std::move(name), std::move(numerator), std::move(denominator)});
+}
+
+std::string BenchResults::tables() const {
+  std::vector<std::string_view> units;
+  for (const Point& p : points_) add_unique(units, p.unit);
+  std::string md;
+  for (std::string_view unit : units) {
+    std::vector<std::string_view> xs;
+    std::vector<std::string_view> series;
+    for (const Point& p : points_) {
+      if (p.unit != unit) continue;
+      add_unique(xs, p.x);
+      add_unique(series, p.series);
+    }
+    std::vector<const Ratio*> ratios;
+    for (const Ratio& r : ratios_) {
+      if (std::find(series.begin(), series.end(), r.numerator) !=
+          series.end()) {
+        ratios.push_back(&r);
+      }
+    }
+    auto value = [&](std::string_view s, std::string_view x) {
+      for (const Point& p : points_) {
+        if (p.series == s && p.x == x) return &p.value;
+      }
+      return static_cast<const double*>(nullptr);
+    };
+    if (!md.empty()) md += '\n';
+    md += "Values in " + std::string(unit) + ":\n\n| " + x_name_;
+    for (std::string_view s : series) md += " | " + std::string(s);
+    for (const Ratio* r : ratios) md += " | " + r->name;
+    md += " |\n|";
+    for (std::size_t c = 0; c <= series.size() + ratios.size(); ++c) {
+      md += "---|";
+    }
+    md += '\n';
+    const int decimals = unit == "mbps" ? 0 : 1;
+    for (std::string_view x : xs) {
+      md += "| " + std::string(x);
+      for (std::string_view s : series) {
+        const double* v = value(s, x);
+        md += " | " + (v != nullptr ? cell(*v, decimals) : std::string());
+      }
+      for (const Ratio* r : ratios) {
+        const double* num = value(r->numerator, x);
+        const double* den = value(r->denominator, x);
+        md += " | " + (num != nullptr && den != nullptr
+                           ? cell(*num / *den, 1) + "x"
+                           : std::string());
+      }
+      md += " |\n";
+    }
+  }
+  return md;
+}
+
 std::string BenchResults::write(const std::string& dir) const {
+  std::fputs(tables().c_str(), stdout);
   std::string json;
   json += "{\n  \"schema\": \"ulsocks.bench.v1\",\n";
   json += "  \"figure\": \"" + obs::json_escape(figure_) + "\",\n";
@@ -427,11 +505,11 @@ void run_measured(Engine& eng) {
 }
 
 double measure_latency_us(const StackChoice& stack, std::size_t msg_bytes,
-                          int iters, int warmup, bool dual_cpu) {
+                          bool dual_cpu) {
   if (stack.kind() == StackChoice::Kind::kRawEmp) {
-    return raw_emp_latency_us(msg_bytes, iters, warmup, dual_cpu, 0);
+    return raw_emp_latency_us(msg_bytes, dual_cpu, 0);
   }
-  return socket_latency_us(stack, msg_bytes, iters, warmup, dual_cpu);
+  return socket_latency_us(stack, msg_bytes, dual_cpu);
 }
 
 double measure_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
@@ -535,7 +613,7 @@ double measure_matmul_ms(const StackChoice& stack, std::size_t n) {
 
 double measure_latency_with_extra_descriptors_us(
     std::size_t extra_descriptors, std::size_t msg_bytes) {
-  return raw_emp_latency_us(msg_bytes, 50, 5, true, extra_descriptors);
+  return raw_emp_latency_us(msg_bytes, true, extra_descriptors);
 }
 
 std::string size_label(std::size_t bytes) {

@@ -7,9 +7,10 @@
 //
 // Observability: every run goes through one run scope (run_measured()),
 // which keeps that run's full registry snapshot; BenchResults attaches the
-// snapshot to the point recorded next and writes the schema-versioned
-// BENCH_<figure>.json that scripts/validate_bench_json.py checks.  set_trace_export() arms a Chrome trace_event export of the next
-// run (see DESIGN.md §8).
+// snapshot to the point recorded next, prints the figure's tables from the
+// recorded points and writes the schema-versioned BENCH_<figure>.json that
+// scripts/validate_bench_json.py checks.  set_trace_export() arms a Chrome
+// trace_event export of the next run (see DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 
 #include "apps/cluster.hpp"
 #include "sim/engine.hpp"
-#include "sim/stats.hpp"
 #include "sockets/config.hpp"
 
 namespace ulsocks::bench {
@@ -78,20 +78,21 @@ void run_measured(sim::Engine& eng);
 void set_trace_export(std::string path);
 
 /// Options every bench main understands:
-///   --iters N    latency iterations per point (smoke runs use small N)
 ///   --trace F    export a Chrome trace of the first run to F
 ///   --out DIR    directory for BENCH_<figure>.json (default ".")
 struct BenchOptions {
-  int iters = 0;  // 0: the figure's default
   std::string trace_path;
   std::string out_dir = ".";
-
-  [[nodiscard]] int iters_or(int dflt) const { return iters > 0 ? iters : dflt; }
 };
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
 
-/// Machine-readable bench results.  add() records one measured point along
-/// with the metrics snapshot of the run that produced it; write() emits
+/// A figure's results: the one source of its tables and its JSON.  add()
+/// records one measured point along with the metrics snapshot of the run
+/// that produced it; write() prints the figure's tables to stdout as
+/// Markdown, one per unit in recording order, with a row per x and a column
+/// per series in recording order, plus the declared ratio columns.  Mb/s
+/// print with no decimals, every other value and ratio with one.  It also
+/// emits
 ///
 ///   {
 ///     "schema": "ulsocks.bench.v1",
@@ -101,10 +102,11 @@ struct BenchOptions {
 ///   }
 ///
 /// as BENCH_<figure>.json so plots and regression checks never scrape the
-/// human tables.
+/// printed tables.
 class BenchResults {
  public:
-  BenchResults(std::string figure, std::string title);
+  /// `x_name` heads each table's first column ("size", "credits", "N").
+  BenchResults(std::string figure, std::string title, std::string x_name);
 
   /// Record the point for the measure_* call that just returned `value`.
   void add(std::string_view series, const StackChoice& stack,
@@ -113,8 +115,13 @@ class BenchResults {
   void add(std::string_view series, std::string_view stack_name,
            std::string_view config_label, std::string_view x, double value,
            std::string_view unit);
-  /// Write BENCH_<figure>.json into `dir`; returns the path written, or
-  /// empty on I/O failure (also printed to stderr).
+  /// Declare a ratio column `name`, numerator / denominator at each x,
+  /// printed in the numerator's table.
+  void ratio(std::string name, std::string numerator,
+             std::string denominator);
+  /// Print the tables to stdout and write BENCH_<figure>.json into `dir`;
+  /// returns the path written, or empty on I/O failure (also printed to
+  /// stderr).
   std::string write(const std::string& dir = ".") const;
 
  private:
@@ -127,17 +134,25 @@ class BenchResults {
     std::string unit;
     std::map<std::string, std::int64_t> metrics;
   };
+  struct Ratio {
+    std::string name;
+    std::string numerator;
+    std::string denominator;
+  };
+  [[nodiscard]] std::string tables() const;
+
   std::string figure_;
   std::string title_;
+  std::string x_name_;
   std::vector<Point> points_;
+  std::vector<Ratio> ratios_;
 };
 
-/// One-way latency (us) for `msg_bytes` messages, averaged over `iters`
-/// ping-pong rounds after `warmup` rounds.  `dual_cpu = false` runs the
+/// One-way latency (us) for `msg_bytes` messages, averaged over 50
+/// ping-pong rounds after 5 warm-up rounds.  `dual_cpu = false` runs the
 /// NICs with one firmware CPU (ablation of the Tigon2's dual-core design).
 [[nodiscard]] double measure_latency_us(const StackChoice& stack,
                                         std::size_t msg_bytes,
-                                        int iters = 50, int warmup = 5,
                                         bool dual_cpu = true);
 
 /// Unidirectional goodput (Mb/s) sending `total_bytes` in `msg_bytes`

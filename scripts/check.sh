@@ -10,9 +10,15 @@
 #      src): determinism, shard affinity, coroutine lifetime, layering,
 #      wire hygiene.  Fails on any unsuppressed finding or an unused
 #      suppression (DESIGN.md §12).
-#   4. Bench smoke: every bench/ binary (one per bench/*.cpp except the
-#      harness) runs at --iters 3 and must emit its BENCH_<name>.json, and
-#      every one must pass scripts/validate_bench_json.py.
+#   4. Figures: every bench/ binary (one per bench/*.cpp except the
+#      harness) runs at the size EXPERIMENTS.md reports, "$JOBS" at a time
+#      in the sanitized tree; each must emit its BENCH_<name>.json, and
+#      every one must pass scripts/validate_bench_json.py.  Then
+#      scripts/check_figures.py refills EXPERIMENTS.md's bench blocks from
+#      the binaries' stdout and asserts the paper's shape claims over the
+#      JSON; a block that changed (named, and left refilled for commit) or
+#      a failed claim fails the stage.  About 45 s on 4 vCPUs, most of it
+#      fig13_microbench.
 #   5. Benchmark smoke and seed-1 pins: python3 benchmark/run.py --smoke
 #      builds the Release benchmark drivers, runs all five workloads at 1%
 #      size (every payload byte is verified) and checks the result schema
@@ -81,21 +87,25 @@ fi
 echo "==> [3/$TOTAL] ulsan static-analysis suite"
 PYTHONPATH="$PWD/scripts${PYTHONPATH:+:$PYTHONPATH}" python3 -m ulsan src
 
-echo "==> [4/$TOTAL] bench smoke + results-schema validation"
-SMOKE_DIR="$BUILD_DIR/bench-smoke"
-mkdir -p "$SMOKE_DIR"
-rm -f "$SMOKE_DIR"/BENCH_*.json
-BENCHES=0
+echo "==> [4/$TOTAL] figures: every bench, results schema, EXPERIMENTS.md tables and shape claims"
+FIG_DIR="$BUILD_DIR/figures"
+rm -rf "$FIG_DIR"
+mkdir -p "$FIG_DIR"
+BENCHES=()
 for src in bench/*.cpp; do
   name="$(basename "$src" .cpp)"
-  [ "$name" = harness ] && continue
-  "$BUILD_DIR/bench/$name" --iters 3 --out "$SMOKE_DIR" >/dev/null
-  [ -f "$SMOKE_DIR/BENCH_$name.json" ] ||
-    { echo "ERROR: bench/$name wrote no BENCH_$name.json" >&2; exit 1; }
-  BENCHES=$((BENCHES + 1))
+  [ "$name" = harness ] || BENCHES+=("$name")
 done
-python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-echo "bench smoke: $BENCHES binaries, every BENCH_*.json valid"
+# xargs exits non-zero if any binary does.
+printf '%s\n' "${BENCHES[@]}" | xargs -P "$JOBS" -I{} \
+  sh -c '"$1/bench/$2" --out "$3" >"$3/$2.md"' sh "$BUILD_DIR" {} "$FIG_DIR"
+for name in "${BENCHES[@]}"; do
+  [ -f "$FIG_DIR/BENCH_$name.json" ] ||
+    { echo "ERROR: bench/$name wrote no BENCH_$name.json" >&2; exit 1; }
+done
+python3 scripts/validate_bench_json.py "$FIG_DIR"/BENCH_*.json
+python3 scripts/check_figures.py "$FIG_DIR"
+echo "figures: ${#BENCHES[@]} binaries, every BENCH_*.json valid, EXPERIMENTS.md current"
 
 echo "==> [5/$TOTAL] benchmark smoke (Release drivers, payload checks, result schema) and seed-1 pins"
 # Exits non-zero on a build failure, a failed payload check or a result

@@ -1,4 +1,4 @@
-// Measurement accumulators and result-table formatting.
+// Measurement accumulator.
 #pragma once
 
 #include <algorithm>
@@ -6,8 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace ulsocks::sim {
 
@@ -40,28 +38,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width text table used by the figure-reproduction benches so every
-/// harness prints paper-style rows the same way.
-class ResultTable {
- public:
-  explicit ResultTable(std::vector<std::string> headers);
-
-  void add_row(std::vector<std::string> cells);
-
-  /// Convenience: format doubles with the given precision.
-  static std::string num(double v, int precision = 2);
-
-  /// Render to a string (also used by tests to check harness output).
-  [[nodiscard]] std::string to_string() const;
-
-  /// Print to stdout.
-  void print() const;
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace ulsocks::sim

@@ -50,6 +50,14 @@ struct SubstrateConfig {
     return delayed_acks ? (credits >= 2 ? credits / 2 : 1) : 1;
   }
 
+  /// Data descriptors pre-posted per connection, each backed by a
+  /// temporary buffer (the "N" of §6.1).  Only eager streaming sockets
+  /// post them: datagrams land straight in the user buffer (§6.2), and a
+  /// rendezvous read posts the user buffer for each message (§5.2).
+  [[nodiscard]] std::uint32_t data_descriptors() const {
+    return data_streaming && flow != FlowControl::kRendezvous ? credits : 0;
+  }
+
   /// Control descriptors pre-posted alongside the N data descriptors (the
   /// "2N" of §6.1).  With delayed acks at most two acks are in flight;
   /// with the unexpected queue none are pre-posted at all.

@@ -107,7 +107,7 @@ void EmpSocketStack::check_invariants() const {
                     s->consumed_unacked, s->cfg.credits));
     // Descriptor-count bounds: N data descriptors and the configured
     // control-descriptor layout ("2N", §6.1) are ceilings, never exceeded.
-    std::uint32_t max_data = s->cfg.data_streaming ? s->cfg.credits : 0;
+    const std::uint32_t max_data = s->cfg.data_descriptors();
     ULSOCKS_INVARIANT(
         s->data_slots.size() <= max_data,
         check::msgf("sd=%d data descriptor bound violated: %zu > %u", sd,
@@ -306,7 +306,7 @@ sim::Task<void> EmpSocketStack::post_connection_resources(const SockPtr& s) {
   // translation cache.
   const std::size_t slot_bytes = s->cfg.buffer_bytes + kDataHeaderBytes;
   const bool streaming = s->cfg.data_streaming;
-  std::uint32_t ndata = streaming ? s->cfg.credits : 0;
+  std::uint32_t ndata = s->cfg.data_descriptors();
   std::uint32_t nctrl = s->cfg.ctrl_descriptors();
   s->arena = get_arena(ndata * slot_bytes + nctrl * 64);
   // One send-staging slot per credit: a write returns as soon as its send
@@ -314,8 +314,8 @@ sim::Task<void> EmpSocketStack::post_connection_resources(const SockPtr& s) {
   // while the NIC may still read it.
   s->send_staging = get_arena(s->cfg.credits * slot_bytes);
   if (!streaming) s->dg_staging = get_arena(kDgEagerLimit);
-  // N data descriptors with temporary buffers (data streaming only: the
-  // datagram option delivers straight to the user buffer, §6.2)...
+  // N data descriptors with temporary buffers (eager data streaming only,
+  // see SubstrateConfig::data_descriptors)...
   for (std::uint32_t i = 0; i < ndata; ++i) {
     auto slot = std::make_unique<Slot>();
     slot->buffer = std::span(s->arena).subspan(i * slot_bytes, slot_bytes);
@@ -846,8 +846,7 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
     bool drain_progress = false;
     co_await drain_ctrl(s, drain_progress);
 
-    bool rendezvous_mode = s->cfg.flow == FlowControl::kRendezvous;
-    Slot* next = rendezvous_mode ? nullptr : next_data_slot(*s);
+    Slot* next = next_data_slot(*s);
     if (next != nullptr) {
       // Binds the pooled Slot object, not the deque element: it is
       // heap-stable under deque rotation and destroyed only at socket
@@ -879,13 +878,7 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
         }
         slot.offset += static_cast<std::uint32_t>(n);
       }
-      bool consumed = slot.offset >= payload;
-      if (!s->cfg.data_streaming && !consumed) {
-        // Datagram semantics: the unread tail of this message is lost.
-        ++ctr_.truncated_datagrams;
-        consumed = true;
-      }
-      if (consumed) {
+      if (slot.offset >= payload) {
         // Repost at the back, so data_slots stays in EMP post order.
         auto it = std::find_if(
             s->data_slots.begin(), s->data_slots.end(),

@@ -300,14 +300,6 @@ TEST(Stats, OnlineStatsMoments) {
   EXPECT_DOUBLE_EQ(st.max(), 9.0);
 }
 
-TEST(Stats, ResultTableFormatting) {
-  ResultTable t({"size", "latency_us"});
-  t.add_row({"4", ResultTable::num(28.5, 1)});
-  std::string out = t.to_string();
-  EXPECT_NE(out.find("size"), std::string::npos);
-  EXPECT_NE(out.find("28.5"), std::string::npos);
-}
-
 TEST(Rng, DeterministicForSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) {

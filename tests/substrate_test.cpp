@@ -513,6 +513,56 @@ TEST_F(SubstrateTest, RendezvousMutualWriteDeadlocks) {
   EXPECT_EQ(completions, 0);  // both sides are deadlocked, as in the paper
 }
 
+TEST_F(SubstrateTest, RendezvousSocketsPrePostNoEagerDataSlots) {
+  // A rendezvous read posts the user buffer for each message (§5.2), so
+  // a rendezvous connection pre-posts none of the N eager data slots the
+  // NIC would walk on every frame: once connected, the server holds only
+  // its listener's two backlog descriptors and the client none.  Eager
+  // credits post all N = 32 on each end.
+  for (const FlowControl flow :
+       {FlowControl::kRendezvous, FlowControl::kEagerCredits}) {
+    SubstrateConfig cfg = preset("ds_da_uq").cfg;
+    cfg.flow = flow;
+    Engine eng;
+    Cluster cl(eng, sim::calibrated_cost_model(), 2, cfg);
+    std::size_t client_posted = 0;
+    std::size_t server_posted = 0;
+    bool server_saw_eof = false;
+
+    auto server = [&]() -> Task<void> {
+      auto& st = cl.node(1).socks;
+      int ls = co_await st.socket();
+      co_await st.bind(ls, SockAddr{1, 80});
+      co_await st.listen(ls, 2);
+      int cs = co_await st.accept(ls, nullptr);
+      std::vector<std::uint8_t> buf(64);
+      server_saw_eof = co_await st.read(cs, buf) == 0;
+      co_await st.close(cs);
+      co_await st.close(ls);
+    };
+    auto client = [&]() -> Task<void> {
+      auto& st = cl.node(0).socks;
+      co_await eng.delay(1000);
+      int s = co_await st.socket();
+      co_await st.connect(s, SockAddr{1, 80});
+      co_await eng.delay(1'000'000);  // both ends connected and idle
+      client_posted = cl.node(0).emp.posted_descriptor_count();
+      server_posted = cl.node(1).emp.posted_descriptor_count();
+      co_await st.close(s);
+    };
+    eng.spawn(server());
+    eng.spawn(client());
+    eng.run();
+
+    const bool rendezvous = flow == FlowControl::kRendezvous;
+    EXPECT_EQ(client_posted, rendezvous ? 0u : 32u);
+    EXPECT_EQ(server_posted, rendezvous ? 2u : 34u);
+    EXPECT_TRUE(server_saw_eof);
+    EXPECT_EQ(cl.node(0).emp.posted_descriptor_count(), 0u);
+    EXPECT_EQ(cl.node(1).emp.posted_descriptor_count(), 0u);
+  }
+}
+
 TEST_F(SubstrateTest, EagerCreditsSurviveMutualWritesWithinCredits) {
   // Same pattern as above but with eager flow control: up to N
   // outstanding writes per direction are absorbed by the 2N descriptors
